@@ -1,117 +1,25 @@
 """Timing emulation and schedule optimization for query sequences on a
 streaming storage accelerator with a single reconfigurable region."""
 
-from .analyzer import (
-    Arithmetic,
-    Attribute,
-    Comparison,
-    Hint,
-    Literal,
-    OperatorShape,
-    Parameter,
-    PredicateError,
-    PredicateSyntaxError,
-    PredicateTypeError,
-    QueryTemplate,
-    baseline_order,
-    find_common_accelerators,
-    generate_hints,
-    parse_predicate,
-    print_predicate,
-    required_shapes,
-    templatize,
-)
-from .costmodel import (
-    VolumeProfile,
-    accel_runtime,
-    propagate_volumes,
-    reconfig_time,
-    scan_time,
-    transfer_time,
-)
-from .emulator import Span, TimelineReport, analytic_total, emit_trace, execute_schedule
-from .harness import SweepSpec, load_bundled, run_sweep, verify_corpus, with_gaps, with_scale_factor
-from .model import (
-    AcceleratorModule,
-    Invocation,
-    QuerySpec,
-    RpuConfig,
-    Scenario,
-    Schedule,
-    ScenarioError,
-    ScheduleError,
-    TableDef,
-    identity_schedule,
-    load_scenario,
-    serialize_scenario,
-    validate_schedule,
-)
-from .optimizer import (
-    InstanceTooLargeError,
-    StrategyOutcome,
-    apply_reorder,
-    apply_speculative,
-    exhaustive_oracle,
-    optimize,
-    plan_baseline,
-)
+from .emulator import analytic_total, emit_trace, execute_schedule
+from .harness import SweepSpec, load_bundled, run_sweep, verify_corpus
+from .model import ScenarioError, ScheduleError, identity_schedule, load_scenario
+from .optimizer import InstanceTooLargeError, optimize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceleratorModule",
-    "Arithmetic",
-    "Attribute",
-    "Comparison",
-    "Hint",
     "InstanceTooLargeError",
-    "Invocation",
-    "Literal",
-    "OperatorShape",
-    "Parameter",
-    "PredicateError",
-    "PredicateSyntaxError",
-    "PredicateTypeError",
-    "QuerySpec",
-    "QueryTemplate",
-    "RpuConfig",
-    "Scenario",
-    "Schedule",
     "ScenarioError",
     "ScheduleError",
-    "Span",
-    "StrategyOutcome",
     "SweepSpec",
-    "TableDef",
-    "TimelineReport",
-    "VolumeProfile",
-    "accel_runtime",
     "analytic_total",
-    "apply_reorder",
-    "apply_speculative",
-    "baseline_order",
     "emit_trace",
     "execute_schedule",
-    "exhaustive_oracle",
-    "find_common_accelerators",
-    "generate_hints",
     "identity_schedule",
     "load_bundled",
     "load_scenario",
     "optimize",
-    "parse_predicate",
-    "plan_baseline",
-    "print_predicate",
-    "propagate_volumes",
-    "reconfig_time",
-    "required_shapes",
     "run_sweep",
-    "scan_time",
-    "serialize_scenario",
-    "templatize",
-    "transfer_time",
-    "validate_schedule",
     "verify_corpus",
-    "with_gaps",
-    "with_scale_factor",
 ]

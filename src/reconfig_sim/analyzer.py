@@ -1,4 +1,4 @@
-"""Predicate parsing, query templates, and cross-query accelerator reuse.
+"""Predicate parsing, invocation ordering, and cross-query accelerator reuse.
 
 Scenario predicates are single comparisons over table attributes, literals,
 named parameters, and at most one binary arithmetic term per side:
@@ -108,8 +108,6 @@ class Comparison:
     lhs: Term
     rhs: Term
 
-
-PredicateAst = Comparison
 
 _TOKEN_RE = re.compile(
     r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
@@ -281,54 +279,11 @@ def attribute_names(pred: Comparison) -> frozenset[str]:
     return frozenset(n.name for n in walk(pred) if isinstance(n, Attribute))
 
 
-@dataclass(frozen=True)
-class QueryTemplate:
-    """A query with literals abstracted away: shape sets plus canonical predicates."""
-
-    query_id: str
-    shapes: tuple[frozenset[OperatorShape], ...]
-    predicates: tuple[Comparison, ...]
-
-
-def _parameterize(node, names: Iterator[str]):
-    if isinstance(node, Literal):
-        return Parameter(next(names), node.operand_type)
-    if isinstance(node, Arithmetic):
-        return Arithmetic(node.kind, _parameterize(node.lhs, names), _parameterize(node.rhs, names))
-    if isinstance(node, Comparison):
-        return Comparison(node.kind, _parameterize(node.lhs, names), _parameterize(node.rhs, names))
-    return node
-
-
-def templatize(q: QuerySpec) -> QueryTemplate:
-    """Replace literals with numbered parameters, fresh in traversal order.
-
-    Parameter names already used anywhere in the query are skipped, so
-    templatizing an already templatized query changes nothing.
-    """
-    taken = {n.name
-             for inv in q.invocations
-             for n in walk(inv.predicate) if isinstance(n, Parameter)}
-
-    def fresh() -> Iterator[str]:
-        i = 0
-        while True:
-            name = f"p{i}"
-            i += 1
-            if name not in taken:
-                yield name
-
-    names = fresh()
-    predicates = tuple(_parameterize(inv.predicate, names) for inv in q.invocations)
-    shapes = tuple(required_shapes(inv.predicate) for inv in q.invocations)
-    return QueryTemplate(q.id, shapes, predicates)
-
-
 def find_common_accelerators(s: Scenario) -> dict[tuple[str, str], frozenset[str]]:
     """Accelerators invoked by both halves of each consecutive query pair.
 
     Reuse is keyed on module identity; parameter and literal values play no
-    role (templates of the same module already agree on shapes).
+    role.
     """
     reuse = {}
     for left, right in zip(s.sequence, s.sequence[1:]):

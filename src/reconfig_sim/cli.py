@@ -15,7 +15,7 @@ from . import harness
 from .emulator import emit_trace, execute_schedule
 from .harness import SweepSpec, format_ms, run_sweep
 from .model import Scenario, ScenarioError, identity_schedule, schedule_from_doc
-from .optimizer import FIXED_STRATEGIES, optimize, outcome_document
+from .optimizer import STRATEGIES, optimize, outcome_document
 
 
 class _CliError(Exception):
@@ -36,8 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="plan a schedule and report the outcome")
     opt.add_argument("scenario")
-    opt.add_argument("--strategy", default="auto",
-                     choices=list(FIXED_STRATEGIES) + ["auto", "oracle"])
+    opt.add_argument("--strategy", default="auto", choices=STRATEGIES)
     opt.add_argument("--out", help="write the full outcome document to this file")
 
     sweep = sub.add_parser("sweep", help="emulate strategies across an axis, writing CSV")

@@ -3,13 +3,11 @@
 Sweeps vary either the data volume scale factor or the idle gap between
 queries and emulate a set of strategies at every point.  Rows come out in
 axis-then-strategy order and numbers are formatted identically on every
-run, so repeated sweeps are byte-identical.  RECONFIG_SIM_THREADS caps the
-worker threads used to evaluate sweep points (default 1).
+run, so repeated sweeps are byte-identical.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -40,13 +38,14 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis: {self.axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"sweep values must be finite, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         # a gap of zero is meaningful; a scale factor of zero is not
-        minimum = 0.0 if self.axis == "gap_ms" else None
         if self.axis == "scale_factor" and self.values[0] <= 0:
             raise ValueError("scale factors must be positive")
-        if minimum is not None and self.values[0] < minimum:
+        if self.axis == "gap_ms" and self.values[0] < 0:
             raise ValueError("gaps cannot be negative")
         if not self.strategies:
             raise ValueError("sweep needs at least one strategy")
@@ -61,6 +60,9 @@ def with_scale_factor(s: Scenario, scale_factor: float) -> Scenario:
         raise ValueError("scale factor must be positive")
     tables = tuple(replace(t, volume=t.volume / s.scale_factor * scale_factor)
                    for t in s.tables)
+    for i, t in enumerate(tables):
+        if not math.isfinite(t.volume):
+            raise ValueError(f"tables[{i}].volume: not finite at scale factor {scale_factor}")
     return replace(s, tables=tables, scale_factor=scale_factor)
 
 
@@ -86,33 +88,14 @@ def _sweep_point(s: Scenario, spec: SweepSpec, value: float) -> list[str]:
     return rows
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RECONFIG_SIM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"RECONFIG_SIM_THREADS must be an integer, got {raw!r}") from None
-    return max(1, count)
-
-
 def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """Evaluate every (value, strategy) point and return the CSV text.
 
     improvement_pct in each row compares against the baseline strategy at
     the same axis value.
     """
-    workers = min(_worker_count(), len(spec.values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_value = list(pool.map(lambda v: _sweep_point(s, spec, v), spec.values))
-    else:
-        per_value = [_sweep_point(s, spec, v) for v in spec.values]
-    lines = [CSV_HEADER]
-    for rows in per_value:
-        lines.extend(rows)
-    return "\n".join(lines) + "\n"
+    rows = [row for v in spec.values for row in _sweep_point(s, spec, v)]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +124,6 @@ def bundled_text(name: str) -> str:
 
 def load_bundled(name: str) -> Scenario:
     return load_scenario(bundled_text(name))
-
-
-def corpus_names() -> list[str]:
-    return [n for n in bundled_names() if n.startswith("corpus/")]
 
 
 def verify_corpus() -> list[tuple[str, list[str]]]:

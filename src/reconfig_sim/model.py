@@ -8,6 +8,7 @@ scenario's scale_factor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -90,18 +91,6 @@ class Scenario:
     sequence: tuple[QuerySpec, ...]
     scale_factor: float = 1.0
 
-    def table(self, table_id: str) -> TableDef:
-        for t in self.tables:
-            if t.id == table_id:
-                return t
-        raise KeyError(table_id)
-
-    def module(self, module_id: str) -> AcceleratorModule:
-        for m in self.library:
-            if m.id == module_id:
-                return m
-        raise KeyError(module_id)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -146,7 +135,13 @@ def _number(obj: dict, key: str, path: str, *, minimum=None, exclusive=False) ->
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError("expected a number", f"{path}.{key}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ScenarioError("must be finite, got an integer beyond the float range",
+                            f"{path}.{key}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"must be finite, got {value}", f"{path}.{key}")
     if minimum is not None:
         if exclusive and value <= minimum:
             raise ScenarioError(f"must be greater than {minimum}, got {value}", f"{path}.{key}")
@@ -333,6 +328,9 @@ def load_scenario(text: str) -> Scenario:
     _unique_ids(sequence, "query", "sequence")
 
     scaled = tuple(TableDef(t.id, t.volume * scale) for t in tables)
+    for i, t in enumerate(scaled):
+        if not math.isfinite(t.volume):
+            raise ScenarioError(f"not finite at scale_factor {scale}", f"tables[{i}].volume")
     return Scenario(rpu, scaled, library, sequence, scale)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from . import analyzer
-from .analyzer import Hint, baseline_order, find_common_accelerators, generate_hints
+from .analyzer import baseline_order, find_common_accelerators, generate_hints
 from .emulator import execute_schedule
 from .model import Scenario, Schedule, schedule_to_doc
 
@@ -50,21 +50,21 @@ def plan_baseline(s: Scenario) -> Schedule:
     )
 
 
-def apply_speculative(s: Scenario, base: Schedule, hints: tuple[Hint, ...]) -> Schedule:
+def apply_speculative(s: Scenario, base: Schedule) -> Schedule:
     """Prefetch each successor's first module unless it is already resident.
 
     The module resident at the end of query i is the one its last scheduled
     invocation used, so only differing pairs get a directive.
     """
     prefetches = list(base.prefetches)
-    for i, hint in enumerate(hints):
-        q = s.sequence[i]
-        last_module = q.invocations[base.orders[i][-1]].accelerator_id
-        prefetches[i] = hint.next_first_module if hint.next_first_module != last_module else None
+    for i in range(len(s.sequence) - 1):
+        last_module = s.sequence[i].invocations[base.orders[i][-1]].accelerator_id
+        next_first = s.sequence[i + 1].invocations[base.orders[i + 1][0]].accelerator_id
+        prefetches[i] = next_first if next_first != last_module else None
     return Schedule(base.orders, tuple(prefetches))
 
 
-def apply_reorder(s: Scenario, base: Schedule, hints: tuple[Hint, ...]) -> Schedule:
+def apply_reorder(s: Scenario, base: Schedule) -> Schedule:
     """Make each query end on its successor's first accelerator when legal.
 
     Pairs are processed from the back so that each pair targets the
@@ -76,8 +76,6 @@ def apply_reorder(s: Scenario, base: Schedule, hints: tuple[Hint, ...]) -> Sched
     """
     orders = list(base.orders)
     for i in reversed(range(len(s.sequence) - 1)):
-        if not hints[i].reusable_modules:
-            continue
         successor = s.sequence[i + 1]
         target = successor.invocations[orders[i + 1][0]].accelerator_id
         q = s.sequence[i]
@@ -98,15 +96,12 @@ def apply_reorder(s: Scenario, base: Schedule, hints: tuple[Hint, ...]) -> Sched
 def candidate_schedules(s: Scenario) -> dict[str, Schedule]:
     """The four fixed-strategy schedules for this scenario."""
     base = plan_baseline(s)
-    reuse = find_common_accelerators(s)
-    base_hints = generate_hints(s, reuse, base)
-    reordered = apply_reorder(s, base, base_hints)
-    reorder_hints = generate_hints(s, reuse, reordered)
+    reordered = apply_reorder(s, base)
     return {
         "baseline": base,
-        "spec_reconfig": apply_speculative(s, base, base_hints),
+        "spec_reconfig": apply_speculative(s, base),
         "reorder": reordered,
-        "combined": apply_speculative(s, reordered, reorder_hints),
+        "combined": apply_speculative(s, reordered),
     }
 
 

@@ -20,7 +20,6 @@ from reconfig_sim.analyzer import (
     parse_predicate,
     print_predicate,
     required_shapes,
-    templatize,
 )
 from reconfig_sim.model import Invocation, QuerySpec, Schedule
 
@@ -152,40 +151,6 @@ def test_operator_shape_rejects_unknown_values():
         OperatorShape("bogus", "int32")
     with pytest.raises(ValueError):
         OperatorShape("compare_gt", "int8")
-
-
-# ---------------------------------------------------------------------------
-# templates
-
-def test_templatize_replaces_literals_in_order(seq2):
-    template = templatize(seq2.sequence[0])
-    assert template.query_id == "Q0"
-    assert tuple(print_predicate(p) for p in template.predicates) == (
-        "amount > ?p0", "discount < ?p1")
-    assert template.shapes == (
-        frozenset({OperatorShape("compare_gt", "int32")}),
-        frozenset({OperatorShape("compare_lt", "int32")}))
-
-
-def test_queries_differing_only_in_literals_share_a_template():
-    a = QuerySpec("q", "t", (_inv("m", "A > 100", 0.5, reads=("A",)),))
-    b = QuerySpec("q", "t", (_inv("m", "A > 200", 0.5, reads=("A",)),))
-    assert templatize(a) == templatize(b)
-
-
-def test_templatize_is_idempotent():
-    q = QuerySpec("q", "t", (_inv("m", "a > ?p0", 0.5, reads=("a",)),))
-    template = templatize(q)
-    assert template.predicates == (parse_predicate("a > ?p0"),)
-
-
-def test_templatize_skips_parameter_names_already_taken():
-    q = QuerySpec("q", "t", (
-        _inv("m", "a > ?p0", 0.5, reads=("a",)),
-        _inv("m", "b > 7", 0.5, reads=("b",)),
-    ))
-    template = templatize(q)
-    assert print_predicate(template.predicates[1]) == "b > ?p1"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ rate 2, and the 0.2-rate network stretches the 6.4-volume result to 32 ms.
 Every expected number below is the sum of those pieces.
 """
 import json
+import random
 
 import pytest
 
@@ -103,6 +104,30 @@ def test_analytic_total_matches_emulation(seq2, seq2_small):
         for schedule in candidate_schedules(s).values():
             emulated = execute_schedule(s, schedule).total_ms
             assert abs(emulated - analytic_total(s, schedule)) <= 1e-9
+
+
+def test_analytic_total_matches_emulation_on_random_schedules(random_scenario):
+    """Any legal order with any prefetches, including prefetches of a module
+    the successor does not start with and prefetches after the last query."""
+    wrong_prefetches = trailing_prefetches = 0
+    for seed in range(500):
+        rng = random.Random(20_000 + seed)
+        s = random_scenario(rng, rng.randint(1, 5))
+        # every random invocation reads the same column, so any permutation is legal
+        orders = tuple(tuple(rng.sample(range(len(q.invocations)), len(q.invocations)))
+                       for q in s.sequence)
+        prefetches = tuple(rng.choice([None] + [m.id for m in s.library]) for _ in s.sequence)
+        for i, module_id in enumerate(prefetches):
+            if module_id is None:
+                continue
+            if i == len(s.sequence) - 1:
+                trailing_prefetches += 1
+            elif module_id != s.sequence[i + 1].invocations[orders[i + 1][0]].accelerator_id:
+                wrong_prefetches += 1
+        schedule = Schedule(orders, prefetches)
+        emulated = execute_schedule(s, schedule).total_ms
+        assert abs(emulated - analytic_total(s, schedule)) <= 1e-9, (seed, schedule)
+    assert wrong_prefetches > 0 and trailing_prefetches > 0
 
 
 def test_mistaken_prefetch_queues_the_real_load(seq2_doc):

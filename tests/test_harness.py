@@ -9,7 +9,6 @@ from reconfig_sim.harness import (
     SweepSpec,
     bundled_names,
     bundled_text,
-    corpus_names,
     format_ms,
     run_sweep,
     verify_corpus,
@@ -30,13 +29,15 @@ def test_format_ms_uses_nine_significant_digits():
 def test_with_scale_factor_rebases_volumes(seq2, seq2_small):
     quarter = with_scale_factor(seq2, 0.25)
     assert quarter.scale_factor == 0.25
-    assert quarter.table("orders").volume == 4.0
-    assert quarter.table("lineitem").volume == 1.5
+    volumes = {t.id: t.volume for t in quarter.tables}
+    assert volumes == {"orders": 4.0, "lineitem": 1.5}
 
     restored = with_scale_factor(seq2_small, 1.0)
-    assert restored.table("orders").volume == 16.0
+    assert {t.id: t.volume for t in restored.tables}["orders"] == 16.0
     with pytest.raises(ValueError):
         with_scale_factor(seq2, 0.0)
+    with pytest.raises(ValueError, match=r"tables\[0\]\.volume: not finite"):
+        with_scale_factor(seq2, 1e308)
 
 
 def test_with_gaps_touches_every_pair(seq2):
@@ -77,18 +78,9 @@ def test_gap_sweep_keeps_absolute_saving_constant(seq2):
     assert table[("0", "spec_reconfig")][1] > table[("20", "spec_reconfig")][1]
 
 
-def test_sweep_is_deterministic_and_thread_safe(seq2, monkeypatch):
+def test_sweep_is_deterministic_and_thread_safe(seq2):
     spec = SweepSpec("scale_factor", (0.25, 0.5, 1.0, 2.0))
-    serial = run_sweep(seq2, spec)
-    assert serial == run_sweep(seq2, spec)
-
-    monkeypatch.setenv("RECONFIG_SIM_THREADS", "2")
-    assert run_sweep(seq2, spec) == serial
-    monkeypatch.setenv("RECONFIG_SIM_THREADS", "0")
-    assert run_sweep(seq2, spec) == serial
-    monkeypatch.setenv("RECONFIG_SIM_THREADS", "abc")
-    with pytest.raises(ValueError, match="RECONFIG_SIM_THREADS"):
-        run_sweep(seq2, spec)
+    assert run_sweep(seq2, spec) == run_sweep(seq2, spec)
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
@@ -100,6 +92,9 @@ def test_sweep_is_deterministic_and_thread_safe(seq2, monkeypatch):
     ({"axis": "gap_ms", "values": (-1.0, 0.0)}, "cannot be negative"),
     ({"axis": "gap_ms", "values": (0.0,), "strategies": ()}, "at least one strategy"),
     ({"axis": "gap_ms", "values": (0.0,), "strategies": ("oracle",)}, "unknown strategies"),
+    ({"axis": "gap_ms", "values": (float("nan"), 1.0)}, "must be finite"),
+    ({"axis": "scale_factor", "values": (1.0, float("nan"))}, "must be finite"),
+    ({"axis": "scale_factor", "values": (float("inf"),)}, "must be finite"),
 ])
 def test_sweep_spec_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -129,7 +124,6 @@ def test_strategies_cross_exactly_once_over_the_volume_grid(seq2):
 
 
 def test_bundled_inventory(corpus):
-    assert len(corpus_names()) == 15
     assert bundled_names() == ["seq2", "seq2_small"] + [
         f"corpus/q{i:02d}" for i in range(1, 16)]
 
@@ -139,8 +133,9 @@ def test_bundled_inventory(corpus):
     assert min(selectivities) == 0.0
     assert max(selectivities) == 1.0
 
-    primary_volumes = {s.table(s.sequence[0].table_id).volume
-                       for name, s in corpus if name.startswith("corpus/")}
+    primary_volumes = {t.volume
+                       for name, s in corpus if name.startswith("corpus/")
+                       for t in s.tables if t.id == s.sequence[0].table_id}
     assert sorted(primary_volumes) == [8.0, 16.0, 24.0, 32.0, 40.0, 48.0]
 
 
@@ -236,6 +231,11 @@ def test_cli_rejects_bad_sweep_values(capsys):
     assert code == 1
     assert "invalid --values" in capsys.readouterr().err
 
+    code = cli_dispatch(["sweep", "seq2", "--axis", "gap_ms",
+                         "--values", "nan,1", "--out", "ignored.csv"])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+
 
 def test_cli_rejects_invalid_schedule(tmp_path, capsys):
     path = tmp_path / "schedule.json"
@@ -248,14 +248,6 @@ def test_cli_rejects_invalid_schedule(tmp_path, capsys):
     path.write_text("{", encoding="utf-8")
     assert cli_dispatch(["simulate", "seq2", "--schedule", str(path)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
-
-
-def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RECONFIG_SIM_THREADS", "two")
-    code = cli_dispatch(["sweep", "seq2", "--axis", "gap_ms", "--values", "0,5",
-                         "--out", str(tmp_path / "s.csv")])
-    assert code == 1
-    assert "RECONFIG_SIM_THREADS" in capsys.readouterr().err
 
 
 def test_cli_corpus_verify_and_list(capsys):

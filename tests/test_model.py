@@ -25,11 +25,10 @@ def test_load_canonical_scenario(seq2):
     assert seq2.rpu.network_rate == 0.2
     assert seq2.rpu.default_reconfig_ms == 15.0
     assert seq2.rpu.pr_region_count == 1
-    assert seq2.table("orders").volume == 16.0
-    assert seq2.table("lineitem").volume == 6.0
-    assert seq2.module("accA").supported_ops == frozenset(
-        {OperatorShape("compare_gt", "int32")})
-    assert seq2.module("accA").reconfig_ms is None
+    assert {t.id: t.volume for t in seq2.tables} == {"orders": 16.0, "lineitem": 6.0}
+    acc_a = {m.id: m for m in seq2.library}["accA"]
+    assert acc_a.supported_ops == frozenset({OperatorShape("compare_gt", "int32")})
+    assert acc_a.reconfig_ms is None
     assert [q.id for q in seq2.sequence] == ["Q0", "Q1"]
     assert seq2.sequence[0].gap_after_ms == 2.0
     assert seq2.sequence[1].gap_after_ms == 0.0
@@ -45,15 +44,7 @@ def test_load_canonical_scenario(seq2):
 
 def test_scale_factor_multiplies_volumes(seq2_small):
     assert seq2_small.scale_factor == 0.25
-    assert seq2_small.table("orders").volume == 4.0
-    assert seq2_small.table("lineitem").volume == 1.5
-
-
-def test_lookup_of_unknown_ids_raises(seq2):
-    with pytest.raises(KeyError):
-        seq2.table("nope")
-    with pytest.raises(KeyError):
-        seq2.module("nope")
+    assert {t.id: t.volume for t in seq2_small.tables} == {"orders": 4.0, "lineitem": 1.5}
 
 
 def _drop_network_rate(doc):
@@ -199,6 +190,27 @@ def _unknown_operand_type(doc):
 ])
 def test_document_errors_name_their_path(seq2_doc, mutate, fragment):
     mutate(seq2_doc)
+    with pytest.raises(ScenarioError) as excinfo:
+        _load(seq2_doc)
+    assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize("path, value, fragment", [
+    (("tables", 0, "volume"), float("nan"), "tables[0].volume: must be finite"),
+    (("tables", 0, "volume"), 10 ** 400, "tables[0].volume: must be finite"),
+    (("rpu", "storage_rate"), float("inf"), "rpu.storage_rate: must be finite"),
+    (("rpu", "default_reconfig_ms"), float("inf"), "rpu.default_reconfig_ms: must be finite"),
+    (("sequence", 0, "gap_after_ms"), float("inf"), "sequence[0].gap_after_ms: must be finite"),
+    (("scale_factor",), 1e308, "tables[0].volume: not finite at scale_factor"),
+], ids=["nan-volume", "huge-int-volume", "inf-storage-rate", "inf-default-reconfig",
+        "inf-gap", "overflowing-scale"])
+def test_non_finite_numbers_are_rejected(seq2_doc, path, value, fragment):
+    # json.dumps writes nan and inf as the NaN and Infinity tokens
+    *parents, last = path
+    target = seq2_doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
     with pytest.raises(ScenarioError) as excinfo:
         _load(seq2_doc)
     assert fragment in str(excinfo.value)
