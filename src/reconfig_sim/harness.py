@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .emulator import analytic_total, execute_schedule
+from .emulator import analytic_total
 from .model import Scenario, load_scenario
-from .optimizer import FIXED_STRATEGIES, candidate_schedules, optimize
+from .optimizer import FIXED_STRATEGIES, fixed_outcomes
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
 STRATEGY_ORDER = FIXED_STRATEGIES + ("auto",)
@@ -78,14 +78,11 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
 
 def _sweep_point(s: Scenario, spec: SweepSpec, value: float) -> list[str]:
     varied = with_scale_factor(s, value) if spec.axis == "scale_factor" else with_gaps(s, value)
-    rows = []
-    for strategy in STRATEGY_ORDER:
-        if strategy not in spec.strategies:
-            continue
-        outcome = optimize(varied, strategy)
-        rows.append(",".join((spec.axis, format_ms(value), strategy,
-                              format_ms(outcome.total_ms), format_ms(outcome.improvement_pct))))
-    return rows
+    outcomes = fixed_outcomes(varied)
+    return [",".join((spec.axis, format_ms(value), strategy,
+                      format_ms(outcomes[strategy].total_ms),
+                      format_ms(outcomes[strategy].improvement_pct)))
+            for strategy in STRATEGY_ORDER if strategy in spec.strategies]
 
 
 def run_sweep(s: Scenario, spec: SweepSpec) -> str:
@@ -136,16 +133,14 @@ def verify_corpus() -> list[tuple[str, list[str]]]:
         problems = []
         try:
             s = load_bundled(name)
-            schedules = candidate_schedules(s)
-            totals = {}
-            for strategy, sched in schedules.items():
-                emulated = execute_schedule(s, sched).total_ms
-                closed = analytic_total(s, sched)
-                totals[strategy] = emulated
+            outcomes = fixed_outcomes(s)
+            for strategy in FIXED_STRATEGIES:
+                emulated = outcomes[strategy].total_ms
+                closed = analytic_total(s, outcomes[strategy].schedule)
                 if abs(emulated - closed) > EQUIVALENCE_TOLERANCE_MS:
                     problems.append(
                         f"{strategy}: emulated {emulated!r} differs from closed form {closed!r}")
-            if optimize(s, "auto").total_ms > totals["baseline"]:
+            if outcomes["auto"].total_ms > outcomes["baseline"].total_ms:
                 problems.append("auto is worse than baseline")
         except Exception as exc:  # surface the failure against its scenario
             problems.append(f"{type(exc).__name__}: {exc}")

@@ -301,7 +301,7 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     doc = _object(doc, "document")
     _check_keys(doc, ("rpu", "tables", "library", "sequence"), ("scale_factor",), "document")

@@ -5,7 +5,10 @@ spec_reconfig baseline order plus speculative reconfiguration between queries
 reorder       permute a query so its last accelerator matches the next
               query's first, removing that reconfiguration entirely
 combined      reorder first, then speculative reconfiguration on top
-auto          emulate all four and keep the cheapest
+auto          the cheapest of the four
+
+fixed_outcomes plans the four candidate schedules once, emulates each once,
+and derives every fixed outcome and the auto pick from those four totals.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -111,31 +114,39 @@ def _improvement(baseline_total: float, total: float) -> float:
     return 100.0 * (baseline_total - total) / baseline_total
 
 
-def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
-    """Plan with one strategy, or pick the cheapest of the four with "auto".
+def fixed_outcomes(s: Scenario) -> dict[str, StrategyOutcome]:
+    """The four fixed outcomes plus "auto", from one plan and four emulations.
 
-    Ties under "auto" go to the earliest strategy in baseline, spec_reconfig,
-    reorder, combined order.  The outcome names the winning strategy.
+    Auto is the cheapest fixed outcome; ties go to the earliest strategy in
+    baseline, spec_reconfig, reorder, combined order.
+    """
+    schedules = candidate_schedules(s)
+    totals = {name: execute_schedule(s, sched).total_ms for name, sched in schedules.items()}
+    outcomes = {
+        name: StrategyOutcome(
+            strategy=name,
+            schedule=schedules[name],
+            total_ms=totals[name],
+            improvement_pct=_improvement(totals["baseline"], totals[name]),
+        )
+        for name in FIXED_STRATEGIES
+    }
+    outcomes["auto"] = min(outcomes.values(), key=lambda o: o.total_ms)
+    return outcomes
+
+
+def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
+    """Plan with one strategy, "auto" for the cheapest of the four fixed ones,
+    or "oracle" for the exhaustive search.
+
+    The outcome names the strategy that produced the schedule; see
+    fixed_outcomes for the tie-break under "auto".
     """
     if strategy == "oracle":
         return exhaustive_oracle(s)
     if strategy not in FIXED_STRATEGIES and strategy != "auto":
         raise ValueError(f"unknown strategy: {strategy!r}")
-    schedules = candidate_schedules(s)
-    totals = {name: execute_schedule(s, sched).total_ms for name, sched in schedules.items()}
-    if strategy == "auto":
-        chosen = "baseline"
-        for name in FIXED_STRATEGIES:
-            if totals[name] < totals[chosen]:
-                chosen = name
-    else:
-        chosen = strategy
-    return StrategyOutcome(
-        strategy=chosen,
-        schedule=schedules[chosen],
-        total_ms=totals[chosen],
-        improvement_pct=_improvement(totals["baseline"], totals[chosen]),
-    )
+    return fixed_outcomes(s)[strategy]
 
 
 def _legal_orders(q) -> list[tuple[int, ...]]:

@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
-from reconfig_sim import harness
+from reconfig_sim import harness, optimizer
 from reconfig_sim.cli import cli_dispatch
 from reconfig_sim.harness import (
     CSV_HEADER,
+    STRATEGY_ORDER,
     SweepSpec,
     bundled_names,
     bundled_text,
@@ -81,6 +83,67 @@ def test_gap_sweep_keeps_absolute_saving_constant(seq2):
 def test_sweep_is_deterministic_and_thread_safe(seq2):
     spec = SweepSpec("scale_factor", (0.25, 0.5, 1.0, 2.0))
     assert run_sweep(seq2, spec) == run_sweep(seq2, spec)
+
+
+def _sweep_one_optimize_per_row(s, spec):
+    """The CSV as it was defined before sweeps shared one plan per point:
+    one optimize call per (value, strategy) row, strategies in STRATEGY_ORDER."""
+    rows = [CSV_HEADER]
+    for value in spec.values:
+        varied = (with_scale_factor(s, value) if spec.axis == "scale_factor"
+                  else with_gaps(s, value))
+        for strategy in STRATEGY_ORDER:
+            if strategy in spec.strategies:
+                outcome = optimize(varied, strategy)
+                rows.append(",".join((spec.axis, format_ms(value), strategy,
+                                      format_ms(outcome.total_ms),
+                                      format_ms(outcome.improvement_pct))))
+    return "\n".join(rows) + "\n"
+
+
+def test_sweep_rows_match_one_optimize_per_row(corpus, random_scenario):
+    scenarios = [s for _, s in corpus]
+    for seed in range(50):
+        rng = random.Random(seed)
+        scenarios.append(random_scenario(rng, rng.randint(1, 5)))
+    axes = {"scale_factor": (0.25, 1.0, 3.0), "gap_ms": (0.0, 2.5, 40.0)}
+    for i, s in enumerate(scenarios):
+        for axis, values in axes.items():
+            for strategies in (STRATEGY_ORDER, ("combined", "baseline"), ("auto",)):
+                spec = SweepSpec(axis, values, strategies)
+                assert run_sweep(s, spec) == _sweep_one_optimize_per_row(s, spec), (i, spec)
+
+    rows = run_sweep(scenarios[0], SweepSpec("gap_ms", (0.0, 1.0), ("combined", "baseline")))
+    assert [row.split(",")[2] for row in rows.splitlines()[1:]] == [
+        "baseline", "combined", "baseline", "combined"]
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Count candidate builds and emulations in every module that binds them."""
+    counts = {"builds": 0, "emulations": 0}
+    for key, fn in (("builds", optimizer.candidate_schedules),
+                    ("emulations", optimizer.execute_schedule)):
+        def counting(*args, key=key, fn=fn):
+            counts[key] += 1
+            return fn(*args)
+
+        for module in (optimizer, harness):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    return counts
+
+
+@pytest.mark.parametrize("strategies", [STRATEGY_ORDER, ("auto",), ("combined", "baseline")])
+def test_sweep_plans_and_emulates_each_point_once(seq2, work_counts, strategies):
+    values = (0.0, 1.0, 2.0, 5.0)
+    run_sweep(seq2, SweepSpec("gap_ms", values, strategies))
+    assert work_counts == {"builds": len(values), "emulations": 4 * len(values)}
+
+
+def test_verify_corpus_emulates_each_candidate_once(work_counts):
+    n = len(verify_corpus())
+    assert work_counts == {"builds": n, "emulations": 4 * n}
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
@@ -235,6 +298,23 @@ def test_cli_rejects_bad_sweep_values(capsys):
                          "--values", "nan,1", "--out", "ignored.csv"])
     assert code == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_cli_rejects_overlong_integer_literals(tmp_path, capsys, seq2_doc):
+    seq2_doc["tables"][0]["volume"] = "VOLUME"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(seq2_doc).replace('"VOLUME"', "9" * 5001), encoding="utf-8")
+    assert cli_dispatch(["simulate", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON")
+
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text('{"queries": [{"query": "Q0", "order": [' + "9" * 5001 + "]}]}",
+                        encoding="utf-8")
+    assert cli_dispatch(["simulate", "seq2", "--schedule", str(schedule)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "invalid JSON" in err
 
 
 def test_cli_rejects_invalid_schedule(tmp_path, capsys):

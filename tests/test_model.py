@@ -223,6 +223,15 @@ def test_invalid_json_is_a_scenario_error():
         load_scenario("[]")
 
 
+def test_overlong_integer_literal_is_a_scenario_error(seq2_doc):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer literal past the interpreter's int-string digit limit
+    seq2_doc["tables"][0]["volume"] = "VOLUME"
+    text = json.dumps(seq2_doc).replace('"VOLUME"', "9" * 5001)
+    with pytest.raises(ScenarioError, match="invalid JSON"):
+        load_scenario(text)
+
+
 def test_serialize_load_round_trip(corpus):
     for name, scenario in corpus:
         again = load_scenario(serialize_scenario(scenario))

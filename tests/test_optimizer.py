@@ -11,8 +11,10 @@ from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
     STRATEGIES,
     InstanceTooLargeError,
+    StrategyOutcome,
     candidate_schedules,
     exhaustive_oracle,
+    fixed_outcomes,
     optimize,
     outcome_document,
     plan_baseline,
@@ -215,6 +217,59 @@ def test_auto_never_loses_to_baseline_sampled(random_scenario):
         auto = optimize(s, "auto")
         base = optimize(s, "baseline")
         assert auto.total_ms <= base.total_ms + 1e-9, seed
+
+
+def _outcomes_by_separate_emulation(s):
+    """Every fixed outcome and the auto pick, emulating each candidate on its
+    own; auto keeps the first strategy, in FIXED_STRATEGIES order, with the
+    lowest total."""
+    schedules = candidate_schedules(s)
+    totals = {name: execute_schedule(s, schedules[name]).total_ms for name in FIXED_STRATEGIES}
+    base = totals["baseline"]
+    outcomes = {name: StrategyOutcome(name, schedules[name], totals[name],
+                                      0.0 if base == 0.0 else 100.0 * (base - totals[name]) / base)
+                for name in FIXED_STRATEGIES}
+    winner = "baseline"
+    for name in FIXED_STRATEGIES:
+        if totals[name] < totals[winner]:
+            winner = name
+    outcomes["auto"] = outcomes[winner]
+    return outcomes
+
+
+def test_fixed_outcomes_match_separate_emulation(seq2, seq2_small, corpus, random_scenario):
+    scenarios = [seq2, seq2_small] + [s for _, s in corpus]
+    for seed in range(50):
+        rng = random.Random(seed)
+        scenarios.append(random_scenario(rng, rng.randint(1, 5)))
+    tied_winners = 0
+    for s in scenarios:
+        expected = _outcomes_by_separate_emulation(s)
+        assert fixed_outcomes(s) == expected
+        assert list(fixed_outcomes(s)) == [*FIXED_STRATEGIES, "auto"]
+        for strategy, outcome in expected.items():
+            assert optimize(s, strategy) == outcome
+        best = expected["auto"].total_ms
+        tied_winners += sum(expected[name].total_ms == best for name in FIXED_STRATEGIES) > 1
+    assert tied_winners > 0  # the sample exercises the tie-break
+
+
+def test_auto_tie_goes_to_baseline():
+    s = _scenario(
+        tables=[{"id": "t0", "volume": 10.0}, {"id": "t1", "volume": 5.0}],
+        library=[{"id": "m0", "supported_ops": [_GT], "proc_rate": 2.0}],
+        sequence=[
+            {"id": "Q0", "table": "t0", "gap_after_ms": 1.0, "invocations": [
+                {"accelerator": "m0", "predicate": "a > 1", "selectivity": 0.5,
+                 "reads": ["a"]}]},
+            {"id": "Q1", "table": "t1", "invocations": [
+                {"accelerator": "m0", "predicate": "b > 2", "selectivity": 0.2,
+                 "reads": ["b"]}]},
+        ])
+    outcomes = fixed_outcomes(s)
+    assert len({outcomes[name].total_ms for name in FIXED_STRATEGIES}) == 1
+    assert outcomes["auto"].strategy == "baseline"
+    assert optimize(s, "auto") == optimize(s, "baseline")
 
 
 def test_oracle_matches_known_optima(seq2, seq2_small):
