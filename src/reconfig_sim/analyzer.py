@@ -336,17 +336,15 @@ def baseline_order(q: QuerySpec) -> tuple[int, ...]:
 
 def generate_hints(s: Scenario,
                    reuse: dict[tuple[str, str], frozenset[str]],
-                   schedule: Schedule | None = None) -> tuple[Hint, ...]:
+                   schedule: Schedule) -> tuple[Hint, ...]:
     """One hint per consecutive pair, n-1 in total.
 
-    next_first_module follows the given schedule's order for the successor
-    query, or the baseline order when no schedule is given.
+    next_first_module follows the schedule's order for the successor query.
     """
     hints = []
     for i in range(len(s.sequence) - 1):
         nxt = s.sequence[i + 1]
-        order = schedule.orders[i + 1] if schedule is not None else baseline_order(nxt)
-        first = nxt.invocations[order[0]].accelerator_id
+        first = nxt.invocations[schedule.orders[i + 1][0]].accelerator_id
         key = (s.sequence[i].id, nxt.id)
         hints.append(Hint(first, reuse[key], s.sequence[i].gap_after_ms))
     return tuple(hints)

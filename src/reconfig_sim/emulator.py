@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .costmodel import accel_runtime, propagate_volumes, reconfig_time, scan_time, transfer_time
-from .model import Scenario, Schedule, ScheduleError, validate_schedule
+from .model import AcceleratorModule, Scenario, Schedule, ScheduleError, TableDef, validate_schedule
 
 LANES = ("scan", "reconfig", "accel", "transfer")
 
@@ -53,26 +53,29 @@ class TimelineReport:
     spans: tuple[Span, ...]
     per_query_ms: tuple[float, ...]
     total_ms: float
-    final_loaded_module: str
 
     def __post_init__(self):
         if not self.spans:
             raise ValueError("a timeline report must contain at least one span")
 
 
-def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
-    """Run the schedule event by event and report the resulting timeline."""
+def _checked_lookups(s: Scenario, sch: Schedule
+                     ) -> tuple[dict[str, TableDef], dict[str, AcceleratorModule]]:
+    """Reject an illegal schedule, then index the tables and modules by id."""
     violations = validate_schedule(s, sch)
     if violations:
         raise ScheduleError(violations)
-    tables = {t.id: t for t in s.tables}
-    modules = {m.id: m for m in s.library}
+    return {t.id: t for t in s.tables}, {m.id: m for m in s.library}
+
+
+def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
+    """Run the schedule event by event and report the resulting timeline."""
+    tables, modules = _checked_lookups(s, sch)
 
     spans: list[Span] = []
     per_query: list[float] = []
     loaded: str | None = None   # module owning the region, possibly still loading
-    module_ready = 0.0          # when that module finishes loading
-    region_free = 0.0           # when the region accepts the next reconfiguration
+    region_free = 0.0           # when the region's last load or invocation ends
     arrival = 0.0
     transfer_end = 0.0
 
@@ -89,12 +92,11 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
                 start = max(arrival, region_free)
                 end = start + reconfig_time(module, loaded, s.rpu)
                 spans.append(Span("reconfig", module.id, start, end, q.id))
-                loaded, module_ready, region_free = module.id, end, end
-            start = max(data_ready, module_ready)
+                loaded, region_free = module.id, end
+            start = max(data_ready, region_free)
             end = start + accel_runtime(profile.input_volumes[k], module)
             spans.append(Span("accel", module.id, start, end, q.id))
-            data_ready = end
-            region_free = end
+            data_ready = region_free = end
 
         t_trans = transfer_time(profile.output_volume, s.rpu)
         spans.append(Span("transfer", "result", data_ready, data_ready + t_trans, q.id))
@@ -106,13 +108,12 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
             module = modules[prefetch]
             end = region_free + reconfig_time(module, loaded, s.rpu)
             spans.append(Span("reconfig", module.id, region_free, end, SPECULATIVE))
-            loaded, module_ready, region_free = prefetch, end, end
+            loaded, region_free = prefetch, end
 
         if i < len(s.sequence) - 1:
             arrival = transfer_end + q.gap_after_ms
 
-    assert loaded is not None
-    return TimelineReport(tuple(spans), tuple(per_query), transfer_end, loaded)
+    return TimelineReport(tuple(spans), tuple(per_query), transfer_end)
 
 
 def analytic_total(s: Scenario, sch: Schedule) -> float:
@@ -120,36 +121,23 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
 
     Per query: max(scan, effective first reconfiguration) + the invocation
     runtimes + the remaining reconfigurations + the transfer.  The effective
-    first reconfiguration is zero when the module is already resident, the
-    full time when nothing was prefetched, and the residual left after
-    hiding behind the previous transfer plus gap when it was prefetched.
+    first reconfiguration is the load of the first module over whatever owns
+    the region (zero when it already does, prefetched or not) plus the
+    residual of a prefetch: the part of its load that the previous transfer
+    plus gap did not hide.
     """
-    violations = validate_schedule(s, sch)
-    if violations:
-        raise ScheduleError(violations)
-    tables = {t.id: t for t in s.tables}
-    modules = {m.id: m for m in s.library}
+    tables, modules = _checked_lookups(s, sch)
 
     total = 0.0
-    loaded: str | None = None
-    pending: tuple[str, float] | None = None  # (prefetched module, hide window)
+    loaded: str | None = None   # module owning the region, a prefetched one included
+    residual = 0.0              # unhidden load time of that prefetch, else 0.0
 
     for i, q in enumerate(s.sequence):
         order = sch.orders[i]
         profile = propagate_volumes(q, order, tables)
         invs = [q.invocations[idx] for idx in order]
         first = invs[0].accelerator_id
-
-        if pending is not None:
-            prefetched, hide = pending
-            residual = max(0.0, reconfig_time(modules[prefetched], None, s.rpu) - hide)
-            if first == prefetched:
-                effective = residual
-            else:
-                effective = residual + reconfig_time(modules[first], prefetched, s.rpu)
-        else:
-            effective = reconfig_time(modules[first], loaded, s.rpu)
-
+        effective = residual + reconfig_time(modules[first], loaded, s.rpu)
         duration = max(scan_time(tables[q.table_id].volume, s.rpu), effective)
         for volume, inv in zip(profile.input_volumes, invs):
             duration += accel_runtime(volume, modules[inv.accelerator_id])
@@ -166,10 +154,10 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
         loaded = invs[-1].accelerator_id
         prefetch = sch.prefetches[i]
         if prefetch is not None and prefetch != loaded:
-            pending = (prefetch, t_trans + gap)
+            residual = max(0.0, reconfig_time(modules[prefetch], None, s.rpu) - (t_trans + gap))
             loaded = prefetch
         else:
-            pending = None
+            residual = 0.0
     return total
 
 

@@ -124,9 +124,9 @@ def load_bundled(name: str) -> Scenario:
 
 
 def verify_corpus() -> list[tuple[str, list[str]]]:
-    """Check every bundled scenario: loads cleanly, the closed form matches
-    the event emulation for all four strategies, auto never loses to
-    baseline, and result volumes agree across strategies.
+    """Check every bundled scenario: it loads cleanly, the closed form
+    matches the event emulation for all four strategies, and auto never
+    loses to baseline.
     """
     results = []
     for name in bundled_names():

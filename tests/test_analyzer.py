@@ -22,6 +22,7 @@ from reconfig_sim.analyzer import (
     required_shapes,
 )
 from reconfig_sim.model import Invocation, QuerySpec, Schedule
+from reconfig_sim.optimizer import plan_baseline
 
 
 def _inv(module, text, selectivity, reads=(), produces=()):
@@ -162,14 +163,14 @@ def test_find_common_accelerators(seq2):
 
 def test_generate_hints_from_baseline(seq2):
     reuse = find_common_accelerators(seq2)
-    assert generate_hints(seq2, reuse) == (
+    assert generate_hints(seq2, reuse, plan_baseline(seq2)) == (
         Hint("accA", frozenset({"accA"}), 2.0),)
 
 
 def test_generate_hints_follows_given_schedule():
     s = harness.load_bundled("corpus/q13")
     reuse = find_common_accelerators(s)
-    default_hints = generate_hints(s, reuse)
+    default_hints = generate_hints(s, reuse, plan_baseline(s))
     assert default_hints[1].next_first_module == "k1"
 
     orders = tuple(tuple(range(len(q.invocations))) for q in s.sequence)
@@ -221,7 +222,7 @@ def test_baseline_order_rejects_cycles():
 def test_hints_are_sound_over_all_bundled_scenarios(corpus):
     for _, s in corpus:
         reuse = find_common_accelerators(s)
-        hints = generate_hints(s, reuse)
+        hints = generate_hints(s, reuse, plan_baseline(s))
         assert len(hints) == len(s.sequence) - 1
         for i, hint in enumerate(hints):
             left, right = s.sequence[i], s.sequence[i + 1]
