@@ -16,7 +16,9 @@ query's regular reconfiguration simply queues behind it on the region.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .costmodel import accel_runtime, propagate_volumes, reconfig_time, scan_time, transfer_time
 from .model import AcceleratorModule, Scenario, Schedule, ScheduleError, TableDef, validate_schedule
@@ -68,11 +70,16 @@ def _checked_lookups(s: Scenario, sch: Schedule
     return {t.id: t for t in s.tables}, {m.id: m for m in s.library}
 
 
-def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
-    """Run the schedule event by event and report the resulting timeline."""
+def _timeline(s: Scenario, sch: Schedule
+              ) -> tuple[list[tuple[str, str, float, float, str]], list[float], float]:
+    """Run the schedule event by event: the spans as (lane, label, start_ms,
+    end_ms, query_id) tuples, the per-query latencies and the total.
+
+    Planners that compare totals call this directly and build no Span.
+    """
     tables, modules = _checked_lookups(s, sch)
 
-    spans: list[Span] = []
+    spans: list[tuple[str, str, float, float, str]] = []
     per_query: list[float] = []
     loaded: str | None = None   # module owning the region, possibly still loading
     region_free = 0.0           # when the region's last load or invocation ends
@@ -82,7 +89,7 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
     for i, q in enumerate(s.sequence):
         profile = propagate_volumes(q, sch.orders[i], tables)
         t_scan = scan_time(tables[q.table_id].volume, s.rpu)
-        spans.append(Span("scan", q.table_id, arrival, arrival + t_scan, q.id))
+        spans.append(("scan", q.table_id, arrival, arrival + t_scan, q.id))
         data_ready = arrival + t_scan
 
         for k, idx in enumerate(sch.orders[i]):
@@ -91,15 +98,15 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
             if inv.accelerator_id != loaded:
                 start = max(arrival, region_free)
                 end = start + reconfig_time(module, loaded, s.rpu)
-                spans.append(Span("reconfig", module.id, start, end, q.id))
+                spans.append(("reconfig", module.id, start, end, q.id))
                 loaded, region_free = module.id, end
             start = max(data_ready, region_free)
             end = start + accel_runtime(profile.input_volumes[k], module)
-            spans.append(Span("accel", module.id, start, end, q.id))
+            spans.append(("accel", module.id, start, end, q.id))
             data_ready = region_free = end
 
         t_trans = transfer_time(profile.output_volume, s.rpu)
-        spans.append(Span("transfer", "result", data_ready, data_ready + t_trans, q.id))
+        spans.append(("transfer", "result", data_ready, data_ready + t_trans, q.id))
         transfer_end = data_ready + t_trans
         per_query.append(transfer_end - arrival)
 
@@ -107,13 +114,22 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
         if prefetch is not None and prefetch != loaded:
             module = modules[prefetch]
             end = region_free + reconfig_time(module, loaded, s.rpu)
-            spans.append(Span("reconfig", module.id, region_free, end, SPECULATIVE))
+            spans.append(("reconfig", module.id, region_free, end, SPECULATIVE))
             loaded, region_free = prefetch, end
 
         if i < len(s.sequence) - 1:
             arrival = transfer_end + q.gap_after_ms
 
-    return TimelineReport(tuple(spans), tuple(per_query), transfer_end)
+    for sp in spans:
+        if sp[0] not in LANES or sp[3] < sp[2]:
+            Span(*sp)  # raises the error a Span reports for itself
+    return spans, per_query, transfer_end
+
+
+def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
+    """Run the schedule event by event and report the resulting timeline."""
+    spans, per_query, total = _timeline(s, sch)
+    return TimelineReport(tuple([Span(*sp) for sp in spans]), tuple(per_query), total)
 
 
 def analytic_total(s: Scenario, sch: Schedule) -> float:
@@ -161,11 +177,26 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
     return total
 
 
+_TRACE_RECORD = ('  {\n    "lane": %s,\n    "label": %s,\n    "query": %s,\n'
+                 '    "start_ms": %s,\n    "end_ms": %s\n  }')
+
+
+def _json_number(x: float) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def emit_trace(report: TimelineReport) -> str:
-    """Serialize the spans for a timeline viewer; output is byte-deterministic."""
+    """Serialize the spans for a timeline viewer; output is byte-deterministic.
+
+    The text matches json.dumps(records, indent=2) + "\n" byte for byte, where
+    records holds one dict per span (lane, label, query, start_ms, end_ms),
+    sorted by start time, then lane.  It is written directly because json's
+    indenting encoder runs in pure Python.
+    """
     records = [
-        {"lane": sp.lane, "label": sp.label, "query": sp.query_id,
-         "start_ms": sp.start_ms, "end_ms": sp.end_ms}
+        _TRACE_RECORD % (encode_basestring_ascii(sp.lane), encode_basestring_ascii(sp.label),
+                         encode_basestring_ascii(sp.query_id),
+                         _json_number(sp.start_ms), _json_number(sp.end_ms))
         for sp in sorted(report.spans, key=lambda sp: (sp.start_ms, sp.lane))
     ]
-    return json.dumps(records, indent=2) + "\n"
+    return "[\n" + ",\n".join(records) + "\n]\n"

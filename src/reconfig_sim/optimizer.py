@@ -23,7 +23,7 @@ from itertools import permutations, product
 
 from . import analyzer
 from .analyzer import baseline_order, find_common_accelerators, generate_hints
-from .emulator import execute_schedule
+from .emulator import _timeline
 from .model import Scenario, Schedule, schedule_to_doc
 
 FIXED_STRATEGIES = ("baseline", "spec_reconfig", "reorder", "combined")
@@ -121,7 +121,7 @@ def fixed_outcomes(s: Scenario) -> dict[str, StrategyOutcome]:
     baseline, spec_reconfig, reorder, combined order.
     """
     schedules = candidate_schedules(s)
-    totals = {name: execute_schedule(s, sched).total_ms for name, sched in schedules.items()}
+    totals = {name: _timeline(s, sched)[2] for name, sched in schedules.items()}
     outcomes = {
         name: StrategyOutcome(
             strategy=name,
@@ -181,14 +181,13 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     for orders in product(*order_choices):
         for prefetches in product(*prefetch_choices):
             sch = Schedule(orders, prefetches)
-            report = execute_schedule(s, sch)
-            reconfigs = sum(1 for sp in report.spans if sp.lane == "reconfig")
-            key = (report.total_ms, reconfigs)
+            spans, _, total = _timeline(s, sch)
+            key = (total, sum(1 for sp in spans if sp[0] == "reconfig"))
             if best_key is None or key < best_key:
                 best, best_key = sch, key
 
     assert best is not None and best_key is not None
-    baseline_total = execute_schedule(s, plan_baseline(s)).total_ms
+    baseline_total = _timeline(s, plan_baseline(s))[2]
     return StrategyOutcome(
         strategy="oracle",
         schedule=best,

@@ -8,6 +8,7 @@ Every expected number below is the sum of those pieces.
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,12 +16,13 @@ from reconfig_sim.emulator import (
     SPECULATIVE,
     Span,
     TimelineReport,
+    _timeline,
     analytic_total,
     emit_trace,
     execute_schedule,
 )
 from reconfig_sim.model import Schedule, ScheduleError, load_scenario
-from reconfig_sim.optimizer import candidate_schedules, plan_baseline
+from reconfig_sim.optimizer import candidate_schedules, fixed_outcomes, plan_baseline
 
 
 def _spans(report, lane, query_id=None):
@@ -99,17 +101,27 @@ def test_resident_module_skips_reconfiguration(corpus):
     assert len(_spans(report, "reconfig")) == 1
 
 
-def test_analytic_total_matches_emulation(seq2, seq2_small):
-    for s in (seq2, seq2_small):
+def _emulated_total(s, schedule):
+    """The total of execute_schedule, after checking that the planners'
+    totals loop gives the same total and the same reconfiguration count."""
+    report = execute_schedule(s, schedule)
+    spans, _, total = _timeline(s, schedule)
+    assert total == report.total_ms
+    assert sum(sp[0] == "reconfig" for sp in spans) == len(_spans(report, "reconfig"))
+    return report.total_ms
+
+
+def test_analytic_total_matches_emulation(corpus):
+    for _, s in corpus:
         for schedule in candidate_schedules(s).values():
-            emulated = execute_schedule(s, schedule).total_ms
+            emulated = _emulated_total(s, schedule)
             assert abs(emulated - analytic_total(s, schedule)) <= 1e-9
 
 
 def test_analytic_total_matches_emulation_on_random_schedules(random_scenario):
     """Any legal order with any prefetches, including prefetches of a module
     the successor does not start with and prefetches after the last query."""
-    wrong_prefetches = trailing_prefetches = 0
+    correct_prefetches = wrong_prefetches = trailing_prefetches = 0
     for seed in range(500):
         rng = random.Random(20_000 + seed)
         s = random_scenario(rng, rng.randint(1, 5))
@@ -124,10 +136,12 @@ def test_analytic_total_matches_emulation_on_random_schedules(random_scenario):
                 trailing_prefetches += 1
             elif module_id != s.sequence[i + 1].invocations[orders[i + 1][0]].accelerator_id:
                 wrong_prefetches += 1
+            else:
+                correct_prefetches += 1
         schedule = Schedule(orders, prefetches)
-        emulated = execute_schedule(s, schedule).total_ms
+        emulated = _emulated_total(s, schedule)
         assert abs(emulated - analytic_total(s, schedule)) <= 1e-9, (seed, schedule)
-    assert wrong_prefetches > 0 and trailing_prefetches > 0
+    assert correct_prefetches > 0 and wrong_prefetches > 0 and trailing_prefetches > 0
 
 
 def test_mistaken_prefetch_queues_the_real_load(seq2_doc):
@@ -244,6 +258,34 @@ def test_trace_is_sorted_and_deterministic(seq2):
     assert keys == sorted(keys)
 
 
+def _reference_trace(report):
+    """emit_trace's former definition, through json's indenting encoder."""
+    records = [
+        {"lane": sp.lane, "label": sp.label, "query": sp.query_id,
+         "start_ms": sp.start_ms, "end_ms": sp.end_ms}
+        for sp in sorted(report.spans, key=lambda sp: (sp.start_ms, sp.lane))
+    ]
+    return json.dumps(records, indent=2) + "\n"
+
+
+def test_trace_matches_json_indent_encoding(corpus, random_scenario):
+    reports = [execute_schedule(s, schedule)
+               for _, s in corpus for schedule in candidate_schedules(s).values()]
+    for seed in range(100):
+        rng = random.Random(60_000 + seed)
+        s = random_scenario(rng, rng.randint(1, 6))
+        reports += [execute_schedule(s, schedule) for schedule in candidate_schedules(s).values()]
+    odd = 'a "quote", a back\\slash, a new\nline, Größe, 加速器 and \U0001f600'
+    reports.append(TimelineReport((
+        Span("scan", odd, -0.0, 1e300, odd),
+        Span("reconfig", "m\t0", 0.0, float("inf"), SPECULATIVE),
+        Span("accel", "\x00", float("-inf"), 5e-324, "Q1"),
+        Span("transfer", "result", 0.1 + 0.2, float("nan"), "Q1"),
+    ), (1.0,), float("inf")))
+    for report in reports:
+        assert emit_trace(report) == _reference_trace(report)
+
+
 def test_span_and_report_validation():
     with pytest.raises(ValueError, match="unknown lane"):
         Span("conveyor", "x", 0.0, 1.0, "Q0")
@@ -254,6 +296,16 @@ def test_span_and_report_validation():
     single = TimelineReport((Span("scan", "t", 0.0, 1.0, "Q0"),), (1.0,), 1.0)
     assert json.loads(emit_trace(single)) == [
         {"lane": "scan", "label": "t", "query": "Q0", "start_ms": 0.0, "end_ms": 1.0}]
+
+
+def test_totals_loop_checks_span_invariants(seq2):
+    """A scenario built in code skips the loader's checks; a negative load
+    time must still fail as a span that ends before it starts."""
+    broken = replace(seq2, library=tuple(replace(m, reconfig_ms=-1.0) for m in seq2.library))
+    with pytest.raises(ValueError, match="span ends before it starts"):
+        _timeline(broken, plan_baseline(broken))
+    with pytest.raises(ValueError, match="span ends before it starts"):
+        fixed_outcomes(broken)
 
 
 def test_timeline_invariants_hold_everywhere(corpus):

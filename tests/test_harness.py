@@ -120,10 +120,11 @@ def test_sweep_rows_match_one_optimize_per_row(corpus, random_scenario):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count candidate builds and emulations in every module that binds them."""
+    """Count candidate builds and emulations (runs of the emulator's totals
+    loop) in every module that binds them."""
     counts = {"builds": 0, "emulations": 0}
     for key, fn in (("builds", optimizer.candidate_schedules),
-                    ("emulations", optimizer.execute_schedule)):
+                    ("emulations", optimizer._timeline)):
         def counting(*args, key=key, fn=fn):
             counts[key] += 1
             return fn(*args)

@@ -1,14 +1,17 @@
 import json
 import random
+from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
 from reconfig_sim.costmodel import propagate_volumes
-from reconfig_sim.emulator import SPECULATIVE, execute_schedule
+from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
 from reconfig_sim.harness import with_gaps, with_scale_factor
-from reconfig_sim.model import load_scenario
+from reconfig_sim.model import Schedule, load_scenario, validate_schedule
 from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
+    ORACLE_MAX_INVOCATIONS,
     STRATEGIES,
     InstanceTooLargeError,
     StrategyOutcome,
@@ -286,6 +289,80 @@ def test_oracle_never_above_any_strategy(seq2, seq2_small, corpus):
         best = exhaustive_oracle(s).total_ms
         for strategy in FIXED_STRATEGIES:
             assert best <= optimize(s, strategy).total_ms + 1e-9
+
+
+def test_planners_compare_totals_without_spans(seq2, seq2_small, monkeypatch):
+    built = []
+    original = Span.__post_init__
+
+    def counting(sp):
+        built.append(sp)
+        original(sp)
+
+    monkeypatch.setattr(Span, "__post_init__", counting)
+    for s in (seq2, seq2_small):
+        fixed_outcomes(s)
+        exhaustive_oracle(s)
+    assert built == []
+    execute_schedule(seq2, plan_baseline(seq2))
+    assert len(built) == 10  # the counter sees spans where they are built
+
+
+def _keyed_schedules(s):
+    """Every legal order and prefetch choice in the oracle's enumeration
+    order, each keyed by (emulated total, reconfiguration spans)."""
+    n = len(s.sequence)
+    prefetch_choices = [[None] + [m.id for m in s.library] if i < n - 1 else [None]
+                        for i in range(n)]
+    keyed = []
+    for orders in product(*(permutations(range(len(q.invocations))) for q in s.sequence)):
+        if validate_schedule(s, Schedule(orders, (None,) * n)):
+            continue
+        for prefetches in product(*prefetch_choices):
+            schedule = Schedule(orders, prefetches)
+            report = execute_schedule(s, schedule)
+            keyed.append(((report.total_ms, sum(sp.lane == "reconfig" for sp in report.spans)),
+                          schedule))
+    return keyed
+
+
+def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario):
+    """The oracle returns the first enumerated schedule with the least
+    (total, reconfigurations) key; zero-time loads make totals tie often."""
+    # Q0's two orders tie on the total exactly; only (1, 0) ends on Q1's module
+    reuse_decides = _scenario(
+        tables=[{"id": "t0", "volume": 16.0}, {"id": "t1", "volume": 8.0}],
+        library=[{"id": "A", "supported_ops": [_GT], "proc_rate": 2.0, "reconfig_ms": 0.0},
+                 {"id": "B", "supported_ops": [_GT], "proc_rate": 4.0, "reconfig_ms": 0.0}],
+        sequence=[
+            {"id": "Q0", "table": "t0", "gap_after_ms": 1.0, "invocations": [
+                {"accelerator": "A", "predicate": "a > 1", "selectivity": 1.0, "reads": ["a"]},
+                {"accelerator": "B", "predicate": "b > 1", "selectivity": 1.0, "reads": ["b"]}]},
+            {"id": "Q1", "table": "t1", "invocations": [
+                {"accelerator": "A", "predicate": "c > 1", "selectivity": 0.5, "reads": ["c"]}]},
+        ])
+    assert exhaustive_oracle(reuse_decides).schedule == Schedule(((1, 0), (0,)), (None, None))
+    scenarios = [seq2, seq2_small, reuse_decides]
+    rng = random.Random(70_000)
+    while len(scenarios) < 53:
+        s = random_scenario(rng, 4)
+        if sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
+            continue
+        if len(scenarios) % 2:
+            s = replace(s, rpu=replace(s.rpu, default_reconfig_ms=0.0),
+                        library=tuple(replace(m, reconfig_ms=0.0) for m in s.library))
+        scenarios.append(s)
+    decided_by_reconfigs = decided_by_order = 0
+    for s in scenarios:
+        keyed = _keyed_schedules(s)
+        best = min(key for key, _ in keyed)
+        winner = next(schedule for key, schedule in keyed if key == best)
+        outcome = exhaustive_oracle(s)
+        assert (outcome.schedule, outcome.total_ms) == (winner, best[0])
+        first_least_total = next(schedule for key, schedule in keyed if key[0] == best[0])
+        decided_by_reconfigs += first_least_total != winner
+        decided_by_order += sum(key == best for key, _ in keyed) > 1
+    assert decided_by_reconfigs > 0 and decided_by_order > 0
 
 
 def test_oracle_guard_rejects_large_instances(random_scenario):
