@@ -11,13 +11,20 @@ Every operand in one predicate shares a single operand type.  Literals fix
 it (a decimal point or exponent means float, otherwise int32 or int64 by
 magnitude), attributes and parameters adopt it, and a predicate without any
 literal defaults to int32.  Two literals of different types in the same
-predicate are a type error; there is no implicit coercion.
+predicate are a type error; there is no implicit coercion.  A literal that
+fits no operand type (an integer outside int64, a float that overflows to
+infinity) is a type error too.
+
+The parse is one pass over the tokens: it types each literal as it meets
+it and collects the operator shapes and attribute names that the scenario
+loader checks, then builds the nodes with the resolved operand type.
 """
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
     from .model import QuerySpec, Scenario, Schedule
@@ -35,6 +42,8 @@ _ARITH_KIND = {"+": "arith_add", "-": "arith_sub", "*": "arith_mul"}
 _KIND_SYMBOL = {kind: sym for sym, kind in (*_CMP_KIND.items(), *_ARITH_KIND.items())}
 
 _INT32_MIN, _INT32_MAX = -(2 ** 31), 2 ** 31 - 1
+_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+_INT64_DIGITS = len(str(_INT64_MAX))
 
 
 class PredicateError(ValueError):
@@ -69,19 +78,25 @@ class OperatorShape:
             raise ValueError(f"unknown operand type: {self.operand_type!r}")
 
 
-@dataclass(frozen=True)
+_SHAPES = {(kind, operand_type): OperatorShape(kind, operand_type)
+           for kind in COMPARE_KINDS | ARITH_KINDS for operand_type in OPERAND_TYPES}
+
+
+# Predicate nodes are the most numerous objects of a loaded scenario, so
+# they use slots rather than a per-instance dict.
+@dataclass(frozen=True, slots=True)
 class Attribute:
     name: str
     operand_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: Union[int, float]
     operand_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parameter:
     name: str
     operand_type: str
@@ -90,7 +105,7 @@ class Parameter:
 Operand = Union[Attribute, Literal, Parameter]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arithmetic:
     kind: str
     lhs: Operand
@@ -100,13 +115,21 @@ class Arithmetic:
 Term = Union[Operand, Arithmetic]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison:
-    """Root of every predicate; exactly one comparison per invocation."""
+    """Root of every predicate; exactly one comparison per invocation.
+
+    parse_predicate also fills in the operator shapes the predicate needs and
+    the attributes it names, each in textual order with repeats kept.
+    Equality and repr ignore both, and a Comparison built in code leaves
+    them empty.
+    """
 
     kind: str
     lhs: Term
     rhs: Term
+    shapes: tuple[OperatorShape, ...] = field(default=(), compare=False, repr=False)
+    attributes: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
 _TOKEN_RE = re.compile(
@@ -119,6 +142,7 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) per token, closed by an "end" token one column past the text."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -130,111 +154,127 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise PredicateSyntaxError(pos + 1, "a token", repr(text[pos]))
         tokens.append((m.lastgroup, m.group(), pos + 1))
         pos = m.end()
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
+def _classify_literal(text: str, column: int) -> tuple[Union[int, float], str]:
+    if "." in text or "e" in text or "E" in text:
+        value = float(text)
+        if not math.isfinite(value):
+            raise PredicateTypeError(column, "float literal out of range")
+        return value, "float"
+    # int() refuses texts past the interpreter's int-string digit limit, so
+    # the significant digits are counted first
+    if len(text.lstrip("-0")) <= _INT64_DIGITS:
+        value = int(text)
+        if _INT32_MIN <= value <= _INT32_MAX:
+            return value, "int32"
+        if _INT64_MIN <= value <= _INT64_MAX:
+            return value, "int64"
+    raise PredicateTypeError(column, "integer literal out of int64 range")
+
+
 class _Parser:
-    def __init__(self, text: str, tokens: list[tuple[str, str, int]]):
+    """Recursive descent that also types each literal once and collects the
+    operator kinds and the attribute names.
+
+    Operands come back as (node class, name or value) pairs and arithmetic
+    as (kind, lhs, rhs), to be built once the operand type is known.  The
+    first type error waits until the whole text has parsed, so that syntax
+    errors take precedence.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self._tokens = tokens
         self._pos = 0
-        self._end_column = len(text) + 1
-
-    def _peek(self, ahead: int = 0):
-        i = self._pos + ahead
-        return self._tokens[i] if i < len(self._tokens) else None
+        self.operand_type: str | None = None
+        self.type_error: PredicateTypeError | None = None
+        self.kinds: list[str] = []
+        self.attributes: list[str] = []
 
     def _fail(self, expected: str):
-        tok = self._peek()
-        if tok is None:
-            raise PredicateSyntaxError(self._end_column, expected, "end of input")
-        raise PredicateSyntaxError(tok[2], expected, repr(tok[1]))
+        kind, text, column = self._tokens[self._pos]
+        raise PredicateSyntaxError(column, expected,
+                                   "end of input" if kind == "end" else repr(text))
+
+    def _literal(self, text: str, column: int):
+        if self.type_error is not None:
+            return Literal, None
+        try:
+            value, lit_type = _classify_literal(text, column)
+        except PredicateTypeError as exc:
+            self.type_error = exc
+            return Literal, None
+        if self.operand_type is None:
+            self.operand_type = lit_type
+        elif lit_type != self.operand_type:
+            self.type_error = PredicateTypeError(
+                column,
+                f"mixed operand types {self.operand_type} and {lit_type} without declared coercion")
+        return Literal, value
 
     def operand(self):
-        tok = self._peek()
-        if tok is not None:
-            kind, text, column = tok
-            if kind == "number":
-                self._pos += 1
-                return ("literal", text, column)
-            if kind == "param":
-                self._pos += 1
-                return ("parameter", text[1:], column)
-            if kind == "ident":
-                self._pos += 1
-                return ("attribute", text, column)
-            if kind == "arith" and text == "-":
-                nxt = self._peek(1)
-                if nxt is not None and nxt[0] == "number":
-                    self._pos += 2
-                    return ("literal", "-" + nxt[1], column)
+        kind, text, column = self._tokens[self._pos]
+        if kind == "ident":
+            self._pos += 1
+            self.attributes.append(text)
+            return Attribute, text
+        if kind == "number":
+            self._pos += 1
+            return self._literal(text, column)
+        if kind == "param":
+            self._pos += 1
+            return Parameter, text[1:]
+        if text == "-" and self._tokens[self._pos + 1][0] == "number":
+            self._pos += 2
+            return self._literal("-" + self._tokens[self._pos - 1][1], column)
         self._fail("an operand")
 
     def term(self):
         lhs = self.operand()
-        tok = self._peek()
-        if tok is not None and tok[0] == "arith":
-            self._pos += 1
-            rhs = self.operand()
-            return ("arith", _ARITH_KIND[tok[1]], lhs, rhs)
-        return lhs
+        kind, text, _ = self._tokens[self._pos]
+        if kind != "arith":
+            return lhs
+        self._pos += 1
+        self.kinds.append(_ARITH_KIND[text])
+        return _ARITH_KIND[text], lhs, self.operand()
 
     def comparison(self):
         lhs = self.term()
-        tok = self._peek()
-        if tok is None or tok[0] != "cmp":
+        kind, text, _ = self._tokens[self._pos]
+        if kind != "cmp":
             self._fail("a comparison operator")
         self._pos += 1
+        self.kinds.append(_CMP_KIND[text])
         rhs = self.term()
-        if self._peek() is not None:
+        if self._tokens[self._pos][0] != "end":
             self._fail("end of input")
-        return ("cmp", _CMP_KIND[tok[1]], lhs, rhs)
+        return _CMP_KIND[text], lhs, rhs
 
 
-def _classify_literal(text: str) -> tuple[Union[int, float], str]:
-    if any(c in text for c in ".eE"):
-        return float(text), "float"
-    value = int(text)
-    if _INT32_MIN <= value <= _INT32_MAX:
-        return value, "int32"
-    return value, "int64"
-
-
-def _raw_literals(node) -> Iterator[tuple[str, int]]:
-    tag = node[0]
-    if tag == "literal":
-        yield node[1], node[2]
-    elif tag in ("arith", "cmp"):
-        yield from _raw_literals(node[2])
-        yield from _raw_literals(node[3])
-
-
-def _build(node, operand_type: str):
-    tag = node[0]
-    if tag == "literal":
-        value, _ = _classify_literal(node[1])
-        return Literal(value, operand_type)
-    if tag == "parameter":
-        return Parameter(node[1], operand_type)
-    if tag == "attribute":
-        return Attribute(node[1], operand_type)
-    if tag == "arith":
-        return Arithmetic(node[1], _build(node[2], operand_type), _build(node[3], operand_type))
-    return Comparison(node[1], _build(node[2], operand_type), _build(node[3], operand_type))
+def _node(raw, operand_type: str):
+    if len(raw) == 2:
+        cls, value = raw
+        return cls(value, operand_type)
+    kind, (lhs_cls, lhs), (rhs_cls, rhs) = raw
+    return Arithmetic(kind, lhs_cls(lhs, operand_type), rhs_cls(rhs, operand_type))
 
 
 def parse_predicate(text: str) -> Comparison:
-    """Parse a predicate string; errors carry the 1-based source column."""
-    raw = _Parser(text, _tokenize(text)).comparison()
-    operand_type = None
-    for literal_text, column in _raw_literals(raw):
-        _, lit_type = _classify_literal(literal_text)
-        if operand_type is None:
-            operand_type = lit_type
-        elif lit_type != operand_type:
-            raise PredicateTypeError(
-                column,
-                f"mixed operand types {operand_type} and {lit_type} without declared coercion")
-    return _build(raw, operand_type or "int32")
+    """Parse a predicate string; errors carry the 1-based source column.
+
+    The result also carries the operator shapes the predicate needs and the
+    attributes it names.
+    """
+    parser = _Parser(_tokenize(text))
+    kind, lhs, rhs = parser.comparison()
+    if parser.type_error is not None:
+        raise parser.type_error
+    operand_type = parser.operand_type or "int32"
+    return Comparison(kind, _node(lhs, operand_type), _node(rhs, operand_type),
+                      tuple([_SHAPES[k, operand_type] for k in parser.kinds]),
+                      tuple(parser.attributes))
 
 
 def print_predicate(node) -> str:
@@ -248,35 +288,6 @@ def print_predicate(node) -> str:
     if isinstance(node, Literal):
         return repr(node.value) if isinstance(node.value, float) else str(node.value)
     raise TypeError(f"not a predicate node: {node!r}")
-
-
-def walk(node) -> Iterator[object]:
-    """Yield every node of a predicate tree in traversal (lhs before rhs) order."""
-    yield node
-    if isinstance(node, (Comparison, Arithmetic)):
-        yield from walk(node.lhs)
-        yield from walk(node.rhs)
-
-
-def _tree_type(pred: Comparison) -> str:
-    for node in walk(pred):
-        if isinstance(node, (Attribute, Literal, Parameter)):
-            return node.operand_type
-    raise ValueError("predicate has no operands")
-
-
-def required_shapes(pred: Comparison) -> frozenset[OperatorShape]:
-    """The operator shapes an accelerator must support to run this predicate."""
-    operand_type = _tree_type(pred)
-    shapes = {OperatorShape(pred.kind, operand_type)}
-    for side in (pred.lhs, pred.rhs):
-        if isinstance(side, Arithmetic):
-            shapes.add(OperatorShape(side.kind, operand_type))
-    return frozenset(shapes)
-
-
-def attribute_names(pred: Comparison) -> frozenset[str]:
-    return frozenset(n.name for n in walk(pred) if isinstance(n, Attribute))
 
 
 def find_common_accelerators(s: Scenario) -> dict[tuple[str, str], frozenset[str]]:

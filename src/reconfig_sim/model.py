@@ -1,15 +1,17 @@
-"""Scenario and schedule types plus JSON loading, validation, serialization.
+"""Scenario and schedule types plus JSON loading and schedule validation.
 
 A scenario bundles the device parameters, the tables, the accelerator
 library, and the query sequence.  All types are immutable; transformations
 return new values.  Table volumes are stored already multiplied by the
-scenario's scale_factor.
+scenario's scale_factor.  Each QuerySpec carries its (producer, reader)
+invocation dependency pairs, derived once when it is built, so that
+validating a schedule does not derive them again.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import analyzer
@@ -23,6 +25,9 @@ from .analyzer import (
 )
 
 PREFETCH_TRIGGER = "pr-region-free-after-this-query"
+# shared by every invocation without "produces": each frozenset() call makes
+# a new 216-byte object, and most invocations produce nothing
+_NOTHING_PRODUCED: frozenset[str] = frozenset()
 
 
 class ScenarioError(ValueError):
@@ -77,10 +82,27 @@ class Invocation:
 
 @dataclass(frozen=True)
 class QuerySpec:
+    """One query: its table, its invocations in written order, and the gap after it.
+
+    dependencies is derived, not given: the (producer, reader) index pairs
+    where invocation reader reads an attribute that invocation producer
+    produces, sorted by reader and then producer, and () when no invocation
+    produces anything.  Equality, hash and repr ignore it.
+    """
+
     id: str
     table_id: str
     invocations: tuple[Invocation, ...]
     gap_after_ms: float = 0.0
+    dependencies: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pairs = ()
+        if any(inv.produces for inv in self.invocations):
+            pairs = tuple((producer, reader) for reader, producers
+                          in enumerate(analyzer.invocation_dependencies(self))
+                          for producer in sorted(producers))
+        object.__setattr__(self, "dependencies", pairs)
 
 
 @dataclass(frozen=True)
@@ -234,10 +256,10 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
         predicate = analyzer.parse_predicate(text)
     except PredicateError as exc:
         raise ScenarioError(f"invalid predicate: {exc}", f"{path}.predicate") from exc
-    module = modules[accelerator_id]
-    missing = analyzer.required_shapes(predicate) - module.supported_ops
+    supported = modules[accelerator_id].supported_ops
+    missing = [sh for sh in predicate.shapes if sh not in supported]
     if missing:
-        names = ", ".join(sorted(f"{sh.kind}/{sh.operand_type}" for sh in missing))
+        names = ", ".join(sorted({f"{sh.kind}/{sh.operand_type}" for sh in missing}))
         raise ScenarioError(
             f"accelerator '{accelerator_id}' does not support: {names}", f"{path}.predicate")
     selectivity = _number(obj, "selectivity", path)
@@ -247,14 +269,15 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
     if "volume_multiplier" in obj:
         multiplier = _number(obj, "volume_multiplier", path, minimum=0, exclusive=True)
     reads = _string_set(obj, "reads", path)
-    produces = _string_set(obj, "produces", path) if "produces" in obj else frozenset()
+    produces = _string_set(obj, "produces", path) if "produces" in obj else _NOTHING_PRODUCED
     overlap = reads & produces
     if overlap:
         raise ScenarioError(f"attributes both read and produced: {sorted(overlap)}", path)
-    unknown = analyzer.attribute_names(predicate) - reads - produces
+    unknown = [a for a in predicate.attributes if a not in reads and a not in produces]
     if unknown:
         raise ScenarioError(
-            f"predicate references attributes not in reads or produces: {sorted(unknown)}", path)
+            f"predicate references attributes not in reads or produces: {sorted(set(unknown))}",
+            path)
     return Invocation(accelerator_id, predicate, selectivity, reads, produces, multiplier)
 
 
@@ -335,58 +358,6 @@ def load_scenario(text: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-def _shape_doc(shape: OperatorShape) -> dict:
-    return {"kind": shape.kind, "operand_type": shape.operand_type}
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Render a scenario back to document form; loading the result round-trips."""
-    doc = {
-        "rpu": {
-            "storage_rate": s.rpu.storage_rate,
-            "network_rate": s.rpu.network_rate,
-            "default_reconfig_ms": s.rpu.default_reconfig_ms,
-            "pr_region_count": s.rpu.pr_region_count,
-        },
-        # stored volumes carry the scale factor; write them back unscaled
-        "tables": [{"id": t.id, "volume": t.volume / s.scale_factor} for t in s.tables],
-        "library": [],
-        "sequence": [],
-        "scale_factor": s.scale_factor,
-    }
-    for m in s.library:
-        entry = {
-            "id": m.id,
-            "supported_ops": [_shape_doc(sh) for sh in
-                              sorted(m.supported_ops, key=lambda sh: (sh.kind, sh.operand_type))],
-            "proc_rate": m.proc_rate,
-        }
-        if m.reconfig_ms is not None:
-            entry["reconfig_ms"] = m.reconfig_ms
-        doc["library"].append(entry)
-    for q in s.sequence:
-        q_doc = {"id": q.id, "table": q.table_id, "invocations": []}
-        for inv in q.invocations:
-            inv_doc = {
-                "accelerator": inv.accelerator_id,
-                "predicate": analyzer.print_predicate(inv.predicate),
-                "selectivity": inv.selectivity,
-                "reads": sorted(inv.reads),
-            }
-            if inv.produces:
-                inv_doc["produces"] = sorted(inv.produces)
-            if inv.volume_multiplier != 1.0:
-                inv_doc["volume_multiplier"] = inv.volume_multiplier
-            q_doc["invocations"].append(inv_doc)
-        if q.gap_after_ms != 0.0:
-            q_doc["gap_after_ms"] = q.gap_after_ms
-        doc["sequence"].append(q_doc)
-    return json.dumps(doc, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # schedules
 
 def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
@@ -406,13 +377,14 @@ def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
             violations.append(f"{q.id}: order {list(order)} is not a bijection over "
                               f"{len(q.invocations)} invocations")
             continue
+        if not q.dependencies:
+            continue
         position = {idx: pos for pos, idx in enumerate(order)}
-        for k, deps in enumerate(analyzer.invocation_dependencies(q)):
-            for producer in deps:
-                if position[producer] > position[k]:
-                    violations.append(
-                        f"{q.id}: dependency violated, invocation {k} reads output of "
-                        f"invocation {producer} but runs first")
+        for producer, reader in q.dependencies:
+            if position[producer] > position[reader]:
+                violations.append(
+                    f"{q.id}: dependency violated, invocation {reader} reads output of "
+                    f"invocation {producer} but runs first")
     for q, module_id in zip(s.sequence, sch.prefetches):
         if module_id is not None and module_id not in module_ids:
             violations.append(f"{q.id}: prefetch names unknown module '{module_id}'")

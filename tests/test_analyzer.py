@@ -19,7 +19,6 @@ from reconfig_sim.analyzer import (
     invocation_dependencies,
     parse_predicate,
     print_predicate,
-    required_shapes,
 )
 from reconfig_sim.model import Invocation, QuerySpec, Schedule
 from reconfig_sim.optimizer import plan_baseline
@@ -94,6 +93,41 @@ def test_mixed_literal_types_rejected():
     assert "int32 and float" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("text, column, fragment", [
+    ("x > " + "9" * 5000, 5, "integer literal out of int64 range"),
+    ("x > 99999999999999999999999999999", 5, "integer literal out of int64 range"),
+    ("x > 9223372036854775808", 5, "integer literal out of int64 range"),
+    ("-9223372036854775809 < x", 1, "integer literal out of int64 range"),
+    ("x > 1e999", 5, "float literal out of range"),
+    ("x * 2.5 > " + "9" * 400 + ".0", 11, "float literal out of range"),
+    ("x + 1e999 > 9" + "9" * 30, 5, "float literal out of range"),
+    ("x + 1.5 > 2 - 1e999", 11, "mixed operand types float and int32"),
+], ids=["5000-digits", "29-digits", "int64-max-plus-1", "int64-min-minus-1", "1e999",
+        "400-digit-float", "first-of-two", "mixed-before-overflow"])
+def test_literals_that_fit_no_operand_type_are_rejected(text, column, fragment):
+    with pytest.raises(PredicateTypeError) as excinfo:
+        parse_predicate(text)
+    assert excinfo.value.column == column
+    assert f"type error at column {column}: {fragment}" in str(excinfo.value)
+
+
+def test_literal_limits_and_leading_zeros():
+    assert parse_predicate("x > 9223372036854775807").rhs == Literal(2 ** 63 - 1, "int64")
+    assert parse_predicate("x > -9223372036854775808").rhs == Literal(-(2 ** 63), "int64")
+    assert parse_predicate("x > " + "0" * 30 + "7").rhs == Literal(7, "int32")
+    assert parse_predicate("x > -" + "0" * 30 + "9223372036854775808").rhs == Literal(
+        -(2 ** 63), "int64")
+    assert parse_predicate("x > 1e-999").rhs == Literal(0.0, "float")
+
+
+def test_syntax_errors_take_precedence_over_literal_range():
+    with pytest.raises(PredicateSyntaxError) as excinfo:
+        parse_predicate("x > 1e999 +")
+    assert excinfo.value.column == 12
+    with pytest.raises(PredicateSyntaxError, match="column 36"):
+        parse_predicate("x > " + "9" * 30 + " y")
+
+
 def test_predicate_without_literals_defaults_to_int32():
     ast = parse_predicate("a < ?p")
     assert ast.lhs == Attribute("a", "int32")
@@ -137,14 +171,18 @@ def test_round_trip_holds_for_generated_predicates(ast):
 
 
 def test_required_shapes_includes_arithmetic():
-    shapes = required_shapes(parse_predicate("rev = price * qty"))
-    assert shapes == frozenset({OperatorShape("compare_eq", "int32"),
-                                OperatorShape("arith_mul", "int32")})
+    assert parse_predicate("rev = price * qty").shapes == (
+        OperatorShape("compare_eq", "int32"), OperatorShape("arith_mul", "int32"))
+    assert parse_predicate("a + 1.5 < b - 2.5").shapes == (
+        OperatorShape("arith_add", "float"), OperatorShape("compare_lt", "float"),
+        OperatorShape("arith_sub", "float"))
+    assert parse_predicate("?p != 3000000000").shapes == (OperatorShape("compare_ne", "int64"),)
 
 
 def test_attribute_names():
-    names = analyzer.attribute_names(parse_predicate("price * qty >= ?limit"))
-    assert names == frozenset({"price", "qty"})
+    assert parse_predicate("price * qty >= ?limit").attributes == ("price", "qty")
+    assert parse_predicate("b * a > a").attributes == ("b", "a", "a")
+    assert parse_predicate("?p < 3").attributes == ()
 
 
 def test_operator_shape_rejects_unknown_values():
@@ -215,6 +253,7 @@ def test_baseline_order_rejects_cycles():
         _inv("m", "a > 1", 0.5, reads=("y",), produces=("x",)),
         _inv("m", "a > 2", 0.5, reads=("x",), produces=("y",)),
     ))
+    assert q.dependencies == ((1, 0), (0, 1))
     with pytest.raises(ValueError, match="cyclic"):
         baseline_order(q)
 

@@ -1,4 +1,6 @@
 """The public names of the package and the README example that uses them."""
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import reconfig_sim
 from reconfig_sim import harness
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 PUBLIC_NAMES = {
     "InstanceTooLargeError",
@@ -35,6 +38,18 @@ def test_public_names_are_exactly_the_documented_ones():
 def test_every_public_name_resolves():
     for name in reconfig_sim.__all__:
         assert getattr(reconfig_sim, name) is not None, name
+
+
+def test_every_traced_function_exists():
+    # perfbench/tracer.py wraps these by name; a missing one breaks --trace 1
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS
+    for qualified in tracer.FUNCTIONS:
+        module_name, name = qualified.split(".")
+        module = importlib.import_module(f"reconfig_sim.{module_name}")
+        assert callable(getattr(module, name, None)), qualified
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

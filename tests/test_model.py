@@ -1,17 +1,21 @@
+import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
+from reconfig_sim import harness
 from reconfig_sim.analyzer import Comparison, OperatorShape
 from reconfig_sim.model import (
     PREFETCH_TRIGGER,
+    QuerySpec,
     Schedule,
     ScenarioError,
     identity_schedule,
     load_scenario,
     schedule_from_doc,
     schedule_to_doc,
-    serialize_scenario,
     validate_schedule,
 )
 
@@ -111,12 +115,28 @@ def _unsupported_comparison(doc):
     doc["sequence"][0]["invocations"][0]["predicate"] = "amount < 100"
 
 
+def _unsupported_arithmetic(doc):
+    doc["sequence"][0]["invocations"][0]["predicate"] = "amount + 1 > amount + 2"
+
+
+def _unsupported_operand_type(doc):
+    doc["sequence"][0]["invocations"][0]["predicate"] = "amount > 1.5"
+
+
 def _broken_predicate(doc):
     doc["sequence"][0]["invocations"][0]["predicate"] = "amount >"
 
 
 def _predicate_reads_unknown_attribute(doc):
     doc["sequence"][0]["invocations"][0]["predicate"] = "total > 100"
+
+
+def _predicate_reads_two_unknown_attributes(doc):
+    doc["sequence"][0]["invocations"][0]["predicate"] = "total > other"
+
+
+def _predicate_repeats_an_unknown_attribute(doc):
+    doc["sequence"][0]["invocations"][0]["predicate"] = "total > total"
 
 
 def _read_and_produced(doc):
@@ -174,8 +194,17 @@ def _unknown_operand_type(doc):
     (_zero_proc_rate, "library[0].proc_rate: must be greater than 0"),
     (_unsupported_comparison,
      "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: compare_lt/int32"),
+    (_unsupported_arithmetic,
+     "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: arith_add/int32"),
+    (_unsupported_operand_type,
+     "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: compare_gt/float"),
     (_broken_predicate, "invalid predicate: syntax error at column"),
     (_predicate_reads_unknown_attribute,
+     "predicate references attributes not in reads or produces: ['total']"),
+    (_predicate_reads_two_unknown_attributes,
+     "sequence[0].invocations[0]: predicate references attributes not in reads or produces: "
+     "['other', 'total']"),
+    (_predicate_repeats_an_unknown_attribute,
      "predicate references attributes not in reads or produces: ['total']"),
     (_read_and_produced, "attributes both read and produced: ['amount']"),
     (_produced_twice, "attribute 'x' produced twice (invocations 0 and 1)"),
@@ -232,18 +261,18 @@ def test_overlong_integer_literal_is_a_scenario_error(seq2_doc):
         load_scenario(text)
 
 
-def test_serialize_load_round_trip(corpus):
-    for name, scenario in corpus:
-        again = load_scenario(serialize_scenario(scenario))
-        assert again == scenario, name
-
-
-def test_serialize_omits_default_fields(seq2):
-    text = serialize_scenario(seq2)
-    assert text.endswith("\n")
-    assert text.count('"gap_after_ms"') == 1
-    assert '"produces"' not in text
-    assert '"volume_multiplier"' not in text
+@pytest.mark.parametrize("literal, message", [
+    ("9" * 5000, "integer literal out of int64 range"),
+    ("99999999999999999999999999999", "integer literal out of int64 range"),
+    ("1e999", "float literal out of range"),
+], ids=["5000-digits", "29-digits", "1e999"])
+def test_overflowing_predicate_literal_names_its_path(seq2_doc, literal, message):
+    seq2_doc["sequence"][1]["invocations"][0]["predicate"] = f"amount > {literal}"
+    with pytest.raises(ScenarioError) as excinfo:
+        _load(seq2_doc)
+    assert str(excinfo.value).startswith(
+        "sequence[1].invocations[0].predicate: invalid predicate: "
+        f"type error at column 10: {message}")
 
 
 def test_identity_schedule(seq2):
@@ -312,3 +341,114 @@ def test_schedule_doc_errors(seq2, doc, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         schedule_from_doc(seq2, doc)
     assert fragment in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# stored dependency pairs
+
+def _reference_violations(s, sch):
+    """validate_schedule as it was before QuerySpec stored its dependency
+    pairs: the per-reader producer sets derived again on every call."""
+    violations = []
+    if len(sch.orders) != len(s.sequence):
+        return [f"schedule has {len(sch.orders)} orders for {len(s.sequence)} queries"]
+    if len(sch.prefetches) != len(s.sequence):
+        return [f"schedule has {len(sch.prefetches)} prefetch slots for {len(s.sequence)} queries"]
+    module_ids = {m.id for m in s.library}
+    for q, order in zip(s.sequence, sch.orders):
+        if sorted(order) != list(range(len(q.invocations))):
+            violations.append(f"{q.id}: order {list(order)} is not a bijection over "
+                              f"{len(q.invocations)} invocations")
+            continue
+        producers = {}
+        for j, inv in enumerate(q.invocations):
+            for attr in inv.produces:
+                producers[attr] = j
+        position = {idx: pos for pos, idx in enumerate(order)}
+        for k, inv in enumerate(q.invocations):
+            deps = frozenset(producers[a] for a in inv.reads
+                             if a in producers and producers[a] != k)
+            for producer in deps:
+                if position[producer] > position[k]:
+                    violations.append(
+                        f"{q.id}: dependency violated, invocation {k} reads output of "
+                        f"invocation {producer} but runs first")
+    for q, module_id in zip(s.sequence, sch.prefetches):
+        if module_id is not None and module_id not in module_ids:
+            violations.append(f"{q.id}: prefetch names unknown module '{module_id}'")
+    return violations
+
+
+def _chained_scenario(rng: random.Random, n_queries: int):
+    """Queries of up to five invocations where later invocations read derived
+    attributes of one or more earlier ones, sometimes two from one producer."""
+    sequence = []
+    for i in range(n_queries):
+        invocations, derived = [], []
+        for k in range(rng.randint(1, 5)):
+            reads = ["col"] + rng.sample(derived, rng.randint(0, min(3, len(derived))))
+            inv = {"accelerator": "m", "predicate": f"{rng.choice(reads)} > {rng.randrange(100)}",
+                   "selectivity": round(rng.uniform(0.0, 1.0), 3), "reads": reads}
+            if rng.random() < 0.6:
+                inv["produces"] = [f"d{k}", f"e{k}"][:rng.randint(1, 2)]
+                derived += inv["produces"]
+            invocations.append(inv)
+        sequence.append({"id": f"Q{i}", "table": "t", "invocations": invocations})
+    doc = {
+        "rpu": {"storage_rate": 1.0, "network_rate": 0.5, "default_reconfig_ms": 5.0,
+                "pr_region_count": 1},
+        "tables": [{"id": "t", "volume": 10.0}],
+        "library": [{"id": "m", "proc_rate": 2.0,
+                     "supported_ops": [{"kind": "compare_gt", "operand_type": "int32"}]}],
+        "sequence": sequence,
+    }
+    return load_scenario(json.dumps(doc))
+
+
+def _assert_validation_matches_reference(s) -> int:
+    """Compare on every permutation of every query; return how many schedules
+    had more than one violation, so that their order was compared too."""
+    identity = identity_schedule(s)
+    several = 0
+    for i, q in enumerate(s.sequence):
+        for perm in itertools.permutations(range(len(q.invocations))):
+            sch = Schedule(identity.orders[:i] + (perm,) + identity.orders[i + 1:],
+                           identity.prefetches)
+            violations = validate_schedule(s, sch)
+            assert violations == _reference_violations(s, sch), (q.id, perm)
+            several += len(violations) > 1
+    return several
+
+
+def test_stored_dependencies_match_reference_on_bundled_producers(corpus):
+    checked = 0
+    for _, s in corpus:
+        if any(inv.produces for q in s.sequence for inv in q.invocations):
+            _assert_validation_matches_reference(s)
+            checked += 1
+    assert checked >= 1
+
+
+def test_stored_dependencies_match_reference_on_chains():
+    rng = random.Random(11)
+    several = 0
+    for _ in range(40):
+        several += _assert_validation_matches_reference(_chained_scenario(rng, rng.randint(1, 4)))
+    assert several > 100
+
+
+def test_dependencies_follow_every_way_a_query_spec_is_built(corpus):
+    s = dict(corpus)["corpus/q04"]
+    loaded = s.sequence[0]
+    assert loaded.dependencies == ((0, 1),)
+    assert s.sequence[1].dependencies == ()
+
+    built = QuerySpec(loaded.id, loaded.table_id, loaded.invocations, loaded.gap_after_ms)
+    replaced = dataclasses.replace(loaded, gap_after_ms=7.0)
+    gapped = harness.with_gaps(s, 7.0).sequence[0]
+    assert built.dependencies == replaced.dependencies == gapped.dependencies == ((0, 1),)
+
+    assert built == loaded and hash(built) == hash(loaded)
+    assert repr(built) == repr(loaded) and "dependencies" not in repr(loaded)
+    object.__setattr__(built, "dependencies", ())
+    assert built == loaded and hash(built) == hash(loaded)
