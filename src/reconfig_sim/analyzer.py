@@ -331,6 +331,9 @@ def baseline_order(q: QuerySpec) -> tuple[int, ...]:
 
     Ties keep the written order, so the sort is stable.
     """
+    if not q.dependencies:
+        invocations = q.invocations
+        return tuple(sorted(range(len(invocations)), key=lambda k: invocations[k].selectivity))
     deps = invocation_dependencies(q)
     placed: set[int] = set()
     order: list[int] = []

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from . import analyzer
 from .analyzer import baseline_order, find_common_accelerators, generate_hints
 from .emulator import _timeline
 from .model import Scenario, Schedule, schedule_to_doc
@@ -150,11 +149,10 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
 
 
 def _legal_orders(q) -> list[tuple[int, ...]]:
-    deps = analyzer.invocation_dependencies(q)
     orders = []
     for perm in permutations(range(len(q.invocations))):
         position = {idx: pos for pos, idx in enumerate(perm)}
-        if all(position[d] < position[k] for k, ds in enumerate(deps) for d in ds):
+        if all(position[producer] < position[reader] for producer, reader in q.dependencies):
             orders.append(perm)
     return orders
 
