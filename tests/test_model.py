@@ -116,7 +116,7 @@ def _unsupported_comparison(doc):
 
 
 def _unsupported_arithmetic(doc):
-    doc["sequence"][0]["invocations"][0]["predicate"] = "amount + 1 > amount + 2"
+    doc["sequence"][0]["invocations"][0]["predicate"] = "amount * 2 > amount + 1"
 
 
 def _unsupported_operand_type(doc):
@@ -195,7 +195,8 @@ def _unknown_operand_type(doc):
     (_unsupported_comparison,
      "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: compare_lt/int32"),
     (_unsupported_arithmetic,
-     "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: arith_add/int32"),
+     "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: "
+     "arith_add/int32, arith_mul/int32"),
     (_unsupported_operand_type,
      "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: compare_gt/float"),
     (_broken_predicate, "invalid predicate: syntax error at column"),
@@ -259,6 +260,13 @@ def test_overlong_integer_literal_is_a_scenario_error(seq2_doc):
     text = json.dumps(seq2_doc).replace('"VOLUME"', "9" * 5001)
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario(text)
+
+
+def test_missing_shape_is_named_once(seq2_doc):
+    seq2_doc["sequence"][0]["invocations"][0]["predicate"] = "amount + 1 > amount + 2"
+    with pytest.raises(ScenarioError) as excinfo:
+        _load(seq2_doc)
+    assert str(excinfo.value).endswith("accelerator 'accA' does not support: arith_add/int32")
 
 
 @pytest.mark.parametrize("literal, message", [
