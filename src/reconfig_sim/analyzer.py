@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
+
+from .record import Record, set_field
 
 if TYPE_CHECKING:
     from .model import QuerySpec, Scenario, Schedule
@@ -64,72 +65,82 @@ class PredicateTypeError(PredicateError):
         super().__init__(column, f"type error at column {column}: {message}")
 
 
-@dataclass(frozen=True)
-class OperatorShape:
+class OperatorShape(Record):
     """One operation an accelerator can evaluate in hardware."""
 
-    kind: str
-    operand_type: str
+    __slots__ = ("kind", "operand_type")
 
-    def __post_init__(self):
-        if self.kind not in COMPARE_KINDS | ARITH_KINDS:
-            raise ValueError(f"unknown operator kind: {self.kind!r}")
-        if self.operand_type not in OPERAND_TYPES:
-            raise ValueError(f"unknown operand type: {self.operand_type!r}")
+    def __init__(self, kind: str, operand_type: str):
+        if kind not in COMPARE_KINDS | ARITH_KINDS:
+            raise ValueError(f"unknown operator kind: {kind!r}")
+        if operand_type not in OPERAND_TYPES:
+            raise ValueError(f"unknown operand type: {operand_type!r}")
+        set_field(self, "kind", kind)
+        set_field(self, "operand_type", operand_type)
 
 
 _SHAPES = {(kind, operand_type): OperatorShape(kind, operand_type)
            for kind in COMPARE_KINDS | ARITH_KINDS for operand_type in OPERAND_TYPES}
 
 
-# Predicate nodes are the most numerous objects of a loaded scenario, so
-# they use slots rather than a per-instance dict.
-@dataclass(frozen=True, slots=True)
-class Attribute:
-    name: str
-    operand_type: str
+class Attribute(Record):
+    __slots__ = ("name", "operand_type")
+
+    def __init__(self, name: str, operand_type: str):
+        set_field(self, "name", name)
+        set_field(self, "operand_type", operand_type)
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    value: Union[int, float]
-    operand_type: str
+class Literal(Record):
+    __slots__ = ("value", "operand_type")
+
+    def __init__(self, value: Union[int, float], operand_type: str):
+        set_field(self, "value", value)
+        set_field(self, "operand_type", operand_type)
 
 
-@dataclass(frozen=True, slots=True)
-class Parameter:
-    name: str
-    operand_type: str
+class Parameter(Record):
+    __slots__ = ("name", "operand_type")
+
+    def __init__(self, name: str, operand_type: str):
+        set_field(self, "name", name)
+        set_field(self, "operand_type", operand_type)
 
 
 Operand = Union[Attribute, Literal, Parameter]
 
 
-@dataclass(frozen=True, slots=True)
-class Arithmetic:
-    kind: str
-    lhs: Operand
-    rhs: Operand
+class Arithmetic(Record):
+    __slots__ = ("kind", "lhs", "rhs")
+
+    def __init__(self, kind: str, lhs: Operand, rhs: Operand):
+        set_field(self, "kind", kind)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
 Term = Union[Operand, Arithmetic]
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison:
+class Comparison(Record):
     """Root of every predicate; exactly one comparison per invocation.
 
     parse_predicate also fills in the operator shapes the predicate needs and
     the attributes it names, each in textual order with repeats kept.
-    Equality and repr ignore both, and a Comparison built in code leaves
+    Equality, hash and repr ignore both, and a Comparison built in code leaves
     them empty.
     """
 
-    kind: str
-    lhs: Term
-    rhs: Term
-    shapes: tuple[OperatorShape, ...] = field(default=(), compare=False, repr=False)
-    attributes: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("kind", "lhs", "rhs", "shapes", "attributes")
+    _fields = __slots__[:3]
+
+    def __init__(self, kind: str, lhs: Term, rhs: Term,
+                 shapes: tuple[OperatorShape, ...] = (), attributes: tuple[str, ...] = ()):
+        set_field(self, "kind", kind)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "shapes", shapes)
+        set_field(self, "attributes", attributes)
 
 
 _TOKEN_RE = re.compile(
@@ -304,13 +315,16 @@ def find_common_accelerators(s: Scenario) -> dict[tuple[str, str], frozenset[str
     return reuse
 
 
-@dataclass(frozen=True)
-class Hint:
+class Hint(Record):
     """Per consecutive pair: what the storage side may prepare for the next query."""
 
-    next_first_module: str
-    reusable_modules: frozenset[str]
-    expected_gap_ms: float
+    __slots__ = ("next_first_module", "reusable_modules", "expected_gap_ms")
+
+    def __init__(self, next_first_module: str, reusable_modules: frozenset[str],
+                 expected_gap_ms: float):
+        set_field(self, "next_first_module", next_first_module)
+        set_field(self, "reusable_modules", reusable_modules)
+        set_field(self, "expected_gap_ms", expected_gap_ms)
 
 
 def invocation_dependencies(q: QuerySpec) -> tuple[frozenset[int], ...]:

@@ -5,10 +5,10 @@ consistent unit (volume per millisecond).  Nothing here rounds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .model import AcceleratorModule, QuerySpec, RpuConfig, TableDef
+from .record import Record, set_field
 
 
 def scan_time(table_volume: float, rpu: RpuConfig) -> float:
@@ -32,12 +32,14 @@ def transfer_time(output_volume: float, rpu: RpuConfig) -> float:
     return output_volume / rpu.network_rate
 
 
-@dataclass(frozen=True)
-class VolumeProfile:
+class VolumeProfile(Record):
     """Input volume of each scheduled invocation plus the final output volume."""
 
-    input_volumes: tuple[float, ...]
-    output_volume: float
+    __slots__ = ("input_volumes", "output_volume")
+
+    def __init__(self, input_volumes: tuple[float, ...], output_volume: float):
+        set_field(self, "input_volumes", input_volumes)
+        set_field(self, "output_volume", output_volume)
 
 
 def propagate_volumes(q: QuerySpec, order: tuple[int, ...],

@@ -17,34 +17,33 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .costmodel import accel_runtime, propagate_volumes, reconfig_time, scan_time, transfer_time
 from .model import AcceleratorModule, Scenario, Schedule, ScheduleError, TableDef, validate_schedule
+from .record import Record, set_field
 
 LANES = ("scan", "reconfig", "accel", "transfer")
 
 SPECULATIVE = "speculative"
 
 
-@dataclass(frozen=True)
-class Span:
-    lane: str
-    label: str
-    start_ms: float
-    end_ms: float
-    query_id: str
+class Span(Record):
+    __slots__ = ("lane", "label", "start_ms", "end_ms", "query_id")
 
-    def __post_init__(self):
-        if self.lane not in LANES:
-            raise ValueError(f"unknown lane: {self.lane!r}")
-        if self.end_ms < self.start_ms:
+    def __init__(self, lane: str, label: str, start_ms: float, end_ms: float, query_id: str):
+        set_field(self, "lane", lane)
+        set_field(self, "label", label)
+        set_field(self, "start_ms", start_ms)
+        set_field(self, "end_ms", end_ms)
+        set_field(self, "query_id", query_id)
+        if lane not in LANES:
+            raise ValueError(f"unknown lane: {lane!r}")
+        if end_ms < start_ms:
             raise ValueError(f"span ends before it starts: {self}")
 
 
-@dataclass(frozen=True)
-class TimelineReport:
+class TimelineReport(Record):
     """Everything a run produced: spans, per-query latencies, and the total.
 
     per_query_ms measures each query from its arrival to the end of its
@@ -52,13 +51,14 @@ class TimelineReport:
     idle gaps included.
     """
 
-    spans: tuple[Span, ...]
-    per_query_ms: tuple[float, ...]
-    total_ms: float
+    __slots__ = ("spans", "per_query_ms", "total_ms")
 
-    def __post_init__(self):
-        if not self.spans:
+    def __init__(self, spans: tuple[Span, ...], per_query_ms: tuple[float, ...], total_ms: float):
+        if not spans:
             raise ValueError("a timeline report must contain at least one span")
+        set_field(self, "spans", spans)
+        set_field(self, "per_query_ms", per_query_ms)
+        set_field(self, "total_ms", total_ms)
 
 
 def _checked_lookups(s: Scenario, sch: Schedule

@@ -8,12 +8,12 @@ run, so repeated sweeps are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from importlib import resources
 
 from .emulator import analytic_total
 from .model import Scenario, load_scenario
 from .optimizer import FIXED_STRATEGIES, fixed_outcomes
+from .record import Record, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
 STRATEGY_ORDER = FIXED_STRATEGIES + ("auto",)
@@ -27,43 +27,44 @@ def format_ms(value: float) -> str:
     return format(value, ".9g")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: str
-    values: tuple[float, ...]
-    strategies: tuple[str, ...] = STRATEGY_ORDER
+class SweepSpec(Record):
+    __slots__ = ("axis", "values", "strategies")
 
-    def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis: {self.axis!r}")
-        if not self.values:
+    def __init__(self, axis: str, values: tuple[float, ...],
+                 strategies: tuple[str, ...] = STRATEGY_ORDER):
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis: {axis!r}")
+        if not values:
             raise ValueError("sweep needs at least one value")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"sweep values must be finite, got {self.values}")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"sweep values must be finite, got {values}")
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         # a gap of zero is meaningful; a scale factor of zero is not
-        if self.axis == "scale_factor" and self.values[0] <= 0:
+        if axis == "scale_factor" and values[0] <= 0:
             raise ValueError("scale factors must be positive")
-        if self.axis == "gap_ms" and self.values[0] < 0:
+        if axis == "gap_ms" and values[0] < 0:
             raise ValueError("gaps cannot be negative")
-        if not self.strategies:
+        if not strategies:
             raise ValueError("sweep needs at least one strategy")
-        unknown = [st for st in self.strategies if st not in STRATEGY_ORDER]
+        unknown = [st for st in strategies if st not in STRATEGY_ORDER]
         if unknown:
             raise ValueError(f"unknown strategies: {unknown}")
+        set_field(self, "axis", axis)
+        set_field(self, "values", values)
+        set_field(self, "strategies", strategies)
 
 
 def with_scale_factor(s: Scenario, scale_factor: float) -> Scenario:
     """The same scenario with its volumes rebased to a new scale factor."""
     if scale_factor <= 0:
         raise ValueError("scale factor must be positive")
-    tables = tuple(replace(t, volume=t.volume / s.scale_factor * scale_factor)
+    tables = tuple(t.replace(volume=t.volume / s.scale_factor * scale_factor)
                    for t in s.tables)
     for i, t in enumerate(tables):
         if not math.isfinite(t.volume):
             raise ValueError(f"tables[{i}].volume: not finite at scale factor {scale_factor}")
-    return replace(s, tables=tables, scale_factor=scale_factor)
+    return s.replace(tables=tables, scale_factor=scale_factor)
 
 
 def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
@@ -72,8 +73,8 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
         raise ValueError("gap cannot be negative")
     sequence = list(s.sequence)
     for i in range(len(sequence) - 1):
-        sequence[i] = replace(sequence[i], gap_after_ms=gap_ms)
-    return replace(s, sequence=tuple(sequence))
+        sequence[i] = sequence[i].replace(gap_after_ms=gap_ms)
+    return s.replace(sequence=tuple(sequence))
 
 
 def _sweep_point(s: Scenario, spec: SweepSpec, value: float) -> list[str]:

@@ -1,8 +1,10 @@
 """Scenario and schedule types plus JSON loading and schedule validation.
 
 A scenario bundles the device parameters, the tables, the accelerator
-library, and the query sequence.  All types are immutable; transformations
-return new values.  Table volumes are stored already multiplied by the
+library, and the query sequence.  All types are immutable records (see
+record.Record): assigning to a field raises AttributeError, and
+transformations return new values, such as the copies that replace()
+makes.  Table volumes are stored already multiplied by the
 scenario's scale_factor.  Each QuerySpec carries its (producer, reader)
 invocation dependency pairs, derived once when it is built, so that
 validating a schedule does not derive them again.
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import analyzer
@@ -23,6 +24,7 @@ from .analyzer import (
     OperatorShape,
     PredicateError,
 )
+from .record import Record, set_field
 
 PREFETCH_TRIGGER = "pr-region-free-after-this-query"
 # shared by every invocation without "produces": each frozenset() call makes
@@ -46,42 +48,54 @@ class ScheduleError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class RpuConfig:
+class RpuConfig(Record):
     """Device rates in volume units per millisecond; one reconfigurable region."""
 
-    storage_rate: float
-    network_rate: float
-    default_reconfig_ms: float
-    pr_region_count: int = 1
+    __slots__ = ("storage_rate", "network_rate", "default_reconfig_ms", "pr_region_count")
+
+    def __init__(self, storage_rate: float, network_rate: float, default_reconfig_ms: float,
+                 pr_region_count: int = 1):
+        set_field(self, "storage_rate", storage_rate)
+        set_field(self, "network_rate", network_rate)
+        set_field(self, "default_reconfig_ms", default_reconfig_ms)
+        set_field(self, "pr_region_count", pr_region_count)
 
 
-@dataclass(frozen=True)
-class AcceleratorModule:
-    id: str
-    supported_ops: frozenset[OperatorShape]
-    proc_rate: float
-    reconfig_ms: float | None = None
+class AcceleratorModule(Record):
+    __slots__ = ("id", "supported_ops", "proc_rate", "reconfig_ms")
+
+    def __init__(self, id: str, supported_ops: frozenset[OperatorShape], proc_rate: float,
+                 reconfig_ms: float | None = None):
+        set_field(self, "id", id)
+        set_field(self, "supported_ops", supported_ops)
+        set_field(self, "proc_rate", proc_rate)
+        set_field(self, "reconfig_ms", reconfig_ms)
 
 
-@dataclass(frozen=True)
-class TableDef:
-    id: str
-    volume: float
+class TableDef(Record):
+    __slots__ = ("id", "volume")
+
+    def __init__(self, id: str, volume: float):
+        set_field(self, "id", id)
+        set_field(self, "volume", volume)
 
 
-@dataclass(frozen=True)
-class Invocation:
-    accelerator_id: str
-    predicate: Comparison
-    selectivity: float
-    reads: frozenset[str]
-    produces: frozenset[str] = frozenset()
-    volume_multiplier: float = 1.0
+class Invocation(Record):
+    __slots__ = ("accelerator_id", "predicate", "selectivity", "reads", "produces",
+                 "volume_multiplier")
+
+    def __init__(self, accelerator_id: str, predicate: Comparison, selectivity: float,
+                 reads: frozenset[str], produces: frozenset[str] = _NOTHING_PRODUCED,
+                 volume_multiplier: float = 1.0):
+        set_field(self, "accelerator_id", accelerator_id)
+        set_field(self, "predicate", predicate)
+        set_field(self, "selectivity", selectivity)
+        set_field(self, "reads", reads)
+        set_field(self, "produces", produces)
+        set_field(self, "volume_multiplier", volume_multiplier)
 
 
-@dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(Record):
     """One query: its table, its invocations in written order, and the gap after it.
 
     dependencies is derived, not given: the (producer, reader) index pairs
@@ -90,32 +104,51 @@ class QuerySpec:
     produces anything.  Equality, hash and repr ignore it.
     """
 
-    id: str
-    table_id: str
-    invocations: tuple[Invocation, ...]
-    gap_after_ms: float = 0.0
-    dependencies: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("id", "table_id", "invocations", "gap_after_ms", "dependencies")
+    _fields = __slots__[:4]
 
-    def __post_init__(self):
+    def __init__(self, id: str, table_id: str, invocations: tuple[Invocation, ...],
+                 gap_after_ms: float = 0.0):
+        set_field(self, "id", id)
+        set_field(self, "table_id", table_id)
+        set_field(self, "invocations", invocations)
+        set_field(self, "gap_after_ms", gap_after_ms)
         pairs = ()
-        if any(inv.produces for inv in self.invocations):
+        if any(inv.produces for inv in invocations):
             pairs = tuple((producer, reader) for reader, producers
                           in enumerate(analyzer.invocation_dependencies(self))
                           for producer in sorted(producers))
-        object.__setattr__(self, "dependencies", pairs)
+        set_field(self, "dependencies", pairs)
+
+    def replace(self, **changes) -> QuerySpec:
+        """A copy with the given fields changed.  Unless the invocations
+        change, the copy keeps these dependency pairs instead of deriving
+        them again."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        if "invocations" in changes or len(fields) > len(self._fields):
+            return QuerySpec(**fields)  # derives the pairs, or rejects an unknown field
+        copy = object.__new__(QuerySpec)
+        for name, value in fields.items():
+            set_field(copy, name, value)
+        set_field(copy, "dependencies", self.dependencies)
+        return copy
 
 
-@dataclass(frozen=True)
-class Scenario:
-    rpu: RpuConfig
-    tables: tuple[TableDef, ...]
-    library: tuple[AcceleratorModule, ...]
-    sequence: tuple[QuerySpec, ...]
-    scale_factor: float = 1.0
+class Scenario(Record):
+    __slots__ = ("rpu", "tables", "library", "sequence", "scale_factor")
+
+    def __init__(self, rpu: RpuConfig, tables: tuple[TableDef, ...],
+                 library: tuple[AcceleratorModule, ...], sequence: tuple[QuerySpec, ...],
+                 scale_factor: float = 1.0):
+        set_field(self, "rpu", rpu)
+        set_field(self, "tables", tables)
+        set_field(self, "library", library)
+        set_field(self, "sequence", sequence)
+        set_field(self, "scale_factor", scale_factor)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Per-query invocation permutations plus optional per-query prefetch.
 
     prefetches[i] names the module to start loading the moment the region
@@ -123,8 +156,11 @@ class Schedule:
     or None for no speculative reconfiguration.
     """
 
-    orders: tuple[tuple[int, ...], ...]
-    prefetches: tuple[str | None, ...]
+    __slots__ = ("orders", "prefetches")
+
+    def __init__(self, orders: tuple[tuple[int, ...], ...], prefetches: tuple[str | None, ...]):
+        set_field(self, "orders", orders)
+        set_field(self, "prefetches", prefetches)
 
 
 def identity_schedule(s: Scenario) -> Schedule:
@@ -188,12 +224,15 @@ def _array(obj: dict, key: str, path: str, *, non_empty=True) -> list:
     return value
 
 
-def _string_set(obj: dict, key: str, path: str) -> frozenset[str]:
+def _string_set(obj: dict, key: str, path: str,
+                shared: dict[frozenset[str], frozenset[str]]) -> frozenset[str]:
+    """The strings as a frozenset, the same object for every equal set in shared."""
     items = _array(obj, key, path, non_empty=False)
     for i, item in enumerate(items):
         if not isinstance(item, str) or not item:
             raise ScenarioError("expected a non-empty string", f"{path}.{key}[{i}]")
-    return frozenset(items)
+    strings = frozenset(items)
+    return shared.setdefault(strings, strings)
 
 
 def _rpu_from_doc(obj, path: str) -> RpuConfig:
@@ -242,7 +281,8 @@ def _module_from_doc(obj, path: str) -> AcceleratorModule:
     )
 
 
-def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule]) -> Invocation:
+def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule],
+                         sets: dict[frozenset[str], frozenset[str]]) -> Invocation:
     obj = _object(obj, path)
     _check_keys(obj, ("accelerator", "predicate", "selectivity", "reads"),
                 ("volume_multiplier", "produces"), path)
@@ -268,8 +308,8 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
     multiplier = 1.0
     if "volume_multiplier" in obj:
         multiplier = _number(obj, "volume_multiplier", path, minimum=0, exclusive=True)
-    reads = _string_set(obj, "reads", path)
-    produces = _string_set(obj, "produces", path) if "produces" in obj else _NOTHING_PRODUCED
+    reads = _string_set(obj, "reads", path, sets)
+    produces = _string_set(obj, "produces", path, sets) if "produces" in obj else _NOTHING_PRODUCED
     overlap = reads & produces
     if overlap:
         raise ScenarioError(f"attributes both read and produced: {sorted(overlap)}", path)
@@ -282,14 +322,15 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
 
 
 def _query_from_doc(obj, path: str, tables: Mapping[str, TableDef],
-                    modules: Mapping[str, AcceleratorModule]) -> QuerySpec:
+                    modules: Mapping[str, AcceleratorModule],
+                    sets: dict[frozenset[str], frozenset[str]]) -> QuerySpec:
     obj = _object(obj, path)
     _check_keys(obj, ("id", "table", "invocations"), ("gap_after_ms",), path)
     table_id = _string(obj, "table", path)
     if table_id not in tables:
         raise ScenarioError(f"unknown table '{table_id}'", f"{path}.table")
     invocations = tuple(
-        _invocation_from_doc(inv_obj, f"{path}.invocations[{i}]", modules)
+        _invocation_from_doc(inv_obj, f"{path}.invocations[{i}]", modules, sets)
         for i, inv_obj in enumerate(_array(obj, "invocations", path)))
     produced: dict[str, int] = {}
     for k, inv in enumerate(invocations):
@@ -346,7 +387,10 @@ def load_scenario(text: str) -> Scenario:
     sequence_doc = doc["sequence"]
     if not isinstance(sequence_doc, list) or not sequence_doc:
         raise ScenarioError("must be a non-empty array", "sequence")
-    sequence = tuple(_query_from_doc(obj, f"sequence[{i}]", table_map, module_map)
+    # one frozenset per distinct reads or produces set: thousands of
+    # invocations name a few dozen sets
+    sets: dict[frozenset[str], frozenset[str]] = {}
+    sequence = tuple(_query_from_doc(obj, f"sequence[{i}]", table_map, module_map, sets)
                      for i, obj in enumerate(sequence_doc))
     _unique_ids(sequence, "query", "sequence")
 

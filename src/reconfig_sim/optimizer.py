@@ -18,12 +18,12 @@ query itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .analyzer import baseline_order, find_common_accelerators, generate_hints
 from .emulator import _timeline
 from .model import Scenario, Schedule, schedule_to_doc
+from .record import Record, set_field
 
 FIXED_STRATEGIES = ("baseline", "spec_reconfig", "reorder", "combined")
 STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle")
@@ -36,12 +36,15 @@ class InstanceTooLargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StrategyOutcome:
-    strategy: str
-    schedule: Schedule
-    total_ms: float
-    improvement_pct: float
+class StrategyOutcome(Record):
+    __slots__ = ("strategy", "schedule", "total_ms", "improvement_pct")
+
+    def __init__(self, strategy: str, schedule: Schedule, total_ms: float,
+                 improvement_pct: float):
+        set_field(self, "strategy", strategy)
+        set_field(self, "schedule", schedule)
+        set_field(self, "total_ms", total_ms)
+        set_field(self, "improvement_pct", improvement_pct)
 
 
 def plan_baseline(s: Scenario) -> Schedule:

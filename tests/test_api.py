@@ -1,7 +1,10 @@
 """The public names of the package and the README example that uses them."""
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from reconfig_sim import harness
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = {
     "InstanceTooLargeError",
@@ -50,6 +54,15 @@ def test_every_traced_function_exists():
         module_name, name = qualified.split(".")
         module = importlib.import_module(f"reconfig_sim.{module_name}")
         assert callable(getattr(module, name, None)), qualified
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the two cost about as much as the rest of the import of every CLI
+    # command; -S keeps modules that site hooks preload out of the answer
+    code = "import sys, reconfig_sim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

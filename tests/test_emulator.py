@@ -8,7 +8,6 @@ Every expected number below is the sum of those pieces.
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -301,7 +300,7 @@ def test_span_and_report_validation():
 def test_totals_loop_checks_span_invariants(seq2):
     """A scenario built in code skips the loader's checks; a negative load
     time must still fail as a span that ends before it starts."""
-    broken = replace(seq2, library=tuple(replace(m, reconfig_ms=-1.0) for m in seq2.library))
+    broken = seq2.replace(library=tuple(m.replace(reconfig_ms=-1.0) for m in seq2.library))
     with pytest.raises(ValueError, match="span ends before it starts"):
         _timeline(broken, plan_baseline(broken))
     with pytest.raises(ValueError, match="span ends before it starts"):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reconfig_sim import harness, optimizer
+from reconfig_sim import analyzer, harness, optimizer
 from reconfig_sim.cli import cli_dispatch
 from reconfig_sim.harness import (
     CSV_HEADER,
@@ -48,6 +48,19 @@ def test_with_gaps_touches_every_pair(seq2):
     assert relaxed.sequence[1].gap_after_ms == 0.0
     with pytest.raises(ValueError):
         with_gaps(seq2, -1.0)
+
+
+def test_with_gaps_keeps_the_stored_dependency_pairs(corpus, monkeypatch):
+    scenarios = [s for _, s in corpus]
+    assert any(q.dependencies for s in scenarios for q in s.sequence)
+    derived = []
+    original = analyzer.invocation_dependencies
+    monkeypatch.setattr(analyzer, "invocation_dependencies",
+                        lambda q: derived.append(q.id) or original(q))
+    for s in scenarios:
+        gapped = with_gaps(s, 7.5)
+        assert [q.dependencies for q in gapped.sequence] == [q.dependencies for q in s.sequence]
+    assert derived == []
 
 
 def test_scale_sweep_csv_is_exact(seq2):

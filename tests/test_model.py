@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -44,6 +43,22 @@ def test_load_canonical_scenario(seq2):
     assert first.volume_multiplier == 1.0
     assert isinstance(first.predicate, Comparison)
     assert first.predicate.kind == "compare_gt"
+
+
+def test_equal_string_sets_share_one_object(seq2_doc):
+    q0, q1 = seq2_doc["sequence"]
+    q0["invocations"][0]["produces"] = ["derived"]
+    q0["invocations"][1]["reads"] = ["discount", "amount"]
+    q1["invocations"][0]["reads"] = ["amount", "discount"]
+    q1["invocations"][0]["produces"] = ["derived"]
+    s = _load(seq2_doc)
+    (first, second), (third,) = (q.invocations for q in s.sequence)
+    assert second.reads is third.reads and third.reads == frozenset({"amount", "discount"})
+    assert first.produces is third.produces and first.produces == frozenset({"derived"})
+    assert first.reads == frozenset({"amount"}) and second.produces == frozenset()
+    # shared within one load only, and a load still equals the next one
+    again = _load(seq2_doc)
+    assert again == s and again.sequence[1].invocations[0].reads is not third.reads
 
 
 def test_scale_factor_multiplies_volumes(seq2_small):
@@ -168,6 +183,14 @@ def _zero_scale(doc):
     doc["scale_factor"] = 0
 
 
+def _empty_read(doc):
+    doc["sequence"][1]["invocations"][0]["reads"] = ["amount", ""]
+
+
+def _non_string_produce(doc):
+    doc["sequence"][1]["invocations"][0]["produces"] = ["derived", 3]
+
+
 def _unknown_op_kind(doc):
     doc["library"][0]["supported_ops"][0]["kind"] = "compare_gte"
 
@@ -215,6 +238,8 @@ def _unknown_operand_type(doc):
     (_duplicate_module, "library: duplicate module id 'accA'"),
     (_duplicate_query, "sequence: duplicate query id 'Q0'"),
     (_zero_scale, "document.scale_factor: must be greater than 0"),
+    (_empty_read, "sequence[1].invocations[0].reads[1]: expected a non-empty string"),
+    (_non_string_produce, "sequence[1].invocations[0].produces[1]: expected a non-empty string"),
     (_unknown_op_kind, "library[0].supported_ops[0].kind: unknown operator kind 'compare_gte'"),
     (_unknown_operand_type, "library[0].supported_ops[0].operand_type: unknown operand type 'int8'"),
 ])
@@ -452,7 +477,7 @@ def test_dependencies_follow_every_way_a_query_spec_is_built(corpus):
     assert s.sequence[1].dependencies == ()
 
     built = QuerySpec(loaded.id, loaded.table_id, loaded.invocations, loaded.gap_after_ms)
-    replaced = dataclasses.replace(loaded, gap_after_ms=7.0)
+    replaced = loaded.replace(gap_after_ms=7.0)
     gapped = harness.with_gaps(s, 7.0).sequence[0]
     assert built.dependencies == replaced.dependencies == gapped.dependencies == ((0, 1),)
 
