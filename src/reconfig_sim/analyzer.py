@@ -133,6 +133,7 @@ class Comparison(Record):
 
     __slots__ = ("kind", "lhs", "rhs", "shapes", "attributes")
     _fields = __slots__[:3]
+    _init_fields = __slots__
 
     def __init__(self, kind: str, lhs: Term, rhs: Term,
                  shapes: tuple[OperatorShape, ...] = (), attributes: tuple[str, ...] = ()):
@@ -348,7 +349,9 @@ def baseline_order(q: QuerySpec) -> tuple[int, ...]:
     if not q.dependencies:
         invocations = q.invocations
         return tuple(sorted(range(len(invocations)), key=lambda k: invocations[k].selectivity))
-    deps = invocation_dependencies(q)
+    deps: list[set[int]] = [set() for _ in q.invocations]
+    for producer, reader in q.dependencies:
+        deps[reader].add(producer)
     placed: set[int] = set()
     order: list[int] = []
     while len(order) < len(q.invocations):

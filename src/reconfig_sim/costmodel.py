@@ -2,13 +2,13 @@
 
 All durations are real-valued milliseconds; volumes and rates use one
 consistent unit (volume per millisecond).  Nothing here rounds.
+propagate_volumes returns a plain (input volumes, output volume) pair.
 """
 from __future__ import annotations
 
 from typing import Mapping
 
 from .model import AcceleratorModule, QuerySpec, RpuConfig, TableDef
-from .record import Record, set_field
 
 
 def scan_time(table_volume: float, rpu: RpuConfig) -> float:
@@ -32,19 +32,10 @@ def transfer_time(output_volume: float, rpu: RpuConfig) -> float:
     return output_volume / rpu.network_rate
 
 
-class VolumeProfile(Record):
-    """Input volume of each scheduled invocation plus the final output volume."""
-
-    __slots__ = ("input_volumes", "output_volume")
-
-    def __init__(self, input_volumes: tuple[float, ...], output_volume: float):
-        set_field(self, "input_volumes", input_volumes)
-        set_field(self, "output_volume", output_volume)
-
-
-def propagate_volumes(q: QuerySpec, order: tuple[int, ...],
-                      tables: Mapping[str, TableDef]) -> VolumeProfile:
-    """Chain volumes through the invocations in the given order.
+def propagate_volumes(q: QuerySpec, order: tuple[int, ...], tables: Mapping[str, TableDef]
+                      ) -> tuple[tuple[float, ...], float]:
+    """Chain volumes through the invocations in the given order: the input
+    volume of each scheduled invocation, and the final output volume.
 
     Each stage scales its input by selectivity times volume_multiplier, so a
     selectivity of zero annihilates everything downstream.
@@ -55,4 +46,4 @@ def propagate_volumes(q: QuerySpec, order: tuple[int, ...],
         inv = q.invocations[idx]
         inputs.append(volume)
         volume = volume * inv.selectivity * inv.volume_multiplier
-    return VolumeProfile(tuple(inputs), volume)
+    return tuple(inputs), volume

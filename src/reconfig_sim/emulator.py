@@ -63,11 +63,11 @@ class TimelineReport(Record):
 
 def _checked_lookups(s: Scenario, sch: Schedule
                      ) -> tuple[dict[str, TableDef], dict[str, AcceleratorModule]]:
-    """Reject an illegal schedule, then index the tables and modules by id."""
+    """Reject an illegal schedule, then return the scenario's tables and modules by id."""
     violations = validate_schedule(s, sch)
     if violations:
         raise ScheduleError(violations)
-    return {t.id: t for t in s.tables}, {m.id: m for m in s.library}
+    return s.tables_by_id, s.modules_by_id
 
 
 def _timeline(s: Scenario, sch: Schedule
@@ -75,50 +75,49 @@ def _timeline(s: Scenario, sch: Schedule
     """Run the schedule event by event: the spans as (lane, label, start_ms,
     end_ms, query_id) tuples, the per-query latencies and the total.
 
-    Planners that compare totals call this directly and build no Span.
+    Planners that compare totals call this directly and build no Span.  Each
+    `b if b > a else a` is max(a, b), which keeps a on ties, without the call.
     """
     tables, modules = _checked_lookups(s, sch)
+    rpu = s.rpu
 
     spans: list[tuple[str, str, float, float, str]] = []
+    span = spans.append
     per_query: list[float] = []
     loaded: str | None = None   # module owning the region, possibly still loading
     region_free = 0.0           # when the region's last load or invocation ends
     arrival = 0.0
     transfer_end = 0.0
 
-    for i, q in enumerate(s.sequence):
-        profile = propagate_volumes(q, sch.orders[i], tables)
-        t_scan = scan_time(tables[q.table_id].volume, s.rpu)
-        spans.append(("scan", q.table_id, arrival, arrival + t_scan, q.id))
-        data_ready = arrival + t_scan
+    for q, order, prefetch in zip(s.sequence, sch.orders, sch.prefetches):
+        input_volumes, output_volume = propagate_volumes(q, order, tables)
+        data_ready = arrival + scan_time(tables[q.table_id].volume, rpu)
+        span(("scan", q.table_id, arrival, data_ready, q.id))
 
-        for k, idx in enumerate(sch.orders[i]):
+        for k, idx in enumerate(order):
             inv = q.invocations[idx]
             module = modules[inv.accelerator_id]
             if inv.accelerator_id != loaded:
-                start = max(arrival, region_free)
-                end = start + reconfig_time(module, loaded, s.rpu)
-                spans.append(("reconfig", module.id, start, end, q.id))
+                start = region_free if region_free > arrival else arrival
+                end = start + reconfig_time(module, loaded, rpu)
+                span(("reconfig", module.id, start, end, q.id))
                 loaded, region_free = module.id, end
-            start = max(data_ready, region_free)
-            end = start + accel_runtime(profile.input_volumes[k], module)
-            spans.append(("accel", module.id, start, end, q.id))
+            start = region_free if region_free > data_ready else data_ready
+            end = start + accel_runtime(input_volumes[k], module)
+            span(("accel", module.id, start, end, q.id))
             data_ready = region_free = end
 
-        t_trans = transfer_time(profile.output_volume, s.rpu)
-        spans.append(("transfer", "result", data_ready, data_ready + t_trans, q.id))
-        transfer_end = data_ready + t_trans
+        transfer_end = data_ready + transfer_time(output_volume, rpu)
+        span(("transfer", "result", data_ready, transfer_end, q.id))
         per_query.append(transfer_end - arrival)
 
-        prefetch = sch.prefetches[i]
         if prefetch is not None and prefetch != loaded:
             module = modules[prefetch]
-            end = region_free + reconfig_time(module, loaded, s.rpu)
-            spans.append(("reconfig", module.id, region_free, end, SPECULATIVE))
+            end = region_free + reconfig_time(module, loaded, rpu)
+            span(("reconfig", module.id, region_free, end, SPECULATIVE))
             loaded, region_free = prefetch, end
 
-        if i < len(s.sequence) - 1:
-            arrival = transfer_end + q.gap_after_ms
+        arrival = transfer_end + q.gap_after_ms  # unused after the last query
 
     for sp in spans:
         if sp[0] not in LANES or sp[3] < sp[2]:
@@ -148,27 +147,25 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
     loaded: str | None = None   # module owning the region, a prefetched one included
     residual = 0.0              # unhidden load time of that prefetch, else 0.0
 
-    for i, q in enumerate(s.sequence):
-        order = sch.orders[i]
-        profile = propagate_volumes(q, order, tables)
+    for i, (q, order, prefetch) in enumerate(zip(s.sequence, sch.orders, sch.prefetches)):
+        input_volumes, output_volume = propagate_volumes(q, order, tables)
         invs = [q.invocations[idx] for idx in order]
         first = invs[0].accelerator_id
         effective = residual + reconfig_time(modules[first], loaded, s.rpu)
         duration = max(scan_time(tables[q.table_id].volume, s.rpu), effective)
-        for volume, inv in zip(profile.input_volumes, invs):
+        for volume, inv in zip(input_volumes, invs):
             duration += accel_runtime(volume, modules[inv.accelerator_id])
         previous = first
         for inv in invs[1:]:
             duration += reconfig_time(modules[inv.accelerator_id], previous, s.rpu)
             previous = inv.accelerator_id
-        t_trans = transfer_time(profile.output_volume, s.rpu)
+        t_trans = transfer_time(output_volume, s.rpu)
         duration += t_trans
 
         gap = q.gap_after_ms if i < len(s.sequence) - 1 else 0.0
         total += duration + gap
 
         loaded = invs[-1].accelerator_id
-        prefetch = sch.prefetches[i]
         if prefetch is not None and prefetch != loaded:
             residual = max(0.0, reconfig_time(modules[prefetch], None, s.rpu) - (t_trans + gap))
             loaded = prefetch

@@ -69,6 +69,8 @@ def with_scale_factor(s: Scenario, scale_factor: float) -> Scenario:
 
 def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
     """The same scenario with every inter-query gap set to gap_ms."""
+    if not math.isfinite(gap_ms):
+        raise ValueError(f"gap_ms must be finite, got {gap_ms}")
     if gap_ms < 0:
         raise ValueError("gap cannot be negative")
     sequence = list(s.sequence)

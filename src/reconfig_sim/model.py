@@ -6,8 +6,9 @@ record.Record): assigning to a field raises AttributeError, and
 transformations return new values, such as the copies that replace()
 makes.  Table volumes are stored already multiplied by the
 scenario's scale_factor.  Each QuerySpec carries its (producer, reader)
-invocation dependency pairs, derived once when it is built, so that
-validating a schedule does not derive them again.
+invocation dependency pairs and each Scenario its tables and modules keyed
+by id, derived once when built, so that validating or emulating a schedule
+derives neither again.
 """
 from __future__ import annotations
 
@@ -136,7 +137,12 @@ class QuerySpec(Record):
 
 
 class Scenario(Record):
-    __slots__ = ("rpu", "tables", "library", "sequence", "scale_factor")
+    """tables_by_id and modules_by_id are derived, not given: the tables and
+    modules keyed by id.  Equality, hash and repr ignore them."""
+
+    __slots__ = ("rpu", "tables", "library", "sequence", "scale_factor",
+                 "tables_by_id", "modules_by_id")
+    _fields = __slots__[:5]
 
     def __init__(self, rpu: RpuConfig, tables: tuple[TableDef, ...],
                  library: tuple[AcceleratorModule, ...], sequence: tuple[QuerySpec, ...],
@@ -146,6 +152,8 @@ class Scenario(Record):
         set_field(self, "library", library)
         set_field(self, "sequence", sequence)
         set_field(self, "scale_factor", scale_factor)
+        set_field(self, "tables_by_id", {t.id: t for t in tables})
+        set_field(self, "modules_by_id", {m.id: m for m in library})
 
 
 class Schedule(Record):
@@ -406,16 +414,11 @@ def load_scenario(text: str) -> Scenario:
 
 def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
     """Return all violations; an empty list means the schedule is executable."""
-    violations = []
     if len(sch.orders) != len(s.sequence):
-        violations.append(
-            f"schedule has {len(sch.orders)} orders for {len(s.sequence)} queries")
-        return violations
+        return [f"schedule has {len(sch.orders)} orders for {len(s.sequence)} queries"]
     if len(sch.prefetches) != len(s.sequence):
-        violations.append(
-            f"schedule has {len(sch.prefetches)} prefetch slots for {len(s.sequence)} queries")
-        return violations
-    module_ids = {m.id for m in s.library}
+        return [f"schedule has {len(sch.prefetches)} prefetch slots for {len(s.sequence)} queries"]
+    violations = []
     for q, order in zip(s.sequence, sch.orders):
         if sorted(order) != list(range(len(q.invocations))):
             violations.append(f"{q.id}: order {list(order)} is not a bijection over "
@@ -430,7 +433,7 @@ def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
                     f"{q.id}: dependency violated, invocation {reader} reads output of "
                     f"invocation {producer} but runs first")
     for q, module_id in zip(s.sequence, sch.prefetches):
-        if module_id is not None and module_id not in module_ids:
+        if module_id is not None and module_id not in s.modules_by_id:
             violations.append(f"{q.id}: prefetch names unknown module '{module_id}'")
     return violations
 

@@ -5,7 +5,8 @@ through set_field, since assignment raises AttributeError.  Equality and
 hash use the fields named in _fields (all of __slots__ unless the class
 names fewer) and hold only between records of the same class; repr shows
 the same fields as Name(field=value, ...).  replace() returns a copy with
-some fields changed.
+some fields changed, passing the constructor _init_fields (_fields unless
+the class names more), so the copy derives its other slots again.
 
 The records are plain classes rather than dataclasses: importing
 dataclasses and generating its methods cost about as much as the rest of
@@ -23,6 +24,7 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._init_fields = cls.__dict__.get("_init_fields", cls._fields)
         cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
@@ -45,7 +47,7 @@ class Record:
 
     def replace(self, **changes):
         """A copy with the given fields changed, built and checked by the constructor."""
-        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields = {name: getattr(self, name) for name in self._init_fields}
         fields.update(changes)
         return type(self)(**fields)
 

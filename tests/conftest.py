@@ -75,3 +75,34 @@ def make_random_scenario(rng: random.Random, n_queries: int) -> model.Scenario:
 @pytest.fixture(scope="session")
 def random_scenario():
     return make_random_scenario
+
+
+def make_chained_scenario(rng: random.Random, n_queries: int) -> model.Scenario:
+    """Queries of up to five invocations where later invocations read derived
+    attributes of one or more earlier ones, sometimes two from one producer."""
+    sequence = []
+    for i in range(n_queries):
+        invocations, derived = [], []
+        for k in range(rng.randint(1, 5)):
+            reads = ["col"] + rng.sample(derived, rng.randint(0, min(3, len(derived))))
+            inv = {"accelerator": "m", "predicate": f"{rng.choice(reads)} > {rng.randrange(100)}",
+                   "selectivity": round(rng.uniform(0.0, 1.0), 3), "reads": reads}
+            if rng.random() < 0.6:
+                inv["produces"] = [f"d{k}", f"e{k}"][:rng.randint(1, 2)]
+                derived += inv["produces"]
+            invocations.append(inv)
+        sequence.append({"id": f"Q{i}", "table": "t", "invocations": invocations})
+    doc = {
+        "rpu": {"storage_rate": 1.0, "network_rate": 0.5, "default_reconfig_ms": 5.0,
+                "pr_region_count": 1},
+        "tables": [{"id": "t", "volume": 10.0}],
+        "library": [{"id": "m", "proc_rate": 2.0,
+                     "supported_ops": [{"kind": "compare_gt", "operand_type": "int32"}]}],
+        "sequence": sequence,
+    }
+    return model.load_scenario(json.dumps(doc))
+
+
+@pytest.fixture(scope="session")
+def chained_scenario():
+    return make_chained_scenario

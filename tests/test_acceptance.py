@@ -174,7 +174,7 @@ def test_criterion_5_result_volumes_are_strategy_independent():
         tables = {t.id: t for t in s.tables}
         for i, q in enumerate(s.sequence):
             outputs = [
-                propagate_volumes(q, schedule.orders[i], tables).output_volume
+                propagate_volumes(q, schedule.orders[i], tables)[1]
                 for schedule in candidate_schedules(s).values()]
             reference = outputs[0]
             tolerance = max(abs(reference) * 1e-9, 1e-12)
@@ -205,7 +205,7 @@ def test_criterion_6_prefetch_saving_formula_holds():
             predicted = 0.0
         else:
             load = reconfig_time(modules[first1], last0, s.rpu)
-            out0 = propagate_volumes(q0, base.orders[0], tables).output_volume
+            _, out0 = propagate_volumes(q0, base.orders[0], tables)
             window = transfer_time(out0, s.rpu) + q0.gap_after_ms
             residual = max(0.0, load - window)
             scan1 = scan_time(tables[q1.table_id].volume, s.rpu)

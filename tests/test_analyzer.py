@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -256,6 +258,39 @@ def test_baseline_order_rejects_cycles():
     assert q.dependencies == ((1, 0), (0, 1))
     with pytest.raises(ValueError, match="cyclic"):
         baseline_order(q)
+
+
+def _reference_baseline_order(q):
+    """baseline_order as it was before it read the stored dependency pairs:
+    the per-reader producer sets from invocation_dependencies."""
+    deps = invocation_dependencies(q)
+    placed, order = set(), []
+    while len(order) < len(q.invocations):
+        ready = [k for k in range(len(q.invocations)) if k not in placed and deps[k] <= placed]
+        best = min(ready, key=lambda k: (q.invocations[k].selectivity, k))
+        order.append(best)
+        placed.add(best)
+    return tuple(order)
+
+
+def test_baseline_order_reads_the_stored_dependency_pairs(corpus, chained_scenario, monkeypatch):
+    rng = random.Random(23)
+    queries = [q for _, s in corpus for q in s.sequence]
+    queries += [q for _ in range(80) for q in chained_scenario(rng, rng.randint(1, 4)).sequence]
+    queries.append(QuerySpec("tie", "t", (  # all tied: the producer goes before its reader
+        _inv("m", "a > 1", 0.5, reads=("a",)),
+        _inv("m", "d > 1", 0.5, reads=("d",)),
+        _inv("m", "a > 2", 0.5, reads=("a",), produces=("d",)),
+    )))
+    assert sum(1 for q in queries if q.dependencies) > 100
+    expected = [_reference_baseline_order(q) for q in queries]
+    assert expected[-1] == (0, 2, 1)
+    derived = []
+    original = analyzer.invocation_dependencies
+    monkeypatch.setattr(analyzer, "invocation_dependencies",
+                        lambda q: derived.append(q.id) or original(q))
+    assert [baseline_order(q) for q in queries] == expected
+    assert derived == []
 
 
 def test_hints_are_sound_over_all_bundled_scenarios(corpus):

@@ -45,32 +45,32 @@ def test_reconfig_time_resident_override_default():
 def test_propagate_volumes_matches_hand_chain(seq2):
     tables = {t.id: t for t in seq2.tables}
     q0 = seq2.sequence[0]
-    forward = propagate_volumes(q0, (0, 1), tables)
-    assert forward.input_volumes == (16.0, 8.0)
-    assert forward.output_volume == 6.4
-    swapped = propagate_volumes(q0, (1, 0), tables)
-    assert swapped.input_volumes == (16.0, 12.8)
-    assert swapped.output_volume == 6.4
+    inputs, output = propagate_volumes(q0, (0, 1), tables)
+    assert inputs == (16.0, 8.0)
+    assert output == 6.4
+    inputs, output = propagate_volumes(q0, (1, 0), tables)
+    assert inputs == (16.0, 12.8)
+    assert output == 6.4
 
 
 def test_zero_selectivity_annihilates_downstream():
     tables = {"t": TableDef("t", 40.0)}
-    profile = propagate_volumes(_query((0.0, 1.0), (0.5, 2.0)), (0, 1), tables)
-    assert profile.input_volumes == (40.0, 0.0)
-    assert profile.output_volume == 0.0
+    inputs, output = propagate_volumes(_query((0.0, 1.0), (0.5, 2.0)), (0, 1), tables)
+    assert inputs == (40.0, 0.0)
+    assert output == 0.0
 
 
 def test_propagate_volumes_against_running_product():
     tables = {"t": TableDef("t", 10.0)}
     q = _query((0.3, 1.0), (0.7, 2.0), (0.9, 1.0))
-    profile = propagate_volumes(q, (2, 0, 1), tables)
+    inputs, output = propagate_volumes(q, (2, 0, 1), tables)
     expected_inputs = []
     volume = 10.0
     for idx in (2, 0, 1):
         expected_inputs.append(volume)
         volume = volume * q.invocations[idx].selectivity * q.invocations[idx].volume_multiplier
-    assert profile.input_volumes == tuple(expected_inputs)
-    assert profile.output_volume == volume
+    assert inputs == tuple(expected_inputs)
+    assert output == volume
 
 
 _stages = st.lists(
@@ -84,8 +84,8 @@ def test_output_volume_ignores_invocation_order(data, stages, volume):
     tables = {"t": TableDef("t", volume)}
     q = _query(*stages)
     order = tuple(data.draw(st.permutations(range(len(stages)))))
-    shuffled = propagate_volumes(q, order, tables).output_volume
-    written = propagate_volumes(q, tuple(range(len(stages))), tables).output_volume
+    _, shuffled = propagate_volumes(q, order, tables)
+    _, written = propagate_volumes(q, tuple(range(len(stages))), tables)
     assert math.isclose(shuffled, written, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -93,9 +93,9 @@ def test_output_volume_ignores_invocation_order(data, stages, volume):
 def test_volumes_scale_linearly_and_stay_non_negative(stages, volume, factor):
     q = _query(*stages)
     order = tuple(range(len(stages)))
-    base = propagate_volumes(q, order, {"t": TableDef("t", volume)})
-    scaled = propagate_volumes(q, order, {"t": TableDef("t", volume * factor)})
-    assert math.isclose(scaled.output_volume, base.output_volume * factor,
+    base_inputs, base_output = propagate_volumes(q, order, {"t": TableDef("t", volume)})
+    _, scaled_output = propagate_volumes(q, order, {"t": TableDef("t", volume * factor)})
+    assert math.isclose(scaled_output, base_output * factor,
                         rel_tol=1e-9, abs_tol=1e-12)
-    assert all(v >= 0.0 for v in base.input_volumes)
-    assert base.output_volume >= 0.0
+    assert all(v >= 0.0 for v in base_inputs)
+    assert base_output >= 0.0

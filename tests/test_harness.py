@@ -50,6 +50,12 @@ def test_with_gaps_touches_every_pair(seq2):
         with_gaps(seq2, -1.0)
 
 
+@pytest.mark.parametrize("gap", [float("nan"), float("inf"), float("-inf")])
+def test_with_gaps_rejects_non_finite_gaps(seq2, gap):
+    with pytest.raises(ValueError, match="gap_ms must be finite"):
+        with_gaps(seq2, gap)
+
+
 def test_with_gaps_keeps_the_stored_dependency_pairs(corpus, monkeypatch):
     scenarios = [s for _, s in corpus]
     assert any(q.dependencies for s in scenarios for q in s.sequence)

@@ -1,14 +1,17 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 
-from reconfig_sim import harness
+from reconfig_sim import emulator, harness
 from reconfig_sim.analyzer import Comparison, OperatorShape
 from reconfig_sim.model import (
     PREFETCH_TRIGGER,
     QuerySpec,
+    Scenario,
     Schedule,
     ScenarioError,
     identity_schedule,
@@ -337,6 +340,9 @@ def test_validate_rejects_reader_before_producer(corpus):
 def test_validate_rejects_unknown_prefetch(seq2):
     bad = Schedule(((0, 1), (0,)), ("zz", None))
     assert validate_schedule(seq2, bad) == ["Q0: prefetch names unknown module 'zz'"]
+    table_named = Schedule(((0, 1), (0,)), ("orders", None))
+    assert validate_schedule(seq2, table_named) == ["Q0: prefetch names unknown module 'orders'"]
+    assert validate_schedule(seq2, Schedule(((0, 1), (0,)), ("accB", None))) == []
 
 
 def test_validate_rejects_wrong_shape(seq2):
@@ -412,32 +418,6 @@ def _reference_violations(s, sch):
     return violations
 
 
-def _chained_scenario(rng: random.Random, n_queries: int):
-    """Queries of up to five invocations where later invocations read derived
-    attributes of one or more earlier ones, sometimes two from one producer."""
-    sequence = []
-    for i in range(n_queries):
-        invocations, derived = [], []
-        for k in range(rng.randint(1, 5)):
-            reads = ["col"] + rng.sample(derived, rng.randint(0, min(3, len(derived))))
-            inv = {"accelerator": "m", "predicate": f"{rng.choice(reads)} > {rng.randrange(100)}",
-                   "selectivity": round(rng.uniform(0.0, 1.0), 3), "reads": reads}
-            if rng.random() < 0.6:
-                inv["produces"] = [f"d{k}", f"e{k}"][:rng.randint(1, 2)]
-                derived += inv["produces"]
-            invocations.append(inv)
-        sequence.append({"id": f"Q{i}", "table": "t", "invocations": invocations})
-    doc = {
-        "rpu": {"storage_rate": 1.0, "network_rate": 0.5, "default_reconfig_ms": 5.0,
-                "pr_region_count": 1},
-        "tables": [{"id": "t", "volume": 10.0}],
-        "library": [{"id": "m", "proc_rate": 2.0,
-                     "supported_ops": [{"kind": "compare_gt", "operand_type": "int32"}]}],
-        "sequence": sequence,
-    }
-    return load_scenario(json.dumps(doc))
-
-
 def _assert_validation_matches_reference(s) -> int:
     """Compare on every permutation of every query; return how many schedules
     had more than one violation, so that their order was compared too."""
@@ -462,11 +442,11 @@ def test_stored_dependencies_match_reference_on_bundled_producers(corpus):
     assert checked >= 1
 
 
-def test_stored_dependencies_match_reference_on_chains():
+def test_stored_dependencies_match_reference_on_chains(chained_scenario):
     rng = random.Random(11)
     several = 0
     for _ in range(40):
-        several += _assert_validation_matches_reference(_chained_scenario(rng, rng.randint(1, 4)))
+        several += _assert_validation_matches_reference(chained_scenario(rng, rng.randint(1, 4)))
     assert several > 100
 
 
@@ -485,3 +465,40 @@ def test_dependencies_follow_every_way_a_query_spec_is_built(corpus):
     assert repr(built) == repr(loaded) and "dependencies" not in repr(loaded)
     object.__setattr__(built, "dependencies", ())
     assert built == loaded and hash(built) == hash(loaded)
+
+
+# lookup maps stored on the scenario
+
+def _assert_maps_index(s):
+    assert s.tables_by_id == {t.id: t for t in s.tables}
+    assert s.modules_by_id == {m.id: m for m in s.library}
+    assert all(s.tables_by_id[t.id] is t for t in s.tables)
+    assert all(s.modules_by_id[m.id] is m for m in s.library)
+
+
+def test_lookup_maps_follow_every_way_a_scenario_is_built(seq2, corpus):
+    built = Scenario(seq2.rpu, seq2.tables, seq2.library, seq2.sequence, seq2.scale_factor)
+    scaled = harness.with_scale_factor(seq2, 3.0)
+    retabled = seq2.replace(tables=tuple(t.replace(volume=1.0) for t in seq2.tables))
+    variants = [built, scaled, retabled, seq2.replace(library=seq2.library[:1]),
+                harness.with_gaps(seq2, 4.0), copy.copy(seq2), copy.deepcopy(seq2),
+                pickle.loads(pickle.dumps(seq2))]
+    for s in [loaded for _, loaded in corpus] + variants:
+        _assert_maps_index(s)
+    assert [t.volume for t in scaled.tables_by_id.values()] == [
+        3.0 * t.volume for t in seq2.tables]
+    assert [t.volume for t in retabled.tables_by_id.values()] == [1.0] * len(seq2.tables)
+    assert list(seq2.replace(library=seq2.library[:1]).modules_by_id) == [seq2.library[0].id]
+
+
+def test_lookup_maps_are_ignored_by_equality_hash_and_repr(seq2):
+    built = Scenario(seq2.rpu, seq2.tables, seq2.library, seq2.sequence, seq2.scale_factor)
+    object.__setattr__(built, "tables_by_id", {})
+    object.__setattr__(built, "modules_by_id", {})
+    assert built == seq2 and hash(built) == hash(seq2) and repr(built) == repr(seq2)
+    assert "tables_by_id" not in repr(seq2) and "modules_by_id" not in repr(seq2)
+
+
+def test_emulation_uses_the_scenario_own_maps(seq2):
+    tables, modules = emulator._checked_lookups(seq2, identity_schedule(seq2))
+    assert tables is seq2.tables_by_id and modules is seq2.modules_by_id

@@ -379,7 +379,7 @@ def test_result_volumes_do_not_depend_on_the_strategy(corpus):
     for name, s in corpus:
         tables = {t.id: t for t in s.tables}
         outputs = [
-            propagate_volumes(s.sequence[-1], schedule.orders[-1], tables).output_volume
+            propagate_volumes(s.sequence[-1], schedule.orders[-1], tables)[1]
             for schedule in candidate_schedules(s).values()]
         assert all(v == pytest.approx(outputs[0], rel=1e-9, abs=1e-12) for v in outputs), name
 

@@ -15,7 +15,6 @@ from reconfig_sim.analyzer import (
     Parameter,
     parse_predicate,
 )
-from reconfig_sim.costmodel import VolumeProfile
 from reconfig_sim.emulator import Span, TimelineReport
 from reconfig_sim.harness import SweepSpec
 from reconfig_sim.model import (
@@ -31,7 +30,7 @@ from reconfig_sim.optimizer import StrategyOutcome
 
 
 def _records():
-    """One record of each of the package's 19 record types."""
+    """One record of each of the package's 18 record types."""
     shape = OperatorShape("compare_gt", "int32")
     predicate = parse_predicate("a + 1 > ?p")
     producer = Invocation("m", predicate, 0.5, frozenset({"a"}), frozenset({"b"}))
@@ -46,13 +45,13 @@ def _records():
         shape, predicate, predicate.lhs, predicate.lhs.lhs, predicate.lhs.rhs, predicate.rhs,
         Hint("m", frozenset({"m"}), 2.0), rpu, module, table, producer, query,
         Scenario(rpu, (table,), (module,), (query,), 0.5), schedule, span,
-        TimelineReport((span,), (1.0,), 1.0), VolumeProfile((16.0, 8.0), 2.0),
+        TimelineReport((span,), (1.0,), 1.0),
         StrategyOutcome("baseline", schedule, 1.0, 0.0), SweepSpec("gap_ms", (0.0, 1.0)),
     ]
 
 
 def test_the_records_cover_every_record_type():
-    assert len({type(record) for record in _records()}) == 19
+    assert len({type(record) for record in _records()}) == 18
 
 
 def test_assignment_raises_on_every_record():
@@ -132,6 +131,13 @@ def test_replace_copies_with_changed_fields(seq2, corpus):
         assert record.replace() == record and record.replace() is not record
         with pytest.raises(TypeError):
             record.replace(no_such_field=1)
+
+
+def test_replace_keeps_what_the_constructor_is_given():
+    parsed = parse_predicate("a + 1 > ?p")
+    flipped = parsed.replace(kind="compare_lt")
+    assert flipped.kind == "compare_lt"
+    assert (flipped.shapes, flipped.attributes) == (parsed.shapes, parsed.attributes)
 
 
 def test_replace_runs_the_constructor_checks():
