@@ -17,30 +17,27 @@ infinity) is a type error too.
 
 The parse is one pass over the tokens: it types each literal as it meets
 it and collects the operator shapes and attribute names that the scenario
-loader checks, then builds the nodes with the resolved operand type.
+loader checks.  It builds no syntax tree: timing depends on a predicate
+only through the module that evaluates it, so those two facts are all the
+parse returns.
 """
 from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .record import Record, set_field
 
 if TYPE_CHECKING:
     from .model import QuerySpec, Scenario, Schedule
 
-COMPARE_KINDS = frozenset({
-    "compare_lt", "compare_le", "compare_eq",
-    "compare_ne", "compare_ge", "compare_gt",
-})
-ARITH_KINDS = frozenset({"arith_add", "arith_sub", "arith_mul"})
-OPERAND_TYPES = frozenset({"int32", "int64", "float"})
-
 _CMP_KIND = {"<": "compare_lt", "<=": "compare_le", "=": "compare_eq",
              "!=": "compare_ne", ">=": "compare_ge", ">": "compare_gt"}
 _ARITH_KIND = {"+": "arith_add", "-": "arith_sub", "*": "arith_mul"}
-_KIND_SYMBOL = {kind: sym for sym, kind in (*_CMP_KIND.items(), *_ARITH_KIND.items())}
+COMPARE_KINDS = frozenset(_CMP_KIND.values())
+ARITH_KINDS = frozenset(_ARITH_KIND.values())
+OPERAND_TYPES = frozenset({"int32", "int64", "float"})
 
 _INT32_MIN, _INT32_MAX = -(2 ** 31), 2 ** 31 - 1
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
@@ -82,68 +79,6 @@ class OperatorShape(Record):
 _SHAPES = {(kind, operand_type): OperatorShape(kind, operand_type)
            for kind in COMPARE_KINDS | ARITH_KINDS for operand_type in OPERAND_TYPES}
 
-
-class Attribute(Record):
-    __slots__ = ("name", "operand_type")
-
-    def __init__(self, name: str, operand_type: str):
-        set_field(self, "name", name)
-        set_field(self, "operand_type", operand_type)
-
-
-class Literal(Record):
-    __slots__ = ("value", "operand_type")
-
-    def __init__(self, value: Union[int, float], operand_type: str):
-        set_field(self, "value", value)
-        set_field(self, "operand_type", operand_type)
-
-
-class Parameter(Record):
-    __slots__ = ("name", "operand_type")
-
-    def __init__(self, name: str, operand_type: str):
-        set_field(self, "name", name)
-        set_field(self, "operand_type", operand_type)
-
-
-Operand = Union[Attribute, Literal, Parameter]
-
-
-class Arithmetic(Record):
-    __slots__ = ("kind", "lhs", "rhs")
-
-    def __init__(self, kind: str, lhs: Operand, rhs: Operand):
-        set_field(self, "kind", kind)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
-
-Term = Union[Operand, Arithmetic]
-
-
-class Comparison(Record):
-    """Root of every predicate; exactly one comparison per invocation.
-
-    parse_predicate also fills in the operator shapes the predicate needs and
-    the attributes it names, each in textual order with repeats kept.
-    Equality, hash and repr ignore both, and a Comparison built in code leaves
-    them empty.
-    """
-
-    __slots__ = ("kind", "lhs", "rhs", "shapes", "attributes")
-    _fields = __slots__[:3]
-    _init_fields = __slots__
-
-    def __init__(self, kind: str, lhs: Term, rhs: Term,
-                 shapes: tuple[OperatorShape, ...] = (), attributes: tuple[str, ...] = ()):
-        set_field(self, "kind", kind)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "shapes", shapes)
-        set_field(self, "attributes", attributes)
-
-
 _TOKEN_RE = re.compile(
     r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<param>\?[A-Za-z_]\w*)"
@@ -170,31 +105,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _classify_literal(text: str, column: int) -> tuple[Union[int, float], str]:
+def _classify_literal(text: str, column: int) -> str:
     if "." in text or "e" in text or "E" in text:
-        value = float(text)
-        if not math.isfinite(value):
+        if not math.isfinite(float(text)):
             raise PredicateTypeError(column, "float literal out of range")
-        return value, "float"
+        return "float"
     # int() refuses texts past the interpreter's int-string digit limit, so
     # the significant digits are counted first
     if len(text.lstrip("-0")) <= _INT64_DIGITS:
         value = int(text)
         if _INT32_MIN <= value <= _INT32_MAX:
-            return value, "int32"
+            return "int32"
         if _INT64_MIN <= value <= _INT64_MAX:
-            return value, "int64"
+            return "int64"
     raise PredicateTypeError(column, "integer literal out of int64 range")
 
 
 class _Parser:
-    """Recursive descent that also types each literal once and collects the
-    operator kinds and the attribute names.
+    """Recursive descent that types each literal once and collects the
+    operator kinds and the attribute names, in textual order.
 
-    Operands come back as (node class, name or value) pairs and arithmetic
-    as (kind, lhs, rhs), to be built once the operand type is known.  The
-    first type error waits until the whole text has parsed, so that syntax
-    errors take precedence.
+    The first type error waits until the whole text has parsed, so that
+    syntax errors take precedence.
     """
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
@@ -212,94 +144,64 @@ class _Parser:
 
     def _literal(self, text: str, column: int):
         if self.type_error is not None:
-            return Literal, None
+            return
         try:
-            value, lit_type = _classify_literal(text, column)
+            lit_type = _classify_literal(text, column)
         except PredicateTypeError as exc:
             self.type_error = exc
-            return Literal, None
+            return
         if self.operand_type is None:
             self.operand_type = lit_type
         elif lit_type != self.operand_type:
-            self.type_error = PredicateTypeError(
-                column,
-                f"mixed operand types {self.operand_type} and {lit_type} without declared coercion")
-        return Literal, value
+            self.type_error = PredicateTypeError(column, f"mixed operand types {self.operand_type} "
+                                                 f"and {lit_type} without declared coercion")
 
     def operand(self):
         kind, text, column = self._tokens[self._pos]
-        if kind == "ident":
-            self._pos += 1
-            self.attributes.append(text)
-            return Attribute, text
-        if kind == "number":
-            self._pos += 1
-            return self._literal(text, column)
-        if kind == "param":
-            self._pos += 1
-            return Parameter, text[1:]
         if text == "-" and self._tokens[self._pos + 1][0] == "number":
-            self._pos += 2
-            return self._literal("-" + self._tokens[self._pos - 1][1], column)
-        self._fail("an operand")
+            self._pos += 1  # a negative literal, at the column of its sign
+            kind, text = "number", "-" + self._tokens[self._pos][1]
+        elif kind not in ("ident", "number", "param"):
+            self._fail("an operand")
+        self._pos += 1
+        if kind == "ident":
+            self.attributes.append(text)
+        elif kind == "number":
+            self._literal(text, column)
 
     def term(self):
-        lhs = self.operand()
+        self.operand()
         kind, text, _ = self._tokens[self._pos]
-        if kind != "arith":
-            return lhs
-        self._pos += 1
-        self.kinds.append(_ARITH_KIND[text])
-        return _ARITH_KIND[text], lhs, self.operand()
+        if kind == "arith":
+            self._pos += 1
+            self.kinds.append(_ARITH_KIND[text])
+            self.operand()
 
     def comparison(self):
-        lhs = self.term()
+        self.term()
         kind, text, _ = self._tokens[self._pos]
         if kind != "cmp":
             self._fail("a comparison operator")
         self._pos += 1
         self.kinds.append(_CMP_KIND[text])
-        rhs = self.term()
+        self.term()
         if self._tokens[self._pos][0] != "end":
             self._fail("end of input")
-        return _CMP_KIND[text], lhs, rhs
 
 
-def _node(raw, operand_type: str):
-    if len(raw) == 2:
-        cls, value = raw
-        return cls(value, operand_type)
-    kind, (lhs_cls, lhs), (rhs_cls, rhs) = raw
-    return Arithmetic(kind, lhs_cls(lhs, operand_type), rhs_cls(rhs, operand_type))
+def parse_predicate(text: str) -> tuple[tuple[OperatorShape, ...], tuple[str, ...]]:
+    """Check a predicate string and return the operator shapes it needs and
+    the attributes it names, each in textual order with repeats kept.
 
-
-def parse_predicate(text: str) -> Comparison:
-    """Parse a predicate string; errors carry the 1-based source column.
-
-    The result also carries the operator shapes the predicate needs and the
-    attributes it names.
+    Errors carry the 1-based source column.
     """
     parser = _Parser(_tokenize(text))
-    kind, lhs, rhs = parser.comparison()
+    parser.comparison()
     if parser.type_error is not None:
         raise parser.type_error
     operand_type = parser.operand_type or "int32"
-    return Comparison(kind, _node(lhs, operand_type), _node(rhs, operand_type),
-                      tuple([_SHAPES[k, operand_type] for k in parser.kinds]),
-                      tuple(parser.attributes))
-
-
-def print_predicate(node) -> str:
-    """Render an AST back to predicate syntax; parsing the result rebuilds it."""
-    if isinstance(node, (Comparison, Arithmetic)):
-        return f"{print_predicate(node.lhs)} {_KIND_SYMBOL[node.kind]} {print_predicate(node.rhs)}"
-    if isinstance(node, Attribute):
-        return node.name
-    if isinstance(node, Parameter):
-        return "?" + node.name
-    if isinstance(node, Literal):
-        return repr(node.value) if isinstance(node.value, float) else str(node.value)
-    raise TypeError(f"not a predicate node: {node!r}")
+    return (tuple([_SHAPES[k, operand_type] for k in parser.kinds]),
+            tuple(parser.attributes))
 
 
 def find_common_accelerators(s: Scenario) -> dict[tuple[str, str], frozenset[str]]:

@@ -4,11 +4,12 @@ A scenario bundles the device parameters, the tables, the accelerator
 library, and the query sequence.  All types are immutable records (see
 record.Record): assigning to a field raises AttributeError, and
 transformations return new values, such as the copies that replace()
-makes.  Table volumes are stored already multiplied by the
-scenario's scale_factor.  Each QuerySpec carries its (producer, reader)
-invocation dependency pairs and each Scenario its tables and modules keyed
-by id, derived once when built, so that validating or emulating a schedule
-derives neither again.
+makes.  Table volumes are stored already multiplied by the scenario's
+scale_factor.  An invocation keeps its predicate as written; the loader
+parses it once to check its operator shapes and attributes.  Each QuerySpec
+carries its (producer, reader) invocation dependency pairs and each
+Scenario its tables and modules keyed by id, derived once when built, so
+that validating or emulating a schedule derives neither again.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .analyzer import (
     ARITH_KINDS,
     COMPARE_KINDS,
     OPERAND_TYPES,
-    Comparison,
     OperatorShape,
     PredicateError,
 )
@@ -52,14 +52,12 @@ class ScheduleError(ValueError):
 class RpuConfig(Record):
     """Device rates in volume units per millisecond; one reconfigurable region."""
 
-    __slots__ = ("storage_rate", "network_rate", "default_reconfig_ms", "pr_region_count")
+    __slots__ = ("storage_rate", "network_rate", "default_reconfig_ms")
 
-    def __init__(self, storage_rate: float, network_rate: float, default_reconfig_ms: float,
-                 pr_region_count: int = 1):
+    def __init__(self, storage_rate: float, network_rate: float, default_reconfig_ms: float):
         set_field(self, "storage_rate", storage_rate)
         set_field(self, "network_rate", network_rate)
         set_field(self, "default_reconfig_ms", default_reconfig_ms)
-        set_field(self, "pr_region_count", pr_region_count)
 
 
 class AcceleratorModule(Record):
@@ -85,7 +83,7 @@ class Invocation(Record):
     __slots__ = ("accelerator_id", "predicate", "selectivity", "reads", "produces",
                  "volume_multiplier")
 
-    def __init__(self, accelerator_id: str, predicate: Comparison, selectivity: float,
+    def __init__(self, accelerator_id: str, predicate: str, selectivity: float,
                  reads: frozenset[str], produces: frozenset[str] = _NOTHING_PRODUCED,
                  volume_multiplier: float = 1.0):
         set_field(self, "accelerator_id", accelerator_id)
@@ -253,7 +251,6 @@ def _rpu_from_doc(obj, path: str) -> RpuConfig:
         storage_rate=_number(obj, "storage_rate", path, minimum=0, exclusive=True),
         network_rate=_number(obj, "network_rate", path, minimum=0, exclusive=True),
         default_reconfig_ms=_number(obj, "default_reconfig_ms", path, minimum=0),
-        pr_region_count=1,
     )
 
 
@@ -297,15 +294,15 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
     accelerator_id = _string(obj, "accelerator", path)
     if accelerator_id not in modules:
         raise ScenarioError(f"unknown accelerator '{accelerator_id}'", f"{path}.accelerator")
-    text = obj["predicate"]
-    if not isinstance(text, str):
+    predicate = obj["predicate"]
+    if not isinstance(predicate, str):
         raise ScenarioError("expected a string", f"{path}.predicate")
     try:
-        predicate = analyzer.parse_predicate(text)
+        shapes, attributes = analyzer.parse_predicate(predicate)
     except PredicateError as exc:
         raise ScenarioError(f"invalid predicate: {exc}", f"{path}.predicate") from exc
     supported = modules[accelerator_id].supported_ops
-    missing = [sh for sh in predicate.shapes if sh not in supported]
+    missing = [sh for sh in shapes if sh not in supported]
     if missing:
         names = ", ".join(sorted({f"{sh.kind}/{sh.operand_type}" for sh in missing}))
         raise ScenarioError(
@@ -321,7 +318,7 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
     overlap = reads & produces
     if overlap:
         raise ScenarioError(f"attributes both read and produced: {sorted(overlap)}", path)
-    unknown = [a for a in predicate.attributes if a not in reads and a not in produces]
+    unknown = [a for a in attributes if a not in reads and a not in produces]
     if unknown:
         raise ScenarioError(
             f"predicate references attributes not in reads or produces: {sorted(set(unknown))}",
@@ -340,15 +337,16 @@ def _query_from_doc(obj, path: str, tables: Mapping[str, TableDef],
     invocations = tuple(
         _invocation_from_doc(inv_obj, f"{path}.invocations[{i}]", modules, sets)
         for i, inv_obj in enumerate(_array(obj, "invocations", path)))
+    # sorted, so that the error names the same attribute under every hash seed
     produced: dict[str, int] = {}
     for k, inv in enumerate(invocations):
-        for attr in inv.produces:
+        for attr in sorted(inv.produces):
             if attr in produced:
                 raise ScenarioError(
                     f"attribute '{attr}' produced twice (invocations {produced[attr]} and {k})", path)
             produced[attr] = k
     for k, inv in enumerate(invocations):
-        for attr in inv.reads:
+        for attr in sorted(inv.reads):
             if attr in produced and produced[attr] > k:
                 raise ScenarioError(
                     f"invocation {k} reads derived attribute '{attr}' before its producer "
@@ -365,11 +363,40 @@ def _unique_ids(items, what: str, path: str):
         seen.add(item.id)
 
 
+def _check_total_bound(s: Scenario) -> None:
+    """Reject a scenario whose total can overflow, naming the first query at
+    which an upper bound on the total of every legal schedule, in both timing
+    models, is not finite.  Per query the bound adds the scan, the worst-case
+    volume (the table volume times the product of max(1, selectivity *
+    volume_multiplier)) over network_rate and over each invocation's
+    proc_rate, the longest module load once per invocation and once for a
+    prefetch still running, and the gap to the next query.  Twice the bound
+    must be finite, so that the models' own sums, in another order, are too.
+    """
+    rpu = s.rpu
+    longest_load = max(rpu.default_reconfig_ms if m.reconfig_ms is None else m.reconfig_ms
+                       for m in s.library)
+    bound = 0.0
+    for i, q in enumerate(s.sequence):
+        volume = worst = s.tables_by_id[q.table_id].volume
+        for inv in q.invocations:
+            worst *= max(1.0, inv.selectivity * inv.volume_multiplier)
+        bound += volume / rpu.storage_rate + worst / rpu.network_rate + longest_load
+        for inv in q.invocations:
+            bound += longest_load + worst / s.modules_by_id[inv.accelerator_id].proc_rate
+        if i < len(s.sequence) - 1:
+            bound += q.gap_after_ms
+        if not math.isfinite(2.0 * bound):
+            raise ScenarioError("an upper bound on the total is not finite by this query: "
+                                "volumes, rates or gaps overflow", f"sequence[{i}]")
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
     Table volumes in the returned scenario are already multiplied by
-    scale_factor.  Unknown keys anywhere in the document are an error.
+    scale_factor.  Unknown keys anywhere in the document are an error, and
+    so is a scenario whose total can overflow (see _check_total_bound).
     """
     try:
         doc = json.loads(text)
@@ -406,7 +433,9 @@ def load_scenario(text: str) -> Scenario:
     for i, t in enumerate(scaled):
         if not math.isfinite(t.volume):
             raise ScenarioError(f"not finite at scale_factor {scale}", f"tables[{i}].volume")
-    return Scenario(rpu, scaled, library, sequence, scale)
+    s = Scenario(rpu, scaled, library, sequence, scale)
+    _check_total_bound(s)
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reconfig_sim.analyzer import parse_predicate
 from reconfig_sim.costmodel import (
     accel_runtime,
     propagate_volumes,
@@ -21,7 +20,7 @@ def _query(*pairs):
     """A query over table 't' whose invocations carry the given (selectivity,
     multiplier) pairs; predicates are irrelevant to volume propagation."""
     invocations = tuple(
-        Invocation("m", parse_predicate("a > 1"), sel, frozenset({"a"}),
+        Invocation("m", "a > 1", sel, frozenset({"a"}),
                    volume_multiplier=mult)
         for sel, mult in pairs)
     return QuerySpec("q", "t", invocations)

@@ -1,13 +1,18 @@
 import copy
 import itertools
 import json
+import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from reconfig_sim import emulator, harness
-from reconfig_sim.analyzer import Comparison, OperatorShape
+from reconfig_sim import emulator, harness, optimizer
+from reconfig_sim.analyzer import OperatorShape
 from reconfig_sim.model import (
     PREFETCH_TRIGGER,
     QuerySpec,
@@ -30,7 +35,6 @@ def test_load_canonical_scenario(seq2):
     assert seq2.rpu.storage_rate == 1.0
     assert seq2.rpu.network_rate == 0.2
     assert seq2.rpu.default_reconfig_ms == 15.0
-    assert seq2.rpu.pr_region_count == 1
     assert {t.id: t.volume for t in seq2.tables} == {"orders": 16.0, "lineitem": 6.0}
     acc_a = {m.id: m for m in seq2.library}["accA"]
     assert acc_a.supported_ops == frozenset({OperatorShape("compare_gt", "int32")})
@@ -44,8 +48,7 @@ def test_load_canonical_scenario(seq2):
     assert first.reads == frozenset({"amount"})
     assert first.produces == frozenset()
     assert first.volume_multiplier == 1.0
-    assert isinstance(first.predicate, Comparison)
-    assert first.predicate.kind == "compare_gt"
+    assert first.predicate == "amount > 100"
 
 
 def test_equal_string_sets_share_one_object(seq2_doc):
@@ -202,7 +205,29 @@ def _unknown_operand_type(doc):
     doc["library"][0]["supported_ops"][0]["operand_type"] = "int8"
 
 
-@pytest.mark.parametrize("mutate, fragment", [
+def _overflowing_chain(doc):
+    # the written order multiplies 1e300 by 1e10, then by 0.0: inf * 0.0 is nan
+    doc["tables"][0]["volume"] = 1e300
+    first, second = doc["sequence"][0]["invocations"]
+    first["volume_multiplier"], first["selectivity"] = 1e10, 1.0
+    second["selectivity"] = 0.0
+
+
+def _subnormal_proc_rate(doc):
+    doc["library"][0]["proc_rate"] = 1e-320
+
+
+def _produced_twice_four_times(doc):
+    for inv in doc["sequence"][0]["invocations"]:
+        inv["produces"] = ["xa", "xb", "xc", "xd"]
+
+
+def _reads_four_before_producer(doc):
+    doc["sequence"][0]["invocations"][0]["reads"] = ["amount", "xa", "xb", "xc", "xd"]
+    doc["sequence"][0]["invocations"][1]["produces"] = ["xa", "xb", "xc", "xd"]
+
+
+DOCUMENT_ERRORS = [
     (_drop_network_rate, "rpu: missing key 'network_rate'"),
     (_unknown_top_key, "document: unknown key 'extra'"),
     (_unknown_invocation_key, "sequence[0].invocations[0]: unknown key 'frob'"),
@@ -237,6 +262,10 @@ def _unknown_operand_type(doc):
     (_produced_twice, "attribute 'x' produced twice (invocations 0 and 1)"),
     (_read_before_producer,
      "invocation 0 reads derived attribute 'amount' before its producer (invocation 1)"),
+    # several attributes qualify: the error names the first in sorted order
+    (_produced_twice_four_times, "sequence[0]: attribute 'xa' produced twice (invocations 0 and 1)"),
+    (_reads_four_before_producer,
+     "sequence[0]: invocation 0 reads derived attribute 'xa' before its producer (invocation 1)"),
     (_duplicate_table, "tables: duplicate table id 'orders'"),
     (_duplicate_module, "library: duplicate module id 'accA'"),
     (_duplicate_query, "sequence: duplicate query id 'Q0'"),
@@ -245,7 +274,13 @@ def _unknown_operand_type(doc):
     (_non_string_produce, "sequence[1].invocations[0].produces[1]: expected a non-empty string"),
     (_unknown_op_kind, "library[0].supported_ops[0].kind: unknown operator kind 'compare_gte'"),
     (_unknown_operand_type, "library[0].supported_ops[0].operand_type: unknown operand type 'int8'"),
-])
+    (_overflowing_chain, "sequence[0]: an upper bound on the total is not finite by this query: "
+                         "volumes, rates or gaps overflow"),
+    (_subnormal_proc_rate, "sequence[0]: an upper bound on the total is not finite"),
+]
+
+
+@pytest.mark.parametrize("mutate, fragment", DOCUMENT_ERRORS)
 def test_document_errors_name_their_path(seq2_doc, mutate, fragment):
     mutate(seq2_doc)
     with pytest.raises(ScenarioError) as excinfo:
@@ -272,6 +307,113 @@ def test_non_finite_numbers_are_rejected(seq2_doc, path, value, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         _load(seq2_doc)
     assert fragment in str(excinfo.value)
+
+
+def test_total_bound_names_the_first_query_past_it(seq2_doc):
+    # the bound of each query alone stays finite, their sum does not
+    seq2_doc["sequence"][0]["gap_after_ms"] = 6e307
+    seq2_doc["tables"][1]["volume"] = 1e307
+    with pytest.raises(ScenarioError, match=r"^sequence\[1\]: an upper bound on the total"):
+        _load(seq2_doc)
+    seq2_doc["tables"][1]["volume"] = 6.0
+    s = _load(seq2_doc)
+    assert math.isfinite(emulator.execute_schedule(s, identity_schedule(s)).total_ms)
+
+
+_EXTREMES = (5e-324, 1e-320, 1e-300, 1e-10, 1e10, 1e150, 1e300, 1.7e308)
+
+
+def _extreme_document(rng):
+    """A small scenario document in which any number may be extreme."""
+    def number(low, high, zero=True):
+        if rng.random() < 0.25:
+            return rng.choice(_EXTREMES + ((0.0,) if zero else ()))
+        return round(rng.uniform(low, high), 3) or (0.0 if zero else 1.0)
+
+    n_queries, n_modules = rng.randint(1, 3), rng.randint(1, 3)
+    library = [{"id": f"m{j}", "proc_rate": number(0.5, 4.0, zero=False),
+                "supported_ops": [{"kind": "compare_gt", "operand_type": "int32"}]}
+               for j in range(n_modules)]
+    for entry in library:
+        if rng.random() < 0.5:
+            entry["reconfig_ms"] = number(0.0, 25.0)
+    sequence = []
+    for i in range(n_queries):
+        invocations = []
+        for _ in range(rng.randint(1, 3)):
+            inv = {"accelerator": f"m{rng.randrange(n_modules)}", "predicate": "col > 1",
+                   "selectivity": rng.choice((0.0, 1.0, round(rng.random(), 3))),
+                   "reads": ["col"]}
+            if rng.random() < 0.5:
+                inv["volume_multiplier"] = number(0.5, 3.0, zero=False)
+            invocations.append(inv)
+        sequence.append({"id": f"Q{i}", "table": "t", "invocations": invocations,
+                         "gap_after_ms": number(0.0, 40.0)})
+    return {
+        "rpu": {"storage_rate": number(0.5, 3.0, zero=False),
+                "network_rate": number(0.1, 1.0, zero=False),
+                "default_reconfig_ms": number(0.0, 30.0), "pr_region_count": 1},
+        "tables": [{"id": "t", "volume": number(0.0, 100.0)}],
+        "library": library,
+        "sequence": sequence,
+        "scale_factor": number(0.5, 2.0, zero=False),
+    }
+
+
+def test_extreme_documents_are_rejected_or_give_finite_totals():
+    rng = random.Random(77)
+    loaded = rejected = 0
+    for _ in range(400):
+        doc = _extreme_document(rng)
+        try:
+            s = _load(doc)
+        except ScenarioError:
+            rejected += 1
+            continue
+        loaded += 1
+        schedules = [identity_schedule(s), *optimizer.candidate_schedules(s).values()]
+        for schedule in schedules:
+            report = emulator.execute_schedule(s, schedule)
+            assert all(math.isfinite(x) for x in (*report.per_query_ms, report.total_ms)), doc
+            assert math.isfinite(emulator.analytic_total(s, schedule)), doc
+    assert loaded > 100 and rejected > 100
+
+
+_HASH_SEED_PROBE = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from reconfig_sim import emulator, harness, model, optimizer
+import test_model
+
+digest = hashlib.sha256()
+for name in harness.bundled_names():
+    s = harness.load_bundled(name)
+    for outcome in optimizer.fixed_outcomes(s).values():
+        digest.update(json.dumps(optimizer.outcome_document(s, outcome)).encode())
+    for schedule in optimizer.candidate_schedules(s).values():
+        digest.update(emulator.emit_trace(emulator.execute_schedule(s, schedule)).encode())
+    for spec in (harness.SweepSpec("scale_factor", (0.5, 2.0)), harness.SweepSpec("gap_ms", (0.0, 9.0))):
+        digest.update(harness.run_sweep(s, spec).encode())
+for mutate, _ in test_model.DOCUMENT_ERRORS:
+    doc = json.loads(harness.bundled_text("seq2"))
+    mutate(doc)
+    try:
+        model.load_scenario(json.dumps(doc))
+    except model.ScenarioError as exc:
+        digest.update(str(exc).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_outputs_and_errors_do_not_depend_on_the_hash_seed():
+    tests = Path(__file__).resolve().parent
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(tests.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE, str(tests)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_invalid_json_is_a_scenario_error():
