@@ -121,6 +121,32 @@ def test_predicate_without_literals_defaults_to_int32():
     assert parse_predicate("a < ?p") == (_shapes("int32", "compare_lt"), ("a",))
 
 
+def _print_predicate(text, separator):
+    """The predicate's tokens, in order, joined by `separator`."""
+    return separator.join(token for _, token, _ in analyzer._tokenize(text)[:-1])
+
+
+def _assert_round_trip(text):
+    facts = parse_predicate(text)
+    for separator in (" ", ""):
+        printed = _print_predicate(text, separator)
+        assert parse_predicate(printed) == facts
+        assert _print_predicate(printed, separator) == printed
+
+
+@pytest.mark.parametrize("text", [
+    "amount > 100",
+    "price * qty >= ?limit",
+    "temp <= 36.6",
+    "delta > -5",
+    "rev = price * qty",
+    "x != 3e2",
+    "a + 1 < b - 2",
+])
+def test_print_parse_round_trip(text):
+    _assert_round_trip(text)
+
+
 _CMP_SYMBOLS = {"compare_lt": "<", "compare_le": "<=", "compare_eq": "=",
                 "compare_ne": "!=", "compare_ge": ">=", "compare_gt": ">"}
 _ARITH_SYMBOLS = {"arith_add": "+", "arith_sub": "-", "arith_mul": "*"}
@@ -174,6 +200,11 @@ def _predicate_texts(draw):
 def test_generated_predicate_texts_give_their_shapes_and_attributes(case):
     text, shapes, attributes = case
     assert parse_predicate(text) == (shapes, attributes)
+
+
+@given(_predicate_texts())
+def test_round_trip_holds_for_generated_predicates(case):
+    _assert_round_trip(case[0])
 
 
 def test_required_shapes_includes_arithmetic():
