@@ -204,43 +204,16 @@ def parse_predicate(text: str) -> tuple[tuple[OperatorShape, ...], tuple[str, ..
             tuple(parser.attributes))
 
 
-def find_common_accelerators(s: Scenario) -> dict[tuple[str, str], frozenset[str]]:
-    """Accelerators invoked by both halves of each consecutive query pair.
+def find_common_accelerators(s: Scenario) -> tuple[frozenset[str], ...]:
+    """Accelerators invoked by both halves of each consecutive query pair,
+    one set per pair in sequence order.
 
     Reuse is keyed on module identity; parameter and literal values play no
     role.
     """
-    reuse = {}
-    for left, right in zip(s.sequence, s.sequence[1:]):
-        mods_left = {inv.accelerator_id for inv in left.invocations}
-        mods_right = {inv.accelerator_id for inv in right.invocations}
-        reuse[(left.id, right.id)] = frozenset(mods_left & mods_right)
-    return reuse
-
-
-class Hint(Record):
-    """Per consecutive pair: what the storage side may prepare for the next query."""
-
-    __slots__ = ("next_first_module", "reusable_modules", "expected_gap_ms")
-
-    def __init__(self, next_first_module: str, reusable_modules: frozenset[str],
-                 expected_gap_ms: float):
-        set_field(self, "next_first_module", next_first_module)
-        set_field(self, "reusable_modules", reusable_modules)
-        set_field(self, "expected_gap_ms", expected_gap_ms)
-
-
-def invocation_dependencies(q: QuerySpec) -> tuple[frozenset[int], ...]:
-    """For each invocation, the indices of invocations producing attributes it reads."""
-    producers: dict[str, int] = {}
-    for j, inv in enumerate(q.invocations):
-        for attr in inv.produces:
-            producers[attr] = j
-    deps = []
-    for k, inv in enumerate(q.invocations):
-        deps.append(frozenset(producers[a] for a in inv.reads
-                              if a in producers and producers[a] != k))
-    return tuple(deps)
+    return tuple(frozenset({inv.accelerator_id for inv in left.invocations}
+                           & {inv.accelerator_id for inv in right.invocations})
+                 for left, right in zip(s.sequence, s.sequence[1:]))
 
 
 def baseline_order(q: QuerySpec) -> tuple[int, ...]:
@@ -267,17 +240,16 @@ def baseline_order(q: QuerySpec) -> tuple[int, ...]:
     return tuple(order)
 
 
-def generate_hints(s: Scenario,
-                   reuse: dict[tuple[str, str], frozenset[str]],
-                   schedule: Schedule) -> tuple[Hint, ...]:
-    """One hint per consecutive pair, n-1 in total.
+def generate_hints(s: Scenario, reuse: tuple[frozenset[str], ...],
+                   schedule: Schedule) -> list[dict]:
+    """One hint per consecutive pair, n-1 in total: what the storage side
+    may prepare for the next query, as an outcome document entry.
 
     next_first_module follows the schedule's order for the successor query.
     """
-    hints = []
-    for i in range(len(s.sequence) - 1):
-        nxt = s.sequence[i + 1]
-        first = nxt.invocations[schedule.orders[i + 1][0]].accelerator_id
-        key = (s.sequence[i].id, nxt.id)
-        hints.append(Hint(first, reuse[key], s.sequence[i].gap_after_ms))
-    return tuple(hints)
+    return [{"after_query": left.id,
+             "next_query": right.id,
+             "next_first_module": right.invocations[schedule.orders[i + 1][0]].accelerator_id,
+             "reusable_modules": sorted(reuse[i]),
+             "expected_gap_ms": left.gap_after_ms}
+            for i, (left, right) in enumerate(zip(s.sequence, s.sequence[1:]))]

@@ -1,14 +1,18 @@
-"""Closed-form stage costs and volume propagation.
+"""Closed-form stage costs, volume propagation and the bound on a total.
 
 All durations are real-valued milliseconds; volumes and rates use one
 consistent unit (volume per millisecond).  Nothing here rounds.
 propagate_volumes returns a plain (input volumes, output volume) pair.
+Only this module reads rates and load times.  first_unbounded_query bounds
+the total for the loader and the sweeps.
 """
 from __future__ import annotations
 
-from typing import Mapping
+import math
+from typing import TYPE_CHECKING, Mapping
 
-from .model import AcceleratorModule, QuerySpec, RpuConfig, TableDef
+if TYPE_CHECKING:
+    from .model import AcceleratorModule, QuerySpec, RpuConfig, Scenario, TableDef
 
 
 def scan_time(table_volume: float, rpu: RpuConfig) -> float:
@@ -47,3 +51,31 @@ def propagate_volumes(q: QuerySpec, order: tuple[int, ...], tables: Mapping[str,
         inputs.append(volume)
         volume = volume * inv.selectivity * inv.volume_multiplier
     return tuple(inputs), volume
+
+
+def first_unbounded_query(s: Scenario) -> int | None:
+    """The index of the first query at which an upper bound on the total of
+    every legal schedule, in both timing models, is not finite, or None.
+
+    Per query the bound adds the scan, the worst-case volume (the table
+    volume times the product of max(1, selectivity * volume_multiplier))
+    transferred and run through each invocation's module, the longest
+    module load once per invocation and once for a prefetch still running,
+    and the gap to the next query.  Twice the bound must be finite, so that
+    the models' own sums, in another order, are too.
+    """
+    rpu = s.rpu
+    longest_load = max(reconfig_time(m, None, rpu) for m in s.library)
+    bound = 0.0
+    for i, q in enumerate(s.sequence):
+        volume = worst = s.tables_by_id[q.table_id].volume
+        for inv in q.invocations:
+            worst *= max(1.0, inv.selectivity * inv.volume_multiplier)
+        bound += scan_time(volume, rpu) + transfer_time(worst, rpu) + longest_load
+        for inv in q.invocations:
+            bound += longest_load + accel_runtime(worst, s.modules_by_id[inv.accelerator_id])
+        if i < len(s.sequence) - 1:
+            bound += q.gap_after_ms
+        if not math.isfinite(2.0 * bound):
+            return i
+    return None

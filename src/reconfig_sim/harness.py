@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from importlib import resources
 
+from .costmodel import first_unbounded_query
 from .emulator import analytic_total
 from .model import Scenario, load_scenario
 from .optimizer import FIXED_STRATEGIES, fixed_outcomes
@@ -79,8 +80,7 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
     return s.replace(sequence=tuple(sequence))
 
 
-def _sweep_point(s: Scenario, spec: SweepSpec, value: float) -> list[str]:
-    varied = with_scale_factor(s, value) if spec.axis == "scale_factor" else with_gaps(s, value)
+def _sweep_rows(spec: SweepSpec, value: float, varied: Scenario) -> list[str]:
     outcomes = fixed_outcomes(varied)
     return [",".join((spec.axis, format_ms(value), strategy,
                       format_ms(outcomes[strategy].total_ms),
@@ -92,10 +92,20 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """Evaluate every (value, strategy) point and return the CSV text.
 
     improvement_pct in each row compares against the baseline strategy at
-    the same axis value.
+    the same axis value.  An axis value at which the loader's bound on the
+    total (costmodel.first_unbounded_query) is not finite is a ValueError.
     """
-    rows = [row for v in spec.values for row in _sweep_point(s, spec, v)]
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+    vary = with_scale_factor if spec.axis == "scale_factor" else with_gaps
+    *smaller, largest = spec.values
+    last = vary(s, largest)
+    # SweepSpec values strictly increase and the bound only grows with the
+    # scale factor and with the gap, so the largest value bounds every point
+    unbounded = first_unbounded_query(last)
+    if unbounded is not None:
+        raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
+                         "bound on the total is not finite by this query")
+    rows = [row for v in smaller for row in _sweep_rows(spec, v, vary(s, v))]
+    return "\n".join([CSV_HEADER, *rows, *_sweep_rows(spec, largest, last)]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ transformations return new values, such as the copies that replace()
 makes.  Table volumes are stored already multiplied by the scenario's
 scale_factor.  An invocation keeps its predicate as written; the loader
 parses it once to check its operator shapes and attributes.  Each QuerySpec
-carries its (producer, reader) invocation dependency pairs and each
-Scenario its tables and modules keyed by id, derived once when built, so
-that validating or emulating a schedule derives neither again.
+derives its (producer, reader) invocation pairs from produces and reads, the
+one form of the precedence rule (see reader_first_pairs), and each Scenario
+its tables and modules keyed by id, once when built.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .analyzer import (
     OperatorShape,
     PredicateError,
 )
+from .costmodel import first_unbounded_query
 from .record import Record, set_field
 
 PREFETCH_TRIGGER = "pr-region-free-after-this-query"
@@ -114,9 +115,10 @@ class QuerySpec(Record):
         set_field(self, "gap_after_ms", gap_after_ms)
         pairs = ()
         if any(inv.produces for inv in invocations):
-            pairs = tuple((producer, reader) for reader, producers
-                          in enumerate(analyzer.invocation_dependencies(self))
-                          for producer in sorted(producers))
+            producers = {attr: j for j, inv in enumerate(invocations) for attr in inv.produces}
+            pairs = tuple((producer, reader) for reader, inv in enumerate(invocations)
+                          for producer in sorted({producers[a] for a in inv.reads
+                                                  if a in producers and producers[a] != reader}))
         set_field(self, "dependencies", pairs)
 
     def replace(self, **changes) -> QuerySpec:
@@ -363,40 +365,12 @@ def _unique_ids(items, what: str, path: str):
         seen.add(item.id)
 
 
-def _check_total_bound(s: Scenario) -> None:
-    """Reject a scenario whose total can overflow, naming the first query at
-    which an upper bound on the total of every legal schedule, in both timing
-    models, is not finite.  Per query the bound adds the scan, the worst-case
-    volume (the table volume times the product of max(1, selectivity *
-    volume_multiplier)) over network_rate and over each invocation's
-    proc_rate, the longest module load once per invocation and once for a
-    prefetch still running, and the gap to the next query.  Twice the bound
-    must be finite, so that the models' own sums, in another order, are too.
-    """
-    rpu = s.rpu
-    longest_load = max(rpu.default_reconfig_ms if m.reconfig_ms is None else m.reconfig_ms
-                       for m in s.library)
-    bound = 0.0
-    for i, q in enumerate(s.sequence):
-        volume = worst = s.tables_by_id[q.table_id].volume
-        for inv in q.invocations:
-            worst *= max(1.0, inv.selectivity * inv.volume_multiplier)
-        bound += volume / rpu.storage_rate + worst / rpu.network_rate + longest_load
-        for inv in q.invocations:
-            bound += longest_load + worst / s.modules_by_id[inv.accelerator_id].proc_rate
-        if i < len(s.sequence) - 1:
-            bound += q.gap_after_ms
-        if not math.isfinite(2.0 * bound):
-            raise ScenarioError("an upper bound on the total is not finite by this query: "
-                                "volumes, rates or gaps overflow", f"sequence[{i}]")
-
-
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
     Table volumes in the returned scenario are already multiplied by
     scale_factor.  Unknown keys anywhere in the document are an error, and
-    so is a scenario whose total can overflow (see _check_total_bound).
+    so is a scenario whose total can overflow (costmodel.first_unbounded_query).
     """
     try:
         doc = json.loads(text)
@@ -434,12 +408,22 @@ def load_scenario(text: str) -> Scenario:
         if not math.isfinite(t.volume):
             raise ScenarioError(f"not finite at scale_factor {scale}", f"tables[{i}].volume")
     s = Scenario(rpu, scaled, library, sequence, scale)
-    _check_total_bound(s)
+    unbounded = first_unbounded_query(s)
+    if unbounded is not None:
+        raise ScenarioError("an upper bound on the total is not finite by this query: "
+                            "volumes, rates or gaps overflow", f"sequence[{unbounded}]")
     return s
 
 
 # ---------------------------------------------------------------------------
 # schedules
+
+def reader_first_pairs(q: QuerySpec, order: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (producer, reader) pairs of q that order runs reader first: none if it is legal."""
+    position = {idx: pos for pos, idx in enumerate(order)}
+    return [(producer, reader) for producer, reader in q.dependencies
+            if position[producer] > position[reader]]
+
 
 def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
     """Return all violations; an empty list means the schedule is executable."""
@@ -453,14 +437,11 @@ def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
             violations.append(f"{q.id}: order {list(order)} is not a bijection over "
                               f"{len(q.invocations)} invocations")
             continue
-        if not q.dependencies:
+        if not q.dependencies:  # most queries, on every emulation: skip the call
             continue
-        position = {idx: pos for pos, idx in enumerate(order)}
-        for producer, reader in q.dependencies:
-            if position[producer] > position[reader]:
-                violations.append(
-                    f"{q.id}: dependency violated, invocation {reader} reads output of "
-                    f"invocation {producer} but runs first")
+        for producer, reader in reader_first_pairs(q, order):
+            violations.append(f"{q.id}: dependency violated, invocation {reader} reads output of "
+                              f"invocation {producer} but runs first")
     for q, module_id in zip(s.sequence, sch.prefetches):
         if module_id is not None and module_id not in s.modules_by_id:
             violations.append(f"{q.id}: prefetch names unknown module '{module_id}'")

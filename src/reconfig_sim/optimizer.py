@@ -22,7 +22,7 @@ from itertools import permutations, product
 
 from .analyzer import baseline_order, find_common_accelerators, generate_hints
 from .emulator import _timeline
-from .model import Scenario, Schedule, schedule_to_doc
+from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
 from .record import Record, set_field
 
 FIXED_STRATEGIES = ("baseline", "spec_reconfig", "reorder", "combined")
@@ -90,8 +90,7 @@ def apply_reorder(s: Scenario, base: Schedule) -> Schedule:
             continue
         for position in reversed([p for p, m in enumerate(scheduled_modules) if m == target]):
             idx = order[position]
-            produced = q.invocations[idx].produces
-            if any(produced & q.invocations[other].reads for other in order if other != idx):
+            if any(producer == idx for producer, _ in q.dependencies):
                 continue
             orders[i] = order[:position] + order[position + 1:] + (idx,)
             break
@@ -152,12 +151,8 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
 
 
 def _legal_orders(q) -> list[tuple[int, ...]]:
-    orders = []
-    for perm in permutations(range(len(q.invocations))):
-        position = {idx: pos for pos, idx in enumerate(perm)}
-        if all(position[producer] < position[reader] for producer, reader in q.dependencies):
-            orders.append(perm)
-    return orders
+    return [perm for perm in permutations(range(len(q.invocations)))
+            if not reader_first_pairs(q, perm)]
 
 
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
@@ -199,21 +194,10 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
 
 def outcome_document(s: Scenario, outcome: StrategyOutcome) -> dict:
     """JSON-ready report: chosen strategy, totals, schedule, and pair hints."""
-    reuse = find_common_accelerators(s)
-    hints = generate_hints(s, reuse, outcome.schedule)
-    hint_docs = []
-    for i, hint in enumerate(hints):
-        hint_docs.append({
-            "after_query": s.sequence[i].id,
-            "next_query": s.sequence[i + 1].id,
-            "next_first_module": hint.next_first_module,
-            "reusable_modules": sorted(hint.reusable_modules),
-            "expected_gap_ms": hint.expected_gap_ms,
-        })
     return {
         "strategy": outcome.strategy,
         "total_ms": outcome.total_ms,
         "improvement_pct": outcome.improvement_pct,
         "schedule": schedule_to_doc(s, outcome.schedule),
-        "hints": hint_docs,
+        "hints": generate_hints(s, find_common_accelerators(s), outcome.schedule),
     }

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from reconfig_sim import analyzer, harness
 from reconfig_sim.analyzer import (
-    Hint,
     OperatorShape,
     PredicateSyntaxError,
     PredicateTypeError,
     baseline_order,
     find_common_accelerators,
     generate_hints,
-    invocation_dependencies,
     parse_predicate,
 )
 from reconfig_sim.model import Invocation, QuerySpec, Schedule
@@ -233,31 +231,32 @@ def test_operator_shape_rejects_unknown_values():
 # reuse, hints, ordering
 
 def test_find_common_accelerators(seq2):
-    assert find_common_accelerators(seq2) == {("Q0", "Q1"): frozenset({"accA"})}
+    assert find_common_accelerators(seq2) == (frozenset({"accA"}),)
 
 
 def test_generate_hints_from_baseline(seq2):
     reuse = find_common_accelerators(seq2)
-    assert generate_hints(seq2, reuse, plan_baseline(seq2)) == (
-        Hint("accA", frozenset({"accA"}), 2.0),)
+    assert generate_hints(seq2, reuse, plan_baseline(seq2)) == [
+        {"after_query": "Q0", "next_query": "Q1", "next_first_module": "accA",
+         "reusable_modules": ["accA"], "expected_gap_ms": 2.0}]
 
 
 def test_generate_hints_follows_given_schedule():
     s = harness.load_bundled("corpus/q13")
     reuse = find_common_accelerators(s)
     default_hints = generate_hints(s, reuse, plan_baseline(s))
-    assert default_hints[1].next_first_module == "k1"
+    assert default_hints[1]["next_first_module"] == "k1"
 
     orders = tuple(tuple(range(len(q.invocations))) for q in s.sequence)
     orders = orders[:2] + ((1, 0),) + orders[3:]
     swapped = Schedule(orders, (None,) * 4)
-    assert generate_hints(s, reuse, swapped)[1].next_first_module == "k2"
+    assert generate_hints(s, reuse, swapped)[1]["next_first_module"] == "k2"
 
 
 def test_invocation_dependencies(corpus):
     scenarios = dict(corpus)
     q0 = scenarios["corpus/q04"].sequence[0]
-    assert invocation_dependencies(q0) == (frozenset(), frozenset({0}))
+    assert q0.dependencies == ((0, 1),)
 
 
 def test_baseline_order_sorts_by_selectivity():
@@ -297,8 +296,10 @@ def test_baseline_order_rejects_cycles():
 
 def _reference_baseline_order(q):
     """baseline_order as it was before it read the stored dependency pairs:
-    the per-reader producer sets from invocation_dependencies."""
-    deps = invocation_dependencies(q)
+    per-reader producer sets derived from produces and reads."""
+    producers = {attr: j for j, inv in enumerate(q.invocations) for attr in inv.produces}
+    deps = [{producers[a] for a in inv.reads if a in producers and producers[a] != k}
+            for k, inv in enumerate(q.invocations)]
     placed, order = set(), []
     while len(order) < len(q.invocations):
         ready = [k for k in range(len(q.invocations)) if k not in placed and deps[k] <= placed]
@@ -308,7 +309,7 @@ def _reference_baseline_order(q):
     return tuple(order)
 
 
-def test_baseline_order_reads_the_stored_dependency_pairs(corpus, chained_scenario, monkeypatch):
+def test_baseline_order_reads_the_stored_dependency_pairs(corpus, chained_scenario):
     rng = random.Random(23)
     queries = [q for _, s in corpus for q in s.sequence]
     queries += [q for _ in range(80) for q in chained_scenario(rng, rng.randint(1, 4)).sequence]
@@ -320,12 +321,11 @@ def test_baseline_order_reads_the_stored_dependency_pairs(corpus, chained_scenar
     assert sum(1 for q in queries if q.dependencies) > 100
     expected = [_reference_baseline_order(q) for q in queries]
     assert expected[-1] == (0, 2, 1)
-    derived = []
-    original = analyzer.invocation_dependencies
-    monkeypatch.setattr(analyzer, "invocation_dependencies",
-                        lambda q: derived.append(q.id) or original(q))
     assert [baseline_order(q) for q in queries] == expected
-    assert derived == []
+    # the order follows the stored pairs, not the produces and reads sets
+    tie = queries[-1]
+    object.__setattr__(tie, "dependencies", ())
+    assert baseline_order(tie) == (0, 1, 2)
 
 
 def test_hints_are_sound_over_all_bundled_scenarios(corpus):
@@ -335,9 +335,10 @@ def test_hints_are_sound_over_all_bundled_scenarios(corpus):
         assert len(hints) == len(s.sequence) - 1
         for i, hint in enumerate(hints):
             left, right = s.sequence[i], s.sequence[i + 1]
+            assert (hint["after_query"], hint["next_query"]) == (left.id, right.id)
             first = right.invocations[baseline_order(right)[0]].accelerator_id
-            assert hint.next_first_module == first
+            assert hint["next_first_module"] == first
             left_modules = {inv.accelerator_id for inv in left.invocations}
             right_modules = {inv.accelerator_id for inv in right.invocations}
-            assert hint.reusable_modules == left_modules & right_modules
-            assert hint.expected_gap_ms == left.gap_after_ms
+            assert hint["reusable_modules"] == sorted(left_modules & right_modules)
+            assert hint["expected_gap_ms"] == left.gap_after_ms

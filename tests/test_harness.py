@@ -1,9 +1,10 @@
 import json
 import random
+import re
 
 import pytest
 
-from reconfig_sim import analyzer, harness, optimizer
+from reconfig_sim import harness, optimizer
 from reconfig_sim.cli import cli_dispatch
 from reconfig_sim.harness import (
     CSV_HEADER,
@@ -56,17 +57,13 @@ def test_with_gaps_rejects_non_finite_gaps(seq2, gap):
         with_gaps(seq2, gap)
 
 
-def test_with_gaps_keeps_the_stored_dependency_pairs(corpus, monkeypatch):
+def test_with_gaps_keeps_the_stored_dependency_pairs(corpus):
     scenarios = [s for _, s in corpus]
     assert any(q.dependencies for s in scenarios for q in s.sequence)
-    derived = []
-    original = analyzer.invocation_dependencies
-    monkeypatch.setattr(analyzer, "invocation_dependencies",
-                        lambda q: derived.append(q.id) or original(q))
     for s in scenarios:
         gapped = with_gaps(s, 7.5)
-        assert [q.dependencies for q in gapped.sequence] == [q.dependencies for q in s.sequence]
-    assert derived == []
+        for gapped_q, q in zip(gapped.sequence, s.sequence):
+            assert gapped_q.dependencies is q.dependencies
 
 
 def test_scale_sweep_csv_is_exact(seq2):
@@ -102,6 +99,16 @@ def test_gap_sweep_keeps_absolute_saving_constant(seq2):
 def test_sweep_is_deterministic_and_thread_safe(seq2):
     spec = SweepSpec("scale_factor", (0.25, 0.5, 1.0, 2.0))
     assert run_sweep(seq2, spec) == run_sweep(seq2, spec)
+
+
+def test_sweep_rejects_axis_values_past_the_total_bound(seq2):
+    # both gave inf or nan totals and improvements before sweeps checked the bound
+    for axis, value in (("scale_factor", 1e307), ("gap_ms", 1.7e308)):
+        message = f"{axis} {value:.9g}: sequence[0]: an upper bound on the total is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} by this query$"):
+            run_sweep(seq2, SweepSpec(axis, (1.0, value)))
+    rows = run_sweep(seq2, SweepSpec("gap_ms", (1.0, 1e300))).splitlines()
+    assert rows[-1] == "gap_ms,1e+300,auto,1e+300,0"
 
 
 def _sweep_one_optimize_per_row(s, spec):
@@ -308,7 +315,7 @@ def test_cli_usage_error_exits_two(capsys):
     assert cli_dispatch([]) == 2
 
 
-def test_cli_rejects_bad_sweep_values(capsys):
+def test_cli_rejects_bad_sweep_values(tmp_path, capsys):
     code = cli_dispatch(["sweep", "seq2", "--axis", "gap_ms",
                          "--values", "1,zap", "--out", "ignored.csv"])
     assert code == 1
@@ -318,6 +325,14 @@ def test_cli_rejects_bad_sweep_values(capsys):
                          "--values", "nan,1", "--out", "ignored.csv"])
     assert code == 1
     assert "must be finite" in capsys.readouterr().err
+
+    out_path = tmp_path / "f.csv"
+    code = cli_dispatch(["sweep", "seq2", "--axis", "scale_factor", "--values", "1e307",
+                         "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: scale_factor 1e+307: sequence[0]")
+    assert not out_path.exists()
+
 
 
 def test_cli_rejects_overlong_integer_literals(tmp_path, capsys, seq2_doc):

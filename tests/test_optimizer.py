@@ -307,6 +307,23 @@ def test_planners_compare_totals_without_spans(seq2, seq2_small, monkeypatch):
     assert len(built) == 10  # the counter sees spans where they are built
 
 
+def _runs_producers_first(q, order):
+    """No invocation runs before one that produces an attribute it reads;
+    read from produces and reads, not from the stored dependency pairs."""
+    return not any(q.invocations[earlier].reads & q.invocations[later].produces
+                   for pos, earlier in enumerate(order) for later in order[pos + 1:])
+
+
+def _over_modules(s, rng, n_modules):
+    """s with its invocations spread at random over copies of its first module."""
+    ids = [f"{s.library[0].id}{j}" for j in range(n_modules)]
+    library = tuple(s.library[0].replace(id=module_id) for module_id in ids)
+    sequence = tuple(q.replace(invocations=tuple(inv.replace(accelerator_id=rng.choice(ids))
+                                                 for inv in q.invocations))
+                     for q in s.sequence)
+    return s.replace(library=library, sequence=sequence)
+
+
 def _keyed_schedules(s):
     """Every legal order and prefetch choice in the oracle's enumeration
     order, each keyed by (emulated total, reconfiguration spans)."""
@@ -315,7 +332,7 @@ def _keyed_schedules(s):
                         for i in range(n)]
     keyed = []
     for orders in product(*(permutations(range(len(q.invocations))) for q in s.sequence)):
-        if validate_schedule(s, Schedule(orders, (None,) * n)):
+        if not all(_runs_producers_first(q, order) for q, order in zip(s.sequence, orders)):
             continue
         for prefetches in product(*prefetch_choices):
             schedule = Schedule(orders, prefetches)
@@ -325,9 +342,12 @@ def _keyed_schedules(s):
     return keyed
 
 
-def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario):
+def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
+                                              chained_scenario):
     """The oracle returns the first enumerated schedule with the least
-    (total, reconfigurations) key; zero-time loads make totals tie often."""
+    (total, reconfigurations) key; zero-time loads make totals tie often.
+    Chained instances, some spread over two modules, make the legal orders
+    a strict subset of the permutations."""
     # Q0's two orders tie on the total exactly; only (1, 0) ends on Q1's module
     reuse_decides = _scenario(
         tables=[{"id": "t0", "volume": 16.0}, {"id": "t1", "volume": 8.0}],
@@ -351,6 +371,12 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario)
             s = s.replace(rpu=s.rpu.replace(default_reconfig_ms=0.0),
                           library=tuple(m.replace(reconfig_ms=0.0) for m in s.library))
         scenarios.append(s)
+    while len(scenarios) < 73:
+        s = chained_scenario(rng, rng.randint(1, 4))
+        if sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
+            continue
+        scenarios.append(_over_modules(s, rng, 2) if len(scenarios) % 2 else s)
+    assert sum(1 for s in scenarios[53:] for q in s.sequence if q.dependencies) > 10
     decided_by_reconfigs = decided_by_order = 0
     for s in scenarios:
         keyed = _keyed_schedules(s)
@@ -362,6 +388,18 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario)
         decided_by_reconfigs += first_least_total != winner
         decided_by_order += sum(key == best for key, _ in keyed) > 1
     assert decided_by_reconfigs > 0 and decided_by_order > 0
+
+
+def test_candidate_schedules_are_legal_on_chains(chained_scenario):
+    rng = random.Random(71)
+    reordered = 0
+    for _ in range(80):
+        s = _over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+        schedules = candidate_schedules(s)
+        for name, schedule in schedules.items():
+            assert validate_schedule(s, schedule) == [], name
+        reordered += schedules["reorder"] != schedules["baseline"]
+    assert reordered > 10
 
 
 def test_oracle_guard_rejects_large_instances(random_scenario):

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from reconfig_sim.analyzer import Hint, OperatorShape
+from reconfig_sim.analyzer import OperatorShape
 from reconfig_sim.emulator import Span, TimelineReport
 from reconfig_sim.harness import SweepSpec
 from reconfig_sim.model import (
@@ -22,7 +22,7 @@ from reconfig_sim.optimizer import StrategyOutcome
 
 
 def _records():
-    """One record of each of the package's 13 record types."""
+    """One record of each of the package's 12 record types."""
     shape = OperatorShape("compare_gt", "int32")
     producer = Invocation("m", "a + 1 > ?p", 0.5, frozenset({"a"}), frozenset({"b"}))
     reader = Invocation("m", "b > 1", 0.25, frozenset({"a", "b"}), volume_multiplier=2.0)
@@ -33,7 +33,7 @@ def _records():
     schedule = Schedule(((0, 1),), (None,))
     span = Span("scan", "t", 0.0, 1.0, "Q0")
     return [
-        shape, Hint("m", frozenset({"m"}), 2.0), rpu, module, table, producer, query,
+        shape, rpu, module, table, producer, query,
         Scenario(rpu, (table,), (module,), (query,), 0.5), schedule, span,
         TimelineReport((span,), (1.0,), 1.0),
         StrategyOutcome("baseline", schedule, 1.0, 0.0), SweepSpec("gap_ms", (0.0, 1.0)),
@@ -41,7 +41,7 @@ def _records():
 
 
 def test_the_records_cover_every_record_type():
-    assert len({type(record) for record in _records()}) == 13
+    assert len({type(record) for record in _records()}) == 12
 
 
 def test_assignment_raises_on_every_record():
