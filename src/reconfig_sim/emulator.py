@@ -12,6 +12,13 @@ query's last invocation and runs under the transfer and the idle gap.
 
 A speculative load of the wrong module does not break anything: the next
 query's regular reconfiguration simply queues behind it on the region.
+
+execute_schedule and analytic_total take schedules from outside and reject
+an illegal one with ScheduleError.  _timeline, the event loop the planners
+compare totals with, checks nothing: their schedules are legal by
+construction, and the record constructors reject the negative and NaN rates,
+volumes, load times, selectivities, multipliers and gaps that could make a
+span end before it starts.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ import math
 from json.encoder import encode_basestring_ascii
 
 from .costmodel import accel_runtime, propagate_volumes, reconfig_time, scan_time, transfer_time
-from .model import AcceleratorModule, Scenario, Schedule, ScheduleError, TableDef, validate_schedule
+from .model import Scenario, Schedule, ScheduleError, validate_schedule
 from .record import Record, set_field
 
 LANES = ("scan", "reconfig", "accel", "transfer")
@@ -61,25 +68,16 @@ class TimelineReport(Record):
         set_field(self, "total_ms", total_ms)
 
 
-def _checked_lookups(s: Scenario, sch: Schedule
-                     ) -> tuple[dict[str, TableDef], dict[str, AcceleratorModule]]:
-    """Reject an illegal schedule, then return the scenario's tables and modules by id."""
-    violations = validate_schedule(s, sch)
-    if violations:
-        raise ScheduleError(violations)
-    return s.tables_by_id, s.modules_by_id
-
-
 def _timeline(s: Scenario, sch: Schedule
               ) -> tuple[list[tuple[str, str, float, float, str]], list[float], float]:
-    """Run the schedule event by event: the spans as (lane, label, start_ms,
-    end_ms, query_id) tuples, the per-query latencies and the total.
+    """Run a legal schedule event by event, unchecked: the spans as (lane,
+    label, start_ms, end_ms, query_id) tuples, the per-query latencies and
+    the total.
 
     Planners that compare totals call this directly and build no Span.  Each
     `b if b > a else a` is max(a, b), which keeps a on ties, without the call.
     """
-    tables, modules = _checked_lookups(s, sch)
-    rpu = s.rpu
+    tables, modules, rpu = s.tables_by_id, s.modules_by_id, s.rpu
 
     spans: list[tuple[str, str, float, float, str]] = []
     span = spans.append
@@ -119,14 +117,17 @@ def _timeline(s: Scenario, sch: Schedule
 
         arrival = transfer_end + q.gap_after_ms  # unused after the last query
 
-    for sp in spans:
-        if sp[0] not in LANES or sp[3] < sp[2]:
-            Span(*sp)  # raises the error a Span reports for itself
     return spans, per_query, transfer_end
 
 
 def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
-    """Run the schedule event by event and report the resulting timeline."""
+    """Run the schedule event by event and report the resulting timeline.
+
+    An illegal schedule is a ScheduleError listing every violation.
+    """
+    violations = validate_schedule(s, sch)
+    if violations:
+        raise ScheduleError(violations)
     spans, per_query, total = _timeline(s, sch)
     return TimelineReport(tuple([Span(*sp) for sp in spans]), tuple(per_query), total)
 
@@ -139,9 +140,12 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
     first reconfiguration is the load of the first module over whatever owns
     the region (zero when it already does, prefetched or not) plus the
     residual of a prefetch: the part of its load that the previous transfer
-    plus gap did not hide.
+    plus gap did not hide.  An illegal schedule is a ScheduleError.
     """
-    tables, modules = _checked_lookups(s, sch)
+    violations = validate_schedule(s, sch)
+    if violations:
+        raise ScheduleError(violations)
+    tables, modules = s.tables_by_id, s.modules_by_id
 
     total = 0.0
     loaded: str | None = None   # module owning the region, a prefetched one included

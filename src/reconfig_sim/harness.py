@@ -1,8 +1,9 @@
 """Parameter sweeps over bundled or user scenarios, with CSV output.
 
 Sweeps vary either the data volume scale factor or the idle gap between
-queries and emulate a set of strategies at every point.  Rows come out in
-axis-then-strategy order and numbers are formatted identically on every
+queries.  The four candidate schedules read neither, so a sweep plans them
+once on the input scenario and emulates them at every point.  Rows come out
+in axis-then-strategy order and numbers are formatted identically on every
 run, so repeated sweeps are byte-identical.
 """
 from __future__ import annotations
@@ -12,8 +13,8 @@ from importlib import resources
 
 from .costmodel import first_unbounded_query
 from .emulator import analytic_total
-from .model import Scenario, load_scenario
-from .optimizer import FIXED_STRATEGIES, fixed_outcomes
+from .model import Scenario, Schedule, load_scenario
+from .optimizer import FIXED_STRATEGIES, candidate_schedules, fixed_outcomes
 from .record import Record, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
@@ -80,8 +81,9 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
     return s.replace(sequence=tuple(sequence))
 
 
-def _sweep_rows(spec: SweepSpec, value: float, varied: Scenario) -> list[str]:
-    outcomes = fixed_outcomes(varied)
+def _sweep_rows(spec: SweepSpec, value: float, varied: Scenario,
+                schedules: dict[str, Schedule]) -> list[str]:
+    outcomes = fixed_outcomes(varied, schedules)
     return [",".join((spec.axis, format_ms(value), strategy,
                       format_ms(outcomes[strategy].total_ms),
                       format_ms(outcomes[strategy].improvement_pct)))
@@ -91,9 +93,11 @@ def _sweep_rows(spec: SweepSpec, value: float, varied: Scenario) -> list[str]:
 def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """Evaluate every (value, strategy) point and return the CSV text.
 
-    improvement_pct in each row compares against the baseline strategy at
-    the same axis value.  An axis value at which the loader's bound on the
-    total (costmodel.first_unbounded_query) is not finite is a ValueError.
+    The candidate schedules are planned once, on s, and emulated at every
+    point.  improvement_pct in each row compares against the baseline
+    strategy at the same axis value.  An axis value at which the loader's
+    bound on the total (costmodel.first_unbounded_query) is not finite is a
+    ValueError.
     """
     vary = with_scale_factor if spec.axis == "scale_factor" else with_gaps
     *smaller, largest = spec.values
@@ -104,8 +108,9 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     if unbounded is not None:
         raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
                          "bound on the total is not finite by this query")
-    rows = [row for v in smaller for row in _sweep_rows(spec, v, vary(s, v))]
-    return "\n".join([CSV_HEADER, *rows, *_sweep_rows(spec, largest, last)]) + "\n"
+    schedules = candidate_schedules(s)
+    rows = [row for v in smaller for row in _sweep_rows(spec, v, vary(s, v), schedules)]
+    return "\n".join([CSV_HEADER, *rows, *_sweep_rows(spec, largest, last, schedules)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def verify_corpus() -> list[tuple[str, list[str]]]:
         problems = []
         try:
             s = load_bundled(name)
-            outcomes = fixed_outcomes(s)
+            outcomes = fixed_outcomes(s, candidate_schedules(s))
             for strategy in FIXED_STRATEGIES:
                 emulated = outcomes[strategy].total_ms
                 closed = analytic_total(s, outcomes[strategy].schedule)

@@ -4,12 +4,16 @@ A scenario bundles the device parameters, the tables, the accelerator
 library, and the query sequence.  All types are immutable records (see
 record.Record): assigning to a field raises AttributeError, and
 transformations return new values, such as the copies that replace()
-makes.  Table volumes are stored already multiplied by the scenario's
-scale_factor.  An invocation keeps its predicate as written; the loader
-parses it once to check its operator shapes and attributes.  Each QuerySpec
-derives its (producer, reader) invocation pairs from produces and reads, the
-one form of the precedence rule (see reader_first_pairs), and each Scenario
-its tables and modules keyed by id, once when built.
+makes.  The constructors reject negative and NaN rates, volumes, load
+times, selectivities, multipliers and gaps, so that a scenario built in code
+cannot make the emulator run a span backwards; the loader checks the same
+values first, naming their document path.  Table volumes are stored already
+multiplied by the scenario's scale_factor.  An invocation keeps its
+predicate as written; the loader parses it once to check its operator
+shapes and attributes.  Each QuerySpec derives its (producer, reader)
+invocation pairs from produces and reads, the one form of the precedence
+rule (see reader_first_pairs), and each Scenario its tables and modules
+keyed by id, once when built.
 """
 from __future__ import annotations
 
@@ -56,6 +60,12 @@ class RpuConfig(Record):
     __slots__ = ("storage_rate", "network_rate", "default_reconfig_ms")
 
     def __init__(self, storage_rate: float, network_rate: float, default_reconfig_ms: float):
+        if not storage_rate > 0:
+            raise ValueError(f"storage_rate must be greater than 0, got {storage_rate}")
+        if not network_rate > 0:
+            raise ValueError(f"network_rate must be greater than 0, got {network_rate}")
+        if not default_reconfig_ms >= 0:
+            raise ValueError(f"default_reconfig_ms must be at least 0, got {default_reconfig_ms}")
         set_field(self, "storage_rate", storage_rate)
         set_field(self, "network_rate", network_rate)
         set_field(self, "default_reconfig_ms", default_reconfig_ms)
@@ -66,6 +76,10 @@ class AcceleratorModule(Record):
 
     def __init__(self, id: str, supported_ops: frozenset[OperatorShape], proc_rate: float,
                  reconfig_ms: float | None = None):
+        if not proc_rate > 0:
+            raise ValueError(f"proc_rate must be greater than 0, got {proc_rate}")
+        if reconfig_ms is not None and not reconfig_ms >= 0:
+            raise ValueError(f"reconfig_ms must be at least 0, got {reconfig_ms}")
         set_field(self, "id", id)
         set_field(self, "supported_ops", supported_ops)
         set_field(self, "proc_rate", proc_rate)
@@ -76,6 +90,8 @@ class TableDef(Record):
     __slots__ = ("id", "volume")
 
     def __init__(self, id: str, volume: float):
+        if not volume >= 0:
+            raise ValueError(f"volume must be at least 0, got {volume}")
         set_field(self, "id", id)
         set_field(self, "volume", volume)
 
@@ -87,12 +103,21 @@ class Invocation(Record):
     def __init__(self, accelerator_id: str, predicate: str, selectivity: float,
                  reads: frozenset[str], produces: frozenset[str] = _NOTHING_PRODUCED,
                  volume_multiplier: float = 1.0):
+        if not 0 <= selectivity <= 1:
+            raise ValueError(f"selectivity must be within [0, 1], got {selectivity}")
+        if not volume_multiplier > 0:
+            raise ValueError(f"volume_multiplier must be greater than 0, got {volume_multiplier}")
         set_field(self, "accelerator_id", accelerator_id)
         set_field(self, "predicate", predicate)
         set_field(self, "selectivity", selectivity)
         set_field(self, "reads", reads)
         set_field(self, "produces", produces)
         set_field(self, "volume_multiplier", volume_multiplier)
+
+
+def _check_gap(gap_after_ms: float) -> None:
+    if not gap_after_ms >= 0:
+        raise ValueError(f"gap_after_ms must be at least 0, got {gap_after_ms}")
 
 
 class QuerySpec(Record):
@@ -109,6 +134,7 @@ class QuerySpec(Record):
 
     def __init__(self, id: str, table_id: str, invocations: tuple[Invocation, ...],
                  gap_after_ms: float = 0.0):
+        _check_gap(gap_after_ms)
         set_field(self, "id", id)
         set_field(self, "table_id", table_id)
         set_field(self, "invocations", invocations)
@@ -129,6 +155,7 @@ class QuerySpec(Record):
         fields.update(changes)
         if "invocations" in changes or len(fields) > len(self._fields):
             return QuerySpec(**fields)  # derives the pairs, or rejects an unknown field
+        _check_gap(fields["gap_after_ms"])
         copy = object.__new__(QuerySpec)
         for name, value in fields.items():
             set_field(copy, name, value)

@@ -7,8 +7,12 @@ reorder       permute a query so its last accelerator matches the next
 combined      reorder first, then speculative reconfiguration on top
 auto          the cheapest of the four
 
-fixed_outcomes plans the four candidate schedules once, emulates each once,
-and derives every fixed outcome and the auto pick from those four totals.
+candidate_schedules plans the four fixed-strategy schedules; none of them
+reads a volume or a gap, so a sweep plans them once for all its points.
+fixed_outcomes emulates each once and derives every fixed outcome and the
+auto pick from those four totals.  Both it and the exhaustive search run the
+emulator's unchecked event loop, since every schedule they emulate is legal
+by construction.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -115,13 +119,15 @@ def _improvement(baseline_total: float, total: float) -> float:
     return 100.0 * (baseline_total - total) / baseline_total
 
 
-def fixed_outcomes(s: Scenario) -> dict[str, StrategyOutcome]:
-    """The four fixed outcomes plus "auto", from one plan and four emulations.
+def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule]) -> dict[str, StrategyOutcome]:
+    """The four fixed outcomes plus "auto", from one emulation of each
+    candidate schedule.
 
-    Auto is the cheapest fixed outcome; ties go to the earliest strategy in
-    baseline, spec_reconfig, reorder, combined order.
+    schedules is candidate_schedules of s, or of a scenario that differs
+    from s only in volumes or gaps, which gives the same schedules.  Auto is
+    the cheapest fixed outcome; ties go to the earliest strategy in baseline,
+    spec_reconfig, reorder, combined order.
     """
-    schedules = candidate_schedules(s)
     totals = {name: _timeline(s, sched)[2] for name, sched in schedules.items()}
     outcomes = {
         name: StrategyOutcome(
@@ -147,7 +153,7 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
         return exhaustive_oracle(s)
     if strategy not in FIXED_STRATEGIES and strategy != "auto":
         raise ValueError(f"unknown strategy: {strategy!r}")
-    return fixed_outcomes(s)[strategy]
+    return fixed_outcomes(s, candidate_schedules(s))[strategy]
 
 
 def _legal_orders(q) -> list[tuple[int, ...]]:

@@ -21,7 +21,7 @@ from reconfig_sim.emulator import (
     execute_schedule,
 )
 from reconfig_sim.model import Schedule, ScheduleError, load_scenario
-from reconfig_sim.optimizer import candidate_schedules, fixed_outcomes, plan_baseline
+from reconfig_sim.optimizer import candidate_schedules, plan_baseline
 
 
 def _spans(report, lane, query_id=None):
@@ -298,13 +298,15 @@ def test_span_and_report_validation():
 
 
 def test_totals_loop_checks_span_invariants(seq2):
-    """A scenario built in code skips the loader's checks; a negative load
-    time must still fail as a span that ends before it starts."""
-    broken = seq2.replace(library=tuple(m.replace(reconfig_ms=-1.0) for m in seq2.library))
-    with pytest.raises(ValueError, match="span ends before it starts"):
-        _timeline(broken, plan_baseline(broken))
-    with pytest.raises(ValueError, match="span ends before it starts"):
-        fixed_outcomes(broken)
+    """A scenario built in code skips the loader's checks, and the totals
+    loop no longer checks its spans: the record constructors keep them from
+    ending before they start.  A negative load time, or a NaN or negative
+    gap, must still fail, where the record is built."""
+    with pytest.raises(ValueError, match="reconfig_ms must be at least 0, got -1.0"):
+        seq2.library[0].replace(reconfig_ms=-1.0)
+    for gap in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match=f"gap_after_ms must be at least 0, got {gap}"):
+            seq2.sequence[0].replace(gap_after_ms=gap)
 
 
 def test_timeline_invariants_hold_everywhere(corpus):

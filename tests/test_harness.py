@@ -162,10 +162,10 @@ def work_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("strategies", [STRATEGY_ORDER, ("auto",), ("combined", "baseline")])
-def test_sweep_plans_and_emulates_each_point_once(seq2, work_counts, strategies):
+def test_sweep_plans_once_and_emulates_each_point_once(seq2, work_counts, strategies):
     values = (0.0, 1.0, 2.0, 5.0)
     run_sweep(seq2, SweepSpec("gap_ms", values, strategies))
-    assert work_counts == {"builds": len(values), "emulations": 4 * len(values)}
+    assert work_counts == {"builds": 1, "emulations": 4 * len(values)}
 
 
 def test_verify_corpus_emulates_each_candidate_once(work_counts):

@@ -132,6 +132,26 @@ def _zero_proc_rate(doc):
     doc["library"][0]["proc_rate"] = 0
 
 
+def _zero_network_rate(doc):
+    doc["rpu"]["network_rate"] = 0
+
+
+def _negative_default_reconfig(doc):
+    doc["rpu"]["default_reconfig_ms"] = -1
+
+
+def _negative_reconfig_ms(doc):
+    doc["library"][0]["reconfig_ms"] = -1
+
+
+def _zero_volume_multiplier(doc):
+    doc["sequence"][0]["invocations"][0]["volume_multiplier"] = 0
+
+
+def _negative_gap(doc):
+    doc["sequence"][0]["gap_after_ms"] = -1
+
+
 def _unsupported_comparison(doc):
     doc["sequence"][0]["invocations"][0]["predicate"] = "amount < 100"
 
@@ -243,6 +263,13 @@ DOCUMENT_ERRORS = [
     (_bool_storage_rate, "rpu.storage_rate: expected a number"),
     (_negative_volume, "tables[0].volume: must be at least 0"),
     (_zero_proc_rate, "library[0].proc_rate: must be greater than 0"),
+    # the record constructors reject these values too; the loader checks first
+    (_zero_network_rate, "rpu.network_rate: must be greater than 0, got 0.0"),
+    (_negative_default_reconfig, "rpu.default_reconfig_ms: must be at least 0, got -1.0"),
+    (_negative_reconfig_ms, "library[0].reconfig_ms: must be at least 0, got -1.0"),
+    (_zero_volume_multiplier,
+     "sequence[0].invocations[0].volume_multiplier: must be greater than 0, got 0.0"),
+    (_negative_gap, "sequence[0].gap_after_ms: must be at least 0, got -1.0"),
     (_unsupported_comparison,
      "sequence[0].invocations[0].predicate: accelerator 'accA' does not support: compare_lt/int32"),
     (_unsupported_arithmetic,
@@ -388,7 +415,7 @@ import test_model
 digest = hashlib.sha256()
 for name in harness.bundled_names():
     s = harness.load_bundled(name)
-    for outcome in optimizer.fixed_outcomes(s).values():
+    for outcome in optimizer.fixed_outcomes(s, optimizer.candidate_schedules(s)).values():
         digest.update(json.dumps(optimizer.outcome_document(s, outcome)).encode())
     for schedule in optimizer.candidate_schedules(s).values():
         digest.update(emulator.emit_trace(emulator.execute_schedule(s, schedule)).encode())
@@ -642,5 +669,16 @@ def test_lookup_maps_are_ignored_by_equality_hash_and_repr(seq2):
 
 
 def test_emulation_uses_the_scenario_own_maps(seq2):
-    tables, modules = emulator._checked_lookups(seq2, identity_schedule(seq2))
-    assert tables is seq2.tables_by_id and modules is seq2.modules_by_id
+    """Both timing models read the maps stored on the scenario, not maps
+    built again from its tables and library."""
+    tables = tuple(t.replace(volume=2.0 * t.volume) for t in seq2.tables)
+    library = tuple(m.replace(reconfig_ms=1.0) for m in seq2.library)
+    rebuilt = seq2.replace(tables=tables, library=library)
+    stale = copy.copy(seq2)
+    object.__setattr__(stale, "tables_by_id", rebuilt.tables_by_id)
+    object.__setattr__(stale, "modules_by_id", rebuilt.modules_by_id)
+    schedule = identity_schedule(seq2)
+    for total in (lambda s: emulator._timeline(s, schedule)[2],
+                  lambda s: emulator.execute_schedule(s, schedule).total_ms,
+                  lambda s: emulator.analytic_total(s, schedule)):
+        assert total(stale) == total(rebuilt) != total(seq2)

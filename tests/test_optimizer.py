@@ -3,14 +3,17 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconfig_sim.costmodel import propagate_volumes
 from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
-from reconfig_sim.harness import with_gaps, with_scale_factor
+from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
 from reconfig_sim.model import Schedule, load_scenario, validate_schedule
 from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
     ORACLE_MAX_INVOCATIONS,
+    ORACLE_MAX_QUERIES,
     STRATEGIES,
     InstanceTooLargeError,
     StrategyOutcome,
@@ -21,6 +24,8 @@ from reconfig_sim.optimizer import (
     outcome_document,
     plan_baseline,
 )
+
+from conftest import make_chained_scenario, make_random_scenario
 
 _GT = {"kind": "compare_gt", "operand_type": "int32"}
 _LT = {"kind": "compare_lt", "operand_type": "int32"}
@@ -247,8 +252,9 @@ def test_fixed_outcomes_match_separate_emulation(seq2, seq2_small, corpus, rando
     tied_winners = 0
     for s in scenarios:
         expected = _outcomes_by_separate_emulation(s)
-        assert fixed_outcomes(s) == expected
-        assert list(fixed_outcomes(s)) == [*FIXED_STRATEGIES, "auto"]
+        outcomes = fixed_outcomes(s, candidate_schedules(s))
+        assert outcomes == expected
+        assert list(outcomes) == [*FIXED_STRATEGIES, "auto"]
         for strategy, outcome in expected.items():
             assert optimize(s, strategy) == outcome
         best = expected["auto"].total_ms
@@ -268,7 +274,7 @@ def test_auto_tie_goes_to_baseline():
                 {"accelerator": "m0", "predicate": "b > 2", "selectivity": 0.2,
                  "reads": ["b"]}]},
         ])
-    outcomes = fixed_outcomes(s)
+    outcomes = fixed_outcomes(s, candidate_schedules(s))
     assert len({outcomes[name].total_ms for name in FIXED_STRATEGIES}) == 1
     assert outcomes["auto"].strategy == "baseline"
     assert optimize(s, "auto") == optimize(s, "baseline")
@@ -300,7 +306,7 @@ def test_planners_compare_totals_without_spans(seq2, seq2_small, monkeypatch):
 
     monkeypatch.setattr(Span, "__init__", counting)
     for s in (seq2, seq2_small):
-        fixed_outcomes(s)
+        fixed_outcomes(s, candidate_schedules(s))
         exhaustive_oracle(s)
     assert built == []
     execute_schedule(seq2, plan_baseline(seq2))
@@ -390,16 +396,50 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
     assert decided_by_reconfigs > 0 and decided_by_order > 0
 
 
-def test_candidate_schedules_are_legal_on_chains(chained_scenario):
+def _within_oracle_guard(s):
+    return (len(s.sequence) <= ORACLE_MAX_QUERIES
+            and sum(len(q.invocations) for q in s.sequence) <= ORACLE_MAX_INVOCATIONS)
+
+
+def test_candidate_schedules_are_legal_on_chains(corpus, random_scenario, chained_scenario):
+    """fixed_outcomes and the oracle emulate their schedules unchecked, so
+    every planner's output must pass validate_schedule: the four candidates
+    on bundled, random and chained scenarios, and the oracle's pick on each
+    of them within its guard."""
     rng = random.Random(71)
-    reordered = 0
-    for _ in range(80):
-        s = _over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+    scenarios = [s for _, s in corpus]
+    scenarios += [random_scenario(rng, rng.randint(1, 5)) for _ in range(40)]
+    scenarios += [_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+                  for _ in range(80)]
+    reordered = searched = 0
+    for s in scenarios:
         schedules = candidate_schedules(s)
         for name, schedule in schedules.items():
             assert validate_schedule(s, schedule) == [], name
         reordered += schedules["reorder"] != schedules["baseline"]
-    assert reordered > 10
+        if _within_oracle_guard(s):
+            assert validate_schedule(s, exhaustive_oracle(s).schedule) == []
+            searched += 1
+    assert reordered > 10 and searched > 50
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("bundled", "random", "chained")),
+       st.floats(1e-3, 1e3), st.floats(0.0, 1e4))
+def test_candidate_schedules_are_the_same_at_every_sweep_point(seed, source, scale, gap):
+    """A sweep plans the candidates once, on its input scenario, and emulates
+    them at every point; that holds only while no planner reads a volume or
+    a gap."""
+    rng = random.Random(seed)
+    if source == "bundled":
+        s = load_bundled(rng.choice(bundled_names()))
+    elif source == "random":
+        s = make_random_scenario(rng, rng.randint(1, 6))
+    else:
+        s = _over_modules(make_chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+    planned = candidate_schedules(s)
+    assert candidate_schedules(with_scale_factor(s, scale)) == planned
+    assert candidate_schedules(with_gaps(s, gap)) == planned
 
 
 def test_oracle_guard_rejects_large_instances(random_scenario):

@@ -72,7 +72,7 @@ def test_equality_and_hash_follow_the_fields():
 def test_equality_needs_the_same_record_type():
     # two records whose fields hold the same values
     assert TableDef("t", 16.0) != Schedule("t", 16.0)
-    assert Schedule(((0,),), (None,)) != TableDef(((0,),), (None,))
+    assert Schedule("t", 16.0) != TableDef("t", 16.0)
     assert TableDef("t", 16.0) == TableDef("t", 16.0)
 
 
@@ -117,6 +117,47 @@ def test_replace_runs_the_constructor_checks():
         SweepSpec("gap_ms", (1.0,)).replace(values=())
     with pytest.raises(ValueError, match="unknown lane: 'disk'"):
         Span("scan", "t", 0.0, 1.0, "Q0").replace(lane="disk")
+
+
+_NAN = float("nan")
+_INVOCATION = Invocation("m", "a > 1", 0.5, frozenset({"a"}))
+
+# record, field, values its constructor rejects, the message, values it accepts
+SIGN_CHECKS = [
+    (RpuConfig(1.0, 0.2, 15.0), "storage_rate", (0.0, -1.0, _NAN), "must be greater than 0",
+     (1e-300,)),
+    (RpuConfig(1.0, 0.2, 15.0), "network_rate", (0.0, -1.0, _NAN), "must be greater than 0",
+     (1e-300,)),
+    (RpuConfig(1.0, 0.2, 15.0), "default_reconfig_ms", (-1.0, _NAN), "must be at least 0",
+     (0.0,)),
+    (AcceleratorModule("m", frozenset(), 2.0), "proc_rate", (0.0, -2.0, _NAN),
+     "must be greater than 0", (1e-300,)),
+    (AcceleratorModule("m", frozenset(), 2.0), "reconfig_ms", (-1.0, _NAN),
+     "must be at least 0", (None, 0.0)),
+    (TableDef("t", 16.0), "volume", (-1.0, -float("inf"), _NAN), "must be at least 0", (0.0,)),
+    (_INVOCATION, "selectivity", (-0.1, 1.5, _NAN), "must be within [0, 1]", (0.0, 1.0)),
+    (_INVOCATION, "volume_multiplier", (0.0, -2.0, _NAN), "must be greater than 0", (1e-300,)),
+    (QuerySpec("Q0", "t", (_INVOCATION,), 2.0), "gap_after_ms", (-1.0, _NAN),
+     "must be at least 0", (0.0,)),
+]
+
+
+@pytest.mark.parametrize("record, field, rejected, message, accepted", SIGN_CHECKS,
+                         ids=[f"{type(c[0]).__name__}.{c[1]}" for c in SIGN_CHECKS])
+def test_constructors_reject_negative_and_nan_values(record, field, rejected, message,
+                                                      accepted):
+    """These are the values that could run an emulated span backwards, and
+    the emulator's event loop no longer checks its spans."""
+    fields = {name: getattr(record, name) for name in type(record)._fields}
+    for value in rejected:
+        # replace, and the constructor itself (QuerySpec.replace bypasses it)
+        for build in (lambda: record.replace(**{field: value}),
+                      lambda: type(record)(**{**fields, field: value})):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert str(excinfo.value) == f"{field} {message}, got {value}"
+    for value in accepted:
+        assert getattr(record.replace(**{field: value}), field) == value
 
 
 def test_copy_and_pickle_keep_every_field():

@@ -1,7 +1,9 @@
 """Each rule of the model has one owner.  Stage costs are made of the device
 and module rates and load times, and only costmodel reads those; which
 invocation orders are legal follows from produces and reads, and only model
-reads those (it derives QuerySpec.dependencies from them)."""
+reads those (it derives QuerySpec.dependencies from them).  Schedules are
+validated where they enter from outside, in the emulator's two public
+entries, and nowhere else."""
 import ast
 from pathlib import Path
 
@@ -18,12 +20,32 @@ OWNERS = {
 }
 
 
+def _package_trees():
+    """(file name, syntax tree) for every module of the package."""
+    for path in sorted(Path(reconfig_sim.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
 def _attribute_reads():
     """(file name, attribute, line) for every attribute read in the package."""
-    for path in sorted(Path(reconfig_sim.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                yield path.name, node.attr, node.lineno
+                yield name, node.attr, node.lineno
+
+
+def _scoped_reads(node, scope=""):
+    """(qualified name of the enclosing function or class, "" at module level,
+    name read) for every bare name and attribute read below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_reads(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield scope, child.id
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield scope, child.attr
+        yield from _scoped_reads(child, scope)
 
 
 def test_each_rule_is_read_only_by_its_owner():
@@ -31,3 +53,12 @@ def test_each_rule_is_read_only_by_its_owner():
     assert [read for read in reads if read[0] != OWNERS[read[1]]] == []
     # the owners do read every one of them, so the check above is not vacuous
     assert {attr for _, attr, _ in reads} == set(OWNERS)
+
+
+def test_only_the_emulator_entries_validate_schedules():
+    """The planners' schedules are legal by construction and their event loop
+    checks nothing; a schedule from outside (simulate --schedule included)
+    goes through execute_schedule or analytic_total, which validate it."""
+    users = {(name, scope) for name, tree in _package_trees()
+             for scope, read in _scoped_reads(tree) if read == "validate_schedule"}
+    assert users == {("emulator.py", "execute_schedule"), ("emulator.py", "analytic_total")}
