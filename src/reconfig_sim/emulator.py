@@ -13,8 +13,16 @@ query's last invocation and runs under the transfer and the idle gap.
 A speculative load of the wrong module does not break anything: the next
 query's regular reconfiguration simply queues behind it on the region.
 
+One query passes only the region state to the next: the module owning the
+region, when the region frees up, and when the next query arrives.  The
+event loop, _run_queries, starts from such a state and returns the state
+after its last query, so a run over a prefix of the sequence can be resumed
+with the same float operations.  _timeline runs it once over the whole
+sequence from an empty region at time 0; the exhaustive oracle resumes it
+once per query of each schedule prefix it searches.
+
 execute_schedule and analytic_total take schedules from outside and reject
-an illegal one with ScheduleError.  _timeline, the event loop the planners
+an illegal one with ScheduleError.  The event loop, which the planners
 compare totals with, checks nothing: their schedules are legal by
 construction, and the record constructors reject the negative and NaN rates,
 volumes, load times, selectivities, multipliers and gaps that could make a
@@ -27,7 +35,7 @@ import math
 from json.encoder import encode_basestring_ascii
 
 from .costmodel import accel_runtime, propagate_volumes, reconfig_time, scan_time, transfer_time
-from .model import Scenario, Schedule, ScheduleError, validate_schedule
+from .model import QuerySpec, Scenario, Schedule, ScheduleError, validate_schedule
 from .record import Record, set_field
 
 LANES = ("scan", "reconfig", "accel", "transfer")
@@ -68,26 +76,26 @@ class TimelineReport(Record):
         set_field(self, "total_ms", total_ms)
 
 
-def _timeline(s: Scenario, sch: Schedule
-              ) -> tuple[list[tuple[str, str, float, float, str]], list[float], float]:
-    """Run a legal schedule event by event, unchecked: the spans as (lane,
-    label, start_ms, end_ms, query_id) tuples, the per-query latencies and
-    the total.
+def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], orders: tuple[tuple[int, ...], ...],
+                 prefetches: tuple[str | None, ...], loaded: str | None, region_free: float,
+                 arrival: float, spans: list[tuple[str, str, float, float, str]],
+                 per_query: list[float]) -> tuple[str | None, float, float, float]:
+    """The event loop.  Run the queries in their orders, with their prefetches,
+    unchecked, from the region state the queries before them left: loaded,
+    the module owning the region, possibly still loading; region_free, when
+    its last load or invocation ends; arrival, when the first of the queries
+    arrives.  Spans go to spans as (lane, label, start_ms, end_ms, query_id)
+    tuples and latencies to per_query.  Returns that state after the last
+    query, then the last query's transfer end.
 
-    Planners that compare totals call this directly and build no Span.  Each
-    `b if b > a else a` is max(a, b), which keeps a on ties, without the call.
+    Each `b if b > a else a` is max(a, b), which keeps a on ties, without the
+    call.
     """
     tables, modules, rpu = s.tables_by_id, s.modules_by_id, s.rpu
-
-    spans: list[tuple[str, str, float, float, str]] = []
     span = spans.append
-    per_query: list[float] = []
-    loaded: str | None = None   # module owning the region, possibly still loading
-    region_free = 0.0           # when the region's last load or invocation ends
-    arrival = 0.0
     transfer_end = 0.0
 
-    for q, order, prefetch in zip(s.sequence, sch.orders, sch.prefetches):
+    for q, order, prefetch in zip(queries, orders, prefetches):
         input_volumes, output_volume = propagate_volumes(q, order, tables)
         data_ready = arrival + scan_time(tables[q.table_id].volume, rpu)
         span(("scan", q.table_id, arrival, data_ready, q.id))
@@ -115,9 +123,23 @@ def _timeline(s: Scenario, sch: Schedule
             span(("reconfig", module.id, region_free, end, SPECULATIVE))
             loaded, region_free = prefetch, end
 
-        arrival = transfer_end + q.gap_after_ms  # unused after the last query
+        arrival = transfer_end + q.gap_after_ms
 
-    return spans, per_query, transfer_end
+    return loaded, region_free, arrival, transfer_end
+
+
+def _timeline(s: Scenario, sch: Schedule
+              ) -> tuple[list[tuple[str, str, float, float, str]], list[float], float]:
+    """Run a legal schedule event by event, unchecked, from an empty region
+    at time 0: the span tuples, the per-query latencies and the total.
+
+    Planners that compare totals call this directly and build no Span.
+    """
+    spans: list[tuple[str, str, float, float, str]] = []
+    per_query: list[float] = []
+    total = _run_queries(s, s.sequence, sch.orders, sch.prefetches, None, 0.0, 0.0,
+                         spans, per_query)[3]
+    return spans, per_query, total
 
 
 def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:

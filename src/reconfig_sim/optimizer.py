@@ -14,6 +14,12 @@ auto pick from those four totals.  Both it and the exhaustive search run the
 emulator's unchecked event loop, since every schedule they emulate is legal
 by construction.
 
+exhaustive_oracle is the reference the heuristics are measured against.  It
+is still exhaustive, but it searches the schedules as a prefix tree: a query's
+timeline depends only on the choices for it and the queries before it, so
+the search resumes the event loop from the region state each prefix left
+instead of emulating every schedule from the start.
+
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
 short, while reordering avoids the reconfiguration outright at the price of
@@ -22,10 +28,10 @@ query itself.
 """
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .analyzer import baseline_order, find_common_accelerators, generate_hints
-from .emulator import _timeline
+from .emulator import _run_queries, _timeline
 from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
 from .record import Record, set_field
 
@@ -161,11 +167,52 @@ def _legal_orders(q) -> list[tuple[int, ...]]:
             if not reader_first_pairs(q, perm)]
 
 
-def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
-    """Brute-force the best schedule over all orders and prefetch choices.
+def _least_key(s: Scenario, order_choices, prefetch_choices, i: int, loaded: str | None,
+               region_free: float, arrival: float, total: float, reconfigs: int,
+               order_ranks: tuple[int, ...], prefetch_ranks: tuple[int, ...]
+               ) -> tuple[float, int, tuple[int, ...], tuple[int, ...]]:
+    """The least (total, reconfigurations, order ranks, prefetch ranks) over
+    the schedules that extend a choice for queries 0..i-1.  That prefix left
+    the region state (loaded, region_free, arrival), ended its last transfer
+    at total and ran reconfigs loads.
 
-    Guarded to small instances.  Ties prefer fewer reconfigurations, then
-    enumeration order, which makes the result deterministic.
+    Query i runs once per (order, prefetch), resumed from that state, and
+    the state it ends in is the prefix state of query i+1.
+    """
+    if i == len(s.sequence):
+        return total, reconfigs, order_ranks, prefetch_ranks
+    queries = (s.sequence[i],)
+    # the last query has nothing to prefetch for
+    prefetches = prefetch_choices[:1] if i == len(s.sequence) - 1 else prefetch_choices
+    least = None
+    for order_rank, (order, ends_on) in enumerate(order_choices[i]):
+        ranks = order_ranks + (order_rank,)
+        for prefetch_rank, prefetch in enumerate(prefetches):
+            if prefetch == ends_on:
+                continue
+            spans: list = []
+            state = _run_queries(s, queries, (order,), (prefetch,), loaded, region_free, arrival,
+                                 spans, [])
+            count = reconfigs + sum(1 for sp in spans if sp[0] == "reconfig")
+            key = _least_key(s, order_choices, prefetch_choices, i + 1, *state, count, ranks,
+                             prefetch_ranks + (prefetch_rank,))
+            if least is None or key < least:
+                least = key
+    return least
+
+
+def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
+    """The best schedule over every legal order and prefetch choice.
+
+    Guarded to small instances.  A depth-first search over (query, order,
+    prefetch) runs the event loop once per node, resuming from the region
+    state its parent left, so schedules that share a prefix share its run.
+    A prefetch of the module the order ends on is skipped: the loop ignores
+    it, so it gives the timeline of no prefetch, which ranks before it.
+    The least (total, reconfigurations, order ranks, prefetch ranks) wins,
+    where a rank is the position in _legal_orders or in None followed by the
+    library; that is the first schedule of the enumeration of all order
+    choices, then all prefetch choices, which makes the result deterministic.
     """
     n = len(s.sequence)
     total_invocations = sum(len(q.invocations) for q in s.sequence)
@@ -174,27 +221,19 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
             f"instance too large for exhaustive search: {total_invocations} invocations "
             f"over {n} queries (limits: {ORACLE_MAX_INVOCATIONS} and {ORACLE_MAX_QUERIES})")
 
-    module_ids = [m.id for m in s.library]
-    order_choices = [_legal_orders(q) for q in s.sequence]
-    prefetch_choices = [[None] + module_ids if i < n - 1 else [None] for i in range(n)]
-
-    best: Schedule | None = None
-    best_key: tuple[float, int] | None = None
-    for orders in product(*order_choices):
-        for prefetches in product(*prefetch_choices):
-            sch = Schedule(orders, prefetches)
-            spans, _, total = _timeline(s, sch)
-            key = (total, sum(1 for sp in spans if sp[0] == "reconfig"))
-            if best_key is None or key < best_key:
-                best, best_key = sch, key
-
-    assert best is not None and best_key is not None
+    order_choices = [[(order, q.invocations[order[-1]].accelerator_id)
+                      for order in _legal_orders(q)] for q in s.sequence]
+    prefetch_choices = [None] + [m.id for m in s.library]
+    total, _, order_ranks, prefetch_ranks = _least_key(
+        s, order_choices, prefetch_choices, 0, None, 0.0, 0.0, 0.0, 0, (), ())
+    orders = tuple(order_choices[i][rank][0] for i, rank in enumerate(order_ranks))
+    prefetches = tuple(prefetch_choices[rank] for rank in prefetch_ranks)
     baseline_total = _timeline(s, plan_baseline(s))[2]
     return StrategyOutcome(
         strategy="oracle",
-        schedule=best,
-        total_ms=best_key[0],
-        improvement_pct=_improvement(baseline_total, best_key[0]),
+        schedule=Schedule(orders, prefetches),
+        total_ms=total,
+        improvement_pct=_improvement(baseline_total, total),
     )
 
 

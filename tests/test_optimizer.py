@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reconfig_sim import emulator
 from reconfig_sim.costmodel import propagate_volumes
 from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
 from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
@@ -17,6 +18,7 @@ from reconfig_sim.optimizer import (
     STRATEGIES,
     InstanceTooLargeError,
     StrategyOutcome,
+    _legal_orders,
     candidate_schedules,
     exhaustive_oracle,
     fixed_outcomes,
@@ -286,6 +288,9 @@ def test_oracle_matches_known_optima(seq2, seq2_small):
     assert outcome.total_ms == pytest.approx(101.0, abs=1e-9)
     assert exhaustive_oracle(seq2_small).total_ms == pytest.approx(49.6, abs=1e-9)
     assert optimize(seq2, "oracle").total_ms == pytest.approx(101.0, abs=1e-9)
+    # a scenario built in code may hold no query; the loader rejects one
+    empty = exhaustive_oracle(seq2.replace(sequence=()))
+    assert (empty.schedule, empty.total_ms) == (Schedule((), ()), 0.0)
 
 
 def test_oracle_never_above_any_strategy(seq2, seq2_small, corpus):
@@ -348,12 +353,92 @@ def _keyed_schedules(s):
     return keyed
 
 
+def _zero_loads(s):
+    return s.replace(rpu=s.rpu.replace(default_reconfig_ms=0.0),
+                     library=tuple(m.replace(reconfig_ms=0.0) for m in s.library))
+
+
+def _at_the_guard(rng, n_modules):
+    """A random instance of the largest shape the oracle accepts: four
+    queries, eight invocations spread over n_modules modules of their own
+    rates and load times."""
+    s = make_random_scenario(rng, ORACLE_MAX_QUERIES)
+    while sum(len(q.invocations) for q in s.sequence) != ORACLE_MAX_INVOCATIONS:
+        s = make_random_scenario(rng, ORACLE_MAX_QUERIES)
+    library = tuple(s.library[0].replace(id=f"g{j}", proc_rate=round(rng.uniform(0.5, 4.0), 3),
+                                         reconfig_ms=rng.choice((None, rng.uniform(0, 25))))
+                    for j in range(n_modules))
+    sequence = tuple(q.replace(invocations=tuple(inv.replace(accelerator_id=rng.choice(library).id)
+                                                 for inv in q.invocations))
+                     for q in s.sequence)
+    return s.replace(library=library, sequence=sequence)
+
+
+def _orders_rank_before_prefetches():
+    """Q1 running B then C with B prefetched ties on (total, reconfigurations)
+    with Q1 running C then B with C prefetched.  The first has the lower order
+    ranks, the second the lower prefetch rank: the library lists C before B."""
+    s = _scenario(
+        tables=[{"id": "t", "volume": 8.0}],
+        library=[{"id": m, "supported_ops": [_GT], "proc_rate": 2.0} for m in "ACB"],
+        sequence=[
+            {"id": "Q0", "table": "t", "gap_after_ms": 20.0, "invocations": [
+                {"accelerator": "A", "predicate": "a > 1", "selectivity": 0.5, "reads": ["a"]}]},
+            {"id": "Q1", "table": "t", "invocations": [
+                {"accelerator": "B", "predicate": "b > 1", "selectivity": 0.5, "reads": ["b"]},
+                {"accelerator": "C", "predicate": "c > 1", "selectivity": 0.5, "reads": ["c"]}]},
+        ])
+    return s.replace(rpu=s.rpu.replace(storage_rate=4.0, network_rate=2.0,
+                                       default_reconfig_ms=10.0))
+
+
+def test_oracle_ranks_every_order_before_any_prefetch():
+    """The tie-break compares the order ranks of all queries before any
+    prefetch rank, as enumerating all order choices, then all prefetch
+    choices, does; a search that ranks query by query, order then
+    prefetch, would pick the C-first schedule."""
+    s = _orders_rank_before_prefetches()
+    first, second = (Schedule(((0,), (0, 1)), ("B", None)), Schedule(((0,), (1, 0)), ("C", None)))
+    for schedule in (first, second):
+        report = execute_schedule(s, schedule)
+        assert (report.total_ms, sum(sp.lane == "reconfig" for sp in report.spans)) == (55.0, 3)
+    outcome = exhaustive_oracle(s)
+    assert (outcome.schedule, outcome.total_ms) == (first, 55.0)
+
+
+def test_oracle_shares_schedule_prefixes(monkeypatch):
+    """The oracle runs the event loop once per node of its search tree, a
+    (query, order, prefetch) below the choices for the queries before it,
+    skipping a prefetch of the module the order ends on; and once over the
+    whole sequence for the baseline total.  The loop propagates volumes once
+    per query it runs."""
+    s = _at_the_guard(random.Random(72), 3)
+    runs = []
+    original = emulator.propagate_volumes
+    monkeypatch.setattr(emulator, "propagate_volumes",
+                        lambda *args: runs.append(args) or original(*args))
+    exhaustive_oracle(s)
+    n = len(s.sequence)
+    nodes, paths, schedules = 0, 1, 1
+    for i, q in enumerate(s.sequence):
+        prefetches = [None] + [m.id for m in s.library] if i < n - 1 else [None]
+        orders = _legal_orders(q)
+        paths *= sum(1 for order in orders for prefetch in prefetches
+                     if prefetch != q.invocations[order[-1]].accelerator_id)
+        nodes += paths
+        schedules *= len(orders) * len(prefetches)
+    assert len(runs) == nodes + n
+    # at most a quarter of the query runs of emulating every schedule whole
+    assert 4 * len(runs) <= n * schedules
+
+
 def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
                                               chained_scenario):
     """The oracle returns the first enumerated schedule with the least
     (total, reconfigurations) key; zero-time loads make totals tie often.
     Chained instances, some spread over two modules, make the legal orders
-    a strict subset of the permutations."""
+    a strict subset of the permutations.  Ten instances at the full guard,
+    half of them with zero-time loads, have the oracle benchmark's shape."""
     # Q0's two orders tie on the total exactly; only (1, 0) ends on Q1's module
     reuse_decides = _scenario(
         tables=[{"id": "t0", "volume": 16.0}, {"id": "t1", "volume": 8.0}],
@@ -373,16 +458,17 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
         s = random_scenario(rng, 4)
         if sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
             continue
-        if len(scenarios) % 2:
-            s = s.replace(rpu=s.rpu.replace(default_reconfig_ms=0.0),
-                          library=tuple(m.replace(reconfig_ms=0.0) for m in s.library))
-        scenarios.append(s)
+        scenarios.append(_zero_loads(s) if len(scenarios) % 2 else s)
     while len(scenarios) < 73:
         s = chained_scenario(rng, rng.randint(1, 4))
         if sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
             continue
         scenarios.append(_over_modules(s, rng, 2) if len(scenarios) % 2 else s)
     assert sum(1 for s in scenarios[53:] for q in s.sequence if q.dependencies) > 10
+    scenarios.append(_orders_rank_before_prefetches())
+    for k in range(10):
+        s = _at_the_guard(rng, 3 + k % 2)
+        scenarios.append(_zero_loads(s) if k < 5 else s)
     decided_by_reconfigs = decided_by_order = 0
     for s in scenarios:
         keyed = _keyed_schedules(s)

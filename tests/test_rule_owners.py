@@ -3,7 +3,8 @@ and module rates and load times, and only costmodel reads those; which
 invocation orders are legal follows from produces and reads, and only model
 reads those (it derives QuerySpec.dependencies from them).  Schedules are
 validated where they enter from outside, in the emulator's two public
-entries, and nowhere else."""
+entries, and nowhere else.  The stage costs are combined into a timeline in
+one event loop, and into the closed form, and nowhere else."""
 import ast
 from pathlib import Path
 
@@ -18,6 +19,9 @@ OWNERS = {
     "produces": "model.py",
     "reads": "model.py",
 }
+
+STAGE_COSTS = {"scan_time", "accel_runtime", "reconfig_time", "transfer_time",
+               "propagate_volumes"}
 
 
 def _package_trees():
@@ -62,3 +66,11 @@ def test_only_the_emulator_entries_validate_schedules():
     users = {(name, scope) for name, tree in _package_trees()
              for scope, read in _scoped_reads(tree) if read == "validate_schedule"}
     assert users == {("emulator.py", "execute_schedule"), ("emulator.py", "analytic_total")}
+
+
+def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
+    """_timeline and the oracle's search both run the emulator's one event
+    loop; a second copy of its body, say in a planner, fails here."""
+    users = {(name, scope) for name, tree in _package_trees() if name != "costmodel.py"
+             for scope, read in _scoped_reads(tree) if read in STAGE_COSTS}
+    assert users == {("emulator.py", "_run_queries"), ("emulator.py", "analytic_total")}
