@@ -3,8 +3,15 @@
 All durations are real-valued milliseconds; volumes and rates use one
 consistent unit (volume per millisecond).  Nothing here rounds.
 propagate_volumes returns a plain (input volumes, output volume) pair.
-Only this module reads rates and load times.  first_unbounded_query bounds
-the total for the loader and the sweeps.
+Only this module reads rates and load times.
+
+stage_terms owns the cost of one query in one order: its scan, each
+scheduled invocation's module with its full load and accelerator time, and
+its transfer, as plain tuples built from the four stage functions and
+propagate_volumes.  The event loop, the closed form and the planners read
+those terms and call no stage function per invocation; only the load of a
+prefetch, which no query's terms hold, is asked of reconfig_time directly.
+first_unbounded_query bounds the total for the loader and the sweeps.
 """
 from __future__ import annotations
 
@@ -13,6 +20,10 @@ from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     from .model import AcceleratorModule, QuerySpec, RpuConfig, Scenario, TableDef
+
+
+# (scan_ms, ((module_id, load_ms, accel_ms), ...), transfer_ms); see stage_terms
+StageTerms = tuple[float, tuple[tuple[str, float, float], ...], float]
 
 
 def scan_time(table_volume: float, rpu: RpuConfig) -> float:
@@ -51,6 +62,23 @@ def propagate_volumes(q: QuerySpec, order: tuple[int, ...], tables: Mapping[str,
         inputs.append(volume)
         volume = volume * inv.selectivity * inv.volume_multiplier
     return tuple(inputs), volume
+
+
+def stage_terms(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> StageTerms:
+    """The stage costs of running q in the given order, whatever the region
+    holds: (scan_ms, ((module_id, load_ms, accel_ms), ...), transfer_ms),
+    one triple per scheduled invocation, where load_ms is the module's full
+    load.  A timing model decides when a load costs 0 (its module already
+    owns the region) and how the terms overlap.
+    """
+    rpu, modules = s.rpu, s.modules_by_id
+    input_volumes, output_volume = propagate_volumes(q, order, s.tables_by_id)
+    stages = []
+    for idx, volume in zip(order, input_volumes):
+        module = modules[q.invocations[idx].accelerator_id]
+        stages.append((module.id, reconfig_time(module, None, rpu), accel_runtime(volume, module)))
+    return (scan_time(s.tables_by_id[q.table_id].volume, rpu), tuple(stages),
+            transfer_time(output_volume, rpu))
 
 
 def first_unbounded_query(s: Scenario) -> int | None:

@@ -17,9 +17,17 @@ One query passes only the region state to the next: the module owning the
 region, when the region frees up, and when the next query arrives.  The
 event loop, _run_queries, starts from such a state and returns the state
 after its last query, so a run over a prefix of the sequence can be resumed
-with the same float operations.  _timeline runs it once over the whole
-sequence from an empty region at time 0; the exhaustive oracle resumes it
-once per query of each schedule prefix it searches.
+with the same float operations.  It reads each query's costs from its stage
+terms (costmodel.stage_terms of the query in its order), which do not depend
+on the region state, so a caller builds them once and runs the loop over
+them as often as it likes; the loop itself only decides when a load costs
+nothing and how the stages overlap.  It records span tuples and per-query
+latencies only when given lists to put them in.  _timeline builds the terms
+and runs the loop once over the whole sequence from an empty region at time
+0; fixed_outcomes shares terms between candidates with the same orders, and
+the exhaustive oracle resumes the loop once per query of each schedule
+prefix it searches, over terms built once per (query, legal order).
+analytic_total adds up the same terms in closed form.
 
 execute_schedule and analytic_total take schedules from outside and reject
 an illegal one with ScheduleError.  The event loop, which the planners
@@ -32,9 +40,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
-from .costmodel import accel_runtime, propagate_volumes, reconfig_time, scan_time, transfer_time
+from .costmodel import StageTerms, reconfig_time, stage_terms
 from .model import QuerySpec, Scenario, Schedule, ScheduleError, validate_schedule
 from .record import Record, set_field
 
@@ -76,51 +85,56 @@ class TimelineReport(Record):
         set_field(self, "total_ms", total_ms)
 
 
-def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], orders: tuple[tuple[int, ...], ...],
+def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[StageTerms],
                  prefetches: tuple[str | None, ...], loaded: str | None, region_free: float,
-                 arrival: float, spans: list[tuple[str, str, float, float, str]],
-                 per_query: list[float]) -> tuple[str | None, float, float, float]:
-    """The event loop.  Run the queries in their orders, with their prefetches,
+                 arrival: float, spans: list[tuple[str, str, float, float, str]] | None = None,
+                 per_query: list[float] | None = None) -> tuple[str | None, float, float, float]:
+    """The event loop.  Run the queries through their stage terms (one
+    costmodel.stage_terms per query, of its order), with their prefetches,
     unchecked, from the region state the queries before them left: loaded,
     the module owning the region, possibly still loading; region_free, when
     its last load or invocation ends; arrival, when the first of the queries
-    arrives.  Spans go to spans as (lane, label, start_ms, end_ms, query_id)
-    tuples and latencies to per_query.  Returns that state after the last
-    query, then the last query's transfer end.
+    arrives.  Given lists, spans collects (lane, label, start_ms, end_ms,
+    query_id) tuples and per_query the latencies.  Returns that state after
+    the last query, then the last query's transfer end.
 
-    Each `b if b > a else a` is max(a, b), which keeps a on ties, without the
-    call.
+    A load costs its term's load_ms unless its module owns the region, and
+    nothing then.  Each `b if b > a else a` is max(a, b), which keeps a on
+    ties, without the call.
     """
-    tables, modules, rpu = s.tables_by_id, s.modules_by_id, s.rpu
-    span = spans.append
+    modules, rpu = s.modules_by_id, s.rpu
+    span = None if spans is None else spans.append
+    latency = None if per_query is None else per_query.append
     transfer_end = 0.0
 
-    for q, order, prefetch in zip(queries, orders, prefetches):
-        input_volumes, output_volume = propagate_volumes(q, order, tables)
-        data_ready = arrival + scan_time(tables[q.table_id].volume, rpu)
-        span(("scan", q.table_id, arrival, data_ready, q.id))
+    for q, (scan_ms, stages, transfer_ms), prefetch in zip(queries, terms, prefetches):
+        data_ready = arrival + scan_ms
+        if span:
+            span(("scan", q.table_id, arrival, data_ready, q.id))
 
-        for k, idx in enumerate(order):
-            inv = q.invocations[idx]
-            module = modules[inv.accelerator_id]
-            if inv.accelerator_id != loaded:
+        for module_id, load_ms, accel_ms in stages:
+            if module_id != loaded:
                 start = region_free if region_free > arrival else arrival
-                end = start + reconfig_time(module, loaded, rpu)
-                span(("reconfig", module.id, start, end, q.id))
-                loaded, region_free = module.id, end
+                end = start + load_ms
+                if span:
+                    span(("reconfig", module_id, start, end, q.id))
+                loaded, region_free = module_id, end
             start = region_free if region_free > data_ready else data_ready
-            end = start + accel_runtime(input_volumes[k], module)
-            span(("accel", module.id, start, end, q.id))
+            end = start + accel_ms
+            if span:
+                span(("accel", module_id, start, end, q.id))
             data_ready = region_free = end
 
-        transfer_end = data_ready + transfer_time(output_volume, rpu)
-        span(("transfer", "result", data_ready, transfer_end, q.id))
-        per_query.append(transfer_end - arrival)
+        transfer_end = data_ready + transfer_ms
+        if span:
+            span(("transfer", "result", data_ready, transfer_end, q.id))
+        if latency:
+            latency(transfer_end - arrival)
 
         if prefetch is not None and prefetch != loaded:
-            module = modules[prefetch]
-            end = region_free + reconfig_time(module, loaded, rpu)
-            span(("reconfig", module.id, region_free, end, SPECULATIVE))
+            end = region_free + reconfig_time(modules[prefetch], loaded, rpu)
+            if span:
+                span(("reconfig", prefetch, region_free, end, SPECULATIVE))
             loaded, region_free = prefetch, end
 
         arrival = transfer_end + q.gap_after_ms
@@ -128,18 +142,19 @@ def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], orders: tuple[tupl
     return loaded, region_free, arrival, transfer_end
 
 
-def _timeline(s: Scenario, sch: Schedule
-              ) -> tuple[list[tuple[str, str, float, float, str]], list[float], float]:
+def _timeline(s: Scenario, sch: Schedule,
+              spans: list[tuple[str, str, float, float, str]] | None = None,
+              per_query: list[float] | None = None) -> float:
     """Run a legal schedule event by event, unchecked, from an empty region
-    at time 0: the span tuples, the per-query latencies and the total.
+    at time 0, and return the total; spans and per_query, when given, collect
+    the span tuples and the per-query latencies.
 
-    Planners that compare totals call this directly and build no Span.
+    The oracle's baseline total calls this directly, with no lists, and
+    builds no Span.
     """
-    spans: list[tuple[str, str, float, float, str]] = []
-    per_query: list[float] = []
-    total = _run_queries(s, s.sequence, sch.orders, sch.prefetches, None, 0.0, 0.0,
-                         spans, per_query)[3]
-    return spans, per_query, total
+    terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
+    return _run_queries(s, s.sequence, terms, sch.prefetches, None, 0.0, 0.0,
+                        spans, per_query)[3]
 
 
 def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
@@ -150,48 +165,50 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
     violations = validate_schedule(s, sch)
     if violations:
         raise ScheduleError(violations)
-    spans, per_query, total = _timeline(s, sch)
+    spans: list[tuple[str, str, float, float, str]] = []
+    per_query: list[float] = []
+    total = _timeline(s, sch, spans, per_query)
     return TimelineReport(tuple([Span(*sp) for sp in spans]), tuple(per_query), total)
 
 
 def analytic_total(s: Scenario, sch: Schedule) -> float:
     """Closed-form total for the same schedule, computed without events.
 
-    Per query: max(scan, effective first reconfiguration) + the invocation
-    runtimes + the remaining reconfigurations + the transfer.  The effective
-    first reconfiguration is the load of the first module over whatever owns
-    the region (zero when it already does, prefetched or not) plus the
-    residual of a prefetch: the part of its load that the previous transfer
-    plus gap did not hide.  An illegal schedule is a ScheduleError.
+    Per query, from its stage terms: max(scan, effective first
+    reconfiguration) + the invocation runtimes + the remaining
+    reconfigurations + the transfer.  The effective first reconfiguration is
+    the load of the first module over whatever owns the region (zero when it
+    already does, prefetched or not) plus the residual of a prefetch: the
+    part of its load that the previous transfer plus gap did not hide.  An
+    illegal schedule is a ScheduleError.
     """
     violations = validate_schedule(s, sch)
     if violations:
         raise ScheduleError(violations)
-    tables, modules = s.tables_by_id, s.modules_by_id
+    modules = s.modules_by_id
 
     total = 0.0
     loaded: str | None = None   # module owning the region, a prefetched one included
     residual = 0.0              # unhidden load time of that prefetch, else 0.0
 
     for i, (q, order, prefetch) in enumerate(zip(s.sequence, sch.orders, sch.prefetches)):
-        input_volumes, output_volume = propagate_volumes(q, order, tables)
-        invs = [q.invocations[idx] for idx in order]
-        first = invs[0].accelerator_id
-        effective = residual + reconfig_time(modules[first], loaded, s.rpu)
-        duration = max(scan_time(tables[q.table_id].volume, s.rpu), effective)
-        for volume, inv in zip(input_volumes, invs):
-            duration += accel_runtime(volume, modules[inv.accelerator_id])
+        scan_ms, stages, t_trans = stage_terms(q, order, s)
+        first, first_load, _ = stages[0]
+        effective = residual + (0.0 if first == loaded else first_load)
+        duration = max(scan_ms, effective)
+        for _, _, accel_ms in stages:
+            duration += accel_ms
         previous = first
-        for inv in invs[1:]:
-            duration += reconfig_time(modules[inv.accelerator_id], previous, s.rpu)
-            previous = inv.accelerator_id
-        t_trans = transfer_time(output_volume, s.rpu)
+        for module_id, load_ms, _ in stages[1:]:
+            if module_id != previous:
+                duration += load_ms
+            previous = module_id
         duration += t_trans
 
         gap = q.gap_after_ms if i < len(s.sequence) - 1 else 0.0
         total += duration + gap
 
-        loaded = invs[-1].accelerator_id
+        loaded = previous
         if prefetch is not None and prefetch != loaded:
             residual = max(0.0, reconfig_time(modules[prefetch], None, s.rpu) - (t_trans + gap))
             loaded = prefetch

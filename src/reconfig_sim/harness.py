@@ -75,10 +75,8 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
         raise ValueError(f"gap_ms must be finite, got {gap_ms}")
     if gap_ms < 0:
         raise ValueError("gap cannot be negative")
-    sequence = list(s.sequence)
-    for i in range(len(sequence) - 1):
-        sequence[i] = sequence[i].replace(gap_after_ms=gap_ms)
-    return s.replace(sequence=tuple(sequence))
+    *queries, last = s.sequence
+    return s.replace(sequence=(*[q._with_gap(gap_ms) for q in queries], last))
 
 
 def _sweep_rows(spec: SweepSpec, value: float, varied: Scenario,

@@ -121,7 +121,8 @@ def _check_gap(gap_after_ms: float) -> None:
 
 
 class QuerySpec(Record):
-    """One query: its table, its invocations in written order, and the gap after it.
+    """One query: its table, its invocations in written order (at least
+    one), and the gap after it.
 
     dependencies is derived, not given: the (producer, reader) index pairs
     where invocation reader reads an attribute that invocation producer
@@ -134,6 +135,8 @@ class QuerySpec(Record):
 
     def __init__(self, id: str, table_id: str, invocations: tuple[Invocation, ...],
                  gap_after_ms: float = 0.0):
+        if not invocations:
+            raise ValueError(f"invocations must be non-empty, got {invocations!r}")
         _check_gap(gap_after_ms)
         set_field(self, "id", id)
         set_field(self, "table_id", table_id)
@@ -148,24 +151,28 @@ class QuerySpec(Record):
         set_field(self, "dependencies", pairs)
 
     def replace(self, **changes) -> QuerySpec:
-        """A copy with the given fields changed.  Unless the invocations
-        change, the copy keeps these dependency pairs instead of deriving
-        them again."""
-        fields = {name: getattr(self, name) for name in self._fields}
-        fields.update(changes)
-        if "invocations" in changes or len(fields) > len(self._fields):
-            return QuerySpec(**fields)  # derives the pairs, or rejects an unknown field
-        _check_gap(fields["gap_after_ms"])
+        """A copy with the given fields changed.  A copy that changes only
+        the gap keeps these dependency pairs instead of deriving them again."""
+        if changes.keys() == {"gap_after_ms"}:
+            _check_gap(changes["gap_after_ms"])
+            return self._with_gap(changes["gap_after_ms"])
+        return super().replace(**changes)
+
+    def _with_gap(self, gap_after_ms: float) -> QuerySpec:
+        """This query with another gap, which the caller has checked."""
         copy = object.__new__(QuerySpec)
-        for name, value in fields.items():
-            set_field(copy, name, value)
+        set_field(copy, "id", self.id)
+        set_field(copy, "table_id", self.table_id)
+        set_field(copy, "invocations", self.invocations)
+        set_field(copy, "gap_after_ms", gap_after_ms)
         set_field(copy, "dependencies", self.dependencies)
         return copy
 
 
 class Scenario(Record):
-    """tables_by_id and modules_by_id are derived, not given: the tables and
-    modules keyed by id.  Equality, hash and repr ignore them."""
+    """A device, its tables and module library, and a sequence of at least
+    one query.  tables_by_id and modules_by_id are derived, not given: the
+    tables and modules keyed by id.  Equality, hash and repr ignore them."""
 
     __slots__ = ("rpu", "tables", "library", "sequence", "scale_factor",
                  "tables_by_id", "modules_by_id")
@@ -174,6 +181,8 @@ class Scenario(Record):
     def __init__(self, rpu: RpuConfig, tables: tuple[TableDef, ...],
                  library: tuple[AcceleratorModule, ...], sequence: tuple[QuerySpec, ...],
                  scale_factor: float = 1.0):
+        if not sequence:
+            raise ValueError(f"sequence must be non-empty, got {sequence!r}")
         set_field(self, "rpu", rpu)
         set_field(self, "tables", tables)
         set_field(self, "library", library)

@@ -12,13 +12,16 @@ reads a volume or a gap, so a sweep plans them once for all its points.
 fixed_outcomes emulates each once and derives every fixed outcome and the
 auto pick from those four totals.  Both it and the exhaustive search run the
 emulator's unchecked event loop, since every schedule they emulate is legal
-by construction.
+by construction, over stage terms (costmodel.stage_terms) they build once
+per query and order: fixed_outcomes once per distinct orders, which the
+candidates share in pairs, and the search once per (query, legal order).
 
 exhaustive_oracle is the reference the heuristics are measured against.  It
 is still exhaustive, but it searches the schedules as a prefix tree: a query's
 timeline depends only on the choices for it and the queries before it, so
 the search resumes the event loop from the region state each prefix left
-instead of emulating every schedule from the start.
+instead of emulating every schedule from the start.  It asks the loop for
+spans only to count the reconfigurations its tie-break ranks.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -31,6 +34,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .analyzer import baseline_order, find_common_accelerators, generate_hints
+from .costmodel import stage_terms
 from .emulator import _run_queries, _timeline
 from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
 from .record import Record, set_field
@@ -130,11 +134,20 @@ def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule]) -> dict[str, Str
     candidate schedule.
 
     schedules is candidate_schedules of s, or of a scenario that differs
-    from s only in volumes or gaps, which gives the same schedules.  Auto is
+    from s only in volumes or gaps, which gives the same schedules.  The
+    stage terms are built once per distinct orders, so the two pairs of
+    candidates that differ only in prefetches share them.  Auto is
     the cheapest fixed outcome; ties go to the earliest strategy in baseline,
     spec_reconfig, reorder, combined order.
     """
-    totals = {name: _timeline(s, sched)[2] for name, sched in schedules.items()}
+    terms_by_orders = {}
+    totals = {}
+    for name, sched in schedules.items():
+        terms = terms_by_orders.get(sched.orders)
+        if terms is None:
+            terms = terms_by_orders[sched.orders] = [
+                stage_terms(q, order, s) for q, order in zip(s.sequence, sched.orders)]
+        totals[name] = _run_queries(s, s.sequence, terms, sched.prefetches, None, 0.0, 0.0)[3]
     outcomes = {
         name: StrategyOutcome(
             strategy=name,
@@ -176,8 +189,9 @@ def _least_key(s: Scenario, order_choices, prefetch_choices, i: int, loaded: str
     the region state (loaded, region_free, arrival), ended its last transfer
     at total and ran reconfigs loads.
 
-    Query i runs once per (order, prefetch), resumed from that state, and
-    the state it ends in is the prefix state of query i+1.
+    order_choices[i] holds query i's stage terms, one per legal order in
+    rank order.  Query i runs once per (order, prefetch), resumed from that
+    state, and the state it ends in is the prefix state of query i+1.
     """
     if i == len(s.sequence):
         return total, reconfigs, order_ranks, prefetch_ranks
@@ -185,14 +199,15 @@ def _least_key(s: Scenario, order_choices, prefetch_choices, i: int, loaded: str
     # the last query has nothing to prefetch for
     prefetches = prefetch_choices[:1] if i == len(s.sequence) - 1 else prefetch_choices
     least = None
-    for order_rank, (order, ends_on) in enumerate(order_choices[i]):
+    for order_rank, terms in enumerate(order_choices[i]):
         ranks = order_ranks + (order_rank,)
+        ends_on = terms[1][-1][0]  # the module of the order's last stage
         for prefetch_rank, prefetch in enumerate(prefetches):
             if prefetch == ends_on:
                 continue
             spans: list = []
-            state = _run_queries(s, queries, (order,), (prefetch,), loaded, region_free, arrival,
-                                 spans, [])
+            state = _run_queries(s, queries, (terms,), (prefetch,), loaded, region_free, arrival,
+                                 spans)
             count = reconfigs + sum(1 for sp in spans if sp[0] == "reconfig")
             key = _least_key(s, order_choices, prefetch_choices, i + 1, *state, count, ranks,
                              prefetch_ranks + (prefetch_rank,))
@@ -221,14 +236,15 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
             f"instance too large for exhaustive search: {total_invocations} invocations "
             f"over {n} queries (limits: {ORACLE_MAX_INVOCATIONS} and {ORACLE_MAX_QUERIES})")
 
-    order_choices = [[(order, q.invocations[order[-1]].accelerator_id)
-                      for order in _legal_orders(q)] for q in s.sequence]
+    legal_orders = [_legal_orders(q) for q in s.sequence]
+    order_choices = [[stage_terms(q, order, s) for order in orders]
+                     for q, orders in zip(s.sequence, legal_orders)]
     prefetch_choices = [None] + [m.id for m in s.library]
     total, _, order_ranks, prefetch_ranks = _least_key(
         s, order_choices, prefetch_choices, 0, None, 0.0, 0.0, 0.0, 0, (), ())
-    orders = tuple(order_choices[i][rank][0] for i, rank in enumerate(order_ranks))
+    orders = tuple(legal_orders[i][rank] for i, rank in enumerate(order_ranks))
     prefetches = tuple(prefetch_choices[rank] for rank in prefetch_ranks)
-    baseline_total = _timeline(s, plan_baseline(s))[2]
+    baseline_total = _timeline(s, plan_baseline(s))
     return StrategyOutcome(
         strategy="oracle",
         schedule=Schedule(orders, prefetches),

@@ -1,4 +1,5 @@
 import math
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +9,11 @@ from reconfig_sim.costmodel import (
     propagate_volumes,
     reconfig_time,
     scan_time,
+    stage_terms,
     transfer_time,
 )
 from reconfig_sim.model import AcceleratorModule, Invocation, QuerySpec, RpuConfig, TableDef
+from reconfig_sim.optimizer import _legal_orders
 
 _RPU = RpuConfig(storage_rate=1.0, network_rate=0.2, default_reconfig_ms=15.0)
 _MODULE = AcceleratorModule("m", frozenset(), proc_rate=2.0)
@@ -98,3 +101,41 @@ def test_volumes_scale_linearly_and_stay_non_negative(stages, volume, factor):
                         rel_tol=1e-9, abs_tol=1e-12)
     assert all(v >= 0.0 for v in base_inputs)
     assert base_output >= 0.0
+
+
+def _terms_by_stage(q, order, s):
+    """stage_terms written out with one stage function call per term."""
+    tables, modules = s.tables_by_id, s.modules_by_id
+    inputs, output = propagate_volumes(q, order, tables)
+    stages = []
+    for idx, volume in zip(order, inputs):
+        module = modules[q.invocations[idx].accelerator_id]
+        stages.append((q.invocations[idx].accelerator_id, reconfig_time(module, None, s.rpu),
+                       accel_runtime(volume, module)))
+    return scan_time(tables[q.table_id].volume, s.rpu), tuple(stages), transfer_time(output, s.rpu)
+
+
+def test_stage_terms_equal_the_stage_functions_bit_for_bit(corpus, random_scenario,
+                                                          chained_scenario):
+    """On every legal order, and whatever module owns the region: a load of
+    the term's module costs its load_ms unless that module is loaded, as
+    reconfig_time says."""
+    scenarios = [s for _, s in corpus]
+    for seed in range(40):
+        rng = random.Random(60_000 + seed)
+        scenarios.append(random_scenario(rng, rng.randint(1, 4)))
+        scenarios.append(chained_scenario(rng, rng.randint(1, 3)))
+    checked = 0
+    for s in scenarios:
+        holders = [None] + [m.id for m in s.library]
+        for q in s.sequence:
+            for order in _legal_orders(q):
+                terms = stage_terms(q, order, s)
+                # repr tells -0.0 from 0.0 and prints each float exactly
+                assert repr(terms) == repr(_terms_by_stage(q, order, s))
+                for module_id, load_ms, _ in terms[1]:
+                    for loaded in holders:
+                        assert (reconfig_time(s.modules_by_id[module_id], loaded, s.rpu)
+                                == (0.0 if loaded == module_id else load_ms))
+                checked += 1
+    assert checked > 1000

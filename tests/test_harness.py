@@ -146,11 +146,13 @@ def test_sweep_rows_match_one_optimize_per_row(corpus, random_scenario):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count candidate builds and emulations (runs of the emulator's totals
-    loop) in every module that binds them."""
-    counts = {"builds": 0, "emulations": 0}
+    """Count candidate builds, emulations (runs of the emulator's event loop
+    over the whole sequence) and stage-term builds (one per query and orders)
+    in every module that binds them."""
+    counts = {"builds": 0, "emulations": 0, "terms": 0}
     for key, fn in (("builds", optimizer.candidate_schedules),
-                    ("emulations", optimizer._timeline)):
+                    ("emulations", optimizer._run_queries),
+                    ("terms", optimizer.stage_terms)):
         def counting(*args, key=key, fn=fn):
             counts[key] += 1
             return fn(*args)
@@ -163,14 +165,24 @@ def work_counts(monkeypatch):
 
 @pytest.mark.parametrize("strategies", [STRATEGY_ORDER, ("auto",), ("combined", "baseline")])
 def test_sweep_plans_once_and_emulates_each_point_once(seq2, work_counts, strategies):
+    """Four emulations per point over two term builds: the candidates pair
+    up on seq2's two distinct orders."""
     values = (0.0, 1.0, 2.0, 5.0)
     run_sweep(seq2, SweepSpec("gap_ms", values, strategies))
-    assert work_counts == {"builds": 1, "emulations": 4 * len(values)}
+    assert work_counts == {"builds": 1, "emulations": 4 * len(values),
+                           "terms": 2 * len(seq2.sequence) * len(values)}
 
 
-def test_verify_corpus_emulates_each_candidate_once(work_counts):
+def test_verify_corpus_emulates_each_candidate_once(work_counts, corpus):
+    """Stage terms are built once per distinct orders: twice where reorder
+    moves an invocation, once where it leaves the baseline orders."""
+    terms = 0
+    for _, s in corpus:
+        base = optimizer.plan_baseline(s)
+        terms += len({base.orders, optimizer.apply_reorder(s, base).orders}) * len(s.sequence)
     n = len(verify_corpus())
-    assert work_counts == {"builds": n, "emulations": 4 * n}
+    assert n == len(corpus) and terms < 2 * sum(len(s.sequence) for _, s in corpus)
+    assert work_counts == {"builds": n, "emulations": 4 * n, "terms": terms}
 
 
 @pytest.mark.parametrize("kwargs, fragment", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconfig_sim import emulator
+from reconfig_sim import emulator, optimizer
 from reconfig_sim.costmodel import propagate_volumes
 from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
 from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
@@ -288,9 +288,6 @@ def test_oracle_matches_known_optima(seq2, seq2_small):
     assert outcome.total_ms == pytest.approx(101.0, abs=1e-9)
     assert exhaustive_oracle(seq2_small).total_ms == pytest.approx(49.6, abs=1e-9)
     assert optimize(seq2, "oracle").total_ms == pytest.approx(101.0, abs=1e-9)
-    # a scenario built in code may hold no query; the loader rejects one
-    empty = exhaustive_oracle(seq2.replace(sequence=()))
-    assert (empty.schedule, empty.total_ms) == (Schedule((), ()), 0.0)
 
 
 def test_oracle_never_above_any_strategy(seq2, seq2_small, corpus):
@@ -410,13 +407,17 @@ def test_oracle_shares_schedule_prefixes(monkeypatch):
     """The oracle runs the event loop once per node of its search tree, a
     (query, order, prefetch) below the choices for the queries before it,
     skipping a prefetch of the module the order ends on; and once over the
-    whole sequence for the baseline total.  The loop propagates volumes once
-    per query it runs."""
+    whole sequence for the baseline total.  It builds the stage terms once
+    per (query, legal order), and once per query for the baseline."""
     s = _at_the_guard(random.Random(72), 3)
-    runs = []
-    original = emulator.propagate_volumes
-    monkeypatch.setattr(emulator, "propagate_volumes",
-                        lambda *args: runs.append(args) or original(*args))
+    runs, builds = [], []
+    run, build = emulator._run_queries, emulator.stage_terms
+    for module in (emulator, optimizer):
+        monkeypatch.setattr(module, "_run_queries",
+                            lambda s, queries, *rest: runs.append(len(queries))
+                            or run(s, queries, *rest))
+        monkeypatch.setattr(module, "stage_terms",
+                            lambda *args: builds.append(args) or build(*args))
     exhaustive_oracle(s)
     n = len(s.sequence)
     nodes, paths, schedules = 0, 1, 1
@@ -427,9 +428,10 @@ def test_oracle_shares_schedule_prefixes(monkeypatch):
                      if prefetch != q.invocations[order[-1]].accelerator_id)
         nodes += paths
         schedules *= len(orders) * len(prefetches)
-    assert len(runs) == nodes + n
+    assert sum(runs) == nodes + n
+    assert len(builds) == sum(len(_legal_orders(q)) for q in s.sequence) + n
     # at most a quarter of the query runs of emulating every schedule whole
-    assert 4 * len(runs) <= n * schedules
+    assert 4 * sum(runs) <= n * schedules
 
 
 def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,

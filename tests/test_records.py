@@ -160,6 +160,20 @@ def test_constructors_reject_negative_and_nan_values(record, field, rejected, me
         assert getattr(record.replace(**{field: value}), field) == value
 
 
+def test_constructors_reject_empty_sequences(seq2):
+    """A query without invocations and a scenario without queries have no
+    timeline; the loader rejects both, and so do the records built in code,
+    before either timing model can disagree on them."""
+    q = seq2.sequence[0]
+    for build, field in ((lambda: q.replace(invocations=()), "invocations"),
+                         (lambda: QuerySpec(q.id, q.table_id, ()), "invocations"),
+                         (lambda: seq2.replace(sequence=()), "sequence"),
+                         (lambda: Scenario(seq2.rpu, seq2.tables, seq2.library, ()), "sequence")):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == f"{field} must be non-empty, got ()"
+
+
 def test_copy_and_pickle_keep_every_field():
     for record in _records():
         for twin in (copy.copy(record), copy.deepcopy(record),

@@ -3,8 +3,9 @@ and module rates and load times, and only costmodel reads those; which
 invocation orders are legal follows from produces and reads, and only model
 reads those (it derives QuerySpec.dependencies from them).  Schedules are
 validated where they enter from outside, in the emulator's two public
-entries, and nowhere else.  The stage costs are combined into a timeline in
-one event loop, and into the closed form, and nowhere else."""
+entries, and nowhere else.  The stage costs of a query in an order are
+built in costmodel.stage_terms, and combined into a timeline in one event
+loop, and into the closed form, and nowhere else."""
 import ast
 from pathlib import Path
 
@@ -69,8 +70,22 @@ def test_only_the_emulator_entries_validate_schedules():
 
 
 def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
-    """_timeline and the oracle's search both run the emulator's one event
-    loop; a second copy of its body, say in a planner, fails here."""
-    users = {(name, scope) for name, tree in _package_trees() if name != "costmodel.py"
-             for scope, read in _scoped_reads(tree) if read in STAGE_COSTS}
-    assert users == {("emulator.py", "_run_queries"), ("emulator.py", "analytic_total")}
+    """The cost of one query in one order is worked out in
+    costmodel.stage_terms alone: outside costmodel, the stage functions are
+    read only for the load of a prefetch, by the event loop and the closed
+    form, and the terms only by the emulator's entries (_timeline runs the
+    loop for execute_schedule) and the two planners that emulate.  A second
+    copy of the loop's body or of a stage cost, say in a planner, fails
+    here."""
+    users: dict[str, set] = {}
+    for name, tree in _package_trees():
+        if name != "costmodel.py":
+            for scope, read in _scoped_reads(tree):
+                if read in STAGE_COSTS | {"stage_terms"}:
+                    users.setdefault(read, set()).add((name, scope))
+    assert users == {
+        "reconfig_time": {("emulator.py", "_run_queries"), ("emulator.py", "analytic_total")},
+        "stage_terms": {("emulator.py", "_timeline"), ("emulator.py", "analytic_total"),
+                        ("optimizer.py", "fixed_outcomes"),
+                        ("optimizer.py", "exhaustive_oracle")},
+    }
