@@ -232,8 +232,6 @@ def baseline_order(q: QuerySpec) -> tuple[int, ...]:
     while len(order) < len(q.invocations):
         ready = [k for k in range(len(q.invocations))
                  if k not in placed and deps[k] <= placed]
-        if not ready:
-            raise ValueError(f"query {q.id}: cyclic produces/reads dependencies")
         best = min(ready, key=lambda k: (q.invocations[k].selectivity, k))
         order.append(best)
         placed.add(best)

@@ -81,7 +81,8 @@ def _cmd_simulate(args) -> int:
             doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
         except OSError as exc:
             raise _CliError(f"cannot read {args.schedule}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
+        # JSONDecodeError, an integer past the int-string limit, or nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise _CliError(f"{args.schedule}: invalid JSON: {exc}") from exc
         schedule = schedule_from_doc(s, doc)
     else:

@@ -4,16 +4,19 @@ A scenario bundles the device parameters, the tables, the accelerator
 library, and the query sequence.  All types are immutable records (see
 record.Record): assigning to a field raises AttributeError, and
 transformations return new values, such as the copies that replace()
-makes.  The constructors reject negative and NaN rates, volumes, load
-times, selectivities, multipliers and gaps, so that a scenario built in code
-cannot make the emulator run a span backwards; the loader checks the same
-values first, naming their document path.  Table volumes are stored already
-multiplied by the scenario's scale_factor.  An invocation keeps its
-predicate as written; the loader parses it once to check its operator
-shapes and attributes.  Each QuerySpec derives its (producer, reader)
-invocation pairs from produces and reads, the one form of the precedence
-rule (see reader_first_pairs), and each Scenario its tables and modules
-keyed by id, once when built.
+makes.  The constructors own every rule about a record's own fields and
+raise FieldError, so a scenario built in code meets the rules a loaded one
+does: no negative or NaN rates, volumes, load times, selectivities,
+multipliers or gaps, which could run an emulated span backwards, and each
+attribute produced once, by an invocation written before its readers that
+does not read it too.  The loader checks what JSON can get wrong and what
+needs other records, and names the document path of every error, a
+constructor's included.  Table volumes are stored already multiplied by the
+scenario's scale_factor.  An invocation keeps its predicate as written; the
+loader parses it once to check its operator shapes and attributes.  Each
+QuerySpec derives its (producer, reader) invocation pairs, the one form of
+the precedence rule (see reader_first_pairs), and each Scenario its tables
+and modules keyed by id, once when built.
 """
 from __future__ import annotations
 
@@ -46,6 +49,17 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+class FieldError(ValueError):
+    """A record constructor's rejection of one of its fields; str is
+    "<field> <problem>".  field is None when the rule spans several fields,
+    and str is then the problem alone."""
+
+    def __init__(self, field: str | None, problem: str):
+        self.field = field
+        self.problem = problem
+        super().__init__(f"{field} {problem}" if field else problem)
+
+
 class ScheduleError(ValueError):
     """A schedule rejected by validate_schedule; carries the violation list."""
 
@@ -61,11 +75,11 @@ class RpuConfig(Record):
 
     def __init__(self, storage_rate: float, network_rate: float, default_reconfig_ms: float):
         if not storage_rate > 0:
-            raise ValueError(f"storage_rate must be greater than 0, got {storage_rate}")
+            raise FieldError("storage_rate", f"must be greater than 0, got {storage_rate}")
         if not network_rate > 0:
-            raise ValueError(f"network_rate must be greater than 0, got {network_rate}")
+            raise FieldError("network_rate", f"must be greater than 0, got {network_rate}")
         if not default_reconfig_ms >= 0:
-            raise ValueError(f"default_reconfig_ms must be at least 0, got {default_reconfig_ms}")
+            raise FieldError("default_reconfig_ms", f"must be at least 0, got {default_reconfig_ms}")
         set_field(self, "storage_rate", storage_rate)
         set_field(self, "network_rate", network_rate)
         set_field(self, "default_reconfig_ms", default_reconfig_ms)
@@ -77,9 +91,9 @@ class AcceleratorModule(Record):
     def __init__(self, id: str, supported_ops: frozenset[OperatorShape], proc_rate: float,
                  reconfig_ms: float | None = None):
         if not proc_rate > 0:
-            raise ValueError(f"proc_rate must be greater than 0, got {proc_rate}")
+            raise FieldError("proc_rate", f"must be greater than 0, got {proc_rate}")
         if reconfig_ms is not None and not reconfig_ms >= 0:
-            raise ValueError(f"reconfig_ms must be at least 0, got {reconfig_ms}")
+            raise FieldError("reconfig_ms", f"must be at least 0, got {reconfig_ms}")
         set_field(self, "id", id)
         set_field(self, "supported_ops", supported_ops)
         set_field(self, "proc_rate", proc_rate)
@@ -91,7 +105,7 @@ class TableDef(Record):
 
     def __init__(self, id: str, volume: float):
         if not volume >= 0:
-            raise ValueError(f"volume must be at least 0, got {volume}")
+            raise FieldError("volume", f"must be at least 0, got {volume}")
         set_field(self, "id", id)
         set_field(self, "volume", volume)
 
@@ -104,9 +118,11 @@ class Invocation(Record):
                  reads: frozenset[str], produces: frozenset[str] = _NOTHING_PRODUCED,
                  volume_multiplier: float = 1.0):
         if not 0 <= selectivity <= 1:
-            raise ValueError(f"selectivity must be within [0, 1], got {selectivity}")
+            raise FieldError("selectivity", f"must be within [0, 1], got {selectivity}")
         if not volume_multiplier > 0:
-            raise ValueError(f"volume_multiplier must be greater than 0, got {volume_multiplier}")
+            raise FieldError("volume_multiplier", f"must be greater than 0, got {volume_multiplier}")
+        if produces and not reads.isdisjoint(produces):
+            raise FieldError(None, f"attributes both read and produced: {sorted(reads & produces)}")
         set_field(self, "accelerator_id", accelerator_id)
         set_field(self, "predicate", predicate)
         set_field(self, "selectivity", selectivity)
@@ -115,19 +131,16 @@ class Invocation(Record):
         set_field(self, "volume_multiplier", volume_multiplier)
 
 
-def _check_gap(gap_after_ms: float) -> None:
-    if not gap_after_ms >= 0:
-        raise ValueError(f"gap_after_ms must be at least 0, got {gap_after_ms}")
-
-
 class QuerySpec(Record):
     """One query: its table, its invocations in written order (at least
     one), and the gap after it.
 
-    dependencies is derived, not given: the (producer, reader) index pairs
-    where invocation reader reads an attribute that invocation producer
-    produces, sorted by reader and then producer, and () when no invocation
-    produces anything.  Equality, hash and repr ignore it.
+    Each attribute is produced by at most one invocation, written before
+    every invocation that reads it.  dependencies is derived, not given: the
+    (producer, reader) index pairs where invocation reader reads an
+    attribute that invocation producer produces, sorted by reader and then
+    producer, and () when no invocation produces anything.  Equality, hash
+    and repr ignore it.
     """
 
     __slots__ = ("id", "table_id", "invocations", "gap_after_ms", "dependencies")
@@ -136,27 +149,33 @@ class QuerySpec(Record):
     def __init__(self, id: str, table_id: str, invocations: tuple[Invocation, ...],
                  gap_after_ms: float = 0.0):
         if not invocations:
-            raise ValueError(f"invocations must be non-empty, got {invocations!r}")
-        _check_gap(gap_after_ms)
+            raise FieldError("invocations", f"must be non-empty, got {invocations!r}")
+        if not gap_after_ms >= 0:
+            raise FieldError("gap_after_ms", f"must be at least 0, got {gap_after_ms}")
         set_field(self, "id", id)
         set_field(self, "table_id", table_id)
         set_field(self, "invocations", invocations)
         set_field(self, "gap_after_ms", gap_after_ms)
         pairs = ()
         if any(inv.produces for inv in invocations):
-            producers = {attr: j for j, inv in enumerate(invocations) for attr in inv.produces}
+            # sorted, so that an error names the same attribute under every hash seed
+            producers: dict[str, int] = {}
+            for k, inv in enumerate(invocations):
+                for attr in sorted(inv.produces):
+                    if attr in producers:
+                        raise FieldError(None, f"attribute '{attr}' produced twice "
+                                               f"(invocations {producers[attr]} and {k})")
+                    producers[attr] = k
+            for reader, inv in enumerate(invocations):
+                early = sorted(a for a in inv.reads if producers.get(a, -1) > reader)
+                if early:
+                    raise FieldError(None, f"invocation {reader} reads derived attribute "
+                                           f"'{early[0]}' before its producer "
+                                           f"(invocation {producers[early[0]]})")
             pairs = tuple((producer, reader) for reader, inv in enumerate(invocations)
                           for producer in sorted({producers[a] for a in inv.reads
-                                                  if a in producers and producers[a] != reader}))
+                                                  if a in producers}))
         set_field(self, "dependencies", pairs)
-
-    def replace(self, **changes) -> QuerySpec:
-        """A copy with the given fields changed.  A copy that changes only
-        the gap keeps these dependency pairs instead of deriving them again."""
-        if changes.keys() == {"gap_after_ms"}:
-            _check_gap(changes["gap_after_ms"])
-            return self._with_gap(changes["gap_after_ms"])
-        return super().replace(**changes)
 
     def _with_gap(self, gap_after_ms: float) -> QuerySpec:
         """This query with another gap, which the caller has checked."""
@@ -182,7 +201,7 @@ class Scenario(Record):
                  library: tuple[AcceleratorModule, ...], sequence: tuple[QuerySpec, ...],
                  scale_factor: float = 1.0):
         if not sequence:
-            raise ValueError(f"sequence must be non-empty, got {sequence!r}")
+            raise FieldError("sequence", f"must be non-empty, got {sequence!r}")
         set_field(self, "rpu", rpu)
         set_field(self, "tables", tables)
         set_field(self, "library", library)
@@ -233,7 +252,16 @@ def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...],
             raise ScenarioError(f"unknown key '{key}'", path)
 
 
-def _number(obj: dict, key: str, path: str, *, minimum=None, exclusive=False) -> float:
+def _record(build, path: str, *fields):
+    """build(*fields), a record constructor's FieldError raised as a
+    ScenarioError at the field's path below path."""
+    try:
+        return build(*fields)
+    except FieldError as exc:
+        raise ScenarioError(exc.problem, f"{path}.{exc.field}" if exc.field else path) from exc
+
+
+def _number(obj: dict, key: str, path: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError("expected a number", f"{path}.{key}")
@@ -244,11 +272,6 @@ def _number(obj: dict, key: str, path: str, *, minimum=None, exclusive=False) ->
                             f"{path}.{key}") from None
     if not math.isfinite(value):
         raise ScenarioError(f"must be finite, got {value}", f"{path}.{key}")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            raise ScenarioError(f"must be greater than {minimum}, got {value}", f"{path}.{key}")
-        if not exclusive and value < minimum:
-            raise ScenarioError(f"must be at least {minimum}, got {value}", f"{path}.{key}")
     return value
 
 
@@ -285,17 +308,14 @@ def _rpu_from_doc(obj, path: str) -> RpuConfig:
     count = obj["pr_region_count"]
     if isinstance(count, bool) or not isinstance(count, int) or count != 1:
         raise ScenarioError("must be 1 (single reconfigurable region)", f"{path}.pr_region_count")
-    return RpuConfig(
-        storage_rate=_number(obj, "storage_rate", path, minimum=0, exclusive=True),
-        network_rate=_number(obj, "network_rate", path, minimum=0, exclusive=True),
-        default_reconfig_ms=_number(obj, "default_reconfig_ms", path, minimum=0),
-    )
+    return _record(RpuConfig, path, _number(obj, "storage_rate", path),
+                   _number(obj, "network_rate", path), _number(obj, "default_reconfig_ms", path))
 
 
 def _table_from_doc(obj, path: str) -> TableDef:
     obj = _object(obj, path)
     _check_keys(obj, ("id", "volume"), (), path)
-    return TableDef(_string(obj, "id", path), _number(obj, "volume", path, minimum=0))
+    return _record(TableDef, path, _string(obj, "id", path), _number(obj, "volume", path))
 
 
 def _module_from_doc(obj, path: str) -> AcceleratorModule:
@@ -313,15 +333,9 @@ def _module_from_doc(obj, path: str) -> AcceleratorModule:
         if operand_type not in OPERAND_TYPES:
             raise ScenarioError(f"unknown operand type '{operand_type}'", f"{shape_path}.operand_type")
         shapes.add(OperatorShape(kind, operand_type))
-    reconfig_ms = None
-    if "reconfig_ms" in obj:
-        reconfig_ms = _number(obj, "reconfig_ms", path, minimum=0)
-    return AcceleratorModule(
-        id=_string(obj, "id", path),
-        supported_ops=frozenset(shapes),
-        proc_rate=_number(obj, "proc_rate", path, minimum=0, exclusive=True),
-        reconfig_ms=reconfig_ms,
-    )
+    reconfig_ms = _number(obj, "reconfig_ms", path) if "reconfig_ms" in obj else None
+    return _record(AcceleratorModule, path, _string(obj, "id", path), frozenset(shapes),
+                   _number(obj, "proc_rate", path), reconfig_ms)
 
 
 def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule],
@@ -346,22 +360,16 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
         raise ScenarioError(
             f"accelerator '{accelerator_id}' does not support: {names}", f"{path}.predicate")
     selectivity = _number(obj, "selectivity", path)
-    if not 0.0 <= selectivity <= 1.0:
-        raise ScenarioError(f"must be within [0, 1], got {selectivity}", f"{path}.selectivity")
-    multiplier = 1.0
-    if "volume_multiplier" in obj:
-        multiplier = _number(obj, "volume_multiplier", path, minimum=0, exclusive=True)
+    multiplier = _number(obj, "volume_multiplier", path) if "volume_multiplier" in obj else 1.0
     reads = _string_set(obj, "reads", path, sets)
     produces = _string_set(obj, "produces", path, sets) if "produces" in obj else _NOTHING_PRODUCED
-    overlap = reads & produces
-    if overlap:
-        raise ScenarioError(f"attributes both read and produced: {sorted(overlap)}", path)
     unknown = [a for a in attributes if a not in reads and a not in produces]
     if unknown:
         raise ScenarioError(
             f"predicate references attributes not in reads or produces: {sorted(set(unknown))}",
             path)
-    return Invocation(accelerator_id, predicate, selectivity, reads, produces, multiplier)
+    return _record(Invocation, path, accelerator_id, predicate, selectivity, reads, produces,
+                   multiplier)
 
 
 def _query_from_doc(obj, path: str, tables: Mapping[str, TableDef],
@@ -375,22 +383,8 @@ def _query_from_doc(obj, path: str, tables: Mapping[str, TableDef],
     invocations = tuple(
         _invocation_from_doc(inv_obj, f"{path}.invocations[{i}]", modules, sets)
         for i, inv_obj in enumerate(_array(obj, "invocations", path)))
-    # sorted, so that the error names the same attribute under every hash seed
-    produced: dict[str, int] = {}
-    for k, inv in enumerate(invocations):
-        for attr in sorted(inv.produces):
-            if attr in produced:
-                raise ScenarioError(
-                    f"attribute '{attr}' produced twice (invocations {produced[attr]} and {k})", path)
-            produced[attr] = k
-    for k, inv in enumerate(invocations):
-        for attr in sorted(inv.reads):
-            if attr in produced and produced[attr] > k:
-                raise ScenarioError(
-                    f"invocation {k} reads derived attribute '{attr}' before its producer "
-                    f"(invocation {produced[attr]})", path)
-    gap = _number(obj, "gap_after_ms", path, minimum=0) if "gap_after_ms" in obj else 0.0
-    return QuerySpec(_string(obj, "id", path), table_id, invocations, gap)
+    gap = _number(obj, "gap_after_ms", path) if "gap_after_ms" in obj else 0.0
+    return _record(QuerySpec, path, _string(obj, "id", path), table_id, invocations, gap)
 
 
 def _unique_ids(items, what: str, path: str):
@@ -410,7 +404,8 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
+    # JSONDecodeError, an integer past the int-string limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     doc = _object(doc, "document")
     _check_keys(doc, ("rpu", "tables", "library", "sequence"), ("scale_factor",), "document")
@@ -425,7 +420,9 @@ def load_scenario(text: str) -> Scenario:
 
     scale = 1.0
     if "scale_factor" in doc:
-        scale = _number(doc, "scale_factor", "document", minimum=0, exclusive=True)
+        scale = _number(doc, "scale_factor", "document")
+        if not scale > 0:  # the loader applies it; no record checks it
+            raise ScenarioError(f"must be greater than 0, got {scale}", "document.scale_factor")
 
     table_map = {t.id: t for t in tables}
     module_map = {m.id: m for m in library}

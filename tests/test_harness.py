@@ -364,6 +364,18 @@ def test_cli_rejects_overlong_integer_literals(tmp_path, capsys, seq2_doc):
     assert "invalid JSON" in err
 
 
+def test_cli_rejects_too_deeply_nested_json(tmp_path, capsys):
+    """json.loads raises RecursionError, not ValueError, past its nesting
+    limit; both documents the CLI reads report it as invalid JSON."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    assert cli_dispatch(["simulate", str(deep)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON: maximum recursion depth")
+    assert cli_dispatch(["simulate", "seq2", "--schedule", str(deep)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {deep}: invalid JSON: maximum recursion depth")
+
+
 def test_cli_rejects_invalid_schedule(tmp_path, capsys):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps({"queries": [

@@ -15,6 +15,7 @@ from reconfig_sim import emulator, harness, optimizer
 from reconfig_sim.analyzer import OperatorShape
 from reconfig_sim.model import (
     PREFETCH_TRIGGER,
+    Invocation,
     QuerySpec,
     Scenario,
     Schedule,
@@ -263,7 +264,8 @@ DOCUMENT_ERRORS = [
     (_bool_storage_rate, "rpu.storage_rate: expected a number"),
     (_negative_volume, "tables[0].volume: must be at least 0"),
     (_zero_proc_rate, "library[0].proc_rate: must be greater than 0"),
-    # the record constructors reject these values too; the loader checks first
+    # the loader checks no value range: the record constructors reject
+    # these, and the loader reports their rejection at the document path
     (_zero_network_rate, "rpu.network_rate: must be greater than 0, got 0.0"),
     (_negative_default_reconfig, "rpu.default_reconfig_ms: must be at least 0, got -1.0"),
     (_negative_reconfig_ms, "library[0].reconfig_ms: must be at least 0, got -1.0"),
@@ -448,6 +450,8 @@ def test_invalid_json_is_a_scenario_error():
         load_scenario("{")
     with pytest.raises(ScenarioError, match="document: expected an object"):
         load_scenario("[]")
+    with pytest.raises(ScenarioError, match="^invalid JSON: maximum recursion depth"):
+        load_scenario("[" * 200000 + "]" * 200000)
 
 
 def test_overlong_integer_literal_is_a_scenario_error(seq2_doc):
@@ -634,6 +638,46 @@ def test_dependencies_follow_every_way_a_query_spec_is_built(corpus):
     assert repr(built) == repr(loaded) and "dependencies" not in repr(loaded)
     object.__setattr__(built, "dependencies", ())
     assert built == loaded and hash(built) == hash(loaded)
+
+
+def test_queries_built_in_code_keep_the_precedence_rules(seq2, seq2_doc):
+    """The constructors own the produces/reads rules, so a query built in
+    code is held to them as a loaded one is, with the same message.  The
+    old cyclic case, two invocations each reading what the other produces,
+    writes a reader before its producer; so baseline_order and the oracle
+    always find a legal order."""
+    q0 = seq2.sequence[0]
+    first, second = q0.invocations
+
+    def produces(inv, *attrs):
+        return inv.replace(produces=frozenset(attrs))
+
+    cases = [
+        (_produced_twice, "sequence[0]",
+         lambda: q0.replace(invocations=(produces(first, "x"), produces(second, "x"))),
+         "attribute 'x' produced twice (invocations 0 and 1)"),
+        (_read_before_producer, "sequence[0]",
+         lambda: q0.replace(invocations=(first, produces(second, "amount"))),
+         "invocation 0 reads derived attribute 'amount' before its producer (invocation 1)"),
+        (_read_and_produced, "sequence[0].invocations[0]",
+         lambda: produces(first, "amount"),
+         "attributes both read and produced: ['amount']"),
+        (None, None,
+         lambda: QuerySpec("q", "t", (
+             Invocation("m", "a > 1", 0.5, frozenset({"y"}), frozenset({"x"})),
+             Invocation("m", "a > 2", 0.5, frozenset({"x"}), frozenset({"y"})))),
+         "invocation 0 reads derived attribute 'y' before its producer (invocation 1)"),
+    ]
+    for mutate, path, build, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+        if mutate is not None:
+            doc = copy.deepcopy(seq2_doc)
+            mutate(doc)
+            with pytest.raises(ScenarioError) as excinfo:
+                _load(doc)
+            assert str(excinfo.value) == f"{path}: {message}"
 
 
 # lookup maps stored on the scenario

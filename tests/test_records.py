@@ -2,7 +2,10 @@
 hash that hold only within one class, the Name(field=value, ...) repr, and
 copies with changed fields."""
 import copy
+import json
+import math
 import pickle
+import re
 
 import pytest
 
@@ -15,8 +18,10 @@ from reconfig_sim.model import (
     QuerySpec,
     RpuConfig,
     Scenario,
+    ScenarioError,
     Schedule,
     TableDef,
+    load_scenario,
 )
 from reconfig_sim.optimizer import StrategyOutcome
 
@@ -122,35 +127,40 @@ def test_replace_runs_the_constructor_checks():
 _NAN = float("nan")
 _INVOCATION = Invocation("m", "a > 1", 0.5, frozenset({"a"}))
 
-# record, field, values its constructor rejects, the message, values it accepts
+# record, the path of such a record in the seq2 document, field, values its
+# constructor rejects, the message, values it accepts
 SIGN_CHECKS = [
-    (RpuConfig(1.0, 0.2, 15.0), "storage_rate", (0.0, -1.0, _NAN), "must be greater than 0",
-     (1e-300,)),
-    (RpuConfig(1.0, 0.2, 15.0), "network_rate", (0.0, -1.0, _NAN), "must be greater than 0",
-     (1e-300,)),
-    (RpuConfig(1.0, 0.2, 15.0), "default_reconfig_ms", (-1.0, _NAN), "must be at least 0",
-     (0.0,)),
-    (AcceleratorModule("m", frozenset(), 2.0), "proc_rate", (0.0, -2.0, _NAN),
+    (RpuConfig(1.0, 0.2, 15.0), "rpu", "storage_rate", (0.0, -1.0, _NAN),
      "must be greater than 0", (1e-300,)),
-    (AcceleratorModule("m", frozenset(), 2.0), "reconfig_ms", (-1.0, _NAN),
+    (RpuConfig(1.0, 0.2, 15.0), "rpu", "network_rate", (0.0, -1.0, _NAN),
+     "must be greater than 0", (1e-300,)),
+    (RpuConfig(1.0, 0.2, 15.0), "rpu", "default_reconfig_ms", (-1.0, _NAN),
+     "must be at least 0", (0.0,)),
+    (AcceleratorModule("m", frozenset(), 2.0), "library[0]", "proc_rate", (0.0, -2.0, _NAN),
+     "must be greater than 0", (1e-300,)),
+    (AcceleratorModule("m", frozenset(), 2.0), "library[0]", "reconfig_ms", (-1.0, _NAN),
      "must be at least 0", (None, 0.0)),
-    (TableDef("t", 16.0), "volume", (-1.0, -float("inf"), _NAN), "must be at least 0", (0.0,)),
-    (_INVOCATION, "selectivity", (-0.1, 1.5, _NAN), "must be within [0, 1]", (0.0, 1.0)),
-    (_INVOCATION, "volume_multiplier", (0.0, -2.0, _NAN), "must be greater than 0", (1e-300,)),
-    (QuerySpec("Q0", "t", (_INVOCATION,), 2.0), "gap_after_ms", (-1.0, _NAN),
+    (TableDef("t", 16.0), "tables[0]", "volume", (-1.0, -float("inf"), _NAN),
+     "must be at least 0", (0.0,)),
+    (_INVOCATION, "sequence[0].invocations[0]", "selectivity", (-0.1, 1.5, _NAN),
+     "must be within [0, 1]", (0.0, 1.0)),
+    (_INVOCATION, "sequence[0].invocations[0]", "volume_multiplier", (0.0, -2.0, _NAN),
+     "must be greater than 0", (1e-300,)),
+    (QuerySpec("Q0", "t", (_INVOCATION,), 2.0), "sequence[0]", "gap_after_ms", (-1.0, _NAN),
      "must be at least 0", (0.0,)),
 ]
+_SIGN_CHECK_IDS = [f"{type(c[0]).__name__}.{c[2]}" for c in SIGN_CHECKS]
 
 
-@pytest.mark.parametrize("record, field, rejected, message, accepted", SIGN_CHECKS,
-                         ids=[f"{type(c[0]).__name__}.{c[1]}" for c in SIGN_CHECKS])
-def test_constructors_reject_negative_and_nan_values(record, field, rejected, message,
+@pytest.mark.parametrize("record, path, field, rejected, message, accepted", SIGN_CHECKS,
+                         ids=_SIGN_CHECK_IDS)
+def test_constructors_reject_negative_and_nan_values(record, path, field, rejected, message,
                                                       accepted):
     """These are the values that could run an emulated span backwards, and
     the emulator's event loop no longer checks its spans."""
     fields = {name: getattr(record, name) for name in type(record)._fields}
     for value in rejected:
-        # replace, and the constructor itself (QuerySpec.replace bypasses it)
+        # replace, and the constructor itself
         for build in (lambda: record.replace(**{field: value}),
                       lambda: type(record)(**{**fields, field: value})):
             with pytest.raises(ValueError) as excinfo:
@@ -158,6 +168,27 @@ def test_constructors_reject_negative_and_nan_values(record, field, rejected, me
             assert str(excinfo.value) == f"{field} {message}, got {value}"
     for value in accepted:
         assert getattr(record.replace(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("record, path, field, rejected, message, accepted", SIGN_CHECKS,
+                         ids=_SIGN_CHECK_IDS)
+def test_the_loader_reports_the_constructor_message(seq2_doc, record, path, field, rejected,
+                                                    message, accepted):
+    """The loader checks no value range of its own: the constructor rejects
+    the value, and the loader names its document path in front of the
+    constructor's message, so the two cannot drift apart.  JSON's NaN and
+    infinities are the loader's to reject, as not finite."""
+    finite = [value for value in rejected if math.isfinite(value)]
+    assert finite
+    for value in finite:
+        doc = copy.deepcopy(seq2_doc)
+        target = doc
+        for key, index in re.findall(r"(\w+)(?:\[(\d+)\])?", path):
+            target = target[key] if not index else target[key][int(index)]
+        target[field] = value
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(json.dumps(doc))
+        assert str(excinfo.value) == f"{path}.{field}: {message}, got {value}"
 
 
 def test_constructors_reject_empty_sequences(seq2):

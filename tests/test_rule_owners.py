@@ -1,7 +1,8 @@
 """Each rule of the model has one owner.  Stage costs are made of the device
 and module rates and load times, and only costmodel reads those; which
-invocation orders are legal follows from produces and reads, and only model
-reads those (it derives QuerySpec.dependencies from them).  Schedules are
+invocation orders are legal follows from produces and reads, and only
+QuerySpec's constructor reads those of its invocations (it checks them and
+derives QuerySpec.dependencies from them).  Schedules are
 validated where they enter from outside, in the emulator's two public
 entries, and nowhere else.  The stage costs of a query in an order are
 built in costmodel.stage_terms, and combined into a timeline in one event
@@ -17,8 +18,6 @@ OWNERS = {
     "proc_rate": "costmodel.py",
     "reconfig_ms": "costmodel.py",
     "default_reconfig_ms": "costmodel.py",
-    "produces": "model.py",
-    "reads": "model.py",
 }
 
 STAGE_COSTS = {"scan_time", "accel_runtime", "reconfig_time", "transfer_time",
@@ -58,6 +57,22 @@ def test_each_rule_is_read_only_by_its_owner():
     assert [read for read in reads if read[0] != OWNERS[read[1]]] == []
     # the owners do read every one of them, so the check above is not vacuous
     assert {attr for _, attr, _ in reads} == set(OWNERS)
+
+
+def test_precedence_is_read_only_by_the_query_constructor():
+    """The precedence rule spans a query's invocations, and only
+    QuerySpec.__init__ reads their produces and reads: it checks that each
+    attribute is produced once and before its readers, and derives the
+    dependency pairs that every check and planner reads.  Besides it, only
+    Invocation.__init__, which rejects an invocation that reads what it
+    produces, and the loader's _invocation_from_doc, which builds the two
+    sets of one invocation and checks its predicate's attributes against
+    them, name them.  A second copy of the rule, say back in the loader's
+    query or scenario step, or in a planner, fails here."""
+    users = {(name, scope) for name, tree in _package_trees()
+             for scope, read in _scoped_reads(tree) if read in ("produces", "reads")}
+    assert users == {("model.py", "QuerySpec.__init__"), ("model.py", "Invocation.__init__"),
+                     ("model.py", "_invocation_from_doc")}
 
 
 def test_only_the_emulator_entries_validate_schedules():
