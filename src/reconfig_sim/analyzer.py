@@ -15,11 +15,13 @@ predicate are a type error; there is no implicit coercion.  A literal that
 fits no operand type (an integer outside int64, a float that overflows to
 infinity) is a type error too.
 
-The parse is one pass over the tokens: it types each literal as it meets
-it and collects the operator shapes and attribute names that the scenario
-loader checks.  It builds no syntax tree: timing depends on a predicate
-only through the module that evaluates it, so those two facts are all the
-parse returns.
+The grammar has one fixed shape, so the parse is straight-line code: a
+term, the comparison operator, a second term, then the end of input.  It
+collects the operator kinds, the attribute names and the literals in
+textual order, then types the literals, and returns the operator shapes
+and attribute names that the scenario loader checks.  It builds no syntax
+tree: timing depends on a predicate only through the module that
+evaluates it, so those two facts are all the parse returns.
 """
 from __future__ import annotations
 
@@ -121,87 +123,71 @@ def _classify_literal(text: str, column: int) -> str:
     raise PredicateTypeError(column, "integer literal out of int64 range")
 
 
-class _Parser:
-    """Recursive descent that types each literal once and collects the
-    operator kinds and the attribute names, in textual order.
+def _syntax_error(token: tuple[str, str, int], expected: str) -> PredicateSyntaxError:
+    kind, text, column = token
+    return PredicateSyntaxError(column, expected, "end of input" if kind == "end" else repr(text))
 
-    The first type error waits until the whole text has parsed, so that
-    syntax errors take precedence.
-    """
 
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self._tokens = tokens
-        self._pos = 0
-        self.operand_type: str | None = None
-        self.type_error: PredicateTypeError | None = None
-        self.kinds: list[str] = []
-        self.attributes: list[str] = []
+def _operand(tokens: list[tuple[str, str, int]], pos: int, attributes: list[str],
+             literals: list[tuple[str, int]]) -> int:
+    """Read the operand at tokens[pos], append it to attributes or to
+    literals as (text, column), and return the position after it."""
+    kind, text, column = tokens[pos]
+    if kind == "ident":
+        attributes.append(text)
+    elif kind == "number":
+        literals.append((text, column))
+    elif text == "-" and tokens[pos + 1][0] == "number":
+        pos += 1  # a negative literal, at the column of its sign
+        literals.append(("-" + tokens[pos][1], column))
+    elif kind != "param":
+        raise _syntax_error(tokens[pos], "an operand")
+    return pos + 1
 
-    def _fail(self, expected: str):
-        kind, text, column = self._tokens[self._pos]
-        raise PredicateSyntaxError(column, expected,
-                                   "end of input" if kind == "end" else repr(text))
 
-    def _literal(self, text: str, column: int):
-        if self.type_error is not None:
-            return
-        try:
-            lit_type = _classify_literal(text, column)
-        except PredicateTypeError as exc:
-            self.type_error = exc
-            return
-        if self.operand_type is None:
-            self.operand_type = lit_type
-        elif lit_type != self.operand_type:
-            self.type_error = PredicateTypeError(column, f"mixed operand types {self.operand_type} "
-                                                 f"and {lit_type} without declared coercion")
-
-    def operand(self):
-        kind, text, column = self._tokens[self._pos]
-        if text == "-" and self._tokens[self._pos + 1][0] == "number":
-            self._pos += 1  # a negative literal, at the column of its sign
-            kind, text = "number", "-" + self._tokens[self._pos][1]
-        elif kind not in ("ident", "number", "param"):
-            self._fail("an operand")
-        self._pos += 1
-        if kind == "ident":
-            self.attributes.append(text)
-        elif kind == "number":
-            self._literal(text, column)
-
-    def term(self):
-        self.operand()
-        kind, text, _ = self._tokens[self._pos]
-        if kind == "arith":
-            self._pos += 1
-            self.kinds.append(_ARITH_KIND[text])
-            self.operand()
-
-    def comparison(self):
-        self.term()
-        kind, text, _ = self._tokens[self._pos]
-        if kind != "cmp":
-            self._fail("a comparison operator")
-        self._pos += 1
-        self.kinds.append(_CMP_KIND[text])
-        self.term()
-        if self._tokens[self._pos][0] != "end":
-            self._fail("end of input")
+def _term(tokens: list[tuple[str, str, int]], pos: int, kinds: list[str],
+          attributes: list[str], literals: list[tuple[str, int]]) -> int:
+    """Read one term, operand (ARITH operand)?, from tokens[pos], appending
+    its arithmetic kind and operands, and return the position after it."""
+    pos = _operand(tokens, pos, attributes, literals)
+    kind, text, _ = tokens[pos]
+    if kind != "arith":
+        return pos
+    kinds.append(_ARITH_KIND[text])
+    return _operand(tokens, pos + 1, attributes, literals)
 
 
 def parse_predicate(text: str) -> tuple[tuple[OperatorShape, ...], tuple[str, ...]]:
     """Check a predicate string and return the operator shapes it needs and
     the attributes it names, each in textual order with repeats kept.
 
-    Errors carry the 1-based source column.
+    Errors carry the 1-based source column.  The literals are typed after
+    the whole text has parsed, so that a syntax error comes before any type
+    error.
     """
-    parser = _Parser(_tokenize(text))
-    parser.comparison()
-    if parser.type_error is not None:
-        raise parser.type_error
-    operand_type = parser.operand_type or "int32"
-    return (tuple([_SHAPES[k, operand_type] for k in parser.kinds]),
-            tuple(parser.attributes))
+    tokens = _tokenize(text)
+    kinds: list[str] = []
+    attributes: list[str] = []
+    literals: list[tuple[str, int]] = []
+    pos = _term(tokens, 0, kinds, attributes, literals)
+    kind, cmp, _ = tokens[pos]
+    if kind != "cmp":
+        raise _syntax_error(tokens[pos], "a comparison operator")
+    kinds.append(_CMP_KIND[cmp])
+    pos = _term(tokens, pos + 1, kinds, attributes, literals)
+    if tokens[pos][0] != "end":
+        raise _syntax_error(tokens[pos], "end of input")
+
+    operand_type = None
+    for literal, column in literals:
+        literal_type = _classify_literal(literal, column)
+        if operand_type is None:
+            operand_type = literal_type
+        elif literal_type != operand_type:
+            raise PredicateTypeError(column, f"mixed operand types {operand_type} "
+                                     f"and {literal_type} without declared coercion")
+    operand_type = operand_type or "int32"
+    return tuple([_SHAPES[k, operand_type] for k in kinds]), tuple(attributes)
 
 
 def find_common_accelerators(s: Scenario) -> tuple[frozenset[str], ...]:

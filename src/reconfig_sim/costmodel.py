@@ -34,10 +34,9 @@ def accel_runtime(input_volume: float, module: AcceleratorModule) -> float:
     return input_volume / module.proc_rate
 
 
-def reconfig_time(module: AcceleratorModule, loaded: str | None, rpu: RpuConfig) -> float:
-    """Time to place the module into the region; zero when it is already there."""
-    if loaded == module.id:
-        return 0.0
+def reconfig_time(module: AcceleratorModule, rpu: RpuConfig) -> float:
+    """Time to load the module into the region, whatever the region holds;
+    the timing models decide when a resident module's load costs nothing."""
     if module.reconfig_ms is not None:
         return module.reconfig_ms
     return rpu.default_reconfig_ms
@@ -76,7 +75,7 @@ def stage_terms(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> StageTerms
     stages = []
     for idx, volume in zip(order, input_volumes):
         module = modules[q.invocations[idx].accelerator_id]
-        stages.append((module.id, reconfig_time(module, None, rpu), accel_runtime(volume, module)))
+        stages.append((module.id, reconfig_time(module, rpu), accel_runtime(volume, module)))
     return (scan_time(s.tables_by_id[q.table_id].volume, rpu), tuple(stages),
             transfer_time(output_volume, rpu))
 
@@ -93,7 +92,7 @@ def first_unbounded_query(s: Scenario) -> int | None:
     the models' own sums, in another order, are too.
     """
     rpu = s.rpu
-    longest_load = max(reconfig_time(m, None, rpu) for m in s.library)
+    longest_load = max(reconfig_time(m, rpu) for m in s.library)
     bound = 0.0
     for i, q in enumerate(s.sequence):
         volume = worst = s.tables_by_id[q.table_id].volume

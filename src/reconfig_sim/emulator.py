@@ -21,12 +21,13 @@ with the same float operations.  It reads each query's costs from its stage
 terms (costmodel.stage_terms of the query in its order), which do not depend
 on the region state, so a caller builds them once and runs the loop over
 them as often as it likes; the loop itself only decides when a load costs
-nothing and how the stages overlap.  It records span tuples and per-query
-latencies only when given lists to put them in.  _timeline builds the terms
-and runs the loop once over the whole sequence from an empty region at time
-0; fixed_outcomes shares terms between candidates with the same orders, and
-the exhaustive oracle resumes the loop once per query of each schedule
-prefix it searches, over terms built once per (query, legal order).
+nothing and how the stages overlap.  It records span tuples only when given
+a list to put them in, and execute_schedule reads the per-query latencies
+off them.  _timeline builds the terms and runs the loop once over the whole
+sequence from an empty region at time 0; fixed_outcomes shares terms
+between candidates with the same orders, and the exhaustive oracle resumes
+the loop once per query of each schedule prefix it searches, over terms
+built once per (query, legal order).
 analytic_total adds up the same terms in closed form.
 
 execute_schedule and analytic_total take schedules from outside and reject
@@ -87,16 +88,16 @@ class TimelineReport(Record):
 
 def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[StageTerms],
                  prefetches: tuple[str | None, ...], loaded: str | None, region_free: float,
-                 arrival: float, spans: list[tuple[str, str, float, float, str]] | None = None,
-                 per_query: list[float] | None = None) -> tuple[str | None, float, float, float]:
+                 arrival: float, spans: list[tuple[str, str, float, float, str]] | None = None
+                 ) -> tuple[str | None, float, float, float]:
     """The event loop.  Run the queries through their stage terms (one
     costmodel.stage_terms per query, of its order), with their prefetches,
     unchecked, from the region state the queries before them left: loaded,
     the module owning the region, possibly still loading; region_free, when
     its last load or invocation ends; arrival, when the first of the queries
-    arrives.  Given lists, spans collects (lane, label, start_ms, end_ms,
-    query_id) tuples and per_query the latencies.  Returns that state after
-    the last query, then the last query's transfer end.
+    arrives.  Given a list, spans collects (lane, label, start_ms, end_ms,
+    query_id) tuples.  Returns that state after the last query, then the
+    last query's transfer end.
 
     A load costs its term's load_ms unless its module owns the region, and
     nothing then.  Each `b if b > a else a` is max(a, b), which keeps a on
@@ -104,7 +105,6 @@ def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[St
     """
     modules, rpu = s.modules_by_id, s.rpu
     span = None if spans is None else spans.append
-    latency = None if per_query is None else per_query.append
     transfer_end = 0.0
 
     for q, (scan_ms, stages, transfer_ms), prefetch in zip(queries, terms, prefetches):
@@ -128,11 +128,9 @@ def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[St
         transfer_end = data_ready + transfer_ms
         if span:
             span(("transfer", "result", data_ready, transfer_end, q.id))
-        if latency:
-            latency(transfer_end - arrival)
 
         if prefetch is not None and prefetch != loaded:
-            end = region_free + reconfig_time(modules[prefetch], loaded, rpu)
+            end = region_free + reconfig_time(modules[prefetch], rpu)
             if span:
                 span(("reconfig", prefetch, region_free, end, SPECULATIVE))
             loaded, region_free = prefetch, end
@@ -143,18 +141,16 @@ def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[St
 
 
 def _timeline(s: Scenario, sch: Schedule,
-              spans: list[tuple[str, str, float, float, str]] | None = None,
-              per_query: list[float] | None = None) -> float:
+              spans: list[tuple[str, str, float, float, str]] | None = None) -> float:
     """Run a legal schedule event by event, unchecked, from an empty region
-    at time 0, and return the total; spans and per_query, when given, collect
-    the span tuples and the per-query latencies.
+    at time 0, and return the total; spans, when given, collects the span
+    tuples.
 
-    The oracle's baseline total calls this directly, with no lists, and
+    The oracle's baseline total calls this directly, with no list, and
     builds no Span.
     """
     terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
-    return _run_queries(s, s.sequence, terms, sch.prefetches, None, 0.0, 0.0,
-                        spans, per_query)[3]
+    return _run_queries(s, s.sequence, terms, sch.prefetches, None, 0.0, 0.0, spans)[3]
 
 
 def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
@@ -166,8 +162,15 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
     if violations:
         raise ScheduleError(violations)
     spans: list[tuple[str, str, float, float, str]] = []
-    per_query: list[float] = []
-    total = _timeline(s, sch, spans, per_query)
+    total = _timeline(s, sch, spans)
+    # a query's latency runs from its arrival, where its scan starts, to its
+    # transfer end; the loop records both spans of a query in that order
+    per_query, arrival = [], 0.0
+    for lane, _, start, end, _ in spans:
+        if lane == "scan":
+            arrival = start
+        elif lane == "transfer":
+            per_query.append(end - arrival)
     return TimelineReport(tuple([Span(*sp) for sp in spans]), tuple(per_query), total)
 
 
@@ -210,7 +213,7 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
 
         loaded = previous
         if prefetch is not None and prefetch != loaded:
-            residual = max(0.0, reconfig_time(modules[prefetch], None, s.rpu) - (t_trans + gap))
+            residual = max(0.0, reconfig_time(modules[prefetch], s.rpu) - (t_trans + gap))
             loaded = prefetch
         else:
             residual = 0.0

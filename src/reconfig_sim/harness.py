@@ -59,7 +59,7 @@ class SweepSpec(Record):
 
 def with_scale_factor(s: Scenario, scale_factor: float) -> Scenario:
     """The same scenario with its volumes rebased to a new scale factor."""
-    if scale_factor <= 0:
+    if not scale_factor > 0:
         raise ValueError("scale factor must be positive")
     tables = tuple(t.replace(volume=t.volume / s.scale_factor * scale_factor)
                    for t in s.tables)

@@ -7,16 +7,17 @@ transformations return new values, such as the copies that replace()
 makes.  The constructors own every rule about a record's own fields and
 raise FieldError, so a scenario built in code meets the rules a loaded one
 does: no negative or NaN rates, volumes, load times, selectivities,
-multipliers or gaps, which could run an emulated span backwards, and each
-attribute produced once, by an invocation written before its readers that
-does not read it too.  The loader checks what JSON can get wrong and what
-needs other records, and names the document path of every error, a
-constructor's included.  Table volumes are stored already multiplied by the
-scenario's scale_factor.  An invocation keeps its predicate as written; the
-loader parses it once to check its operator shapes and attributes.  Each
-QuerySpec derives its (producer, reader) invocation pairs, the one form of
-the precedence rule (see reader_first_pairs), and each Scenario its tables
-and modules keyed by id, once when built.
+multipliers or gaps, which could run an emulated span backwards, no scale
+factor that is not greater than 0, and each attribute produced once, by an
+invocation written before its readers that does not read it too.  The
+loader checks what JSON can get wrong and what needs other records, and
+names the document path of every error, a constructor's included.  Table
+volumes are stored already multiplied by the scenario's scale_factor.  An
+invocation keeps its predicate as written; the loader parses it once to
+check its operator shapes and attributes.  Each QuerySpec derives its
+(producer, reader) invocation pairs, the one form of the precedence rule
+(see reader_first_pairs), and each Scenario its tables and modules keyed
+by id, once when built.
 """
 from __future__ import annotations
 
@@ -202,6 +203,8 @@ class Scenario(Record):
                  scale_factor: float = 1.0):
         if not sequence:
             raise FieldError("sequence", f"must be non-empty, got {sequence!r}")
+        if not scale_factor > 0:
+            raise FieldError("scale_factor", f"must be greater than 0, got {scale_factor}")
         set_field(self, "rpu", rpu)
         set_field(self, "tables", tables)
         set_field(self, "library", library)
@@ -421,7 +424,10 @@ def load_scenario(text: str) -> Scenario:
     scale = 1.0
     if "scale_factor" in doc:
         scale = _number(doc, "scale_factor", "document")
-        if not scale > 0:  # the loader applies it; no record checks it
+        # Scenario owns this rule, but the tables are scaled before it is
+        # built, and a factor that is not positive would first fail there
+        # as a table's volume
+        if not scale > 0:
             raise ScenarioError(f"must be greater than 0, got {scale}", "document.scale_factor")
 
     table_map = {t.id: t for t in tables}

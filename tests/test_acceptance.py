@@ -204,7 +204,7 @@ def test_criterion_6_prefetch_saving_formula_holds():
         if first1 == last0:
             predicted = 0.0
         else:
-            load = reconfig_time(modules[first1], last0, s.rpu)
+            load = reconfig_time(modules[first1], s.rpu)
             _, out0 = propagate_volumes(q0, base.orders[0], tables)
             window = transfer_time(out0, s.rpu) + q0.gap_after_ms
             residual = max(0.0, load - window)

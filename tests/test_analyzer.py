@@ -48,6 +48,9 @@ def test_int64_by_magnitude():
 def test_negative_literal():
     assert parse_predicate("delta > -5") == (_shapes("int32", "compare_gt"), ("delta",))
     assert parse_predicate("-2.5 < delta") == (_shapes("float", "compare_lt"), ("delta",))
+    # a sign apart from its number still negates it: 2**63 alone is out of int64
+    assert parse_predicate("- 3 > a") == (_shapes("int32", "compare_gt"), ("a",))
+    assert parse_predicate("- 9223372036854775808 > a") == (_shapes("int64", "compare_gt"), ("a",))
 
 
 @pytest.mark.parametrize("text, column, expected", [
@@ -58,6 +61,11 @@ def test_negative_literal():
     ("A > ?", 5, "a token"),
     ("", 1, "an operand"),
     ("> 3", 1, "an operand"),
+    # at most one arithmetic operator per side
+    ("a + b + c > 1", 7, "a comparison operator"),
+    ("a > b + c + 1", 11, "end of input"),
+    # only a number can be negated
+    ("a > -b", 5, "an operand"),
 ])
 def test_syntax_errors_carry_columns(text, column, expected):
     with pytest.raises(PredicateSyntaxError) as excinfo:
@@ -85,12 +93,13 @@ def test_mixed_literal_types_rejected():
     ("x > 99999999999999999999999999999", 5, "integer literal out of int64 range"),
     ("x > 9223372036854775808", 5, "integer literal out of int64 range"),
     ("-9223372036854775809 < x", 1, "integer literal out of int64 range"),
+    ("- 1e999 > a", 1, "float literal out of range"),
     ("x > 1e999", 5, "float literal out of range"),
     ("x * 2.5 > " + "9" * 400 + ".0", 11, "float literal out of range"),
     ("x + 1e999 > 9" + "9" * 30, 5, "float literal out of range"),
     ("x + 1.5 > 2 - 1e999", 11, "mixed operand types float and int32"),
-], ids=["5000-digits", "29-digits", "int64-max-plus-1", "int64-min-minus-1", "1e999",
-        "400-digit-float", "first-of-two", "mixed-before-overflow"])
+], ids=["5000-digits", "29-digits", "int64-max-plus-1", "int64-min-minus-1", "spaced-sign",
+        "1e999", "400-digit-float", "first-of-two", "mixed-before-overflow"])
 def test_literals_that_fit_no_operand_type_are_rejected(text, column, fragment):
     with pytest.raises(PredicateTypeError) as excinfo:
         parse_predicate(text)

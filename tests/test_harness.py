@@ -37,8 +37,9 @@ def test_with_scale_factor_rebases_volumes(seq2, seq2_small):
 
     restored = with_scale_factor(seq2_small, 1.0)
     assert {t.id: t.volume for t in restored.tables}["orders"] == 16.0
-    with pytest.raises(ValueError):
-        with_scale_factor(seq2, 0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            with_scale_factor(seq2, bad)
     with pytest.raises(ValueError, match=r"tables\[0\]\.volume: not finite"):
         with_scale_factor(seq2, 1e308)
 

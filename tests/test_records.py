@@ -148,6 +148,9 @@ SIGN_CHECKS = [
      "must be greater than 0", (1e-300,)),
     (QuerySpec("Q0", "t", (_INVOCATION,), 2.0), "sequence[0]", "gap_after_ms", (-1.0, _NAN),
      "must be at least 0", (0.0,)),
+    (Scenario(RpuConfig(1.0, 0.2, 15.0), (TableDef("t", 16.0),),
+              (AcceleratorModule("m", frozenset(), 2.0),), (QuerySpec("Q0", "t", (_INVOCATION,)),)),
+     "document", "scale_factor", (0.0, -1.0, _NAN), "must be greater than 0", (1e-300,)),
 ]
 _SIGN_CHECK_IDS = [f"{type(c[0]).__name__}.{c[2]}" for c in SIGN_CHECKS]
 
@@ -156,8 +159,9 @@ _SIGN_CHECK_IDS = [f"{type(c[0]).__name__}.{c[2]}" for c in SIGN_CHECKS]
                          ids=_SIGN_CHECK_IDS)
 def test_constructors_reject_negative_and_nan_values(record, path, field, rejected, message,
                                                       accepted):
-    """These are the values that could run an emulated span backwards, and
-    the emulator's event loop no longer checks its spans."""
+    """These are the values that could run an emulated span backwards (the
+    scale factor divides and rebases every table volume), and the
+    emulator's event loop no longer checks its spans."""
     fields = {name: getattr(record, name) for name in type(record)._fields}
     for value in rejected:
         # replace, and the constructor itself
@@ -174,8 +178,9 @@ def test_constructors_reject_negative_and_nan_values(record, path, field, reject
                          ids=_SIGN_CHECK_IDS)
 def test_the_loader_reports_the_constructor_message(seq2_doc, record, path, field, rejected,
                                                     message, accepted):
-    """The loader checks no value range of its own: the constructor rejects
-    the value, and the loader names its document path in front of the
+    """The loader checks no value range of its own but the scale factor's,
+    which it applies before Scenario is built: the constructor rejects the
+    value, and the loader names its document path in front of the
     constructor's message, so the two cannot drift apart.  JSON's NaN and
     infinities are the loader's to reject, as not finite."""
     finite = [value for value in rejected if math.isfinite(value)]
@@ -183,7 +188,7 @@ def test_the_loader_reports_the_constructor_message(seq2_doc, record, path, fiel
     for value in finite:
         doc = copy.deepcopy(seq2_doc)
         target = doc
-        for key, index in re.findall(r"(\w+)(?:\[(\d+)\])?", path):
+        for key, index in re.findall(r"(\w+)(?:\[(\d+)\])?", path.removeprefix("document")):
             target = target[key] if not index else target[key][int(index)]
         target[field] = value
         with pytest.raises(ScenarioError) as excinfo:

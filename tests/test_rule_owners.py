@@ -6,7 +6,8 @@ derives QuerySpec.dependencies from them).  Schedules are
 validated where they enter from outside, in the emulator's two public
 entries, and nowhere else.  The stage costs of a query in an order are
 built in costmodel.stage_terms, and combined into a timeline in one event
-loop, and into the closed form, and nowhere else."""
+loop, and into the closed form, and nowhere else; those two alone decide
+when a load costs nothing because its module is resident."""
 import ast
 from pathlib import Path
 
@@ -38,18 +39,25 @@ def _attribute_reads():
                 yield name, node.attr, node.lineno
 
 
-def _scoped_reads(node, scope=""):
+def _scoped_nodes(node, scope=""):
     """(qualified name of the enclosing function or class, "" at module level,
-    name read) for every bare name and attribute read below node."""
+    node) for every node below node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _scoped_reads(child, f"{scope}.{child.name}" if scope else child.name)
+            yield from _scoped_nodes(child, f"{scope}.{child.name}" if scope else child.name)
             continue
+        yield scope, child
+        yield from _scoped_nodes(child, scope)
+
+
+def _scoped_reads(node):
+    """(scope as in _scoped_nodes, name read) for every bare name and
+    attribute read below node."""
+    for scope, child in _scoped_nodes(node):
         if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
             yield scope, child.id
         elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
             yield scope, child.attr
-        yield from _scoped_reads(child, scope)
 
 
 def test_each_rule_is_read_only_by_its_owner():
@@ -104,3 +112,20 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
                         ("optimizer.py", "fixed_outcomes"),
                         ("optimizer.py", "exhaustive_oracle")},
     }
+
+
+def test_residency_is_decided_only_by_the_timing_models():
+    """A load costs nothing when its module already owns the region, and only
+    the event loop and the closed form decide that: reconfig_time is the
+    load time alone, and nothing else compares anything with the loaded
+    module.  A second copy of the rule, say back in reconfig_time or in a
+    planner, fails here."""
+    def names_loaded(operand):
+        return ((isinstance(operand, ast.Name) and operand.id == "loaded")
+                or (isinstance(operand, ast.Attribute) and operand.attr == "loaded"))
+
+    users = {(name, scope) for name, tree in _package_trees()
+             for scope, node in _scoped_nodes(tree)
+             if isinstance(node, ast.Compare)
+             and any(names_loaded(operand) for operand in (node.left, *node.comparators))}
+    assert users == {("emulator.py", "_run_queries"), ("emulator.py", "analytic_total")}
