@@ -29,7 +29,7 @@ import math
 import re
 from typing import TYPE_CHECKING
 
-from .record import Record, set_field
+from .record import FieldError, Record, set_field
 
 if TYPE_CHECKING:
     from .model import QuerySpec, Scenario, Schedule
@@ -71,9 +71,9 @@ class OperatorShape(Record):
 
     def __init__(self, kind: str, operand_type: str):
         if kind not in COMPARE_KINDS | ARITH_KINDS:
-            raise ValueError(f"unknown operator kind: {kind!r}")
+            raise FieldError("kind", f"unknown operator kind '{kind}'")
         if operand_type not in OPERAND_TYPES:
-            raise ValueError(f"unknown operand type: {operand_type!r}")
+            raise FieldError("operand_type", f"unknown operand type '{operand_type}'")
         set_field(self, "kind", kind)
         set_field(self, "operand_type", operand_type)
 

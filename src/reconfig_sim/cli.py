@@ -14,7 +14,7 @@ from pathlib import Path
 from . import harness
 from .emulator import emit_trace, execute_schedule
 from .harness import SweepSpec, format_ms, run_sweep
-from .model import Scenario, ScenarioError, identity_schedule, schedule_from_doc
+from .model import Scenario, identity_schedule, schedule_from_doc
 from .optimizer import STRATEGIES, optimize, outcome_document
 
 
@@ -155,7 +155,7 @@ def cli_dispatch(argv: list[str]) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_corpus(args)
-    except (_CliError, ScenarioError, ValueError) as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

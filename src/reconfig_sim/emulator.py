@@ -23,12 +23,7 @@ on the region state, so a caller builds them once and runs the loop over
 them as often as it likes; the loop itself only decides when a load costs
 nothing and how the stages overlap.  It records span tuples only when given
 a list to put them in, and execute_schedule reads the per-query latencies
-off them.  _timeline builds the terms and runs the loop once over the whole
-sequence from an empty region at time 0; fixed_outcomes shares terms
-between candidates with the same orders, and the exhaustive oracle resumes
-the loop once per query of each schedule prefix it searches, over terms
-built once per (query, legal order).
-analytic_total adds up the same terms in closed form.
+off them.  analytic_total adds up the same terms in closed form.
 
 execute_schedule and analytic_total take schedules from outside and reject
 an illegal one with ScheduleError.  The event loop, which the planners
@@ -145,9 +140,6 @@ def _timeline(s: Scenario, sch: Schedule,
     """Run a legal schedule event by event, unchecked, from an empty region
     at time 0, and return the total; spans, when given, collects the span
     tuples.
-
-    The oracle's baseline total calls this directly, with no list, and
-    builds no Span.
     """
     terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
     return _run_queries(s, s.sequence, terms, sch.prefetches, None, 0.0, 0.0, spans)[3]

@@ -8,16 +8,17 @@ makes.  The constructors own every rule about a record's own fields and
 raise FieldError, so a scenario built in code meets the rules a loaded one
 does: no negative or NaN rates, volumes, load times, selectivities,
 multipliers or gaps, which could run an emulated span backwards, no scale
-factor that is not greater than 0, and each attribute produced once, by an
-invocation written before its readers that does not read it too.  The
-loader checks what JSON can get wrong and what needs other records, and
-names the document path of every error, a constructor's included.  Table
-volumes are stored already multiplied by the scenario's scale_factor.  An
-invocation keeps its predicate as written; the loader parses it once to
-check its operator shapes and attributes.  Each QuerySpec derives its
-(producer, reader) invocation pairs, the one form of the precedence rule
-(see reader_first_pairs), and each Scenario its tables and modules keyed
-by id, once when built.
+factor that is not greater than 0, each attribute produced once, by an
+invocation written before its readers that does not read it too, and no
+two tables, modules or queries of one id.  The loader checks what JSON can
+get wrong and what needs other records, and names the document path of
+every error, a constructor's included.  Table volumes are stored already
+multiplied by the scenario's scale_factor.  An invocation keeps its
+predicate as written; the loader parses it once to check its operator
+shapes and attributes.  Each QuerySpec derives its (producer, reader)
+invocation pairs, the one form of the precedence rule (see
+reader_first_pairs), and each Scenario its tables and modules keyed by id,
+once when built.
 """
 from __future__ import annotations
 
@@ -26,15 +27,9 @@ import math
 from typing import Mapping
 
 from . import analyzer
-from .analyzer import (
-    ARITH_KINDS,
-    COMPARE_KINDS,
-    OPERAND_TYPES,
-    OperatorShape,
-    PredicateError,
-)
+from .analyzer import OperatorShape, PredicateError
 from .costmodel import first_unbounded_query
-from .record import Record, set_field
+from .record import FieldError, Record, set_field
 
 PREFETCH_TRIGGER = "pr-region-free-after-this-query"
 # shared by every invocation without "produces": each frozenset() call makes
@@ -48,17 +43,6 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
-
-
-class FieldError(ValueError):
-    """A record constructor's rejection of one of its fields; str is
-    "<field> <problem>".  field is None when the rule spans several fields,
-    and str is then the problem alone."""
-
-    def __init__(self, field: str | None, problem: str):
-        self.field = field
-        self.problem = problem
-        super().__init__(f"{field} {problem}" if field else problem)
 
 
 class ScheduleError(ValueError):
@@ -191,8 +175,9 @@ class QuerySpec(Record):
 
 class Scenario(Record):
     """A device, its tables and module library, and a sequence of at least
-    one query.  tables_by_id and modules_by_id are derived, not given: the
-    tables and modules keyed by id.  Equality, hash and repr ignore them."""
+    one query; no two tables, modules or queries share an id.  tables_by_id
+    and modules_by_id are derived, not given: the tables and modules keyed
+    by id.  Equality, hash and repr ignore them."""
 
     __slots__ = ("rpu", "tables", "library", "sequence", "scale_factor",
                  "tables_by_id", "modules_by_id")
@@ -210,8 +195,22 @@ class Scenario(Record):
         set_field(self, "library", library)
         set_field(self, "sequence", sequence)
         set_field(self, "scale_factor", scale_factor)
-        set_field(self, "tables_by_id", {t.id: t for t in tables})
-        set_field(self, "modules_by_id", {m.id: m for m in library})
+        set_field(self, "tables_by_id", _by_id(tables, "tables", "table"))
+        set_field(self, "modules_by_id", _by_id(library, "library", "module"))
+        _by_id(sequence, "sequence", "query")
+
+
+def _by_id(items, field: str, what: str) -> dict:
+    """items keyed by id.  A repeated id is a FieldError of field that names
+    the first one; the search for it runs only then."""
+    by_id = {item.id: item for item in items}
+    if len(by_id) < len(items):
+        seen = set()
+        for item in items:
+            if item.id in seen:
+                raise FieldError(field, f"duplicate {what} id '{item.id}'")
+            seen.add(item.id)
+    return by_id
 
 
 class Schedule(Record):
@@ -256,12 +255,12 @@ def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...],
 
 
 def _record(build, path: str, *fields):
-    """build(*fields), a record constructor's FieldError raised as a
-    ScenarioError at the field's path below path."""
+    """build(*fields), its FieldError raised as a ScenarioError at the
+    field's path below path ("" for the top level of the document)."""
     try:
         return build(*fields)
     except FieldError as exc:
-        raise ScenarioError(exc.problem, f"{path}.{exc.field}" if exc.field else path) from exc
+        raise ScenarioError(exc.problem, ".".join(filter(None, (path, exc.field)))) from exc
 
 
 def _number(obj: dict, key: str, path: str) -> float:
@@ -329,13 +328,8 @@ def _module_from_doc(obj, path: str) -> AcceleratorModule:
         shape_path = f"{path}.supported_ops[{i}]"
         shape_obj = _object(shape_obj, shape_path)
         _check_keys(shape_obj, ("kind", "operand_type"), (), shape_path)
-        kind = _string(shape_obj, "kind", shape_path)
-        operand_type = _string(shape_obj, "operand_type", shape_path)
-        if kind not in COMPARE_KINDS | ARITH_KINDS:
-            raise ScenarioError(f"unknown operator kind '{kind}'", f"{shape_path}.kind")
-        if operand_type not in OPERAND_TYPES:
-            raise ScenarioError(f"unknown operand type '{operand_type}'", f"{shape_path}.operand_type")
-        shapes.add(OperatorShape(kind, operand_type))
+        shapes.add(_record(OperatorShape, shape_path, _string(shape_obj, "kind", shape_path),
+                           _string(shape_obj, "operand_type", shape_path)))
     reconfig_ms = _number(obj, "reconfig_ms", path) if "reconfig_ms" in obj else None
     return _record(AcceleratorModule, path, _string(obj, "id", path), frozenset(shapes),
                    _number(obj, "proc_rate", path), reconfig_ms)
@@ -390,14 +384,6 @@ def _query_from_doc(obj, path: str, tables: Mapping[str, TableDef],
     return _record(QuerySpec, path, _string(obj, "id", path), table_id, invocations, gap)
 
 
-def _unique_ids(items, what: str, path: str):
-    seen = set()
-    for item in items:
-        if item.id in seen:
-            raise ScenarioError(f"duplicate {what} id '{item.id}'", path)
-        seen.add(item.id)
-
-
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
@@ -416,10 +402,11 @@ def load_scenario(text: str) -> Scenario:
     rpu = _rpu_from_doc(doc["rpu"], "rpu")
     tables = tuple(_table_from_doc(obj, f"tables[{i}]")
                    for i, obj in enumerate(_array(doc, "tables", "document")))
-    _unique_ids(tables, "table", "tables")
+    # Scenario owns the unique-id rule, but the queries need these maps first
+    table_map = _record(_by_id, "", tables, "tables", "table")
     library = tuple(_module_from_doc(obj, f"library[{i}]")
                     for i, obj in enumerate(_array(doc, "library", "document")))
-    _unique_ids(library, "module", "library")
+    module_map = _record(_by_id, "", library, "library", "module")
 
     scale = 1.0
     if "scale_factor" in doc:
@@ -430,8 +417,6 @@ def load_scenario(text: str) -> Scenario:
         if not scale > 0:
             raise ScenarioError(f"must be greater than 0, got {scale}", "document.scale_factor")
 
-    table_map = {t.id: t for t in tables}
-    module_map = {m.id: m for m in library}
     sequence_doc = doc["sequence"]
     if not isinstance(sequence_doc, list) or not sequence_doc:
         raise ScenarioError("must be a non-empty array", "sequence")
@@ -440,13 +425,13 @@ def load_scenario(text: str) -> Scenario:
     sets: dict[frozenset[str], frozenset[str]] = {}
     sequence = tuple(_query_from_doc(obj, f"sequence[{i}]", table_map, module_map, sets)
                      for i, obj in enumerate(sequence_doc))
-    _unique_ids(sequence, "query", "sequence")
 
-    scaled = tuple(TableDef(t.id, t.volume * scale) for t in tables)
-    for i, t in enumerate(scaled):
+    # the loader has checked every other rule of Scenario: this reports a repeated query id
+    s = _record(Scenario, "", rpu, tuple(TableDef(t.id, t.volume * scale) for t in tables),
+                library, sequence, scale)
+    for i, t in enumerate(s.tables):
         if not math.isfinite(t.volume):
             raise ScenarioError(f"not finite at scale_factor {scale}", f"tables[{i}].volume")
-    s = Scenario(rpu, scaled, library, sequence, scale)
     unbounded = first_unbounded_query(s)
     if unbounded is not None:
         raise ScenarioError("an upper bound on the total is not finite by this query: "

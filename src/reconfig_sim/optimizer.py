@@ -44,6 +44,7 @@ STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle")
 
 ORACLE_MAX_INVOCATIONS = 8
 ORACLE_MAX_QUERIES = 4
+ORACLE_MAX_MODULES = 8
 
 
 class InstanceTooLargeError(ValueError):
@@ -219,9 +220,11 @@ def _least_key(s: Scenario, order_choices, prefetch_choices, i: int, loaded: str
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     """The best schedule over every legal order and prefetch choice.
 
-    Guarded to small instances.  A depth-first search over (query, order,
-    prefetch) runs the event loop once per node, resuming from the region
-    state its parent left, so schedules that share a prefix share its run.
+    Guarded to small instances, the library size included: each query
+    before the last fans out over no prefetch and every module.  A
+    depth-first search over (query, order, prefetch) runs the event loop
+    once per node, resuming from the region state its parent left, so
+    schedules that share a prefix share its run.
     A prefetch of the module the order ends on is skipped: the loop ignores
     it, so it gives the timeline of no prefetch, which ranks before it.
     The least (total, reconfigurations, order ranks, prefetch ranks) wins,
@@ -231,10 +234,12 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     """
     n = len(s.sequence)
     total_invocations = sum(len(q.invocations) for q in s.sequence)
-    if total_invocations > ORACLE_MAX_INVOCATIONS or n > ORACLE_MAX_QUERIES:
+    if (total_invocations > ORACLE_MAX_INVOCATIONS or n > ORACLE_MAX_QUERIES
+            or len(s.library) > ORACLE_MAX_MODULES):
         raise InstanceTooLargeError(
             f"instance too large for exhaustive search: {total_invocations} invocations "
-            f"over {n} queries (limits: {ORACLE_MAX_INVOCATIONS} and {ORACLE_MAX_QUERIES})")
+            f"over {n} queries, {len(s.library)} modules (limits: {ORACLE_MAX_INVOCATIONS} "
+            f"invocations, {ORACLE_MAX_QUERIES} queries, {ORACLE_MAX_MODULES} modules)")
 
     legal_orders = [_legal_orders(q) for q in s.sequence]
     order_choices = [[stage_terms(q, order, s) for order in orders]

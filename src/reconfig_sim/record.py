@@ -1,12 +1,13 @@
 """Base of the package's immutable record types.
 
 A record lists its fields in __slots__ and sets them in its own __init__
-through set_field, since assignment raises AttributeError.  Equality and
-hash use the fields named in _fields (all of __slots__ unless the class
-names fewer) and hold only between records of the same class; repr shows
-the same fields as Name(field=value, ...).  replace() returns a copy with
-some fields changed, passing the constructor _fields, so the copy derives
-its other slots again.
+through set_field, since assignment raises AttributeError; it rejects a
+field that breaks its rules with FieldError.  Equality and hash use the
+fields named in _fields (all of __slots__ unless the class names fewer)
+and hold only between records of the same class; repr shows the same
+fields as Name(field=value, ...).  replace() returns a copy with some
+fields changed, passing the constructor _fields, so the copy derives its
+other slots again.
 
 The records are plain classes rather than dataclasses: importing
 dataclasses and generating its methods cost about as much as the rest of
@@ -17,6 +18,17 @@ from __future__ import annotations
 from operator import attrgetter
 
 set_field = object.__setattr__
+
+
+class FieldError(ValueError):
+    """A record constructor's rejection of one of its fields; str is
+    "<field> <problem>".  field is None when the rule spans several fields,
+    and str is then the problem alone."""
+
+    def __init__(self, field: str | None, problem: str):
+        self.field = field
+        self.problem = problem
+        super().__init__(f"{field} {problem}" if field else problem)
 
 
 class Record:

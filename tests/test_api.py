@@ -1,6 +1,4 @@
 """The public names of the package and the README example that uses them."""
-import importlib
-import importlib.util
 import os
 import re
 import subprocess
@@ -13,7 +11,6 @@ import reconfig_sim
 from reconfig_sim import harness
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = {
@@ -42,18 +39,6 @@ def test_public_names_are_exactly_the_documented_ones():
 def test_every_public_name_resolves():
     for name in reconfig_sim.__all__:
         assert getattr(reconfig_sim, name) is not None, name
-
-
-def test_every_traced_function_exists():
-    # perfbench/tracer.py wraps these by name; a missing one breaks --trace 1
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    assert tracer.FUNCTIONS
-    for qualified in tracer.FUNCTIONS:
-        module_name, name = qualified.split(".")
-        module = importlib.import_module(f"reconfig_sim.{module_name}")
-        assert callable(getattr(module, name, None)), qualified
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

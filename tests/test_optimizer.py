@@ -14,6 +14,7 @@ from reconfig_sim.model import Schedule, load_scenario, validate_schedule
 from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
     ORACLE_MAX_INVOCATIONS,
+    ORACLE_MAX_MODULES,
     ORACLE_MAX_QUERIES,
     STRATEGIES,
     InstanceTooLargeError,
@@ -485,7 +486,7 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
 
 
 def _within_oracle_guard(s):
-    return (len(s.sequence) <= ORACLE_MAX_QUERIES
+    return (len(s.sequence) <= ORACLE_MAX_QUERIES and len(s.library) <= ORACLE_MAX_MODULES
             and sum(len(q.invocations) for q in s.sequence) <= ORACLE_MAX_INVOCATIONS)
 
 
@@ -534,6 +535,20 @@ def test_oracle_guard_rejects_large_instances(random_scenario):
     s = random_scenario(random.Random(3), 5)
     with pytest.raises(InstanceTooLargeError, match="instance too large for exhaustive search"):
         exhaustive_oracle(s)
+
+
+def test_oracle_guard_rejects_large_libraries():
+    """Each query before the last fans out over no prefetch and every
+    module, so the search grows with the library even at four queries and
+    eight invocations."""
+    rng = random.Random(5)
+    exhaustive_oracle(_at_the_guard(rng, ORACLE_MAX_MODULES))
+    s = _at_the_guard(rng, ORACLE_MAX_MODULES + 1)
+    with pytest.raises(InstanceTooLargeError) as excinfo:
+        exhaustive_oracle(s)
+    assert str(excinfo.value) == (
+        "instance too large for exhaustive search: 8 invocations over 4 queries, 9 modules "
+        "(limits: 8 invocations, 4 queries, 8 modules)")
 
 
 def test_unknown_strategy_is_rejected(seq2):

@@ -14,6 +14,7 @@ from reconfig_sim.emulator import Span, TimelineReport
 from reconfig_sim.harness import SweepSpec
 from reconfig_sim.model import (
     AcceleratorModule,
+    FieldError,
     Invocation,
     QuerySpec,
     RpuConfig,
@@ -208,6 +209,38 @@ def test_constructors_reject_empty_sequences(seq2):
         with pytest.raises(ValueError) as excinfo:
             build()
         assert str(excinfo.value) == f"{field} must be non-empty, got ()"
+
+
+# field, a value OperatorShape rejects, the problem it names
+VOCABULARY_CHECKS = [
+    ("kind", "compare_gte", "unknown operator kind 'compare_gte'"),
+    ("operand_type", "int8", "unknown operand type 'int8'"),
+]
+
+
+@pytest.mark.parametrize("field, value, problem", VOCABULARY_CHECKS)
+def test_operator_shape_rejects_values_outside_the_vocabulary(field, value, problem):
+    """OperatorShape alone knows the operator kinds and operand types; the
+    loader reports this FieldError at the shape's document path."""
+    with pytest.raises(FieldError) as excinfo:
+        OperatorShape(**{"kind": "compare_gt", "operand_type": "int32", field: value})
+    assert (excinfo.value.field, excinfo.value.problem) == (field, problem)
+
+
+@pytest.mark.parametrize("field, what", [("tables", "table"), ("library", "module"),
+                                         ("sequence", "query")])
+def test_scenario_rejects_repeated_ids(seq2, field, what):
+    """A scenario built in code with two tables, modules or queries of one
+    id would silently use the last; Scenario names the first repeated id,
+    as the loader does."""
+    first, *rest = getattr(seq2, field)
+    with pytest.raises(FieldError) as excinfo:
+        seq2.replace(**{field: (first, first.replace(), *rest)})
+    assert str(excinfo.value) == f"{field} duplicate {what} id '{first.id}'"
+    # the same id again after the first repeat: the first is still named
+    with pytest.raises(FieldError) as excinfo:
+        seq2.replace(**{field: (*rest, first, *rest, first)})
+    assert excinfo.value.problem == f"duplicate {what} id '{rest[0].id}'"
 
 
 def test_copy_and_pickle_keep_every_field():

@@ -7,7 +7,8 @@ validated where they enter from outside, in the emulator's two public
 entries, and nowhere else.  The stage costs of a query in an order are
 built in costmodel.stage_terms, and combined into a timeline in one event
 loop, and into the closed form, and nowhere else; those two alone decide
-when a load costs nothing because its module is resident."""
+when a load costs nothing because its module is resident.  The operator
+vocabulary is read only in the analyzer."""
 import ast
 from pathlib import Path
 
@@ -20,6 +21,8 @@ OWNERS = {
     "reconfig_ms": "costmodel.py",
     "default_reconfig_ms": "costmodel.py",
 }
+
+VOCABULARY = {"COMPARE_KINDS", "ARITH_KINDS", "OPERAND_TYPES"}
 
 STAGE_COSTS = {"scan_time", "accel_runtime", "reconfig_time", "transfer_time",
                "propagate_volumes"}
@@ -81,6 +84,16 @@ def test_precedence_is_read_only_by_the_query_constructor():
              for scope, read in _scoped_reads(tree) if read in ("produces", "reads")}
     assert users == {("model.py", "QuerySpec.__init__"), ("model.py", "Invocation.__init__"),
                      ("model.py", "_invocation_from_doc")}
+
+
+def test_the_operator_vocabulary_is_read_only_by_the_analyzer():
+    """OperatorShape's constructor checks a shape's kind and operand type,
+    and the loader reports its FieldError at the document path.  A second
+    copy of the check, say back in the loader, fails here."""
+    users = {(name, read) for name, tree in _package_trees()
+             for _, read in _scoped_reads(tree) if read in VOCABULARY}
+    assert {name for name, _ in users} == {"analyzer.py"}
+    assert {read for _, read in users} == VOCABULARY
 
 
 def test_only_the_emulator_entries_validate_schedules():
