@@ -2,9 +2,11 @@
 
 Sweeps vary either the data volume scale factor or the idle gap between
 queries.  The four candidate schedules read neither, so a sweep plans them
-once on the input scenario and emulates them at every point.  Rows come out
-in axis-then-strategy order and numbers are formatted identically on every
-run, so repeated sweeps are byte-identical.
+once on the input scenario and emulates them at every point.  Their stage
+terms, one per (query, order) among the candidates, read the volumes but no
+gap, so a gap sweep builds them once and a scale sweep at every point.  Rows
+come out in axis-then-strategy order and numbers are formatted identically
+on every run, so repeated sweeps are byte-identical.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from importlib import resources
 
 from .costmodel import first_unbounded_query
 from .emulator import analytic_total
-from .model import Scenario, Schedule, load_scenario
-from .optimizer import FIXED_STRATEGIES, candidate_schedules, fixed_outcomes
+from .model import Scenario, load_scenario
+from .optimizer import FIXED_STRATEGIES, candidate_schedules, candidate_terms, fixed_outcomes
 from .record import Record, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
@@ -79,20 +81,13 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
     return s.replace(sequence=(*[q._with_gap(gap_ms) for q in queries], last))
 
 
-def _sweep_rows(spec: SweepSpec, value: float, varied: Scenario,
-                schedules: dict[str, Schedule]) -> list[str]:
-    outcomes = fixed_outcomes(varied, schedules)
-    return [",".join((spec.axis, format_ms(value), strategy,
-                      format_ms(outcomes[strategy].total_ms),
-                      format_ms(outcomes[strategy].improvement_pct)))
-            for strategy in STRATEGY_ORDER if strategy in spec.strategies]
-
-
 def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """Evaluate every (value, strategy) point and return the CSV text.
 
     The candidate schedules are planned once, on s, and emulated at every
-    point.  improvement_pct in each row compares against the baseline
+    point.  Their stage terms read volumes but no gap, so they are built
+    once, on s, for every point of a gap sweep, and at every point of a
+    scale sweep.  improvement_pct in each row compares against the baseline
     strategy at the same axis value.  An axis value at which the loader's
     bound on the total (costmodel.first_unbounded_query) is not finite is a
     ValueError.
@@ -107,8 +102,17 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
         raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
                          "bound on the total is not finite by this query")
     schedules = candidate_schedules(s)
-    rows = [row for v in smaller for row in _sweep_rows(spec, v, vary(s, v), schedules)]
-    return "\n".join([CSV_HEADER, *rows, *_sweep_rows(spec, largest, last, schedules)]) + "\n"
+    gap_terms = candidate_terms(s, schedules) if spec.axis == "gap_ms" else None
+    rows = [CSV_HEADER]
+    for value in spec.values:
+        varied = last if value == largest else vary(s, value)
+        terms = gap_terms if gap_terms is not None else candidate_terms(varied, schedules)
+        outcomes = fixed_outcomes(varied, schedules, terms)
+        rows += [",".join((spec.axis, format_ms(value), strategy,
+                           format_ms(outcomes[strategy].total_ms),
+                           format_ms(outcomes[strategy].improvement_pct)))
+                 for strategy in STRATEGY_ORDER if strategy in spec.strategies]
+    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,8 @@ def verify_corpus() -> list[tuple[str, list[str]]]:
         problems = []
         try:
             s = load_bundled(name)
-            outcomes = fixed_outcomes(s, candidate_schedules(s))
+            schedules = candidate_schedules(s)
+            outcomes = fixed_outcomes(s, schedules, candidate_terms(s, schedules))
             for strategy in FIXED_STRATEGIES:
                 emulated = outcomes[strategy].total_ms
                 closed = analytic_total(s, outcomes[strategy].schedule)

@@ -9,12 +9,13 @@ auto          the cheapest of the four
 
 candidate_schedules plans the four fixed-strategy schedules; none of them
 reads a volume or a gap, so a sweep plans them once for all its points.
-fixed_outcomes emulates each once and derives every fixed outcome and the
-auto pick from those four totals.  Both it and the exhaustive search run the
+candidate_terms builds their stage terms (costmodel.stage_terms) once per
+distinct (query, order) among them; the terms read volumes but no gap, so a
+gap sweep builds them once for all its points.  fixed_outcomes emulates each
+candidate once over those terms and derives every fixed outcome and the auto
+pick from the four totals.  Both it and the exhaustive search run the
 emulator's unchecked event loop, since every schedule they emulate is legal
-by construction, over stage terms (costmodel.stage_terms) they build once
-per query and order: fixed_outcomes once per distinct orders, which the
-candidates share in pairs, and the search once per (query, legal order).
+by construction; the search builds its terms once per (query, legal order).
 
 exhaustive_oracle is the reference the heuristics are measured against.  It
 is still exhaustive, but it searches the schedules as a prefix tree: a query's
@@ -34,7 +35,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .analyzer import baseline_order, find_common_accelerators, generate_hints
-from .costmodel import stage_terms
+from .costmodel import StageTerms, stage_terms
 from .emulator import _run_queries, _timeline
 from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
 from .record import Record, set_field
@@ -45,6 +46,9 @@ STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle")
 ORACLE_MAX_INVOCATIONS = 8
 ORACLE_MAX_QUERIES = 4
 ORACLE_MAX_MODULES = 8
+
+# the stage terms of each query, keyed by the orders of a candidate schedule
+CandidateTerms = dict[tuple[tuple[int, ...], ...], list[StageTerms]]
 
 
 class InstanceTooLargeError(ValueError):
@@ -130,25 +134,43 @@ def _improvement(baseline_total: float, total: float) -> float:
     return 100.0 * (baseline_total - total) / baseline_total
 
 
-def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule]) -> dict[str, StrategyOutcome]:
+def candidate_terms(s: Scenario, schedules: dict[str, Schedule]) -> CandidateTerms:
+    """The stage terms of the schedules, keyed by their orders: for each
+    distinct orders among them, one entry per query.
+
+    Each (query index, order) is built once, so the candidates that differ
+    only in prefetches share one list, and a query that reorder leaves in
+    its baseline order shares its terms across both lists.
+    """
+    built: dict[tuple[int, tuple[int, ...]], StageTerms] = {}
+    terms = {}
+    for sched in schedules.values():
+        if sched.orders in terms:
+            continue
+        row = terms[sched.orders] = []
+        for i, (q, order) in enumerate(zip(s.sequence, sched.orders)):
+            term = built.get((i, order))
+            if term is None:
+                term = built[i, order] = stage_terms(q, order, s)
+            row.append(term)
+    return terms
+
+
+def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: CandidateTerms
+                   ) -> dict[str, StrategyOutcome]:
     """The four fixed outcomes plus "auto", from one emulation of each
     candidate schedule.
 
     schedules is candidate_schedules of s, or of a scenario that differs
-    from s only in volumes or gaps, which gives the same schedules.  The
-    stage terms are built once per distinct orders, so the two pairs of
-    candidates that differ only in prefetches share them.  Auto is
-    the cheapest fixed outcome; ties go to the earliest strategy in baseline,
+    from s only in volumes or gaps, which gives the same schedules.  terms
+    is candidate_terms of those schedules on s, or on a scenario that
+    differs from s only in gaps, which gives the same terms.  Auto is the
+    cheapest fixed outcome; ties go to the earliest strategy in baseline,
     spec_reconfig, reorder, combined order.
     """
-    terms_by_orders = {}
-    totals = {}
-    for name, sched in schedules.items():
-        terms = terms_by_orders.get(sched.orders)
-        if terms is None:
-            terms = terms_by_orders[sched.orders] = [
-                stage_terms(q, order, s) for q, order in zip(s.sequence, sched.orders)]
-        totals[name] = _run_queries(s, s.sequence, terms, sched.prefetches, None, 0.0, 0.0)[3]
+    totals = {name: _run_queries(s, s.sequence, terms[sched.orders], sched.prefetches,
+                                 None, 0.0, 0.0)[3]
+              for name, sched in schedules.items()}
     outcomes = {
         name: StrategyOutcome(
             strategy=name,
@@ -173,7 +195,8 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
         return exhaustive_oracle(s)
     if strategy not in FIXED_STRATEGIES and strategy != "auto":
         raise ValueError(f"unknown strategy: {strategy!r}")
-    return fixed_outcomes(s, candidate_schedules(s))[strategy]
+    schedules = candidate_schedules(s)
+    return fixed_outcomes(s, schedules, candidate_terms(s, schedules))[strategy]
 
 
 def _legal_orders(q) -> list[tuple[int, ...]]:

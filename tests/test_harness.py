@@ -6,6 +6,7 @@ import pytest
 
 from reconfig_sim import harness, optimizer
 from reconfig_sim.cli import cli_dispatch
+from reconfig_sim.costmodel import stage_terms
 from reconfig_sim.harness import (
     CSV_HEADER,
     STRATEGY_ORDER,
@@ -148,7 +149,7 @@ def test_sweep_rows_match_one_optimize_per_row(corpus, random_scenario):
 @pytest.fixture
 def work_counts(monkeypatch):
     """Count candidate builds, emulations (runs of the emulator's event loop
-    over the whole sequence) and stage-term builds (one per query and orders)
+    over the whole sequence) and stage-term builds (one per query and order)
     in every module that binds them."""
     counts = {"builds": 0, "emulations": 0, "terms": 0}
     for key, fn in (("builds", optimizer.candidate_schedules),
@@ -164,26 +165,68 @@ def work_counts(monkeypatch):
     return counts
 
 
+def _distinct_query_orders(s):
+    """The distinct (query index, order) pairs among the four candidates,
+    planned without candidate_schedules, which work_counts counts: spec_reconfig
+    and combined keep the orders of baseline and reorder."""
+    base = optimizer.plan_baseline(s)
+    return len({*enumerate(base.orders), *enumerate(optimizer.apply_reorder(s, base).orders)})
+
+
 @pytest.mark.parametrize("strategies", [STRATEGY_ORDER, ("auto",), ("combined", "baseline")])
 def test_sweep_plans_once_and_emulates_each_point_once(seq2, work_counts, strategies):
-    """Four emulations per point over two term builds: the candidates pair
-    up on seq2's two distinct orders."""
-    values = (0.0, 1.0, 2.0, 5.0)
-    run_sweep(seq2, SweepSpec("gap_ms", values, strategies))
-    assert work_counts == {"builds": 1, "emulations": 4 * len(values),
-                           "terms": 2 * len(seq2.sequence) * len(values)}
+    """Four emulations per point.  Stage terms are built once per distinct
+    (query, order): seq2's candidates have three, since reorder moves Q0
+    and leaves Q1.  A gap sweep builds them once for all its points, a
+    scale sweep at every point."""
+    values = (0.25, 1.0, 2.0, 5.0)
+    pairs = _distinct_query_orders(seq2)
+    assert pairs == 3
+    for axis, terms in (("gap_ms", pairs), ("scale_factor", pairs * len(values))):
+        for key in work_counts:
+            work_counts[key] = 0
+        run_sweep(seq2, SweepSpec(axis, values, strategies))
+        assert work_counts == {"builds": 1, "emulations": 4 * len(values), "terms": terms}, axis
+
+
+def test_optimize_builds_each_candidate_query_order_once(work_counts, corpus, random_scenario):
+    """auto plans the candidates once, emulates each once and builds the
+    stage terms once per distinct (query, order) among them."""
+    scenarios = [s for _, s in corpus]
+    for seed in range(20):
+        rng = random.Random(seed)
+        scenarios.append(random_scenario(rng, rng.randint(1, 5)))
+    for s in scenarios:
+        for key in work_counts:
+            work_counts[key] = 0
+        optimize(s, "auto")
+        assert work_counts == {"builds": 1, "emulations": 4, "terms": _distinct_query_orders(s)}
 
 
 def test_verify_corpus_emulates_each_candidate_once(work_counts, corpus):
-    """Stage terms are built once per distinct orders: twice where reorder
-    moves an invocation, once where it leaves the baseline orders."""
-    terms = 0
-    for _, s in corpus:
-        base = optimizer.plan_baseline(s)
-        terms += len({base.orders, optimizer.apply_reorder(s, base).orders}) * len(s.sequence)
+    """Stage terms are built once per distinct (query, order): twice for a
+    query that reorder moves, once for every other."""
+    terms = sum(_distinct_query_orders(s) for _, s in corpus)
     n = len(verify_corpus())
     assert n == len(corpus) and terms < 2 * sum(len(s.sequence) for _, s in corpus)
     assert work_counts == {"builds": n, "emulations": 4 * n, "terms": terms}
+
+
+def test_stage_terms_read_no_gap(seq2, corpus, random_scenario):
+    """A gap sweep builds its candidates' stage terms once, on its input
+    scenario, and reads them at every gap; that holds only while the terms
+    of a scenario with other gaps are equal."""
+    scenarios = [seq2] + [s for _, s in corpus]
+    for seed in range(30):
+        rng = random.Random(seed)
+        scenarios.append(random_scenario(rng, rng.randint(1, 5)))
+    for s in scenarios:
+        candidate_orders = {sch.orders for sch in candidate_schedules(s).values()}
+        for gap in (0.0, 2.0, 60.0):
+            gapped = with_gaps(s, gap)
+            for orders in candidate_orders:
+                assert [stage_terms(q, o, gapped) for q, o in zip(gapped.sequence, orders)] == [
+                    stage_terms(q, o, s) for q, o in zip(s.sequence, orders)]
 
 
 @pytest.mark.parametrize("kwargs, fragment", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconfig_sim import emulator, optimizer
-from reconfig_sim.costmodel import propagate_volumes
+from reconfig_sim.costmodel import propagate_volumes, stage_terms
 from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
 from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
 from reconfig_sim.model import Schedule, load_scenario, validate_schedule
@@ -21,6 +21,7 @@ from reconfig_sim.optimizer import (
     StrategyOutcome,
     _legal_orders,
     candidate_schedules,
+    candidate_terms,
     exhaustive_oracle,
     fixed_outcomes,
     optimize,
@@ -247,6 +248,33 @@ def _outcomes_by_separate_emulation(s):
     return outcomes
 
 
+def _fixed_outcomes(s):
+    schedules = candidate_schedules(s)
+    return fixed_outcomes(s, schedules, candidate_terms(s, schedules))
+
+
+def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, chained_scenario):
+    """candidate_terms holds stage_terms of every candidate's orders, and a
+    (query, order) two candidates share is one object in both lists."""
+    rng = random.Random(17)
+    scenarios = [s for _, s in corpus] + [random_scenario(rng, rng.randint(1, 5))
+                                          for _ in range(20)]
+    scenarios += [_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+                  for _ in range(20)]
+    shared = 0
+    for s in scenarios:
+        schedules = candidate_schedules(s)
+        terms = candidate_terms(s, schedules)
+        assert terms == {sch.orders: [stage_terms(q, order, s)
+                                      for q, order in zip(s.sequence, sch.orders)]
+                         for sch in schedules.values()}
+        base, reordered = terms[schedules["baseline"].orders], terms[schedules["reorder"].orders]
+        for i, (b, r) in enumerate(zip(schedules["baseline"].orders, schedules["reorder"].orders)):
+            assert (base[i] is reordered[i]) == (b == r)
+            shared += b == r and base is not reordered
+    assert shared > 0
+
+
 def test_fixed_outcomes_match_separate_emulation(seq2, seq2_small, corpus, random_scenario):
     scenarios = [seq2, seq2_small] + [s for _, s in corpus]
     for seed in range(50):
@@ -255,7 +283,7 @@ def test_fixed_outcomes_match_separate_emulation(seq2, seq2_small, corpus, rando
     tied_winners = 0
     for s in scenarios:
         expected = _outcomes_by_separate_emulation(s)
-        outcomes = fixed_outcomes(s, candidate_schedules(s))
+        outcomes = _fixed_outcomes(s)
         assert outcomes == expected
         assert list(outcomes) == [*FIXED_STRATEGIES, "auto"]
         for strategy, outcome in expected.items():
@@ -277,7 +305,7 @@ def test_auto_tie_goes_to_baseline():
                 {"accelerator": "m0", "predicate": "b > 2", "selectivity": 0.2,
                  "reads": ["b"]}]},
         ])
-    outcomes = fixed_outcomes(s, candidate_schedules(s))
+    outcomes = _fixed_outcomes(s)
     assert len({outcomes[name].total_ms for name in FIXED_STRATEGIES}) == 1
     assert outcomes["auto"].strategy == "baseline"
     assert optimize(s, "auto") == optimize(s, "baseline")
@@ -309,7 +337,7 @@ def test_planners_compare_totals_without_spans(seq2, seq2_small, monkeypatch):
 
     monkeypatch.setattr(Span, "__init__", counting)
     for s in (seq2, seq2_small):
-        fixed_outcomes(s, candidate_schedules(s))
+        _fixed_outcomes(s)
         exhaustive_oracle(s)
     assert built == []
     execute_schedule(seq2, plan_baseline(seq2))

@@ -4,8 +4,12 @@ copies with changed fields."""
 import copy
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from reconfig_sim.model import (
     load_scenario,
 )
 from reconfig_sim.optimizer import StrategyOutcome
+from reconfig_sim.record import Record
 
 
 def _records():
@@ -243,10 +248,40 @@ def test_scenario_rejects_repeated_ids(seq2, field, what):
     assert excinfo.value.problem == f"duplicate {what} id '{rest[0].id}'"
 
 
+def _repr_parts(value):
+    """What repr shows of a value, as a tree: a record's class name and its
+    fields, a tuple's items, the repr of anything else, and a set as the
+    set.  A frozenset's iteration order, and so its repr, follows the order
+    its elements were inserted in when their hashes collide, which a copy
+    or a pickle need not keep; under PYTHONHASHSEED=24 a copied
+    frozenset({'a', 'b'}) prints as frozenset({'b', 'a'})."""
+    if isinstance(value, Record):
+        return type(value).__qualname__, tuple(
+            (name, _repr_parts(getattr(value, name))) for name in value._fields)
+    if isinstance(value, tuple):
+        return tuple(_repr_parts(item) for item in value)
+    if isinstance(value, frozenset):
+        return value
+    return repr(value)
+
+
 def test_copy_and_pickle_keep_every_field():
     for record in _records():
         for twin in (copy.copy(record), copy.deepcopy(record),
                      pickle.loads(pickle.dumps(record))):
-            assert twin == record and repr(twin) == repr(record)
+            assert twin == record and _repr_parts(twin) == _repr_parts(record)
             assert [getattr(twin, name) for name in type(record).__slots__] == [
                 getattr(record, name) for name in type(record).__slots__]
+
+
+def test_copy_and_pickle_hold_under_any_hash_seed():
+    """The check above once failed under PYTHONHASHSEED=24 and passed under
+    0, since it compared reprs that print sets in iteration order."""
+    tests = Path(__file__).resolve().parent
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import test_records; "
+             "test_records.test_copy_and_pickle_keep_every_field()")
+    for seed in ("0", "24"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(tests.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", probe, str(tests)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (seed, done.stderr)

@@ -110,7 +110,8 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
     costmodel.stage_terms alone: outside costmodel, the stage functions are
     read only for the load of a prefetch, by the event loop and the closed
     form, and the terms only by the emulator's entries (_timeline runs the
-    loop for execute_schedule) and the two planners that emulate.  A second
+    loop for execute_schedule), by candidate_terms for the four candidates
+    and by the oracle.  A second
     copy of the loop's body or of a stage cost, say in a planner, fails
     here."""
     users: dict[str, set] = {}
@@ -122,7 +123,7 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
     assert users == {
         "reconfig_time": {("emulator.py", "_run_queries"), ("emulator.py", "analytic_total")},
         "stage_terms": {("emulator.py", "_timeline"), ("emulator.py", "analytic_total"),
-                        ("optimizer.py", "fixed_outcomes"),
+                        ("optimizer.py", "candidate_terms"),
                         ("optimizer.py", "exhaustive_oracle")},
     }
 
