@@ -205,32 +205,30 @@ def find_common_accelerators(s: Scenario) -> tuple[frozenset[str], ...]:
 def baseline_order(q: QuerySpec) -> tuple[int, ...]:
     """Ascending-selectivity order that never places a reader before its producer.
 
-    Ties keep the written order, so the sort is stable.
+    The sort is stable, so ties keep the written order.  With dependency
+    pairs, each step places the first pending invocation in that sorted
+    order whose producers are all placed.
     """
+    invocations = q.invocations
+    pending = sorted(range(len(invocations)), key=lambda k: invocations[k].selectivity)
     if not q.dependencies:
-        invocations = q.invocations
-        return tuple(sorted(range(len(invocations)), key=lambda k: invocations[k].selectivity))
-    deps: list[set[int]] = [set() for _ in q.invocations]
-    for producer, reader in q.dependencies:
-        deps[reader].add(producer)
-    placed: set[int] = set()
+        return tuple(pending)
     order: list[int] = []
-    while len(order) < len(q.invocations):
-        ready = [k for k in range(len(q.invocations))
-                 if k not in placed and deps[k] <= placed]
-        best = min(ready, key=lambda k: (q.invocations[k].selectivity, k))
-        order.append(best)
-        placed.add(best)
+    while pending:
+        k = next(k for k in pending
+                 if all(producer in order for producer, reader in q.dependencies if reader == k))
+        pending.remove(k)
+        order.append(k)
     return tuple(order)
 
 
-def generate_hints(s: Scenario, reuse: tuple[frozenset[str], ...],
-                   schedule: Schedule) -> list[dict]:
+def generate_hints(s: Scenario, schedule: Schedule) -> list[dict]:
     """One hint per consecutive pair, n-1 in total: what the storage side
     may prepare for the next query, as an outcome document entry.
 
     next_first_module follows the schedule's order for the successor query.
     """
+    reuse = find_common_accelerators(s)
     return [{"after_query": left.id,
              "next_query": right.id,
              "next_first_module": right.invocations[schedule.orders[i + 1][0]].accelerator_id,

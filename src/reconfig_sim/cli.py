@@ -33,11 +33,13 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("scenario")
     simulate.add_argument("--schedule", help="JSON schedule file; default runs the written order")
     simulate.add_argument("--trace", help="write a span trace to this file")
+    simulate.set_defaults(run=_cmd_simulate)
 
     opt = sub.add_parser("optimize", help="plan a schedule and report the outcome")
     opt.add_argument("scenario")
     opt.add_argument("--strategy", default="auto", choices=STRATEGIES)
     opt.add_argument("--out", help="write the full outcome document to this file")
+    opt.set_defaults(run=_cmd_optimize)
 
     sweep = sub.add_parser("sweep", help="emulate strategies across an axis, writing CSV")
     sweep.add_argument("scenario")
@@ -46,9 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--strategies", default=",".join(harness.STRATEGY_ORDER),
                        help="comma-separated subset of " + ",".join(harness.STRATEGY_ORDER))
     sweep.add_argument("--out", required=True, help="CSV output path")
+    sweep.set_defaults(run=_cmd_sweep)
 
     corpus = sub.add_parser("corpus", help="work with the bundled scenarios")
     corpus.add_argument("action", choices=["verify", "list"])
+    corpus.set_defaults(run=_cmd_corpus)
     return parser
 
 
@@ -148,13 +152,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "optimize":
-            return _cmd_optimize(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_corpus(args)
+        return args.run(args)
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

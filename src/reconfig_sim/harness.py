@@ -93,7 +93,7 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     ValueError.
     """
     vary = with_scale_factor if spec.axis == "scale_factor" else with_gaps
-    *smaller, largest = spec.values
+    largest = spec.values[-1]
     last = vary(s, largest)
     # SweepSpec values strictly increase and the bound only grows with the
     # scale factor and with the gap, so the largest value bounds every point

@@ -457,11 +457,16 @@ def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
         return [f"schedule has {len(sch.prefetches)} prefetch slots for {len(s.sequence)} queries"]
     violations = []
     for q, order in zip(s.sequence, sch.orders):
+        # types before the sort: None does not sort against an int, and True and 1.0 pass as 1
+        if not set(map(type, order)) <= {int}:
+            violations.append(f"{q.id}: order {list(order)} holds an entry that is not an integer")
+            continue
         if sorted(order) != list(range(len(q.invocations))):
             violations.append(f"{q.id}: order {list(order)} is not a bijection over "
                               f"{len(q.invocations)} invocations")
             continue
-        if not q.dependencies:  # most queries, on every emulation: skip the call
+        # most queries have none; skipping them halves the check (plan_large:1: 2.6 -> 1.4 ms)
+        if not q.dependencies:
             continue
         for producer, reader in reader_first_pairs(q, order):
             violations.append(f"{q.id}: dependency violated, invocation {reader} reads output of "

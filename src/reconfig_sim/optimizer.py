@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .analyzer import baseline_order, find_common_accelerators, generate_hints
+from .analyzer import baseline_order, generate_hints
 from .costmodel import StageTerms, stage_terms
 from .emulator import _run_queries, _timeline
 from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
@@ -93,22 +93,21 @@ def apply_reorder(s: Scenario, base: Schedule) -> Schedule:
 
     Pairs are processed from the back so that each pair targets the
     successor's final first module.  Only the left query of a pair moves:
-    the matching invocation, preferring the one scheduled latest, goes to
-    the end while the rest keep their ascending-selectivity order.  An
-    invocation whose output another invocation reads cannot move.  No
-    prefetch directives are added.
+    its order is walked from the back, and a query that already ends on the
+    target stays as it is.  Otherwise the latest matching invocation that
+    no other invocation reads from goes to the end, while the rest keep
+    their ascending-selectivity order.  No prefetch directives are added.
     """
     orders = list(base.orders)
     for i in reversed(range(len(s.sequence) - 1)):
-        successor = s.sequence[i + 1]
-        target = successor.invocations[orders[i + 1][0]].accelerator_id
-        q = s.sequence[i]
-        order = orders[i]
-        scheduled_modules = [q.invocations[idx].accelerator_id for idx in order]
-        if target not in scheduled_modules or scheduled_modules[-1] == target:
-            continue
-        for position in reversed([p for p, m in enumerate(scheduled_modules) if m == target]):
+        target = s.sequence[i + 1].invocations[orders[i + 1][0]].accelerator_id
+        q, order = s.sequence[i], orders[i]
+        for position in reversed(range(len(order))):
             idx = order[position]
+            if q.invocations[idx].accelerator_id != target:
+                continue
+            if position == len(order) - 1:  # it already ends on the target
+                break
             if any(producer == idx for producer, _ in q.dependencies):
                 continue
             orders[i] = order[:position] + order[position + 1:] + (idx,)
@@ -193,7 +192,7 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
     """
     if strategy == "oracle":
         return exhaustive_oracle(s)
-    if strategy not in FIXED_STRATEGIES and strategy != "auto":
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy!r}")
     schedules = candidate_schedules(s)
     return fixed_outcomes(s, schedules, candidate_terms(s, schedules))[strategy]
@@ -202,42 +201,6 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
 def _legal_orders(q) -> list[tuple[int, ...]]:
     return [perm for perm in permutations(range(len(q.invocations)))
             if not reader_first_pairs(q, perm)]
-
-
-def _least_key(s: Scenario, order_choices, prefetch_choices, i: int, loaded: str | None,
-               region_free: float, arrival: float, total: float, reconfigs: int,
-               order_ranks: tuple[int, ...], prefetch_ranks: tuple[int, ...]
-               ) -> tuple[float, int, tuple[int, ...], tuple[int, ...]]:
-    """The least (total, reconfigurations, order ranks, prefetch ranks) over
-    the schedules that extend a choice for queries 0..i-1.  That prefix left
-    the region state (loaded, region_free, arrival), ended its last transfer
-    at total and ran reconfigs loads.
-
-    order_choices[i] holds query i's stage terms, one per legal order in
-    rank order.  Query i runs once per (order, prefetch), resumed from that
-    state, and the state it ends in is the prefix state of query i+1.
-    """
-    if i == len(s.sequence):
-        return total, reconfigs, order_ranks, prefetch_ranks
-    queries = (s.sequence[i],)
-    # the last query has nothing to prefetch for
-    prefetches = prefetch_choices[:1] if i == len(s.sequence) - 1 else prefetch_choices
-    least = None
-    for order_rank, terms in enumerate(order_choices[i]):
-        ranks = order_ranks + (order_rank,)
-        ends_on = terms[1][-1][0]  # the module of the order's last stage
-        for prefetch_rank, prefetch in enumerate(prefetches):
-            if prefetch == ends_on:
-                continue
-            spans: list = []
-            state = _run_queries(s, queries, (terms,), (prefetch,), loaded, region_free, arrival,
-                                 spans)
-            count = reconfigs + sum(1 for sp in spans if sp[0] == "reconfig")
-            key = _least_key(s, order_choices, prefetch_choices, i + 1, *state, count, ranks,
-                             prefetch_ranks + (prefetch_rank,))
-            if least is None or key < least:
-                least = key
-    return least
 
 
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
@@ -265,11 +228,41 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
             f"invocations, {ORACLE_MAX_QUERIES} queries, {ORACLE_MAX_MODULES} modules)")
 
     legal_orders = [_legal_orders(q) for q in s.sequence]
+    # query i's stage terms, one per legal order in rank order
     order_choices = [[stage_terms(q, order, s) for order in orders]
                      for q, orders in zip(s.sequence, legal_orders)]
     prefetch_choices = [None] + [m.id for m in s.library]
-    total, _, order_ranks, prefetch_ranks = _least_key(
-        s, order_choices, prefetch_choices, 0, None, 0.0, 0.0, 0.0, 0, (), ())
+
+    def least_key(i, loaded, region_free, arrival, total, reconfigs, order_ranks, prefetch_ranks):
+        """The least (total, reconfigurations, order ranks, prefetch ranks)
+        over the schedules that extend a choice for queries 0..i-1, whose
+        prefix left the region state (loaded, region_free, arrival), ended
+        its last transfer at total and ran reconfigs loads.  Query i runs
+        once per (order, prefetch) from that state, which gives query i+1's.
+        """
+        if i == n:
+            return total, reconfigs, order_ranks, prefetch_ranks
+        queries = (s.sequence[i],)
+        # the last query has nothing to prefetch for
+        prefetches = prefetch_choices[:1] if i == n - 1 else prefetch_choices
+        least = None
+        for order_rank, terms in enumerate(order_choices[i]):
+            ranks = order_ranks + (order_rank,)
+            ends_on = terms[1][-1][0]  # the module of the order's last stage
+            for prefetch_rank, prefetch in enumerate(prefetches):
+                if prefetch == ends_on:
+                    continue
+                spans: list = []
+                state = _run_queries(s, queries, (terms,), (prefetch,), loaded, region_free,
+                                     arrival, spans)
+                count = reconfigs + sum(1 for sp in spans if sp[0] == "reconfig")
+                key = least_key(i + 1, *state, count, ranks, prefetch_ranks + (prefetch_rank,))
+                if least is None or key < least:
+                    least = key
+        return least
+
+    total, _, order_ranks, prefetch_ranks = least_key(0, None, 0.0, 0.0, 0.0, 0, (), ())
+    del least_key  # it is in its own closure: free the search state now, not at the next gc
     orders = tuple(legal_orders[i][rank] for i, rank in enumerate(order_ranks))
     prefetches = tuple(prefetch_choices[rank] for rank in prefetch_ranks)
     baseline_total = _timeline(s, plan_baseline(s))
@@ -288,5 +281,5 @@ def outcome_document(s: Scenario, outcome: StrategyOutcome) -> dict:
         "total_ms": outcome.total_ms,
         "improvement_pct": outcome.improvement_pct,
         "schedule": schedule_to_doc(s, outcome.schedule),
-        "hints": generate_hints(s, find_common_accelerators(s), outcome.schedule),
+        "hints": generate_hints(s, outcome.schedule),
     }

@@ -106,3 +106,13 @@ def make_chained_scenario(rng: random.Random, n_queries: int) -> model.Scenario:
 @pytest.fixture(scope="session")
 def chained_scenario():
     return make_chained_scenario
+
+
+def spread_over_modules(s: model.Scenario, rng: random.Random, n_modules: int) -> model.Scenario:
+    """s with its invocations spread at random over copies of its first module."""
+    ids = [f"{s.library[0].id}{j}" for j in range(n_modules)]
+    library = tuple(s.library[0].replace(id=module_id) for module_id in ids)
+    sequence = tuple(q.replace(invocations=tuple(inv.replace(accelerator_id=rng.choice(ids))
+                                                 for inv in q.invocations))
+                     for q in s.sequence)
+    return s.replace(library=library, sequence=sequence)

@@ -14,8 +14,10 @@ from reconfig_sim.analyzer import (
     generate_hints,
     parse_predicate,
 )
-from reconfig_sim.model import Invocation, QuerySpec, Schedule
-from reconfig_sim.optimizer import plan_baseline
+from reconfig_sim.model import Invocation, QuerySpec, Schedule, identity_schedule
+from reconfig_sim.optimizer import apply_reorder, plan_baseline
+
+from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
 
 
 def _inv(module, text, selectivity, reads=(), produces=()):
@@ -244,22 +246,20 @@ def test_find_common_accelerators(seq2):
 
 
 def test_generate_hints_from_baseline(seq2):
-    reuse = find_common_accelerators(seq2)
-    assert generate_hints(seq2, reuse, plan_baseline(seq2)) == [
+    assert generate_hints(seq2, plan_baseline(seq2)) == [
         {"after_query": "Q0", "next_query": "Q1", "next_first_module": "accA",
          "reusable_modules": ["accA"], "expected_gap_ms": 2.0}]
 
 
 def test_generate_hints_follows_given_schedule():
     s = harness.load_bundled("corpus/q13")
-    reuse = find_common_accelerators(s)
-    default_hints = generate_hints(s, reuse, plan_baseline(s))
+    default_hints = generate_hints(s, plan_baseline(s))
     assert default_hints[1]["next_first_module"] == "k1"
 
     orders = tuple(tuple(range(len(q.invocations))) for q in s.sequence)
     orders = orders[:2] + ((1, 0),) + orders[3:]
     swapped = Schedule(orders, (None,) * 4)
-    assert generate_hints(s, reuse, swapped)[1]["next_first_module"] == "k2"
+    assert generate_hints(s, swapped)[1]["next_first_module"] == "k2"
 
 
 def test_invocation_dependencies(corpus):
@@ -328,10 +328,59 @@ def test_baseline_order_reads_the_stored_dependency_pairs(corpus, chained_scenar
     assert baseline_order(pinned) == (1, 2, 0)
 
 
+def _reference_apply_reorder(s, base):
+    """optimizer.apply_reorder as it was before it walked each order once:
+    the scheduled modules listed, then the target checked against them."""
+    orders = list(base.orders)
+    for i in reversed(range(len(s.sequence) - 1)):
+        successor = s.sequence[i + 1]
+        target = successor.invocations[orders[i + 1][0]].accelerator_id
+        q = s.sequence[i]
+        order = orders[i]
+        scheduled_modules = [q.invocations[idx].accelerator_id for idx in order]
+        if target not in scheduled_modules or scheduled_modules[-1] == target:
+            continue
+        for position in reversed([p for p, m in enumerate(scheduled_modules) if m == target]):
+            idx = order[position]
+            if any(producer == idx for producer, _ in q.dependencies):
+                continue
+            orders[i] = order[:position] + order[position + 1:] + (idx,)
+            break
+    return Schedule(tuple(orders), base.prefetches)
+
+
+def _passed_over_producers(s, base, reordered):
+    """The pairs whose left query does not end on its target module while a
+    producer runs that module: apply_reorder must pass over that match."""
+    count = 0
+    for i, (q, order) in enumerate(zip(s.sequence, base.orders[:-1])):
+        target = s.sequence[i + 1].invocations[reordered.orders[i + 1][0]].accelerator_id
+        producers = {producer for producer, _ in q.dependencies}
+        modules = [q.invocations[idx].accelerator_id for idx in order]
+        count += modules[-1] != target and any(
+            module == target and idx in producers for idx, module in zip(order, modules))
+    return count
+
+
+def test_apply_reorder_matches_the_reference(corpus):
+    rng = random.Random(29)
+    scenarios = [s for _, s in corpus]
+    scenarios += [make_random_scenario(rng, rng.randint(1, 6)) for _ in range(150)]
+    scenarios += [spread_over_modules(make_chained_scenario(rng, rng.randint(2, 5)), rng, 2)
+                  for _ in range(150)]
+    moved = passed_over = 0
+    for s in scenarios:
+        for base in (plan_baseline(s), identity_schedule(s)):
+            expected = _reference_apply_reorder(s, base)
+            assert apply_reorder(s, base) == expected
+            moved += expected != base
+            passed_over += _passed_over_producers(s, base, expected)
+    assert moved > 200 and passed_over > 100
+
+
 def test_hints_are_sound_over_all_bundled_scenarios(corpus):
     for _, s in corpus:
-        reuse = find_common_accelerators(s)
-        hints = generate_hints(s, reuse, plan_baseline(s))
+        hints = generate_hints(s, plan_baseline(s))
         assert len(hints) == len(s.sequence) - 1
         for i, hint in enumerate(hints):
             left, right = s.sequence[i], s.sequence[i + 1]

@@ -98,7 +98,7 @@ def test_gap_sweep_keeps_absolute_saving_constant(seq2):
     assert table[("0", "spec_reconfig")][1] > table[("20", "spec_reconfig")][1]
 
 
-def test_sweep_is_deterministic_and_thread_safe(seq2):
+def test_sweep_is_deterministic(seq2):
     spec = SweepSpec("scale_factor", (0.25, 0.5, 1.0, 2.0))
     assert run_sweep(seq2, spec) == run_sweep(seq2, spec)
 

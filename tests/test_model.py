@@ -20,6 +20,7 @@ from reconfig_sim.model import (
     Scenario,
     Schedule,
     ScenarioError,
+    ScheduleError,
     identity_schedule,
     load_scenario,
     schedule_from_doc,
@@ -501,6 +502,20 @@ def test_validate_rejects_non_bijective_order(seq2):
     bad = Schedule(((0, 0), (0,)), (None, None))
     violations = validate_schedule(seq2, bad)
     assert violations == ["Q0: order [0, 0] is not a bijection over 2 invocations"]
+
+
+@pytest.mark.parametrize("order", [(0, 1.0), ("a", 0), (None, 0), (True, False)])
+def test_validate_rejects_order_entries_that_are_not_integers(seq2, order):
+    """A float or bool equal to an index, and entries that do not sort
+    against an int, are violations of the query, not a TypeError or a
+    schedule that runs as (1, 0)."""
+    bad = Schedule((order, (0,)), (None, None))
+    message = f"Q0: order {list(order)} holds an entry that is not an integer"
+    assert validate_schedule(seq2, bad) == [message]
+    for timing_model in (emulator.execute_schedule, emulator.analytic_total):
+        with pytest.raises(ScheduleError) as excinfo:
+            timing_model(seq2, bad)
+        assert excinfo.value.violations == [message]
 
 
 def test_validate_rejects_reader_before_producer(corpus):

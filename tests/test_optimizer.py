@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import random
 from itertools import permutations, product
@@ -10,7 +12,7 @@ from reconfig_sim import emulator, optimizer
 from reconfig_sim.costmodel import propagate_volumes, stage_terms
 from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
 from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
-from reconfig_sim.model import Schedule, load_scenario, validate_schedule
+from reconfig_sim.model import Schedule, load_scenario, schedule_to_doc, validate_schedule
 from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
     ORACLE_MAX_INVOCATIONS,
@@ -29,7 +31,7 @@ from reconfig_sim.optimizer import (
     plan_baseline,
 )
 
-from conftest import make_chained_scenario, make_random_scenario
+from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
 
 _GT = {"kind": "compare_gt", "operand_type": "int32"}
 _LT = {"kind": "compare_lt", "operand_type": "int32"}
@@ -259,7 +261,7 @@ def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, ch
     rng = random.Random(17)
     scenarios = [s for _, s in corpus] + [random_scenario(rng, rng.randint(1, 5))
                                           for _ in range(20)]
-    scenarios += [_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+    scenarios += [spread_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
                   for _ in range(20)]
     shared = 0
     for s in scenarios:
@@ -349,16 +351,6 @@ def _runs_producers_first(q, order):
     read from produces and reads, not from the stored dependency pairs."""
     return not any(q.invocations[earlier].reads & q.invocations[later].produces
                    for pos, earlier in enumerate(order) for later in order[pos + 1:])
-
-
-def _over_modules(s, rng, n_modules):
-    """s with its invocations spread at random over copies of its first module."""
-    ids = [f"{s.library[0].id}{j}" for j in range(n_modules)]
-    library = tuple(s.library[0].replace(id=module_id) for module_id in ids)
-    sequence = tuple(q.replace(invocations=tuple(inv.replace(accelerator_id=rng.choice(ids))
-                                                 for inv in q.invocations))
-                     for q in s.sequence)
-    return s.replace(library=library, sequence=sequence)
 
 
 def _keyed_schedules(s):
@@ -463,6 +455,19 @@ def test_oracle_shares_schedule_prefixes(monkeypatch):
     assert 4 * sum(runs) <= n * schedules
 
 
+def test_oracle_leaves_no_reference_cycle(seq2):
+    """The search is a closure that refers to itself; the oracle empties
+    that reference, so the search state is freed on return, not at the next
+    garbage collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_oracle(seq2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
                                               chained_scenario):
     """The oracle returns the first enumerated schedule with the least
@@ -494,7 +499,7 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
         s = chained_scenario(rng, rng.randint(1, 4))
         if sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
             continue
-        scenarios.append(_over_modules(s, rng, 2) if len(scenarios) % 2 else s)
+        scenarios.append(spread_over_modules(s, rng, 2) if len(scenarios) % 2 else s)
     assert sum(1 for s in scenarios[53:] for q in s.sequence if q.dependencies) > 10
     scenarios.append(_orders_rank_before_prefetches())
     for k in range(10):
@@ -526,7 +531,7 @@ def test_candidate_schedules_are_legal_on_chains(corpus, random_scenario, chaine
     rng = random.Random(71)
     scenarios = [s for _, s in corpus]
     scenarios += [random_scenario(rng, rng.randint(1, 5)) for _ in range(40)]
-    scenarios += [_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+    scenarios += [spread_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
                   for _ in range(80)]
     reordered = searched = 0
     for s in scenarios:
@@ -553,10 +558,41 @@ def test_candidate_schedules_are_the_same_at_every_sweep_point(seed, source, sca
     elif source == "random":
         s = make_random_scenario(rng, rng.randint(1, 6))
     else:
-        s = _over_modules(make_chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+        s = spread_over_modules(make_chained_scenario(rng, rng.randint(1, 4)), rng, 3)
     planned = candidate_schedules(s)
     assert candidate_schedules(with_scale_factor(s, scale)) == planned
     assert candidate_schedules(with_gaps(s, gap)) == planned
+
+
+# sha256 over the schedule_to_doc JSON of the four candidates of the
+# scenarios below, and over the oracle's schedule and total wherever its
+# guard allows.  TIMING_DIGEST pins the timing models bit for bit; this pins
+# the planners, so a refactor that changes any planned order or prefetch,
+# or the oracle's pick or total, fails here.
+PLANNER_DIGEST = "a969c9ba537634d3ac5d0ef0927a1068293ed78ddd0d1ebc07823975bfcc58c5"
+
+
+def test_planners_are_bit_stable(corpus):
+    scenarios = [s for _, s in corpus]
+    for seed in range(200):
+        rng = random.Random(90_000 + seed)
+        if seed % 2:
+            scenarios.append(make_random_scenario(rng, rng.randint(1, 5)))
+        else:
+            scenarios.append(spread_over_modules(make_chained_scenario(rng, rng.randint(1, 4)),
+                                                 rng, 3))
+    digest = hashlib.sha256()
+    searched = 0
+    for s in scenarios:
+        for name, schedule in candidate_schedules(s).items():
+            digest.update(json.dumps([name, schedule_to_doc(s, schedule)]).encode())
+        if _within_oracle_guard(s):
+            outcome = exhaustive_oracle(s)
+            digest.update(json.dumps([schedule_to_doc(s, outcome.schedule),
+                                      outcome.total_ms]).encode())
+            searched += 1
+    assert searched > 100
+    assert digest.hexdigest() == PLANNER_DIGEST
 
 
 def test_oracle_guard_rejects_large_instances(random_scenario):
