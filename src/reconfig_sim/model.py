@@ -265,7 +265,7 @@ def _record(build, path: str, *fields):
 
 def _number(obj: dict, key: str, path: str) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):  # bool is a subclass of int
         raise ScenarioError("expected a number", f"{path}.{key}")
     try:
         value = float(value)
@@ -308,7 +308,7 @@ def _rpu_from_doc(obj, path: str) -> RpuConfig:
     obj = _object(obj, path)
     _check_keys(obj, ("storage_rate", "network_rate", "default_reconfig_ms", "pr_region_count"), (), path)
     count = obj["pr_region_count"]
-    if isinstance(count, bool) or not isinstance(count, int) or count != 1:
+    if type(count) is not int or count != 1:
         raise ScenarioError("must be 1 (single reconfigurable region)", f"{path}.pr_region_count")
     return _record(RpuConfig, path, _number(obj, "storage_rate", path),
                    _number(obj, "network_rate", path), _number(obj, "default_reconfig_ms", path))
@@ -408,14 +408,12 @@ def load_scenario(text: str) -> Scenario:
                     for i, obj in enumerate(_array(doc, "library", "document")))
     module_map = _record(_by_id, "", library, "library", "module")
 
-    scale = 1.0
-    if "scale_factor" in doc:
-        scale = _number(doc, "scale_factor", "document")
-        # Scenario owns this rule, but the tables are scaled before it is
-        # built, and a factor that is not positive would first fail there
-        # as a table's volume
-        if not scale > 0:
-            raise ScenarioError(f"must be greater than 0, got {scale}", "document.scale_factor")
+    scale = _number(doc, "scale_factor", "document") if "scale_factor" in doc else 1.0
+    # Scenario owns this rule, but the tables are scaled before it is built,
+    # and a factor that is not positive would first fail there as a table's
+    # volume
+    if not scale > 0:
+        raise ScenarioError(f"must be greater than 0, got {scale}", "document.scale_factor")
 
     sequence_doc = doc["sequence"]
     if not isinstance(sequence_doc, list) or not sequence_doc:
@@ -457,6 +455,9 @@ def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
         return [f"schedule has {len(sch.prefetches)} prefetch slots for {len(s.sequence)} queries"]
     violations = []
     for q, order in zip(s.sequence, sch.orders):
+        if not isinstance(order, (tuple, list)):
+            violations.append(f"{q.id}: order {order!r} is not a tuple or list")
+            continue
         # types before the sort: None does not sort against an int, and True and 1.0 pass as 1
         if not set(map(type, order)) <= {int}:
             violations.append(f"{q.id}: order {list(order)} holds an entry that is not an integer")
@@ -472,8 +473,10 @@ def validate_schedule(s: Scenario, sch: Schedule) -> list[str]:
             violations.append(f"{q.id}: dependency violated, invocation {reader} reads output of "
                               f"invocation {producer} but runs first")
     for q, module_id in zip(s.sequence, sch.prefetches):
-        if module_id is not None and module_id not in s.modules_by_id:
-            violations.append(f"{q.id}: prefetch names unknown module '{module_id}'")
+        # a str first: an unhashable prefetch cannot be looked up
+        if module_id is not None and (type(module_id) is not str
+                                      or module_id not in s.modules_by_id):
+            violations.append(f"{q.id}: prefetch names unknown module {module_id!r}")
     return violations
 
 
@@ -499,7 +502,7 @@ def schedule_from_doc(s: Scenario, doc: dict) -> Schedule:
         query_id = _string(entry, "query", path)
         order = _array(entry, "order", path)
         for j, idx in enumerate(order):
-            if isinstance(idx, bool) or not isinstance(idx, int):
+            if type(idx) is not int:
                 raise ScenarioError("expected an integer", f"{path}.order[{j}]")
         prefetch = None
         if entry.get("prefetch") is not None:
@@ -518,7 +521,5 @@ def schedule_from_doc(s: Scenario, doc: dict) -> Schedule:
     extra = sorted(set(by_id) - {q.id for q in s.sequence})
     if extra:
         raise ScenarioError(f"unknown queries: {extra}", "schedule.queries")
-    return Schedule(
-        orders=tuple(by_id[q.id][0] for q in s.sequence),
-        prefetches=tuple(by_id[q.id][1] for q in s.sequence),
-    )
+    orders, prefetches = zip(*(by_id[q.id] for q in s.sequence))
+    return Schedule(orders, prefetches)

@@ -17,12 +17,16 @@ pick from the four totals.  Both it and the exhaustive search run the
 emulator's unchecked event loop, since every schedule they emulate is legal
 by construction; the search builds its terms once per (query, legal order).
 
-exhaustive_oracle is the reference the heuristics are measured against.  It
-is still exhaustive, but it searches the schedules as a prefix tree: a query's
-timeline depends only on the choices for it and the queries before it, so
-the search resumes the event loop from the region state each prefix left
-instead of emulating every schedule from the start.  It asks the loop for
-spans only to count the reconfigurations its tie-break ranks.
+exhaustive_oracle is the reference the heuristics are measured against.  Its
+answer is the exhaustive one, but it searches the schedules as a prefix tree
+by branch and bound: a query's timeline depends only on the choices for it
+and the queries before it, so the search resumes the event loop from the
+region state each prefix left instead of emulating every schedule from the
+start, and it cuts a prefix whose transfer end plus a lower bound on the
+rest of the sequence (_rest_bounds) is above the best total found so far by
+more than rounding.  It asks the loop for spans only to count the
+reconfigurations of schedules that tie on the total, which its tie-break
+ranks next.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -203,20 +207,44 @@ def _legal_orders(q) -> list[tuple[int, ...]]:
             if not reader_first_pairs(q, perm)]
 
 
+def _rest_bounds(s: Scenario, order_choices: list[list[StageTerms]]) -> list[float]:
+    """rest[i], a lower bound on what queries i.. add to the total after query
+    i-1's transfer end: the gap after query i-1, plus, for each query from i
+    on, its least transfer end over its legal orders when it runs alone, from
+    a region that holds the order's first module, frees up at 0 and sees the
+    query arrive at 0.  In real arithmetic no accelerator of a real run of
+    the query starts earlier after its arrival than in that run, so the bound
+    holds; the event loop decides the stage costs and residency of both.
+    """
+    n = len(s.sequence)
+    rest = [0.0] * (n + 1)
+    for i in reversed(range(n)):
+        q = s.sequence[i]
+        alone = min(_run_queries(s, (q,), (terms,), (None,), terms[1][0][0], 0.0, 0.0)[3]
+                    for terms in order_choices[i])
+        rest[i] = (s.sequence[i - 1].gap_after_ms if i else 0.0) + alone + rest[i + 1]
+    return rest
+
+
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     """The best schedule over every legal order and prefetch choice.
 
     Guarded to small instances, the library size included: each query
     before the last fans out over no prefetch and every module.  A
-    depth-first search over (query, order, prefetch) runs the event loop
-    once per node, resuming from the region state its parent left, so
-    schedules that share a prefix share its run.
-    A prefetch of the module the order ends on is skipped: the loop ignores
-    it, so it gives the timeline of no prefetch, which ranks before it.
+    depth-first branch and bound over (query, order, prefetch) runs the
+    event loop once per node it visits, resuming from the region state its
+    parent left, so schedules that share a prefix share its run.  A node is
+    skipped when its transfer end plus _rest_bounds of the queries after it
+    exceeds the best total found so far by more than rounding can explain;
+    the test is strict, so a schedule that could tie is never skipped.
+    A prefetch of the module the order ends on is skipped too: the loop
+    ignores it, so it gives the timeline of no prefetch, which ranks first.
     The least (total, reconfigurations, order ranks, prefetch ranks) wins,
     where a rank is the position in _legal_orders or in None followed by the
     library; that is the first schedule of the enumeration of all order
     choices, then all prefetch choices, which makes the result deterministic.
+    Reconfigurations are counted only between schedules that tie on the
+    total, by replaying each from the empty region with spans.
     """
     n = len(s.sequence)
     total_invocations = sum(len(q.invocations) for q in s.sequence)
@@ -232,37 +260,58 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     order_choices = [[stage_terms(q, order, s) for order in orders]
                      for q, orders in zip(s.sequence, legal_orders)]
     prefetch_choices = [None] + [m.id for m in s.library]
+    rest = _rest_bounds(s, order_choices)
+    # the least leaf so far: [total, reconfigurations or None until a tie
+    # needs them, order ranks, prefetch ranks]
+    best = None
 
-    def least_key(i, loaded, region_free, arrival, total, reconfigs, order_ranks, prefetch_ranks):
-        """The least (total, reconfigurations, order ranks, prefetch ranks)
-        over the schedules that extend a choice for queries 0..i-1, whose
-        prefix left the region state (loaded, region_free, arrival), ended
-        its last transfer at total and ran reconfigs loads.  Query i runs
-        once per (order, prefetch) from that state, which gives query i+1's.
+    def reconfigs(order_ranks, prefetch_ranks):
+        spans: list = []
+        _run_queries(s, s.sequence, [order_choices[i][r] for i, r in enumerate(order_ranks)],
+                     [prefetch_choices[r] for r in prefetch_ranks], None, 0.0, 0.0, spans)
+        return sum(1 for sp in spans if sp[0] == "reconfig")
+
+    def search(i, loaded, region_free, arrival, total, order_ranks, prefetch_ranks):
+        """Visit the schedules that extend a choice for queries 0..i-1, whose
+        prefix left the region state (loaded, region_free, arrival) and ended
+        its last transfer at total.  Query i runs once per (order, prefetch)
+        from that state, which gives query i+1's.
         """
+        nonlocal best
+        # In real arithmetic over the same stage terms, every leaf below this
+        # node totals at least total + rest[i].  The loop and _rest_bounds
+        # take maxes, which are exact, and sums of nonnegative floats, each
+        # within a relative 2**-53 of its real value (exact if it underflows);
+        # a leaf's total and rest[i] take a few dozen of them, so they stray
+        # by far less than the relative 1e-9 given up here, and a leaf that
+        # could tie the best total is never cut.
+        if best is not None and (total + rest[i]) * (1 - 1e-9) > best[0]:
+            return
         if i == n:
-            return total, reconfigs, order_ranks, prefetch_ranks
+            if best is None or total < best[0]:
+                best = [total, None, order_ranks, prefetch_ranks]
+            elif total == best[0]:
+                if best[1] is None:
+                    best[1] = reconfigs(best[2], best[3])
+                key = [reconfigs(order_ranks, prefetch_ranks), order_ranks, prefetch_ranks]
+                if key < best[1:]:
+                    best[1:] = key
+            return
         queries = (s.sequence[i],)
         # the last query has nothing to prefetch for
         prefetches = prefetch_choices[:1] if i == n - 1 else prefetch_choices
-        least = None
         for order_rank, terms in enumerate(order_choices[i]):
             ranks = order_ranks + (order_rank,)
             ends_on = terms[1][-1][0]  # the module of the order's last stage
             for prefetch_rank, prefetch in enumerate(prefetches):
-                if prefetch == ends_on:
-                    continue
-                spans: list = []
-                state = _run_queries(s, queries, (terms,), (prefetch,), loaded, region_free,
-                                     arrival, spans)
-                count = reconfigs + sum(1 for sp in spans if sp[0] == "reconfig")
-                key = least_key(i + 1, *state, count, ranks, prefetch_ranks + (prefetch_rank,))
-                if least is None or key < least:
-                    least = key
-        return least
+                if prefetch != ends_on:
+                    search(i + 1, *_run_queries(s, queries, (terms,), (prefetch,), loaded,
+                                                region_free, arrival),
+                           ranks, prefetch_ranks + (prefetch_rank,))
 
-    total, _, order_ranks, prefetch_ranks = least_key(0, None, 0.0, 0.0, 0.0, 0, (), ())
-    del least_key  # it is in its own closure: free the search state now, not at the next gc
+    search(0, None, 0.0, 0.0, 0.0, (), ())
+    del search  # it is in its own closure: free the search state now, not at the next gc
+    total, _, order_ranks, prefetch_ranks = best
     orders = tuple(legal_orders[i][rank] for i, rank in enumerate(order_ranks))
     prefetches = tuple(prefetch_choices[rank] for rank in prefetch_ranks)
     baseline_total = _timeline(s, plan_baseline(s))

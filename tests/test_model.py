@@ -535,6 +535,22 @@ def test_validate_rejects_unknown_prefetch(seq2):
     assert validate_schedule(seq2, Schedule(((0, 1), (0,)), ("accB", None))) == []
 
 
+@pytest.mark.parametrize("schedule, message", [
+    (Schedule((5, (0,)), (None, None)), "Q0: order 5 is not a tuple or list"),
+    (Schedule(((0, 1), None), (None, None)), "Q1: order None is not a tuple or list"),
+    (Schedule(((0, 1), (0,)), (["accA"], None)), "Q0: prefetch names unknown module ['accA']"),
+    (Schedule(((0, 1), (0,)), (None, 7)), "Q1: prefetch names unknown module 7"),
+])
+def test_validate_rejects_code_built_shapes(seq2, schedule, message):
+    """An order that is not a sequence and a prefetch that is not a module id,
+    unhashable ones included, are violations of the query, not a TypeError."""
+    assert validate_schedule(seq2, schedule) == [message]
+    for timing_model in (emulator.execute_schedule, emulator.analytic_total):
+        with pytest.raises(ScheduleError) as excinfo:
+            timing_model(seq2, schedule)
+        assert excinfo.value.violations == [message]
+
+
 def test_validate_rejects_wrong_shape(seq2):
     short = Schedule(((0, 1),), (None,))
     assert validate_schedule(seq2, short) == ["schedule has 1 orders for 2 queries"]

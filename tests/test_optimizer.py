@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 from itertools import permutations, product
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconfig_sim import emulator, optimizer
-from reconfig_sim.costmodel import propagate_volumes, stage_terms
+from reconfig_sim.costmodel import first_unbounded_query, propagate_volumes, stage_terms
 from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
 from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
 from reconfig_sim.model import Schedule, load_scenario, schedule_to_doc, validate_schedule
@@ -376,6 +377,53 @@ def _zero_loads(s):
                      library=tuple(m.replace(reconfig_ms=0.0) for m in s.library))
 
 
+def _scaled(s, volumes, rates):
+    """s with its table volumes multiplied by volumes, its rates by rates,
+    and its load times and gaps by volumes / rates, so that every time of
+    the timing models scales alike."""
+    times = volumes / rates
+    rpu = s.rpu.replace(storage_rate=s.rpu.storage_rate * rates,
+                        network_rate=s.rpu.network_rate * rates,
+                        default_reconfig_ms=s.rpu.default_reconfig_ms * times)
+    library = tuple(m.replace(proc_rate=m.proc_rate * rates,
+                              reconfig_ms=None if m.reconfig_ms is None else m.reconfig_ms * times)
+                    for m in s.library)
+    return s.replace(rpu=rpu, library=library,
+                     tables=tuple(t.replace(volume=t.volume * volumes) for t in s.tables),
+                     sequence=tuple(q.replace(gap_after_ms=q.gap_after_ms * times)
+                                    for q in s.sequence))
+
+
+def _near_unbounded(s):
+    """s scaled by the largest power of four of its times at which
+    first_unbounded_query still finds the total bounded."""
+    e = 0
+    while first_unbounded_query(_scaled(s, 2.0 ** (e + 1), 2.0 ** -(e + 1))) is None:
+        e += 1
+    return _scaled(s, 2.0 ** e, 2.0 ** -e)
+
+
+def _float_edges(rng):
+    """Instances at the edges of float arithmetic: every time scaled toward
+    1e-300, and into the subnormals, and toward the loader's bound on the
+    total; zero loads with zero gaps; and modules that are copies of one
+    another, so that totals tie exactly."""
+    def instance():
+        s = make_random_scenario(rng, 4)
+        while sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
+            s = make_random_scenario(rng, 4)
+        return s
+
+    return [_scaled(instance(), 2.0 ** -500, 2.0 ** 500),
+            _scaled(instance(), 2.0 ** -530, 2.0 ** 530),
+            _near_unbounded(instance()),
+            _near_unbounded(_at_the_guard(rng, 3)),
+            with_gaps(_zero_loads(instance()), 0.0),
+            with_gaps(_zero_loads(_at_the_guard(rng, 3)), 0.0),
+            spread_over_modules(_at_the_guard(rng, 3), rng, 3),
+            _zero_loads(spread_over_modules(_at_the_guard(rng, 4), rng, 2))]
+
+
 def _at_the_guard(rng, n_modules):
     """A random instance of the largest shape the oracle accepts: four
     queries, eight invocations spread over n_modules modules of their own
@@ -410,6 +458,23 @@ def _orders_rank_before_prefetches():
                                        default_reconfig_ms=10.0))
 
 
+def _bound_rounds_up():
+    """_orders_rank_before_prefetches with rates, volume, selectivity, gap
+    and load time at which the float sum of the B-first schedule's tight
+    bound, its Q0 transfer end plus _rest_bounds of Q1, is one ulp above its
+    own total.  The C-first schedule ties it and comes first in the search,
+    so a prune without slack would cut the winner."""
+    s = _orders_rank_before_prefetches()
+    q0, q1 = s.sequence
+    inv = q0.invocations[0].replace(selectivity=0.013167991554874137)
+    return s.replace(
+        rpu=s.rpu.replace(storage_rate=4.581719189719639, network_rate=1.7948430829182773,
+                          default_reconfig_ms=6.039200385961944),
+        tables=(s.tables[0].replace(volume=12.888685778053027),),
+        library=tuple(m.replace(proc_rate=1.33287619482162) for m in s.library),
+        sequence=(q0.replace(invocations=(inv,), gap_after_ms=11.965865777194393), q1))
+
+
 def test_oracle_ranks_every_order_before_any_prefetch():
     """The tie-break compares the order ranks of all queries before any
     prefetch rank, as enumerating all order choices, then all prefetch
@@ -425,18 +490,24 @@ def test_oracle_ranks_every_order_before_any_prefetch():
 
 
 def test_oracle_shares_schedule_prefixes(monkeypatch):
-    """The oracle runs the event loop once per node of its search tree, a
-    (query, order, prefetch) below the choices for the queries before it,
-    skipping a prefetch of the module the order ends on; and once over the
-    whole sequence for the baseline total.  It builds the stage terms once
-    per (query, legal order), and once per query for the baseline."""
+    """The oracle runs the event loop without spans at most once per node of
+    its search tree, a (query, order, prefetch) below the choices for the
+    queries before it, skipping a prefetch of the module the order ends on;
+    once per (query, legal order) alone, for _rest_bounds; once over the
+    whole sequence for the baseline total; and once over the whole sequence
+    with spans per schedule whose reconfigurations a tie asks for.  The
+    bound cuts at least half of the nodes here.  It builds the stage terms
+    once per (query, legal order), and once per query for the baseline."""
     s = _at_the_guard(random.Random(72), 3)
     runs, builds = [], []
     run, build = emulator._run_queries, emulator.stage_terms
+
+    def counting(s, queries, terms, prefetches, loaded, region_free, arrival, spans=None):
+        runs.append((len(queries), spans is not None))
+        return run(s, queries, terms, prefetches, loaded, region_free, arrival, spans)
+
     for module in (emulator, optimizer):
-        monkeypatch.setattr(module, "_run_queries",
-                            lambda s, queries, *rest: runs.append(len(queries))
-                            or run(s, queries, *rest))
+        monkeypatch.setattr(module, "_run_queries", counting)
         monkeypatch.setattr(module, "stage_terms",
                             lambda *args: builds.append(args) or build(*args))
     exhaustive_oracle(s)
@@ -449,10 +520,46 @@ def test_oracle_shares_schedule_prefixes(monkeypatch):
                      if prefetch != q.invocations[order[-1]].accelerator_id)
         nodes += paths
         schedules *= len(orders) * len(prefetches)
-    assert sum(runs) == nodes + n
-    assert len(builds) == sum(len(_legal_orders(q)) for q in s.sequence) + n
+    alone = sum(len(_legal_orders(q)) for q in s.sequence)
+    replays = sum(1 for _, spanned in runs if spanned)
+    assert all(length == n for length, spanned in runs if spanned)
+    assert sum(length for length, _ in runs) <= nodes + alone + n + n * replays
+    node_runs = sum(1 for length, spanned in runs if length == 1 and not spanned) - alone
+    assert 2 * node_runs <= nodes
+    assert len(builds) == alone + n
     # at most a quarter of the query runs of emulating every schedule whole
-    assert 4 * sum(runs) <= n * schedules
+    assert 4 * sum(length for length, _ in runs) <= n * schedules
+
+
+def test_rest_bounds_hold_for_every_schedule(seq2, random_scenario, chained_scenario):
+    """No schedule totals less than the transfer end of any of its prefixes
+    plus _rest_bounds of the queries after it, beyond a relative rounding
+    far inside the oracle's 1e-9 slack; and the bound is not vacuous.  The
+    rounding is real: on _bound_rounds_up the float sum exceeds the total."""
+    rng = random.Random(73)
+    scenarios = [seq2, _orders_rank_before_prefetches(), _bound_rounds_up()]
+    scenarios += [_at_the_guard(rng, 3), _zero_loads(_at_the_guard(rng, 2))]
+    scenarios += [random_scenario(rng, rng.randint(1, 3)) for _ in range(6)]
+    scenarios += [spread_over_modules(chained_scenario(rng, rng.randint(1, 3)), rng, 2)
+                  for _ in range(6)]
+    scenarios += _float_edges(rng)
+    tight = rounded_up = 0
+    for s in scenarios:
+        if not _within_oracle_guard(s):
+            continue
+        rest = optimizer._rest_bounds(s, [[stage_terms(q, order, s) for order in _legal_orders(q)]
+                                          for q in s.sequence])
+        assert len(rest) == len(s.sequence) + 1 and rest[-1] == 0.0
+        least = math.inf
+        for _, schedule in _keyed_schedules(s):
+            report = execute_schedule(s, schedule)
+            ends = [0.0] + [sp.end_ms for sp in report.spans if sp.lane == "transfer"]
+            for end, bound in zip(ends, rest):
+                assert report.total_ms >= (end + bound) * (1 - 1e-12)
+                rounded_up += report.total_ms < end + bound
+            least = min(least, report.total_ms)
+        tight += rest[0] >= 0.5 * least > 0.0
+    assert tight > len(scenarios) // 2 and rounded_up > 0
 
 
 def test_oracle_leaves_no_reference_cycle(seq2):
@@ -474,7 +581,10 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
     (total, reconfigurations) key; zero-time loads make totals tie often.
     Chained instances, some spread over two modules, make the legal orders
     a strict subset of the permutations.  Ten instances at the full guard,
-    half of them with zero-time loads, have the oracle benchmark's shape."""
+    half of them with zero-time loads, have the oracle benchmark's shape.
+    The float edges test the slack of the oracle's prune: tiny, subnormal
+    and huge totals, totals that tie exactly, and a bound that rounds above
+    the winner's total."""
     # Q0's two orders tie on the total exactly; only (1, 0) ends on Q1's module
     reuse_decides = _scenario(
         tables=[{"id": "t0", "volume": 16.0}, {"id": "t1", "volume": 8.0}],
@@ -501,10 +611,11 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
             continue
         scenarios.append(spread_over_modules(s, rng, 2) if len(scenarios) % 2 else s)
     assert sum(1 for s in scenarios[53:] for q in s.sequence if q.dependencies) > 10
-    scenarios.append(_orders_rank_before_prefetches())
+    scenarios += [_orders_rank_before_prefetches(), _bound_rounds_up()]
     for k in range(10):
         s = _at_the_guard(rng, 3 + k % 2)
         scenarios.append(_zero_loads(s) if k < 5 else s)
+    scenarios += _float_edges(rng)
     decided_by_reconfigs = decided_by_order = 0
     for s in scenarios:
         keyed = _keyed_schedules(s)
