@@ -56,13 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_scenario_arg(name: str) -> Scenario:
-    path = Path(name)
-    if path.is_file():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(f"cannot read {name}: {exc}") from exc
+    if Path(name).is_file():
+        text = _read(name)
     else:
         try:
             text = harness.bundled_text(name)
@@ -81,10 +84,9 @@ def _write(path: str, text: str):
 def _cmd_simulate(args) -> int:
     s = _load_scenario_arg(args.scenario)
     if args.schedule:
+        text = _read(args.schedule)
         try:
-            doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise _CliError(f"cannot read {args.schedule}: {exc}") from exc
+            doc = json.loads(text)
         # JSONDecodeError, an integer past the int-string limit, or nesting too deep
         except (ValueError, RecursionError) as exc:
             raise _CliError(f"{args.schedule}: invalid JSON: {exc}") from exc

@@ -24,9 +24,12 @@ and the queries before it, so the search resumes the event loop from the
 region state each prefix left instead of emulating every schedule from the
 start, and it cuts a prefix whose transfer end plus a lower bound on the
 rest of the sequence (_rest_bounds) is above the best total found so far by
-more than rounding.  It asks the loop for spans only to count the
-reconfigurations of schedules that tie on the total, which its tie-break
-ranks next.
+more than rounding.  After each query it tries no prefetch and only the
+modules that start a legal order of the next query: any other module is
+evicted by that query's first load, which starts no earlier, so it adds a
+reconfiguration and never lowers the total.  It asks the loop for spans
+only to count the reconfigurations of schedules that tie on the total,
+which its tie-break ranks next.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -229,16 +232,21 @@ def _rest_bounds(s: Scenario, order_choices: list[list[StageTerms]]) -> list[flo
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     """The best schedule over every legal order and prefetch choice.
 
-    Guarded to small instances, the library size included: each query
-    before the last fans out over no prefetch and every module.  A
-    depth-first branch and bound over (query, order, prefetch) runs the
-    event loop once per node it visits, resuming from the region state its
-    parent left, so schedules that share a prefix share its run.  A node is
-    skipped when its transfer end plus _rest_bounds of the queries after it
-    exceeds the best total found so far by more than rounding can explain;
-    the test is strict, so a schedule that could tie is never skipped.
-    A prefetch of the module the order ends on is skipped too: the loop
-    ignores it, so it gives the timeline of no prefetch, which ranks first.
+    Guarded to small instances, the library size included.  Each query
+    before the last fans out over its legal orders times no prefetch and
+    the modules that start a legal order of the next query.  A prefetch of
+    any other module cannot win: the next query's first load evicts it and
+    starts no earlier than with no prefetch, since the loop only takes
+    maxes and adds nonnegative times, so that schedule totals no less and
+    has more reconfigurations.  A prefetch of the module the order ends on
+    is skipped too: the loop ignores it, so it gives the timeline of no
+    prefetch, which ranks first.  A depth-first branch and bound over
+    (query, order, prefetch) runs the event loop once per node it visits,
+    resuming from the region state its parent left, so schedules that share
+    a prefix share its run.  A node is skipped when its transfer end plus
+    _rest_bounds of the queries after it exceeds the best total found so
+    far by more than rounding can explain; the test is strict, so a
+    schedule that could tie is never skipped.
     The least (total, reconfigurations, order ranks, prefetch ranks) wins,
     where a rank is the position in _legal_orders or in None followed by the
     library; that is the first schedule of the enumeration of all order
@@ -260,6 +268,12 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     order_choices = [[stage_terms(q, order, s) for order in orders]
                      for q, orders in zip(s.sequence, legal_orders)]
     prefetch_choices = [None] + [m.id for m in s.library]
+    # the (rank, prefetch) pairs query i tries: None, and each module that
+    # starts a legal order of query i+1; the last query has nothing to
+    # prefetch for
+    starts = [{terms[1][0][0] for terms in choices} for choices in order_choices[1:]] + [()]
+    prefetch_lists = [[(rank, prefetch) for rank, prefetch in enumerate(prefetch_choices)
+                       if prefetch is None or prefetch in modules] for modules in starts]
     rest = _rest_bounds(s, order_choices)
     # the least leaf so far: [total, reconfigurations or None until a tie
     # needs them, order ranks, prefetch ranks]
@@ -298,12 +312,10 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
                     best[1:] = key
             return
         queries = (s.sequence[i],)
-        # the last query has nothing to prefetch for
-        prefetches = prefetch_choices[:1] if i == n - 1 else prefetch_choices
         for order_rank, terms in enumerate(order_choices[i]):
             ranks = order_ranks + (order_rank,)
             ends_on = terms[1][-1][0]  # the module of the order's last stage
-            for prefetch_rank, prefetch in enumerate(prefetches):
+            for prefetch_rank, prefetch in prefetch_lists[i]:
                 if prefetch != ends_on:
                     search(i + 1, *_run_queries(s, queries, (terms,), (prefetch,), loaded,
                                                 region_free, arrival),

@@ -420,6 +420,24 @@ def test_cli_rejects_too_deeply_nested_json(tmp_path, capsys):
         f"error: {deep}: invalid JSON: maximum recursion depth")
 
 
+def test_cli_scenario_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    assert cli_dispatch(["optimize", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_cli_schedule_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    """A schedule file that cannot be decoded is a read error, not invalid
+    JSON."""
+    path = tmp_path / "schedule.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli_dispatch(["simulate", "seq2", "--schedule", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_cli_rejects_invalid_schedule(tmp_path, capsys):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps({"queries": [

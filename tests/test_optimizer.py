@@ -489,46 +489,110 @@ def test_oracle_ranks_every_order_before_any_prefetch():
     assert (outcome.schedule, outcome.total_ms) == (first, 55.0)
 
 
+def _starts(s, i):
+    """The modules that start a legal order of query i."""
+    q = s.sequence[i]
+    return {q.invocations[order[0]].accelerator_id for order in _legal_orders(q)}
+
+
+def test_only_prefetches_that_start_the_next_query_can_win(random_scenario, chained_scenario):
+    """A prefetch at query i that starts no legal order of query i+1, and
+    that the loop does not ignore, gives a strictly larger (total,
+    reconfigurations) key than no prefetch there: query i+1's first load
+    evicts it and starts no earlier, and its own load adds a reconfig
+    span.  So the oracle tries only None and the modules that start a legal
+    order of the next query.  Chained instances make the legal orders a
+    strict subset of the permutations.  Most such prefetches are hidden and
+    tie on the total, so the reconfigurations decide; some do not."""
+    rng = random.Random(74)
+    scenarios = []
+    while len(scenarios) < 24:
+        if len(scenarios) % 3 == 0:
+            s = random_scenario(rng, rng.randint(2, 4))
+        elif len(scenarios) % 3 == 1:
+            s = spread_over_modules(chained_scenario(rng, rng.randint(2, 4)), rng, 3)
+        else:
+            s = _zero_loads(random_scenario(rng, rng.randint(2, 4)))
+        if sum(len(q.invocations) for q in s.sequence) <= 6:
+            scenarios.append(s)
+    scenarios += _float_edges(rng)
+    dominated = tied = 0
+    for s in scenarios:
+        keys = {schedule: key for key, schedule in _keyed_schedules(s)}
+        for schedule, key in keys.items():
+            for i, prefetch in enumerate(schedule.prefetches):
+                ends_on = s.sequence[i].invocations[schedule.orders[i][-1]].accelerator_id
+                if prefetch in (None, ends_on) or prefetch in _starts(s, i + 1):
+                    continue
+                prefetches = schedule.prefetches[:i] + (None,) + schedule.prefetches[i + 1:]
+                without = keys[Schedule(schedule.orders, prefetches)]
+                assert key > without
+                dominated += 1
+                tied += key[0] == without[0]
+    assert dominated > 1000 and 0 < tied < dominated
+
+
+def _tree_nodes(s, prefetch_lists):
+    """The nodes of the oracle's search tree when query i tries the
+    prefetches prefetch_lists[i], skipping the module its order ends on."""
+    nodes, paths = 0, 1
+    for q, prefetches in zip(s.sequence, prefetch_lists):
+        paths *= sum(1 for order in _legal_orders(q) for prefetch in prefetches
+                     if prefetch != q.invocations[order[-1]].accelerator_id)
+        nodes += paths
+    return nodes
+
+
 def test_oracle_shares_schedule_prefixes(monkeypatch):
     """The oracle runs the event loop without spans at most once per node of
     its search tree, a (query, order, prefetch) below the choices for the
-    queries before it, skipping a prefetch of the module the order ends on;
-    once per (query, legal order) alone, for _rest_bounds; once over the
+    queries before it, where query i tries no prefetch and each module that
+    starts a legal order of query i+1, skipping the module its order ends
+    on; once per (query, legal order) alone, for _rest_bounds; once over the
     whole sequence for the baseline total; and once over the whole sequence
     with spans per schedule whose reconfigurations a tie asks for.  The
     bound cuts at least half of the nodes here.  It builds the stage terms
-    once per (query, legal order), and once per query for the baseline."""
-    s = _at_the_guard(random.Random(72), 3)
-    runs, builds = [], []
-    run, build = emulator._run_queries, emulator.stage_terms
+    once per (query, legal order), and once per query for the baseline.  At
+    eight modules it makes at most a tenth of the query runs that a tree
+    trying every module as the prefetch has nodes."""
+    rng = random.Random(72)
+    for s in (_at_the_guard(rng, 3), _at_the_guard(rng, ORACLE_MAX_MODULES)):
+        runs, builds = [], []
+        run, build = emulator._run_queries, emulator.stage_terms
 
-    def counting(s, queries, terms, prefetches, loaded, region_free, arrival, spans=None):
-        runs.append((len(queries), spans is not None))
-        return run(s, queries, terms, prefetches, loaded, region_free, arrival, spans)
+        def counting(s, queries, terms, prefetches, loaded, region_free, arrival, spans=None):
+            runs.append((queries, prefetches, spans is not None))
+            return run(s, queries, terms, prefetches, loaded, region_free, arrival, spans)
 
-    for module in (emulator, optimizer):
-        monkeypatch.setattr(module, "_run_queries", counting)
-        monkeypatch.setattr(module, "stage_terms",
-                            lambda *args: builds.append(args) or build(*args))
-    exhaustive_oracle(s)
-    n = len(s.sequence)
-    nodes, paths, schedules = 0, 1, 1
-    for i, q in enumerate(s.sequence):
-        prefetches = [None] + [m.id for m in s.library] if i < n - 1 else [None]
-        orders = _legal_orders(q)
-        paths *= sum(1 for order in orders for prefetch in prefetches
-                     if prefetch != q.invocations[order[-1]].accelerator_id)
-        nodes += paths
-        schedules *= len(orders) * len(prefetches)
-    alone = sum(len(_legal_orders(q)) for q in s.sequence)
-    replays = sum(1 for _, spanned in runs if spanned)
-    assert all(length == n for length, spanned in runs if spanned)
-    assert sum(length for length, _ in runs) <= nodes + alone + n + n * replays
-    node_runs = sum(1 for length, spanned in runs if length == 1 and not spanned) - alone
-    assert 2 * node_runs <= nodes
-    assert len(builds) == alone + n
-    # at most a quarter of the query runs of emulating every schedule whole
-    assert 4 * sum(length for length, _ in runs) <= n * schedules
+        for module in (emulator, optimizer):
+            monkeypatch.setattr(module, "_run_queries", counting)
+            monkeypatch.setattr(module, "stage_terms",
+                                lambda *args: builds.append(args) or build(*args))
+        exhaustive_oracle(s)
+        monkeypatch.undo()
+        n = len(s.sequence)
+        every_module = [None] + [m.id for m in s.library]
+        pruned = [[p for p in every_module if p is None or p in _starts(s, i + 1)]
+                  for i in range(n - 1)] + [[None]]
+        nodes = _tree_nodes(s, pruned)
+        orders = math.prod(len(_legal_orders(q)) for q in s.sequence)
+        schedules = orders * len(every_module) ** (n - 1)
+        alone = sum(len(_legal_orders(q)) for q in s.sequence)
+        replays = sum(1 for _, _, spanned in runs if spanned)
+        assert all(len(queries) == n for queries, _, spanned in runs if spanned)
+        query_runs = sum(len(queries) for queries, _, _ in runs)
+        assert query_runs <= nodes + alone + n + n * replays
+        position = {q.id: i for i, q in enumerate(s.sequence)}
+        single = [(position[queries[0].id], prefetches[0])
+                  for queries, prefetches, spanned in runs if len(queries) == 1 and not spanned]
+        # no node run carries a prefetch that starts no legal order of the next query
+        assert all(prefetch in pruned[i] for i, prefetch in single)
+        assert 2 * (len(single) - alone) <= nodes
+        assert len(builds) == alone + n
+        # at most a quarter of the query runs of emulating every schedule whole
+        assert 4 * query_runs <= n * schedules
+        if len(s.library) == ORACLE_MAX_MODULES:
+            assert 10 * query_runs <= _tree_nodes(s, [every_module] * (n - 1) + [[None]])
 
 
 def test_rest_bounds_hold_for_every_schedule(seq2, random_scenario, chained_scenario):
@@ -713,9 +777,9 @@ def test_oracle_guard_rejects_large_instances(random_scenario):
 
 
 def test_oracle_guard_rejects_large_libraries():
-    """Each query before the last fans out over no prefetch and every
-    module, so the search grows with the library even at four queries and
-    eight invocations."""
+    """Each query before the last fans out over no prefetch and each
+    module that starts a legal order of the next query, so the search can
+    grow with the library even at four queries and eight invocations."""
     rng = random.Random(5)
     exhaustive_oracle(_at_the_guard(rng, ORACLE_MAX_MODULES))
     s = _at_the_guard(rng, ORACLE_MAX_MODULES + 1)
