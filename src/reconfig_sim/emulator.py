@@ -23,7 +23,9 @@ on the region state, so a caller builds them once and runs the loop over
 them as often as it likes; the loop itself only decides when a load costs
 nothing and how the stages overlap.  It records span tuples only when given
 a list to put them in, and execute_schedule reads the per-query latencies
-off them.  analytic_total adds up the same terms in closed form.
+off them.  analytic_total adds up the same terms in closed form, one query
+at a time through _closed_form_step, which also owns the residual of a
+prefetch; the optimizer's exact table reads every cost through that step.
 
 execute_schedule and analytic_total take schedules from outside and reject
 an illegal one with ScheduleError.  The event loop, which the planners
@@ -166,49 +168,57 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
     return TimelineReport(tuple([Span(*sp) for sp in spans]), tuple(per_query), total)
 
 
-def analytic_total(s: Scenario, sch: Schedule) -> float:
-    """Closed-form total for the same schedule, computed without events.
+def _closed_form_step(s: Scenario, terms: StageTerms, loaded: str | None, residual: float,
+                      prefetch: str | None, gap: float) -> tuple[float, str | None, float]:
+    """One query of the closed form, from its stage terms (those of its
+    order), arriving at a region that loaded owns with residual ms of a
+    prefetch's load still to run, and followed by a gap of gap ms.  Returns
+    the query's duration, from its arrival to its transfer end, then the
+    module owning the region and the residual when the next query arrives.
 
-    Per query, from its stage terms: max(scan, effective first
-    reconfiguration) + the invocation runtimes + the remaining
-    reconfigurations + the transfer.  The effective first reconfiguration is
-    the load of the first module over whatever owns the region (zero when it
-    already does, prefetched or not) plus the residual of a prefetch: the
-    part of its load that the previous transfer plus gap did not hide.  An
+    The duration is max(scan, effective first reconfiguration) + the
+    invocation runtimes + the remaining reconfigurations + the transfer.
+    The effective first reconfiguration is the load of the first module over
+    whatever owns the region (zero when it already does, prefetched or not)
+    plus the residual.  A prefetch of a module other than the last one the
+    query ran leaves as residual the part of its load that the transfer plus
+    the gap did not hide; otherwise the residual is 0.  Each `b if b > a
+    else a` is max(a, b), as in the event loop.
+    """
+    scan_ms, stages, transfer_ms = terms
+    first, first_load, _ = stages[0]
+    effective = residual + (0.0 if first == loaded else first_load)
+    duration = effective if effective > scan_ms else scan_ms
+    for _, _, accel_ms in stages:
+        duration += accel_ms
+    previous = first
+    for module_id, load_ms, _ in stages[1:]:
+        if module_id != previous:
+            duration += load_ms
+        previous = module_id
+    duration += transfer_ms
+    if prefetch is None or prefetch == previous:
+        return duration, previous, 0.0
+    unhidden = reconfig_time(s.modules_by_id[prefetch], s.rpu) - (transfer_ms + gap)
+    return duration, prefetch, unhidden if unhidden > 0.0 else 0.0
+
+
+def analytic_total(s: Scenario, sch: Schedule) -> float:
+    """Closed-form total for the same schedule, computed without events: the
+    sum of each query's _closed_form_step duration and the gap after it.  An
     illegal schedule is a ScheduleError.
     """
     violations = validate_schedule(s, sch)
     if violations:
         raise ScheduleError(violations)
-    modules = s.modules_by_id
-
     total = 0.0
     loaded: str | None = None   # module owning the region, a prefetched one included
     residual = 0.0              # unhidden load time of that prefetch, else 0.0
-
     for i, (q, order, prefetch) in enumerate(zip(s.sequence, sch.orders, sch.prefetches)):
-        scan_ms, stages, t_trans = stage_terms(q, order, s)
-        first, first_load, _ = stages[0]
-        effective = residual + (0.0 if first == loaded else first_load)
-        duration = max(scan_ms, effective)
-        for _, _, accel_ms in stages:
-            duration += accel_ms
-        previous = first
-        for module_id, load_ms, _ in stages[1:]:
-            if module_id != previous:
-                duration += load_ms
-            previous = module_id
-        duration += t_trans
-
         gap = q.gap_after_ms if i < len(s.sequence) - 1 else 0.0
+        duration, loaded, residual = _closed_form_step(s, stage_terms(q, order, s), loaded,
+                                                       residual, prefetch, gap)
         total += duration + gap
-
-        loaded = previous
-        if prefetch is not None and prefetch != loaded:
-            residual = max(0.0, reconfig_time(modules[prefetch], s.rpu) - (t_trans + gap))
-            loaded = prefetch
-        else:
-            residual = 0.0
     return total
 
 

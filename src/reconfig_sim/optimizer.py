@@ -1,4 +1,5 @@
-"""Schedule planning strategies and the exhaustive reference search.
+"""Schedule planning strategies, the exact optimum and the exhaustive reference
+search.
 
 baseline      lowest-selectivity-first within each query, no prefetch
 spec_reconfig baseline order plus speculative reconfiguration between queries
@@ -7,29 +8,30 @@ reorder       permute a query so its last accelerator matches the next
 combined      reorder first, then speculative reconfiguration on top
 auto          the cheapest of the four
 
+optimal       the exact optimum over every legal order and prefetch choice
+oracle        the same optimum by exhaustive search, with a full tie-break
+
 candidate_schedules plans the four fixed-strategy schedules; none of them
 reads a volume or a gap, so a sweep plans them once for all its points.
 candidate_terms builds their stage terms (costmodel.stage_terms) once per
 distinct (query, order) among them; the terms read volumes but no gap, so a
 gap sweep builds them once for all its points.  fixed_outcomes emulates each
 candidate once over those terms and derives every fixed outcome and the auto
-pick from the four totals.  Both it and the exhaustive search run the
+pick from the four totals.  It, optimal and the exhaustive search run the
 emulator's unchecked event loop, since every schedule they emulate is legal
-by construction; the search builds its terms once per (query, legal order).
+by construction; optimal and the search build their terms once per (query,
+legal order).
 
-exhaustive_oracle is the reference the heuristics are measured against.  Its
-answer is the exhaustive one, but it searches the schedules as a prefix tree
-by branch and bound: a query's timeline depends only on the choices for it
-and the queries before it, so the search resumes the event loop from the
-region state each prefix left instead of emulating every schedule from the
-start, and it cuts a prefix whose transfer end plus a lower bound on the
-rest of the sequence (_rest_bounds) is above the best total found so far by
-more than rounding.  After each query it tries no prefetch and only the
-modules that start a legal order of the next query: any other module is
-evicted by that query's first load, which starts no earlier, so it adds a
-reconfiguration and never lowers the total.  It asks the loop for spans
-only to count the reconfigurations of schedules that tie on the total,
-which its tie-break ranks next.
+optimal and exhaustive_oracle share one table, _cost_to_go.  Consecutive
+queries interact only through the region state a query leaves the next: the
+module owning the region and the part of a prefetch's load still running.
+So for each query and each such state the least closed-form cost of the
+rest of the sequence is a dynamic program over the queries, linear in their
+number; emulator._closed_form_step, the closed form's step for one query,
+gives every cost in it.  optimal walks the table forward from the empty
+region.  exhaustive_oracle is the reference the heuristics are measured
+against: it starts from optimal's schedule, searches the schedules as a
+prefix tree and cuts a child before running it by the table.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -40,19 +42,21 @@ query itself.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import add
 
 from .analyzer import baseline_order, generate_hints
 from .costmodel import StageTerms, stage_terms
-from .emulator import _run_queries, _timeline
+from .emulator import _closed_form_step, _run_queries
 from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
 from .record import Record, set_field
 
 FIXED_STRATEGIES = ("baseline", "spec_reconfig", "reorder", "combined")
-STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle")
+STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle", "optimal")
 
 ORACLE_MAX_INVOCATIONS = 8
 ORACLE_MAX_QUERIES = 4
 ORACLE_MAX_MODULES = 8
+OPTIMAL_MAX_WIDTH = 8
 
 # the stage terms of each query, keyed by the orders of a candidate schedule
 CandidateTerms = dict[tuple[tuple[int, ...], ...], list[StageTerms]]
@@ -191,12 +195,15 @@ def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: Candidate
 
 
 def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
-    """Plan with one strategy, "auto" for the cheapest of the four fixed ones,
-    or "oracle" for the exhaustive search.
+    """Plan with one strategy: a fixed one, "auto" for the cheapest of the
+    four fixed ones, "optimal" for the exact optimum or "oracle" for the
+    exhaustive search.
 
     The outcome names the strategy that produced the schedule; see
     fixed_outcomes for the tie-break under "auto".
     """
+    if strategy == "optimal":
+        return optimal(s)
     if strategy == "oracle":
         return exhaustive_oracle(s)
     if strategy not in STRATEGIES:
@@ -206,27 +213,155 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
 
 
 def _legal_orders(q) -> list[tuple[int, ...]]:
-    return [perm for perm in permutations(range(len(q.invocations)))
-            if not reader_first_pairs(q, perm)]
+    orders = permutations(range(len(q.invocations)))
+    if not q.dependencies:
+        return list(orders)
+    return [perm for perm in orders if not reader_first_pairs(q, perm)]
 
 
-def _rest_bounds(s: Scenario, order_choices: list[list[StageTerms]]) -> list[float]:
-    """rest[i], a lower bound on what queries i.. add to the total after query
-    i-1's transfer end: the gap after query i-1, plus, for each query from i
-    on, its least transfer end over its legal orders when it runs alone, from
-    a region that holds the order's first module, frees up at 0 and sees the
-    query arrive at 0.  In real arithmetic no accelerator of a real run of
-    the query starts earlier after its arrival than in that run, so the bound
-    holds; the event loop decides the stage costs and residency of both.
+def _order_choices(s: Scenario) -> tuple[list[list[tuple[int, ...]]], list[list[StageTerms]]]:
+    """The legal orders of each query, and their stage terms in that order."""
+    legal_orders = [_legal_orders(q) for q in s.sequence]
+    return legal_orders, [[stage_terms(q, order, s) for order in orders]
+                          for q, orders in zip(s.sequence, legal_orders)]
+
+
+def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
+    """The exact least closed-form cost of the rest of the sequence, for
+    each query and each region state at its arrival, and the schedule that
+    attains it from the empty region; order_choices[i] holds query i's
+    stage terms, one per legal order in rank order.
+
+    A state is what emulator._closed_form_step passes to the next query:
+    the module owning the region and the residual of a prefetch's load.
+    After query i the choices are no prefetch and each module that starts a
+    legal order of query i+1 (see exhaustive_oracle for why no other can
+    win).  The residual a prefetch leaves depends on the query's transfer
+    and the gap after it, not on the state the query met, so each order's
+    moves are found from one state.  The states of each query are found
+    forward from the empty region, the entries are filled backward, and the
+    schedule is walked forward again: each query takes the order whose step
+    plus next entry gives its entry, and that order's least next entry.
+    Ties go to the least order rank, then the least prefetch rank.
+
+    Returns (states, steps, moves, table, (order ranks, prefetch ranks)),
+    where a state is named by its index in states[i], the states query i
+    can meet, and states[n] holds those after the last query.  steps[i][k]
+    lists, per order rank, query i's closed-form duration from state k plus
+    the gap after it.  moves[i][rank] lists (prefetch rank, prefetch, next
+    state) per prefetch after that order, ranks indexing None followed by
+    the library; a prefetch that leaves the state of no prefetch (of the
+    module the order ends on, which the loop ignores) is left out.
+    table[i][k] is the least step plus next entry over the orders and
+    moves, and table[n] is 0.
     """
     n = len(s.sequence)
-    rest = [0.0] * (n + 1)
+    library = list(enumerate((m.id for m in s.library), 1))
+    states = [[(None, 0.0)]]
+    steps, moves = [], []
+    for i, (q, choices) in enumerate(zip(s.sequence, order_choices)):
+        if i < n - 1:
+            gap = q.gap_after_ms
+            starts = {terms[1][0][0] for terms in order_choices[i + 1]}
+            prefetches = [(rank, module) for rank, module in library if module in starts]
+        else:
+            gap, prefetches = 0.0, ()
+        module, residual = states[i][0]
+        index: dict = {}  # the next states, in the order they are met
+        head, query_moves = [], []
+        for terms in choices:
+            duration, owner, unhidden = _closed_form_step(s, terms, module, residual, None, gap)
+            head.append(duration + gap)
+            plain = index.setdefault((owner, unhidden), len(index))
+            order_moves = [(0, None, plain)]
+            for rank, prefetch in prefetches:
+                after = index.setdefault(
+                    _closed_form_step(s, terms, module, residual, prefetch, gap)[1:], len(index))
+                if after != plain:
+                    order_moves.append((rank, prefetch, after))
+            query_moves.append(order_moves)
+        query_steps = [head]
+        for module, residual in states[i][1:]:
+            row = []
+            for terms in choices:
+                row.append(_closed_form_step(s, terms, module, residual, None, gap)[0] + gap)
+            query_steps.append(row)
+        steps.append(query_steps)
+        moves.append(query_moves)
+        states.append(list(index))
+
+    table = [None] * n + [[0.0] * len(states[n])]
+    best = [None] * n  # per query and order, (least next entry, its move)
     for i in reversed(range(n)):
-        q = s.sequence[i]
-        alone = min(_run_queries(s, (q,), (terms,), (None,), terms[1][0][0], 0.0, 0.0)[3]
-                    for terms in order_choices[i])
-        rest[i] = (s.sequence[i - 1].gap_after_ms if i else 0.0) + alone + rest[i + 1]
-    return rest
+        rest = table[i + 1]
+        best[i] = query_best = []
+        tails = []
+        for order_moves in moves[i]:
+            move = order_moves[0]
+            tail = rest[move[2]]
+            for other in order_moves[1:]:
+                if rest[other[2]] < tail:
+                    move, tail = other, rest[other[2]]
+            query_best.append((tail, move))
+            tails.append(tail)
+        table[i] = [min(map(add, row, tails)) for row in steps[i]]
+
+    state, order_ranks, prefetch_ranks = 0, (), ()
+    for i, query_best in enumerate(best):
+        costs = [step + tail for step, (tail, _) in zip(steps[i][state], query_best)]
+        order_rank = costs.index(table[i][state])
+        prefetch_rank, _, state = query_best[order_rank][1]
+        order_ranks += (order_rank,)
+        prefetch_ranks += (prefetch_rank,)
+    return states, steps, moves, table, (order_ranks, prefetch_ranks)
+
+
+def _ranked_outcome(s: Scenario, strategy: str, legal_orders, order_choices, order_ranks,
+                    prefetch_ranks, total: float) -> StrategyOutcome:
+    """The outcome of the schedule with these ranks, whose emulated total is
+    total; the baseline total is emulated over the terms already built,
+    since the baseline order of each query is one of its legal orders."""
+    prefetch_choices = [None] + [m.id for m in s.library]
+    base = [choices[orders.index(baseline_order(q))]
+            for q, orders, choices in zip(s.sequence, legal_orders, order_choices)]
+    baseline_total = _run_queries(s, s.sequence, base, (None,) * len(base), None, 0.0, 0.0)[3]
+    return StrategyOutcome(
+        strategy=strategy,
+        schedule=Schedule(tuple(legal_orders[i][rank] for i, rank in enumerate(order_ranks)),
+                          tuple(prefetch_choices[rank] for rank in prefetch_ranks)),
+        total_ms=total,
+        improvement_pct=_improvement(baseline_total, total),
+    )
+
+
+def _emulate_ranks(s: Scenario, order_choices, order_ranks, prefetch_ranks,
+                   spans: list | None = None) -> float:
+    """The event loop's total of the schedule with these ranks."""
+    prefetch_choices = [None] + [m.id for m in s.library]
+    return _run_queries(s, s.sequence, [order_choices[i][r] for i, r in enumerate(order_ranks)],
+                        [prefetch_choices[r] for r in prefetch_ranks], None, 0.0, 0.0, spans)[3]
+
+
+def optimal(s: Scenario) -> StrategyOutcome:
+    """The exact optimum over every legal order and prefetch choice, in time
+    linear in the number of queries: the forward walk of _cost_to_go's
+    table.  Consecutive queries interact only through the region state, so
+    the least cost of the rest of the sequence from each state settles each
+    query's choice.  Ties go to the least order rank, then the least
+    prefetch rank, query by query.  The table adds the closed form's terms
+    in another order than the event loop, so it only chooses; the total is
+    the event loop's, as for every strategy.  Each query's legal orders are
+    enumerated, so a query may hold at most OPTIMAL_MAX_WIDTH invocations.
+    """
+    for q in s.sequence:
+        if len(q.invocations) > OPTIMAL_MAX_WIDTH:
+            raise InstanceTooLargeError(
+                f"query {q.id} too wide for the optimal strategy: {len(q.invocations)} "
+                f"invocations (limit: {OPTIMAL_MAX_WIDTH} invocations per query)")
+    legal_orders, order_choices = _order_choices(s)
+    ranks = _cost_to_go(s, order_choices)[4]
+    return _ranked_outcome(s, "optimal", legal_orders, order_choices, *ranks,
+                           _emulate_ranks(s, order_choices, *ranks))
 
 
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
@@ -240,19 +375,21 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     maxes and adds nonnegative times, so that schedule totals no less and
     has more reconfigurations.  A prefetch of the module the order ends on
     is skipped too: the loop ignores it, so it gives the timeline of no
-    prefetch, which ranks first.  A depth-first branch and bound over
-    (query, order, prefetch) runs the event loop once per node it visits,
-    resuming from the region state its parent left, so schedules that share
-    a prefix share its run.  A node is skipped when its transfer end plus
-    _rest_bounds of the queries after it exceeds the best total found so
-    far by more than rounding can explain; the test is strict, so a
-    schedule that could tie is never skipped.
+    prefetch, which ranks first.
     The least (total, reconfigurations, order ranks, prefetch ranks) wins,
     where a rank is the position in _legal_orders or in None followed by the
     library; that is the first schedule of the enumeration of all order
     choices, then all prefetch choices, which makes the result deterministic.
-    Reconfigurations are counted only between schedules that tie on the
-    total, by replaying each from the empty region with spans.
+    The search starts from optimal's schedule, emulated, as the best leaf so
+    far, and walks the tree of (query, order, prefetch) depth first,
+    running the event loop once per node it visits from the region state
+    its parent left, so schedules that share a prefix share its run.  A
+    child is cut before it runs when its closed-form prefix plus its
+    _cost_to_go entry, the least closed-form total of any leaf below it,
+    exceeds the best total by more than rounding can explain; the test is
+    strict, so a schedule that could tie is never cut.  Reconfigurations are
+    counted only between schedules that tie on the total, by replaying each
+    from the empty region with spans.
     """
     n = len(s.sequence)
     total_invocations = sum(len(q.invocations) for q in s.sequence)
@@ -263,76 +400,56 @@ def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
             f"over {n} queries, {len(s.library)} modules (limits: {ORACLE_MAX_INVOCATIONS} "
             f"invocations, {ORACLE_MAX_QUERIES} queries, {ORACLE_MAX_MODULES} modules)")
 
-    legal_orders = [_legal_orders(q) for q in s.sequence]
-    # query i's stage terms, one per legal order in rank order
-    order_choices = [[stage_terms(q, order, s) for order in orders]
-                     for q, orders in zip(s.sequence, legal_orders)]
-    prefetch_choices = [None] + [m.id for m in s.library]
-    # the (rank, prefetch) pairs query i tries: None, and each module that
-    # starts a legal order of query i+1; the last query has nothing to
-    # prefetch for
-    starts = [{terms[1][0][0] for terms in choices} for choices in order_choices[1:]] + [()]
-    prefetch_lists = [[(rank, prefetch) for rank, prefetch in enumerate(prefetch_choices)
-                       if prefetch is None or prefetch in modules] for modules in starts]
-    rest = _rest_bounds(s, order_choices)
+    legal_orders, order_choices = _order_choices(s)
+    _, steps, moves, table, ranks = _cost_to_go(s, order_choices)
     # the least leaf so far: [total, reconfigurations or None until a tie
     # needs them, order ranks, prefetch ranks]
-    best = None
+    best = [_emulate_ranks(s, order_choices, *ranks), None, *ranks]
 
     def reconfigs(order_ranks, prefetch_ranks):
         spans: list = []
-        _run_queries(s, s.sequence, [order_choices[i][r] for i, r in enumerate(order_ranks)],
-                     [prefetch_choices[r] for r in prefetch_ranks], None, 0.0, 0.0, spans)
+        _emulate_ranks(s, order_choices, order_ranks, prefetch_ranks, spans)
         return sum(1 for sp in spans if sp[0] == "reconfig")
 
-    def search(i, loaded, region_free, arrival, total, order_ranks, prefetch_ranks):
-        """Visit the schedules that extend a choice for queries 0..i-1, whose
-        prefix left the region state (loaded, region_free, arrival) and ended
-        its last transfer at total.  Query i runs once per (order, prefetch)
-        from that state, which gives query i+1's.
+    def search(i, region, state, cost, order_ranks, prefetch_ranks):
+        """Visit the children of a choice for queries 0..i-1, whose prefix
+        left the event loop's region state region and the closed form's
+        state after a closed-form cost of cost.  Query i runs once per
+        (order, prefetch) not cut, from region.
         """
-        nonlocal best
-        # In real arithmetic over the same stage terms, every leaf below this
-        # node totals at least total + rest[i].  The loop and _rest_bounds
-        # take maxes, which are exact, and sums of nonnegative floats, each
-        # within a relative 2**-53 of its real value (exact if it underflows);
-        # a leaf's total and rest[i] take a few dozen of them, so they stray
-        # by far less than the relative 1e-9 given up here, and a leaf that
-        # could tie the best total is never cut.
-        if best is not None and (total + rest[i]) * (1 - 1e-9) > best[0]:
-            return
-        if i == n:
-            if best is None or total < best[0]:
-                best = [total, None, order_ranks, prefetch_ranks]
-            elif total == best[0]:
-                if best[1] is None:
-                    best[1] = reconfigs(best[2], best[3])
-                key = [reconfigs(order_ranks, prefetch_ranks), order_ranks, prefetch_ranks]
-                if key < best[1:]:
-                    best[1:] = key
-            return
-        queries = (s.sequence[i],)
-        for order_rank, terms in enumerate(order_choices[i]):
-            ranks = order_ranks + (order_rank,)
-            ends_on = terms[1][-1][0]  # the module of the order's last stage
-            for prefetch_rank, prefetch in prefetch_lists[i]:
-                if prefetch != ends_on:
-                    search(i + 1, *_run_queries(s, queries, (terms,), (prefetch,), loaded,
-                                                region_free, arrival),
-                           ranks, prefetch_ranks + (prefetch_rank,))
+        queries, rest = (s.sequence[i],), table[i + 1]
+        for order_rank, (terms, step, order_moves) in enumerate(
+                zip(order_choices[i], steps[i][state], moves[i])):
+            here = cost + step
+            for prefetch_rank, prefetch, after in order_moves:
+                # In real arithmetic every leaf below this child totals at
+                # least here + rest[after], in both timing models.  The loop
+                # and the closed form take maxes, which are exact, and sums
+                # of nonnegative floats, each within a relative 2**-53 of its
+                # real value (exact if it underflows); a leaf's total and the
+                # bound take a few dozen of them, so they stray by far less
+                # than the relative 1e-9 given up here, and a leaf that could
+                # tie the best total is never cut.
+                if (here + rest[after]) * (1 - 1e-9) > best[0]:
+                    continue
+                run = _run_queries(s, queries, (terms,), (prefetch,), *region)
+                leaf = (order_ranks + (order_rank,), prefetch_ranks + (prefetch_rank,))
+                if i + 1 < n:
+                    search(i + 1, run[:3], after, here, *leaf)
+                elif run[3] < best[0]:
+                    best[:] = [run[3], None, *leaf]
+                elif run[3] == best[0] and list(leaf) != best[2:]:
+                    if best[1] is None:
+                        best[1] = reconfigs(*best[2:])
+                    key = [reconfigs(*leaf), *leaf]
+                    if key < best[1:]:
+                        best[1:] = key
 
-    search(0, None, 0.0, 0.0, 0.0, (), ())
+    search(0, (None, 0.0, 0.0), 0, 0.0, (), ())
     del search  # it is in its own closure: free the search state now, not at the next gc
     total, _, order_ranks, prefetch_ranks = best
-    orders = tuple(legal_orders[i][rank] for i, rank in enumerate(order_ranks))
-    prefetches = tuple(prefetch_choices[rank] for rank in prefetch_ranks)
-    baseline_total = _timeline(s, plan_baseline(s))
-    return StrategyOutcome(
-        strategy="oracle",
-        schedule=Schedule(orders, prefetches),
-        total_ms=total,
-        improvement_pct=_improvement(baseline_total, total),
-    )
+    return _ranked_outcome(s, "oracle", legal_orders, order_choices, order_ranks,
+                           prefetch_ranks, total)
 
 
 def outcome_document(s: Scenario, outcome: StrategyOutcome) -> dict:

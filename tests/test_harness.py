@@ -340,6 +340,19 @@ def test_cli_optimize_writes_outcome_document(tmp_path, capsys):
     assert len(doc["schedule"]["queries"]) == 2
 
 
+def test_cli_optimize_offers_the_exact_optimum(tmp_path, capsys):
+    assert cli_dispatch(["optimize", "seq2", "--strategy", "optimal"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "strategy=optimal", "total_ms=101", "improvement_pct=8.18181818"]
+    doc = json.loads(harness.bundled_text("seq2"))
+    doc["sequence"][0]["invocations"] *= 5
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_dispatch(["optimize", str(path), "--strategy", "optimal"]) == 1
+    assert capsys.readouterr().err == ("error: query Q0 too wide for the optimal strategy: "
+                                       "10 invocations (limit: 8 invocations per query)\n")
+
+
 def test_cli_sweep_writes_csv(tmp_path, seq2):
     out_path = tmp_path / "sweep.csv"
     code = cli_dispatch(["sweep", "seq2", "--axis", "scale_factor",

@@ -1,9 +1,8 @@
 import gc
 import hashlib
 import json
-import math
 import random
-from itertools import permutations, product
+from itertools import cycle, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_sc
 from reconfig_sim.model import Schedule, load_scenario, schedule_to_doc, validate_schedule
 from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
+    OPTIMAL_MAX_WIDTH,
     ORACLE_MAX_INVOCATIONS,
     ORACLE_MAX_MODULES,
     ORACLE_MAX_QUERIES,
@@ -27,6 +27,7 @@ from reconfig_sim.optimizer import (
     candidate_terms,
     exhaustive_oracle,
     fixed_outcomes,
+    optimal,
     optimize,
     outcome_document,
     plan_baseline,
@@ -49,7 +50,7 @@ def _scenario(tables, library, sequence):
 
 def test_strategy_constants():
     assert STRATEGIES == ("baseline", "spec_reconfig", "reorder", "combined",
-                          "auto", "oracle")
+                          "auto", "oracle", "optimal")
 
 
 def test_baseline_runs_most_selective_first():
@@ -460,10 +461,11 @@ def _orders_rank_before_prefetches():
 
 def _bound_rounds_up():
     """_orders_rank_before_prefetches with rates, volume, selectivity, gap
-    and load time at which the float sum of the B-first schedule's tight
-    bound, its Q0 transfer end plus _rest_bounds of Q1, is one ulp above its
-    own total.  The C-first schedule ties it and comes first in the search,
-    so a prune without slack would cut the winner."""
+    and load time at which the float sum of the B-first schedule's Q0
+    transfer end plus Q1's least transfer end when it runs alone, from a
+    region that holds its first module and sees it arrive at 0, is one ulp
+    above the schedule's own total.  The C-first schedule ties it, so a
+    prune on that bound without slack would cut the winner."""
     s = _orders_rank_before_prefetches()
     q0, q1 = s.sequence
     inv = q0.invocations[0].replace(selectivity=0.013167991554874137)
@@ -487,6 +489,26 @@ def test_oracle_ranks_every_order_before_any_prefetch():
         assert (report.total_ms, sum(sp.lane == "reconfig" for sp in report.spans)) == (55.0, 3)
     outcome = exhaustive_oracle(s)
     assert (outcome.schedule, outcome.total_ms) == (first, 55.0)
+
+
+def test_optimal_breaks_ties_query_by_query():
+    """optimal takes, query by query, the least order rank and then the
+    least prefetch rank among the choices that tie on the least cost, so on
+    this instance it prefetches C, the library's second module, after Q0
+    and runs Q1 C first, where the oracle ranks every order before any
+    prefetch and picks B first; both total 55 ms."""
+    s = _orders_rank_before_prefetches()
+    outcome = optimize(s, "optimal")
+    assert (outcome.schedule, outcome.total_ms) == (Schedule(((0,), (1, 0)), ("C", None)), 55.0)
+    assert exhaustive_oracle(s).schedule == Schedule(((0,), (0, 1)), ("B", None))
+    # two filters that keep every row on one module: both orders cost the same
+    twins = _scenario(
+        tables=[{"id": "t", "volume": 8.0}],
+        library=[{"id": "A", "supported_ops": [_GT], "proc_rate": 2.0}],
+        sequence=[{"id": "Q0", "table": "t", "invocations": [
+            {"accelerator": "A", "predicate": f"{c} > 1", "selectivity": 1.0, "reads": [c]}
+            for c in "ab"]}])
+    assert optimize(twins, "optimal").schedule == Schedule(((0, 1),), (None,))
 
 
 def _starts(s, i):
@@ -543,63 +565,129 @@ def _tree_nodes(s, prefetch_lists):
     return nodes
 
 
+def _searched(s, schedule):
+    """Whether the oracle's search tree holds schedule: after each query no
+    prefetch, or a module that starts a legal order of the next query and
+    is not the one the order ends on."""
+    return all(prefetch is None or (prefetch in _starts(s, i + 1) and prefetch
+                                    != s.sequence[i].invocations[order[-1]].accelerator_id)
+               for i, (order, prefetch) in enumerate(zip(schedule.orders, schedule.prefetches)))
+
+
+def _closed_form_prefixes(s, orders, prefetches):
+    """(closed-form cost, state) at the arrival of each of the queries the
+    choices cover and after the last of them, stepping
+    emulator._closed_form_step from the empty region; the cost includes the
+    gap after each query but the last of the sequence."""
+    cost, state = 0.0, (None, 0.0)
+    prefixes = [(cost, state)]
+    for i, (q, order, prefetch) in enumerate(zip(s.sequence, orders, prefetches)):
+        gap = q.gap_after_ms if i < len(s.sequence) - 1 else 0.0
+        duration, *state = emulator._closed_form_step(s, stage_terms(q, order, s), *state,
+                                                      prefetch, gap)
+        cost, state = cost + duration + gap, tuple(state)
+        prefixes.append((cost, state))
+    return prefixes
+
+
+def _uncut_children(s, total):
+    """The (orders, prefetches) of every node of the oracle's search tree
+    whose closed-form prefix plus its _cost_to_go entry, and each of its
+    ancestors', is within the oracle's 1e-9 slack of total."""
+    states, _, _, table, _ = optimizer._cost_to_go(s, optimizer._order_choices(s)[1])
+    every_module = [None] + [m.id for m in s.library]
+    uncut, frontier = [], [((), ())]
+    for i, q in enumerate(s.sequence):
+        prefetches = [None] if i == len(s.sequence) - 1 else every_module
+        children = []
+        for orders, chosen in frontier:
+            for order in _legal_orders(q):
+                for prefetch in prefetches:
+                    child = (orders + (order,), chosen + (prefetch,))
+                    if not _searched(s, Schedule(*child)):
+                        continue
+                    cost, state = _closed_form_prefixes(s, *child)[-1]
+                    if (cost + table[i + 1][states[i + 1].index(state)]) * (1 - 1e-9) <= total:
+                        children.append(child)
+        uncut += children
+        frontier = children
+    return uncut
+
+
 def test_oracle_shares_schedule_prefixes(monkeypatch):
-    """The oracle runs the event loop without spans at most once per node of
-    its search tree, a (query, order, prefetch) below the choices for the
-    queries before it, where query i tries no prefetch and each module that
+    """The oracle runs the event loop without spans once per child of its
+    search tree that it does not cut, a (query, order, prefetch) below the
+    choices for the queries before it whose closed-form prefix plus
+    _cost_to_go entry is within the 1e-9 slack of the answer, and never for
+    a child that is cut; query i tries no prefetch and each module that
     starts a legal order of query i+1, skipping the module its order ends
-    on; once per (query, legal order) alone, for _rest_bounds; once over the
-    whole sequence for the baseline total; and once over the whole sequence
-    with spans per schedule whose reconfigurations a tie asks for.  The
-    bound cuts at least half of the nodes here.  It builds the stage terms
-    once per (query, legal order), and once per query for the baseline.  At
-    eight modules it makes at most a tenth of the query runs that a tree
-    trying every module as the prefetch has nodes."""
+    on.  It also runs it once over the whole sequence for optimal's
+    schedule, its first best leaf, once for the baseline total, and once
+    over the whole sequence with spans per schedule whose reconfigurations
+    a tie asks for.  It builds the stage terms once per (query, legal
+    order), and the baseline total reuses them.  On the three-module
+    instance it makes at most half of the 246 query runs of a search whose
+    bound ran each later query alone; at eight modules it makes at most a
+    tenth of the query runs that a tree trying every module as the prefetch
+    has nodes."""
     rng = random.Random(72)
     for s in (_at_the_guard(rng, 3), _at_the_guard(rng, ORACLE_MAX_MODULES)):
         runs, builds = [], []
         run, build = emulator._run_queries, emulator.stage_terms
 
         def counting(s, queries, terms, prefetches, loaded, region_free, arrival, spans=None):
-            runs.append((queries, prefetches, spans is not None))
+            runs.append((queries, terms, prefetches, spans is not None))
             return run(s, queries, terms, prefetches, loaded, region_free, arrival, spans)
 
         for module in (emulator, optimizer):
             monkeypatch.setattr(module, "_run_queries", counting)
             monkeypatch.setattr(module, "stage_terms",
                                 lambda *args: builds.append(args) or build(*args))
-        exhaustive_oracle(s)
+        choices = optimizer._order_choices
+        monkeypatch.setattr(optimizer, "_order_choices", lambda s: chosen.append(choices(s))
+                            or chosen[-1])
+        chosen = []
+        outcome = exhaustive_oracle(s)
         monkeypatch.undo()
         n = len(s.sequence)
-        every_module = [None] + [m.id for m in s.library]
-        pruned = [[p for p in every_module if p is None or p in _starts(s, i + 1)]
-                  for i in range(n - 1)] + [[None]]
-        nodes = _tree_nodes(s, pruned)
-        orders = math.prod(len(_legal_orders(q)) for q in s.sequence)
-        schedules = orders * len(every_module) ** (n - 1)
-        alone = sum(len(_legal_orders(q)) for q in s.sequence)
-        replays = sum(1 for _, _, spanned in runs if spanned)
-        assert all(len(queries) == n for queries, _, spanned in runs if spanned)
-        query_runs = sum(len(queries) for queries, _, _ in runs)
-        assert query_runs <= nodes + alone + n + n * replays
+        [(legal_orders, order_choices)] = chosen
+        # the children the search ran, each extending the last run of the
+        # query before it; a run's terms are those of one legal order
+        path, children = [], []
         position = {q.id: i for i, q in enumerate(s.sequence)}
-        single = [(position[queries[0].id], prefetches[0])
-                  for queries, prefetches, spanned in runs if len(queries) == 1 and not spanned]
-        # no node run carries a prefetch that starts no legal order of the next query
-        assert all(prefetch in pruned[i] for i, prefetch in single)
-        assert 2 * (len(single) - alone) <= nodes
-        assert len(builds) == alone + n
-        # at most a quarter of the query runs of emulating every schedule whole
-        assert 4 * query_runs <= n * schedules
-        if len(s.library) == ORACLE_MAX_MODULES:
+        for queries, terms, prefetches, spanned in runs:
+            if len(queries) == 1:
+                i = position[queries[0].id]
+                rank = next(r for r, t in enumerate(order_choices[i]) if t is terms[0])
+                path[i:] = [(legal_orders[i][rank], prefetches[0])]
+                children.append((tuple(o for o, _ in path), tuple(p for _, p in path)))
+            else:
+                assert len(queries) == n
+        expected = _uncut_children(s, outcome.total_ms)
+        assert sorted(children, key=repr) == sorted(expected, key=repr)
+        replayed = [(tuple(map(id, terms)), tuple(prefetches))
+                    for _, terms, prefetches, spanned in runs if spanned]
+        # no schedule is replayed twice, optimal's own leaf included
+        assert len(set(replayed)) == len(replayed)
+        replays = len(replayed)
+        query_runs = sum(len(queries) for queries, *_ in runs)
+        assert query_runs == len(children) + 2 * n + n * replays
+        alone = sum(len(_legal_orders(q)) for q in s.sequence)
+        assert len(builds) == alone
+        if len(s.library) == 3:
+            assert 2 * query_runs <= 246
+        else:
+            every_module = [None] + [m.id for m in s.library]
             assert 10 * query_runs <= _tree_nodes(s, [every_module] * (n - 1) + [[None]])
 
 
-def test_rest_bounds_hold_for_every_schedule(seq2, random_scenario, chained_scenario):
-    """No schedule totals less than the transfer end of any of its prefixes
-    plus _rest_bounds of the queries after it, beyond a relative rounding
-    far inside the oracle's 1e-9 slack; and the bound is not vacuous.  The
-    rounding is real: on _bound_rounds_up the float sum exceeds the total."""
+def test_cost_to_go_bounds_every_schedule(seq2, random_scenario, chained_scenario):
+    """For every schedule in the oracle's search tree and every prefix of it,
+    the prefix's closed-form cost plus the _cost_to_go entry of the state it
+    leaves is at most the schedule's emulated total, beyond a relative
+    rounding far inside the oracle's 1e-9 slack; the rounding is real.  The
+    entry at the empty region equals the least total of every schedule
+    within a relative 1e-9, so the bound is tight."""
     rng = random.Random(73)
     scenarios = [seq2, _orders_rank_before_prefetches(), _bound_rounds_up()]
     scenarios += [_at_the_guard(rng, 3), _zero_loads(_at_the_guard(rng, 2))]
@@ -607,23 +695,25 @@ def test_rest_bounds_hold_for_every_schedule(seq2, random_scenario, chained_scen
     scenarios += [spread_over_modules(chained_scenario(rng, rng.randint(1, 3)), rng, 2)
                   for _ in range(6)]
     scenarios += _float_edges(rng)
-    tight = rounded_up = 0
+    checked = rounded_up = 0
     for s in scenarios:
         if not _within_oracle_guard(s):
             continue
-        rest = optimizer._rest_bounds(s, [[stage_terms(q, order, s) for order in _legal_orders(q)]
-                                          for q in s.sequence])
-        assert len(rest) == len(s.sequence) + 1 and rest[-1] == 0.0
-        least = math.inf
-        for _, schedule in _keyed_schedules(s):
-            report = execute_schedule(s, schedule)
-            ends = [0.0] + [sp.end_ms for sp in report.spans if sp.lane == "transfer"]
-            for end, bound in zip(ends, rest):
-                assert report.total_ms >= (end + bound) * (1 - 1e-12)
-                rounded_up += report.total_ms < end + bound
-            least = min(least, report.total_ms)
-        tight += rest[0] >= 0.5 * least > 0.0
-    assert tight > len(scenarios) // 2 and rounded_up > 0
+        states, _, _, table, _ = optimizer._cost_to_go(s, optimizer._order_choices(s)[1])
+        assert len(table) == len(s.sequence) + 1 and set(table[-1]) == {0.0}
+        keyed = _keyed_schedules(s)
+        least = min(total for (total, _), _ in keyed)
+        assert abs(table[0][0] - least) <= 1e-9 * least
+        for (total, _), schedule in keyed:
+            if not _searched(s, schedule):
+                continue
+            prefixes = _closed_form_prefixes(s, schedule.orders, schedule.prefetches)
+            for (cost, state), entries, query_states in zip(prefixes, table, states):
+                bound = cost + entries[query_states.index(state)]
+                assert bound <= total * (1 + 1e-12)
+                rounded_up += bound > total
+                checked += 1
+    assert checked > 5000 and rounded_up > 0
 
 
 def test_oracle_leaves_no_reference_cycle(seq2):
@@ -788,6 +878,117 @@ def test_oracle_guard_rejects_large_libraries():
     assert str(excinfo.value) == (
         "instance too large for exhaustive search: 8 invocations over 4 queries, 9 modules "
         "(limits: 8 invocations, 4 queries, 8 modules)")
+
+
+def test_optimal_matches_the_oracle(seq2, seq2_small, random_scenario, chained_scenario):
+    """Within the oracle's guard, optimal's total equals the exhaustive
+    oracle's within 1e-9, relative to totals above 1 ms, which the float
+    edges take to 1e307: on seeded random and chained instances, zero-time
+    loads with zero gaps, instances at the full guard and the float edges.
+    The schedule is legal, its total is the event loop's, and its
+    improvement is measured against the baseline's emulated total."""
+    rng = random.Random(75)
+    scenarios = [seq2, seq2_small, _orders_rank_before_prefetches(), _bound_rounds_up()]
+    while len(scenarios) < 84:
+        kind = len(scenarios) % 4
+        if kind == 0:
+            s = random_scenario(rng, rng.randint(1, 4))
+        elif kind == 1:
+            s = spread_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+        elif kind == 2:
+            s = with_gaps(_zero_loads(random_scenario(rng, rng.randint(2, 4))), 0.0)
+        else:
+            s = _at_the_guard(rng, rng.randint(2, ORACLE_MAX_MODULES))
+        if _within_oracle_guard(s):
+            scenarios.append(s)
+    scenarios += _float_edges(rng)
+    beats_auto = 0
+    for s in scenarios:
+        outcome, oracle = optimize(s, "optimal"), exhaustive_oracle(s)
+        assert outcome.strategy == "optimal"
+        assert abs(outcome.total_ms - oracle.total_ms) <= 1e-9 * max(1.0, oracle.total_ms)
+        assert validate_schedule(s, outcome.schedule) == []
+        assert execute_schedule(s, outcome.schedule).total_ms == outcome.total_ms
+        assert outcome.improvement_pct == optimizer._improvement(
+            optimize(s, "baseline").total_ms, outcome.total_ms)
+        beats_auto += outcome.total_ms < optimize(s, "auto").total_ms * (1 - 1e-9)
+    assert beats_auto > 5
+
+
+def _long_sequence(rng, n_queries, n_modules):
+    """A seeded random sequence of n_queries built in code, one in four of
+    its queries chained, with its invocations spread over n_modules modules
+    of their own rates and load times."""
+    s = make_random_scenario(rng, n_queries)
+    chained = make_chained_scenario(rng, n_queries // 4)
+    library = tuple(s.library[0].replace(id=f"g{j}", proc_rate=round(rng.uniform(0.5, 4.0), 3),
+                                         reconfig_ms=rng.choice((None, rng.uniform(0, 25))))
+                    for j in range(n_modules))
+    sequence = []
+    for k, q in enumerate(s.sequence):
+        if k % 4 == 3:
+            q = chained.sequence[k // 4].replace(id=q.id, table_id=q.table_id,
+                                                 gap_after_ms=q.gap_after_ms)
+        sequence.append(q.replace(invocations=tuple(
+            inv.replace(accelerator_id=rng.choice(library).id) for inv in q.invocations)))
+    return s.replace(library=library, sequence=tuple(sequence))
+
+
+def test_optimal_is_never_above_any_schedule_on_a_long_sequence():
+    """On 2000 queries built in code, optimal is never above a fixed strategy
+    or any of 50 random legal schedules, at relative 1e-9."""
+    rng = random.Random(76)
+    s = _long_sequence(rng, 2000, 5)
+    best = optimize(s, "optimal").total_ms
+    for strategy in FIXED_STRATEGIES + ("auto",):
+        assert best <= optimize(s, strategy).total_ms * (1 + 1e-9), strategy
+    orders = [_legal_orders(q) for q in s.sequence]
+    modules = [None] + [m.id for m in s.library]
+    for _ in range(50):
+        schedule = Schedule(tuple(rng.choice(legal) for legal in orders),
+                            tuple(rng.choice(modules) for _ in s.sequence[:-1]) + (None,))
+        assert best <= emulator._timeline(s, schedule) * (1 + 1e-9)
+    assert best < optimize(s, "auto").total_ms * (1 - 1e-3)
+
+
+def test_optimal_work_per_query_does_not_grow_with_the_length(monkeypatch):
+    """Planning stays linear in the number of queries: on sequences of
+    10**2, 10**3 and 10**4 queries that repeat one seeded block of ten,
+    optimal builds the same stage terms per query and calls the closed
+    form's step as often per query, up to the first query's single state.
+    Counted, not timed."""
+    rng = random.Random(77)
+    block = _long_sequence(rng, 10, 4)
+    steps, builds = [], []
+    step, build = optimizer._closed_form_step, optimizer.stage_terms
+    monkeypatch.setattr(optimizer, "_closed_form_step",
+                        lambda *args: steps.append(None) or step(*args))
+    monkeypatch.setattr(optimizer, "stage_terms", lambda *args: builds.append(None) or build(*args))
+    per_query = []
+    for n in (10**2, 10**3, 10**4):
+        sequence = tuple(q.replace(id=f"Q{k}") for k, q in zip(range(n), cycle(block.sequence)))
+        steps.clear()
+        builds.clear()
+        optimal(block.replace(sequence=sequence))
+        per_query.append((len(steps) / n, len(builds) / n))
+    assert per_query[0][1] == per_query[1][1] == per_query[2][1] > 1
+    assert max(calls for calls, _ in per_query) <= 1.01 * min(calls for calls, _ in per_query)
+
+
+def test_optimal_guard_names_the_width_limit(seq2):
+    """optimal enumerates each query's legal orders, so a query may hold at
+    most OPTIMAL_MAX_WIDTH invocations, and the error names the limit."""
+    q = seq2.sequence[0]
+    wide = seq2.replace(sequence=(q.replace(invocations=q.invocations[:1] * 9),
+                                  *seq2.sequence[1:]))
+    with pytest.raises(InstanceTooLargeError) as excinfo:
+        optimize(wide, "optimal")
+    assert OPTIMAL_MAX_WIDTH == 8
+    assert str(excinfo.value) == ("query Q0 too wide for the optimal strategy: 9 invocations "
+                                  "(limit: 8 invocations per query)")
+    widest = seq2.replace(sequence=(q.replace(invocations=q.invocations[:1] * 8),
+                                    *seq2.sequence[1:]))
+    assert optimize(widest, "optimal").total_ms <= optimize(widest, "auto").total_ms
 
 
 def test_unknown_strategy_is_rejected(seq2):
