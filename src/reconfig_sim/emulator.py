@@ -15,12 +15,11 @@ query's regular reconfiguration simply queues behind it on the region.
 
 One query passes only the region state to the next: the module owning the
 region, when the region frees up, and when the next query arrives.  The
-event loop, _run_queries, starts from such a state and returns the state
-after its last query, so a run over a prefix of the sequence can be resumed
-with the same float operations.  It reads each query's costs from its stage
-terms (costmodel.stage_terms of the query in its order), which do not depend
-on the region state, so a caller builds them once and runs the loop over
-them as often as it likes; the loop itself only decides when a load costs
+event loop, _run_queries, runs the whole sequence from an empty region at
+time 0.  It reads each query's costs from its stage terms
+(costmodel.stage_terms of the query in its order), which do not depend on
+the region state, so a caller builds them once and runs the loop over them
+as often as it likes; the loop itself only decides when a load costs
 nothing and how the stages overlap.  It records span tuples only when given
 a list to put them in, and execute_schedule reads the per-query latencies
 off them.  analytic_total adds up the same terms in closed form, one query
@@ -42,7 +41,7 @@ from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 from .costmodel import StageTerms, reconfig_time, stage_terms
-from .model import QuerySpec, Scenario, Schedule, ScheduleError, validate_schedule
+from .model import Scenario, Schedule, ScheduleError, validate_schedule
 from .record import Record, set_field
 
 LANES = ("scan", "reconfig", "accel", "transfer")
@@ -83,18 +82,15 @@ class TimelineReport(Record):
         set_field(self, "total_ms", total_ms)
 
 
-def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[StageTerms],
-                 prefetches: tuple[str | None, ...], loaded: str | None, region_free: float,
-                 arrival: float, spans: list[tuple[str, str, float, float, str]] | None = None
-                 ) -> tuple[str | None, float, float, float]:
-    """The event loop.  Run the queries through their stage terms (one
-    costmodel.stage_terms per query, of its order), with their prefetches,
-    unchecked, from the region state the queries before them left: loaded,
-    the module owning the region, possibly still loading; region_free, when
-    its last load or invocation ends; arrival, when the first of the queries
-    arrives.  Given a list, spans collects (lane, label, start_ms, end_ms,
-    query_id) tuples.  Returns that state after the last query, then the
-    last query's transfer end.
+def _run_queries(s: Scenario, terms: Sequence[StageTerms], prefetches: Sequence[str | None],
+                 spans: list[tuple[str, str, float, float, str]] | None = None) -> float:
+    """The event loop.  Run the sequence through its stage terms (one
+    costmodel.stage_terms per query, of its order), with its prefetches,
+    unchecked, from an empty region at time 0, and return the last query's
+    transfer end.  Given a list, spans collects (lane, label, start_ms,
+    end_ms, query_id) tuples.  The region state is loaded, the module owning
+    the region, possibly still loading; region_free, when its last load or
+    invocation ends; arrival, when the next query arrives.
 
     A load costs its term's load_ms unless its module owns the region, and
     nothing then.  Each `b if b > a else a` is max(a, b), which keeps a on
@@ -102,9 +98,9 @@ def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[St
     """
     modules, rpu = s.modules_by_id, s.rpu
     span = None if spans is None else spans.append
-    transfer_end = 0.0
+    loaded, region_free, arrival, transfer_end = None, 0.0, 0.0, 0.0
 
-    for q, (scan_ms, stages, transfer_ms), prefetch in zip(queries, terms, prefetches):
+    for q, (scan_ms, stages, transfer_ms), prefetch in zip(s.sequence, terms, prefetches):
         data_ready = arrival + scan_ms
         if span:
             span(("scan", q.table_id, arrival, data_ready, q.id))
@@ -134,7 +130,7 @@ def _run_queries(s: Scenario, queries: tuple[QuerySpec, ...], terms: Sequence[St
 
         arrival = transfer_end + q.gap_after_ms
 
-    return loaded, region_free, arrival, transfer_end
+    return transfer_end
 
 
 def _timeline(s: Scenario, sch: Schedule,
@@ -144,7 +140,7 @@ def _timeline(s: Scenario, sch: Schedule,
     tuples.
     """
     terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
-    return _run_queries(s, s.sequence, terms, sch.prefetches, None, 0.0, 0.0, spans)[3]
+    return _run_queries(s, terms, sch.prefetches, spans)
 
 
 def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:

@@ -1,5 +1,4 @@
-"""Schedule planning strategies, the exact optimum and the exhaustive reference
-search.
+"""Schedule planning strategies and the exact optimum.
 
 baseline      lowest-selectivity-first within each query, no prefetch
 spec_reconfig baseline order plus speculative reconfiguration between queries
@@ -9,7 +8,7 @@ combined      reorder first, then speculative reconfiguration on top
 auto          the cheapest of the four
 
 optimal       the exact optimum over every legal order and prefetch choice
-oracle        the same optimum by exhaustive search, with a full tie-break
+oracle        a synonym of optimal
 
 candidate_schedules plans the four fixed-strategy schedules; none of them
 reads a volume or a gap, so a sweep plans them once for all its points.
@@ -17,21 +16,17 @@ candidate_terms builds their stage terms (costmodel.stage_terms) once per
 distinct (query, order) among them; the terms read volumes but no gap, so a
 gap sweep builds them once for all its points.  fixed_outcomes emulates each
 candidate once over those terms and derives every fixed outcome and the auto
-pick from the four totals.  It, optimal and the exhaustive search run the
-emulator's unchecked event loop, since every schedule they emulate is legal
-by construction; optimal and the search build their terms once per (query,
-legal order).
+pick from the four totals.  It and optimal run the emulator's unchecked
+event loop, since every schedule they emulate is legal by construction;
+optimal builds its terms once per (query, legal order).
 
-optimal and exhaustive_oracle share one table, _cost_to_go.  Consecutive
-queries interact only through the region state a query leaves the next: the
-module owning the region and the part of a prefetch's load still running.
-So for each query and each such state the least closed-form cost of the
-rest of the sequence is a dynamic program over the queries, linear in their
-number; emulator._closed_form_step, the closed form's step for one query,
-gives every cost in it.  optimal walks the table forward from the empty
-region.  exhaustive_oracle is the reference the heuristics are measured
-against: it starts from optimal's schedule, searches the schedules as a
-prefix tree and cuts a child before running it by the table.
+optimal walks one table, _cost_to_go.  Consecutive queries interact only
+through the region state a query leaves the next: the module owning the
+region and the part of a prefetch's load still running.  So for each query
+and each such state the least closed-form cost of the rest of the sequence
+is a dynamic program over the queries, linear in their number;
+emulator._closed_form_step, the closed form's step for one query, gives
+every cost in it.  optimal walks the table forward from the empty region.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -53,9 +48,6 @@ from .record import Record, set_field
 FIXED_STRATEGIES = ("baseline", "spec_reconfig", "reorder", "combined")
 STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle", "optimal")
 
-ORACLE_MAX_INVOCATIONS = 8
-ORACLE_MAX_QUERIES = 4
-ORACLE_MAX_MODULES = 8
 OPTIMAL_MAX_WIDTH = 8
 
 # the stage terms of each query, keyed by the orders of a candidate schedule
@@ -178,8 +170,7 @@ def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: Candidate
     cheapest fixed outcome; ties go to the earliest strategy in baseline,
     spec_reconfig, reorder, combined order.
     """
-    totals = {name: _run_queries(s, s.sequence, terms[sched.orders], sched.prefetches,
-                                 None, 0.0, 0.0)[3]
+    totals = {name: _run_queries(s, terms[sched.orders], sched.prefetches)
               for name, sched in schedules.items()}
     outcomes = {
         name: StrategyOutcome(
@@ -196,8 +187,8 @@ def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: Candidate
 
 def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
     """Plan with one strategy: a fixed one, "auto" for the cheapest of the
-    four fixed ones, "optimal" for the exact optimum or "oracle" for the
-    exhaustive search.
+    four fixed ones, "optimal" for the exact optimum or "oracle", its
+    synonym.
 
     The outcome names the strategy that produced the schedule; see
     fixed_outcomes for the tie-break under "auto".
@@ -235,25 +226,26 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
     A state is what emulator._closed_form_step passes to the next query:
     the module owning the region and the residual of a prefetch's load.
     After query i the choices are no prefetch and each module that starts a
-    legal order of query i+1 (see exhaustive_oracle for why no other can
-    win).  The residual a prefetch leaves depends on the query's transfer
-    and the gap after it, not on the state the query met, so each order's
-    moves are found from one state.  The states of each query are found
-    forward from the empty region, the entries are filled backward, and the
-    schedule is walked forward again: each query takes the order whose step
-    plus next entry gives its entry, and that order's least next entry.
-    Ties go to the least order rank, then the least prefetch rank.
+    legal order of query i+1.  A prefetch of any other module cannot win:
+    query i+1's first load evicts it and starts no earlier than with no
+    prefetch, since both timing models only take maxes and add nonnegative
+    times, and query i+1 leaves the same state either way.  A prefetch of
+    the module the order ends on leaves the state of no prefetch (the loop
+    ignores it), so it is left out too.  The residual a prefetch leaves
+    depends on the query's transfer and the gap after it, not on the state
+    the query met, so each order's moves are found from one state.  The
+    states of each query are found forward from the empty region, the
+    entries are filled backward, and the schedule is walked forward again:
+    each query takes the order whose step plus next entry gives its entry,
+    and that order's least next entry.  Ties go to the least order rank,
+    then the least prefetch rank.
 
-    Returns (states, steps, moves, table, (order ranks, prefetch ranks)),
-    where a state is named by its index in states[i], the states query i
-    can meet, and states[n] holds those after the last query.  steps[i][k]
-    lists, per order rank, query i's closed-form duration from state k plus
-    the gap after it.  moves[i][rank] lists (prefetch rank, prefetch, next
-    state) per prefetch after that order, ranks indexing None followed by
-    the library; a prefetch that leaves the state of no prefetch (of the
-    module the order ends on, which the loop ignores) is left out.
-    table[i][k] is the least step plus next entry over the orders and
-    moves, and table[n] is 0.
+    Returns (states, table, (order ranks, prefetch ranks)), where a state is
+    named by its index in states[i], the states query i can meet, and
+    states[n] holds those after the last query; ranks index the legal
+    orders and None followed by the library.  table[i][k] is the least
+    closed-form duration of query i from state k, plus the gap after it and
+    the next entry, over its orders and prefetches, and table[n] is 0.
     """
     n = len(s.sequence)
     library = list(enumerate((m.id for m in s.library), 1))
@@ -273,12 +265,12 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
             duration, owner, unhidden = _closed_form_step(s, terms, module, residual, None, gap)
             head.append(duration + gap)
             plain = index.setdefault((owner, unhidden), len(index))
-            order_moves = [(0, None, plain)]
+            order_moves = [(0, plain)]  # (prefetch rank, next state)
             for rank, prefetch in prefetches:
                 after = index.setdefault(
                     _closed_form_step(s, terms, module, residual, prefetch, gap)[1:], len(index))
                 if after != plain:
-                    order_moves.append((rank, prefetch, after))
+                    order_moves.append((rank, after))
             query_moves.append(order_moves)
         query_steps = [head]
         for module, residual in states[i][1:]:
@@ -298,10 +290,10 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
         tails = []
         for order_moves in moves[i]:
             move = order_moves[0]
-            tail = rest[move[2]]
+            tail = rest[move[1]]
             for other in order_moves[1:]:
-                if rest[other[2]] < tail:
-                    move, tail = other, rest[other[2]]
+                if rest[other[1]] < tail:
+                    move, tail = other, rest[other[1]]
             query_best.append((tail, move))
             tails.append(tail)
         table[i] = [min(map(add, row, tails)) for row in steps[i]]
@@ -310,36 +302,10 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
     for i, query_best in enumerate(best):
         costs = [step + tail for step, (tail, _) in zip(steps[i][state], query_best)]
         order_rank = costs.index(table[i][state])
-        prefetch_rank, _, state = query_best[order_rank][1]
+        prefetch_rank, state = query_best[order_rank][1]
         order_ranks += (order_rank,)
         prefetch_ranks += (prefetch_rank,)
-    return states, steps, moves, table, (order_ranks, prefetch_ranks)
-
-
-def _ranked_outcome(s: Scenario, strategy: str, legal_orders, order_choices, order_ranks,
-                    prefetch_ranks, total: float) -> StrategyOutcome:
-    """The outcome of the schedule with these ranks, whose emulated total is
-    total; the baseline total is emulated over the terms already built,
-    since the baseline order of each query is one of its legal orders."""
-    prefetch_choices = [None] + [m.id for m in s.library]
-    base = [choices[orders.index(baseline_order(q))]
-            for q, orders, choices in zip(s.sequence, legal_orders, order_choices)]
-    baseline_total = _run_queries(s, s.sequence, base, (None,) * len(base), None, 0.0, 0.0)[3]
-    return StrategyOutcome(
-        strategy=strategy,
-        schedule=Schedule(tuple(legal_orders[i][rank] for i, rank in enumerate(order_ranks)),
-                          tuple(prefetch_choices[rank] for rank in prefetch_ranks)),
-        total_ms=total,
-        improvement_pct=_improvement(baseline_total, total),
-    )
-
-
-def _emulate_ranks(s: Scenario, order_choices, order_ranks, prefetch_ranks,
-                   spans: list | None = None) -> float:
-    """The event loop's total of the schedule with these ranks."""
-    prefetch_choices = [None] + [m.id for m in s.library]
-    return _run_queries(s, s.sequence, [order_choices[i][r] for i, r in enumerate(order_ranks)],
-                        [prefetch_choices[r] for r in prefetch_ranks], None, 0.0, 0.0, spans)[3]
+    return states, table, (order_ranks, prefetch_ranks)
 
 
 def optimal(s: Scenario) -> StrategyOutcome:
@@ -350,8 +316,10 @@ def optimal(s: Scenario) -> StrategyOutcome:
     query's choice.  Ties go to the least order rank, then the least
     prefetch rank, query by query.  The table adds the closed form's terms
     in another order than the event loop, so it only chooses; the total is
-    the event loop's, as for every strategy.  Each query's legal orders are
-    enumerated, so a query may hold at most OPTIMAL_MAX_WIDTH invocations.
+    the event loop's, as for every strategy, and so is the baseline total,
+    over the terms already built, since the baseline order of each query is
+    one of its legal orders.  Each query's legal orders are enumerated, so a
+    query may hold at most OPTIMAL_MAX_WIDTH invocations.
     """
     for q in s.sequence:
         if len(q.invocations) > OPTIMAL_MAX_WIDTH:
@@ -359,97 +327,25 @@ def optimal(s: Scenario) -> StrategyOutcome:
                 f"query {q.id} too wide for the optimal strategy: {len(q.invocations)} "
                 f"invocations (limit: {OPTIMAL_MAX_WIDTH} invocations per query)")
     legal_orders, order_choices = _order_choices(s)
-    ranks = _cost_to_go(s, order_choices)[4]
-    return _ranked_outcome(s, "optimal", legal_orders, order_choices, *ranks,
-                           _emulate_ranks(s, order_choices, *ranks))
+    order_ranks, prefetch_ranks = _cost_to_go(s, order_choices)[2]
+    prefetch_choices = [None] + [m.id for m in s.library]
+    prefetches = tuple(prefetch_choices[rank] for rank in prefetch_ranks)
+    total = _run_queries(s, [choices[rank] for choices, rank in zip(order_choices, order_ranks)],
+                         prefetches)
+    base = [choices[orders.index(baseline_order(q))]
+            for q, orders, choices in zip(s.sequence, legal_orders, order_choices)]
+    return StrategyOutcome(
+        strategy="optimal",
+        schedule=Schedule(tuple(orders[rank] for orders, rank in zip(legal_orders, order_ranks)),
+                          prefetches),
+        total_ms=total,
+        improvement_pct=_improvement(_run_queries(s, base, (None,) * len(base)), total),
+    )
 
 
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
-    """The best schedule over every legal order and prefetch choice.
-
-    Guarded to small instances, the library size included.  Each query
-    before the last fans out over its legal orders times no prefetch and
-    the modules that start a legal order of the next query.  A prefetch of
-    any other module cannot win: the next query's first load evicts it and
-    starts no earlier than with no prefetch, since the loop only takes
-    maxes and adds nonnegative times, so that schedule totals no less and
-    has more reconfigurations.  A prefetch of the module the order ends on
-    is skipped too: the loop ignores it, so it gives the timeline of no
-    prefetch, which ranks first.
-    The least (total, reconfigurations, order ranks, prefetch ranks) wins,
-    where a rank is the position in _legal_orders or in None followed by the
-    library; that is the first schedule of the enumeration of all order
-    choices, then all prefetch choices, which makes the result deterministic.
-    The search starts from optimal's schedule, emulated, as the best leaf so
-    far, and walks the tree of (query, order, prefetch) depth first,
-    running the event loop once per node it visits from the region state
-    its parent left, so schedules that share a prefix share its run.  A
-    child is cut before it runs when its closed-form prefix plus its
-    _cost_to_go entry, the least closed-form total of any leaf below it,
-    exceeds the best total by more than rounding can explain; the test is
-    strict, so a schedule that could tie is never cut.  Reconfigurations are
-    counted only between schedules that tie on the total, by replaying each
-    from the empty region with spans.
-    """
-    n = len(s.sequence)
-    total_invocations = sum(len(q.invocations) for q in s.sequence)
-    if (total_invocations > ORACLE_MAX_INVOCATIONS or n > ORACLE_MAX_QUERIES
-            or len(s.library) > ORACLE_MAX_MODULES):
-        raise InstanceTooLargeError(
-            f"instance too large for exhaustive search: {total_invocations} invocations "
-            f"over {n} queries, {len(s.library)} modules (limits: {ORACLE_MAX_INVOCATIONS} "
-            f"invocations, {ORACLE_MAX_QUERIES} queries, {ORACLE_MAX_MODULES} modules)")
-
-    legal_orders, order_choices = _order_choices(s)
-    _, steps, moves, table, ranks = _cost_to_go(s, order_choices)
-    # the least leaf so far: [total, reconfigurations or None until a tie
-    # needs them, order ranks, prefetch ranks]
-    best = [_emulate_ranks(s, order_choices, *ranks), None, *ranks]
-
-    def reconfigs(order_ranks, prefetch_ranks):
-        spans: list = []
-        _emulate_ranks(s, order_choices, order_ranks, prefetch_ranks, spans)
-        return sum(1 for sp in spans if sp[0] == "reconfig")
-
-    def search(i, region, state, cost, order_ranks, prefetch_ranks):
-        """Visit the children of a choice for queries 0..i-1, whose prefix
-        left the event loop's region state region and the closed form's
-        state after a closed-form cost of cost.  Query i runs once per
-        (order, prefetch) not cut, from region.
-        """
-        queries, rest = (s.sequence[i],), table[i + 1]
-        for order_rank, (terms, step, order_moves) in enumerate(
-                zip(order_choices[i], steps[i][state], moves[i])):
-            here = cost + step
-            for prefetch_rank, prefetch, after in order_moves:
-                # In real arithmetic every leaf below this child totals at
-                # least here + rest[after], in both timing models.  The loop
-                # and the closed form take maxes, which are exact, and sums
-                # of nonnegative floats, each within a relative 2**-53 of its
-                # real value (exact if it underflows); a leaf's total and the
-                # bound take a few dozen of them, so they stray by far less
-                # than the relative 1e-9 given up here, and a leaf that could
-                # tie the best total is never cut.
-                if (here + rest[after]) * (1 - 1e-9) > best[0]:
-                    continue
-                run = _run_queries(s, queries, (terms,), (prefetch,), *region)
-                leaf = (order_ranks + (order_rank,), prefetch_ranks + (prefetch_rank,))
-                if i + 1 < n:
-                    search(i + 1, run[:3], after, here, *leaf)
-                elif run[3] < best[0]:
-                    best[:] = [run[3], None, *leaf]
-                elif run[3] == best[0] and list(leaf) != best[2:]:
-                    if best[1] is None:
-                        best[1] = reconfigs(*best[2:])
-                    key = [reconfigs(*leaf), *leaf]
-                    if key < best[1:]:
-                        best[1:] = key
-
-    search(0, (None, 0.0, 0.0), 0, 0.0, (), ())
-    del search  # it is in its own closure: free the search state now, not at the next gc
-    total, _, order_ranks, prefetch_ranks = best
-    return _ranked_outcome(s, "oracle", legal_orders, order_choices, order_ranks,
-                           prefetch_ranks, total)
+    """optimal's outcome under the strategy name "oracle"."""
+    return optimal(s).replace(strategy="oracle")
 
 
 def outcome_document(s: Scenario, outcome: StrategyOutcome) -> dict:

@@ -1,9 +1,11 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
-from reconfig_sim import harness, model
+from reconfig_sim import emulator, harness, model
+from reconfig_sim.optimizer import _legal_orders
 
 
 @pytest.fixture
@@ -116,3 +118,31 @@ def spread_over_modules(s: model.Scenario, rng: random.Random, n_modules: int) -
                                                  for inv in q.invocations))
                      for q in s.sequence)
     return s.replace(library=library, sequence=sequence)
+
+
+def brute_force(s: model.Scenario) -> tuple[float, model.Schedule]:
+    """The reference optimum, by enumeration: the least (total,
+    reconfiguration spans, order ranks, prefetch ranks) over every legal
+    order of each query and, after each query but the last, no prefetch or
+    a module that starts a legal order of the next query; no other prefetch
+    can win.  Totals come from the event loop, and a rank is the position in
+    _legal_orders or in None followed by the library, so ties go to the
+    first schedule when all order choices are enumerated before all
+    prefetch choices.  Returns the total and the schedule."""
+    legal = [_legal_orders(q) for q in s.sequence]
+    modules = [None] + [m.id for m in s.library]
+    starts = [{q.invocations[order[0]].accelerator_id for order in orders}
+              for q, orders in zip(s.sequence, legal)]
+    prefetch_ranks = [[rank for rank, module in enumerate(modules)
+                       if module is None or module in after] for after in starts[1:]] + [[0]]
+    best = None
+    for order_ranks in product(*(range(len(orders)) for orders in legal)):
+        orders = tuple(choices[rank] for choices, rank in zip(legal, order_ranks))
+        for ranks in product(*prefetch_ranks):
+            schedule = model.Schedule(orders, tuple(modules[rank] for rank in ranks))
+            spans: list = []
+            total = emulator._timeline(s, schedule, spans)
+            key = (total, sum(sp[0] == "reconfig" for sp in spans), order_ranks, ranks)
+            if best is None or key < best[0]:
+                best = key, schedule
+    return best[0][0], best[1]

@@ -22,13 +22,12 @@ from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
     apply_speculative,
     candidate_schedules,
-    exhaustive_oracle,
     optimize,
     outcome_document,
     plan_baseline,
 )
 
-from conftest import make_random_scenario
+from conftest import brute_force, make_random_scenario
 
 TOTAL_TOL_MS = 1e-9
 PCT_TOL = 1e-7
@@ -149,22 +148,22 @@ def test_criterion_4_optimized_schedules_never_lose():
     gaps = []
     for name in harness.bundled_names():
         s = harness.load_bundled(name)
-        best = exhaustive_oracle(s).total_ms
+        best = brute_force(s)[0]
         auto = optimize(s, "auto").total_ms
         if best > auto + TOTAL_TOL_MS:
-            failures.append(f"{name}: oracle {best!r} above auto {auto!r}")
+            failures.append(f"{name}: brute force {best!r} above auto {auto!r}")
         if auto - best > TOTAL_TOL_MS:
             gaps.append(f"{name} ({auto - best:.6g} ms)")
     if gaps:
-        # the four fixed strategies are heuristics; a gap to the oracle is
+        # the four fixed strategies are heuristics; a gap to the optimum is
         # informative, not a failure
-        print(f"note: oracle strictly beats auto on {len(gaps)} scenario(s): "
+        print(f"note: brute force strictly beats auto on {len(gaps)} scenario(s): "
               + ", ".join(gaps), flush=True)
     elapsed = time.perf_counter() - started
     if elapsed >= 30.0:
         failures.append(f"sampling took {elapsed:.1f}s, budget 30s")
     _verdict("criterion 4: auto never above baseline on 1000 random scenarios, "
-             "never below the exhaustive oracle on bundled ones", failures)
+             "never below the brute-force optimum on bundled ones", failures)
 
 
 def test_criterion_5_result_volumes_are_strategy_independent():

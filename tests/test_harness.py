@@ -340,6 +340,21 @@ def test_cli_optimize_writes_outcome_document(tmp_path, capsys):
     assert len(doc["schedule"]["queries"]) == 2
 
 
+def test_cli_optimize_oracle_takes_any_length(tmp_path, capsys):
+    """--strategy oracle is a synonym of optimal: a five-query scenario
+    plans, with optimal's total and improvement."""
+    doc = json.loads(harness.bundled_text("seq2"))
+    doc["sequence"] = [dict(q, id=f"Q{k}", gap_after_ms=2.0) for k, q in
+                       zip(range(5), doc["sequence"] * 3)]
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_dispatch(["optimize", str(path), "--strategy", "oracle"]) == 0
+    oracle = capsys.readouterr().out.splitlines()
+    assert cli_dispatch(["optimize", str(path), "--strategy", "optimal"]) == 0
+    assert oracle[0] == "strategy=oracle"
+    assert oracle[1:] == capsys.readouterr().out.splitlines()[1:]
+
+
 def test_cli_optimize_offers_the_exact_optimum(tmp_path, capsys):
     assert cli_dispatch(["optimize", "seq2", "--strategy", "optimal"]) == 0
     assert capsys.readouterr().out.splitlines() == [

@@ -677,7 +677,7 @@ def test_queries_built_in_code_keep_the_precedence_rules(seq2, seq2_doc):
     """The constructors own the produces/reads rules, so a query built in
     code is held to them as a loaded one is, with the same message.  The
     old cyclic case, two invocations each reading what the other produces,
-    writes a reader before its producer; so baseline_order and the oracle
+    writes a reader before its producer; so baseline_order and optimal
     always find a legal order."""
     q0 = seq2.sequence[0]
     first, second = q0.invocations

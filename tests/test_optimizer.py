@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 import random
@@ -16,9 +15,6 @@ from reconfig_sim.model import Schedule, load_scenario, schedule_to_doc, validat
 from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
     OPTIMAL_MAX_WIDTH,
-    ORACLE_MAX_INVOCATIONS,
-    ORACLE_MAX_MODULES,
-    ORACLE_MAX_QUERIES,
     STRATEGIES,
     InstanceTooLargeError,
     StrategyOutcome,
@@ -33,10 +29,13 @@ from reconfig_sim.optimizer import (
     plan_baseline,
 )
 
-from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
+from conftest import brute_force, make_chained_scenario, make_random_scenario, spread_over_modules
 
 _GT = {"kind": "compare_gt", "operand_type": "int32"}
 _LT = {"kind": "compare_lt", "operand_type": "int32"}
+
+# the largest instances the brute force runs on
+MAX_QUERIES, MAX_INVOCATIONS, MAX_MODULES = 4, 8, 8
 
 
 def _scenario(tables, library, sequence):
@@ -356,8 +355,9 @@ def _runs_producers_first(q, order):
 
 
 def _keyed_schedules(s):
-    """Every legal order and prefetch choice in the oracle's enumeration
-    order, each keyed by (emulated total, reconfiguration spans)."""
+    """Every legal order and prefetch choice, all order choices enumerated
+    before all prefetch choices, each keyed by (emulated total,
+    reconfiguration spans)."""
     n = len(s.sequence)
     prefetch_choices = [[None] + [m.id for m in s.library] if i < n - 1 else [None]
                         for i in range(n)]
@@ -411,7 +411,7 @@ def _float_edges(rng):
     another, so that totals tie exactly."""
     def instance():
         s = make_random_scenario(rng, 4)
-        while sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
+        while sum(len(q.invocations) for q in s.sequence) > MAX_INVOCATIONS:
             s = make_random_scenario(rng, 4)
         return s
 
@@ -426,12 +426,12 @@ def _float_edges(rng):
 
 
 def _at_the_guard(rng, n_modules):
-    """A random instance of the largest shape the oracle accepts: four
+    """A random instance of the largest shape the brute force runs on: four
     queries, eight invocations spread over n_modules modules of their own
     rates and load times."""
-    s = make_random_scenario(rng, ORACLE_MAX_QUERIES)
-    while sum(len(q.invocations) for q in s.sequence) != ORACLE_MAX_INVOCATIONS:
-        s = make_random_scenario(rng, ORACLE_MAX_QUERIES)
+    s = make_random_scenario(rng, MAX_QUERIES)
+    while sum(len(q.invocations) for q in s.sequence) != MAX_INVOCATIONS:
+        s = make_random_scenario(rng, MAX_QUERIES)
     library = tuple(s.library[0].replace(id=f"g{j}", proc_rate=round(rng.uniform(0.5, 4.0), 3),
                                          reconfig_ms=rng.choice((None, rng.uniform(0, 25))))
                     for j in range(n_modules))
@@ -465,7 +465,7 @@ def _bound_rounds_up():
     transfer end plus Q1's least transfer end when it runs alone, from a
     region that holds its first module and sees it arrive at 0, is one ulp
     above the schedule's own total.  The C-first schedule ties it, so a
-    prune on that bound without slack would cut the winner."""
+    lower bound built that way rounds above the optimum."""
     s = _orders_rank_before_prefetches()
     q0, q1 = s.sequence
     inv = q0.invocations[0].replace(selectivity=0.013167991554874137)
@@ -478,29 +478,28 @@ def _bound_rounds_up():
 
 
 def test_oracle_ranks_every_order_before_any_prefetch():
-    """The tie-break compares the order ranks of all queries before any
-    prefetch rank, as enumerating all order choices, then all prefetch
-    choices, does; a search that ranks query by query, order then
+    """The brute force's tie-break compares the order ranks of all queries
+    before any prefetch rank, as enumerating all order choices, then all
+    prefetch choices, does; a search that ranks query by query, order then
     prefetch, would pick the C-first schedule."""
     s = _orders_rank_before_prefetches()
     first, second = (Schedule(((0,), (0, 1)), ("B", None)), Schedule(((0,), (1, 0)), ("C", None)))
     for schedule in (first, second):
         report = execute_schedule(s, schedule)
         assert (report.total_ms, sum(sp.lane == "reconfig" for sp in report.spans)) == (55.0, 3)
-    outcome = exhaustive_oracle(s)
-    assert (outcome.schedule, outcome.total_ms) == (first, 55.0)
+    assert brute_force(s) == (55.0, first)
 
 
 def test_optimal_breaks_ties_query_by_query():
     """optimal takes, query by query, the least order rank and then the
     least prefetch rank among the choices that tie on the least cost, so on
     this instance it prefetches C, the library's second module, after Q0
-    and runs Q1 C first, where the oracle ranks every order before any
-    prefetch and picks B first; both total 55 ms."""
+    and runs Q1 C first, where the brute force ranks every order before
+    any prefetch and picks B first; both total 55 ms."""
     s = _orders_rank_before_prefetches()
     outcome = optimize(s, "optimal")
     assert (outcome.schedule, outcome.total_ms) == (Schedule(((0,), (1, 0)), ("C", None)), 55.0)
-    assert exhaustive_oracle(s).schedule == Schedule(((0,), (0, 1)), ("B", None))
+    assert brute_force(s)[1] == Schedule(((0,), (0, 1)), ("B", None))
     # two filters that keep every row on one module: both orders cost the same
     twins = _scenario(
         tables=[{"id": "t", "volume": 8.0}],
@@ -522,8 +521,8 @@ def test_only_prefetches_that_start_the_next_query_can_win(random_scenario, chai
     that the loop does not ignore, gives a strictly larger (total,
     reconfigurations) key than no prefetch there: query i+1's first load
     evicts it and starts no earlier, and its own load adds a reconfig
-    span.  So the oracle tries only None and the modules that start a legal
-    order of the next query.  Chained instances make the legal orders a
+    span.  So optimal's table and the brute force try only None and the
+    modules that start a legal order of the next query.  Chained instances make the legal orders a
     strict subset of the permutations.  Most such prefetches are hidden and
     tie on the total, so the reconfigurations decide; some do not."""
     rng = random.Random(74)
@@ -554,21 +553,10 @@ def test_only_prefetches_that_start_the_next_query_can_win(random_scenario, chai
     assert dominated > 1000 and 0 < tied < dominated
 
 
-def _tree_nodes(s, prefetch_lists):
-    """The nodes of the oracle's search tree when query i tries the
-    prefetches prefetch_lists[i], skipping the module its order ends on."""
-    nodes, paths = 0, 1
-    for q, prefetches in zip(s.sequence, prefetch_lists):
-        paths *= sum(1 for order in _legal_orders(q) for prefetch in prefetches
-                     if prefetch != q.invocations[order[-1]].accelerator_id)
-        nodes += paths
-    return nodes
-
-
 def _searched(s, schedule):
-    """Whether the oracle's search tree holds schedule: after each query no
-    prefetch, or a module that starts a legal order of the next query and
-    is not the one the order ends on."""
+    """Whether schedule tries only the prefetches that can win: after each
+    query no prefetch, or a module that starts a legal order of the next
+    query and is not the one the order ends on."""
     return all(prefetch is None or (prefetch in _starts(s, i + 1) and prefetch
                                     != s.sequence[i].invocations[order[-1]].accelerator_id)
                for i, (order, prefetch) in enumerate(zip(schedule.orders, schedule.prefetches)))
@@ -590,104 +578,13 @@ def _closed_form_prefixes(s, orders, prefetches):
     return prefixes
 
 
-def _uncut_children(s, total):
-    """The (orders, prefetches) of every node of the oracle's search tree
-    whose closed-form prefix plus its _cost_to_go entry, and each of its
-    ancestors', is within the oracle's 1e-9 slack of total."""
-    states, _, _, table, _ = optimizer._cost_to_go(s, optimizer._order_choices(s)[1])
-    every_module = [None] + [m.id for m in s.library]
-    uncut, frontier = [], [((), ())]
-    for i, q in enumerate(s.sequence):
-        prefetches = [None] if i == len(s.sequence) - 1 else every_module
-        children = []
-        for orders, chosen in frontier:
-            for order in _legal_orders(q):
-                for prefetch in prefetches:
-                    child = (orders + (order,), chosen + (prefetch,))
-                    if not _searched(s, Schedule(*child)):
-                        continue
-                    cost, state = _closed_form_prefixes(s, *child)[-1]
-                    if (cost + table[i + 1][states[i + 1].index(state)]) * (1 - 1e-9) <= total:
-                        children.append(child)
-        uncut += children
-        frontier = children
-    return uncut
-
-
-def test_oracle_shares_schedule_prefixes(monkeypatch):
-    """The oracle runs the event loop without spans once per child of its
-    search tree that it does not cut, a (query, order, prefetch) below the
-    choices for the queries before it whose closed-form prefix plus
-    _cost_to_go entry is within the 1e-9 slack of the answer, and never for
-    a child that is cut; query i tries no prefetch and each module that
-    starts a legal order of query i+1, skipping the module its order ends
-    on.  It also runs it once over the whole sequence for optimal's
-    schedule, its first best leaf, once for the baseline total, and once
-    over the whole sequence with spans per schedule whose reconfigurations
-    a tie asks for.  It builds the stage terms once per (query, legal
-    order), and the baseline total reuses them.  On the three-module
-    instance it makes at most half of the 246 query runs of a search whose
-    bound ran each later query alone; at eight modules it makes at most a
-    tenth of the query runs that a tree trying every module as the prefetch
-    has nodes."""
-    rng = random.Random(72)
-    for s in (_at_the_guard(rng, 3), _at_the_guard(rng, ORACLE_MAX_MODULES)):
-        runs, builds = [], []
-        run, build = emulator._run_queries, emulator.stage_terms
-
-        def counting(s, queries, terms, prefetches, loaded, region_free, arrival, spans=None):
-            runs.append((queries, terms, prefetches, spans is not None))
-            return run(s, queries, terms, prefetches, loaded, region_free, arrival, spans)
-
-        for module in (emulator, optimizer):
-            monkeypatch.setattr(module, "_run_queries", counting)
-            monkeypatch.setattr(module, "stage_terms",
-                                lambda *args: builds.append(args) or build(*args))
-        choices = optimizer._order_choices
-        monkeypatch.setattr(optimizer, "_order_choices", lambda s: chosen.append(choices(s))
-                            or chosen[-1])
-        chosen = []
-        outcome = exhaustive_oracle(s)
-        monkeypatch.undo()
-        n = len(s.sequence)
-        [(legal_orders, order_choices)] = chosen
-        # the children the search ran, each extending the last run of the
-        # query before it; a run's terms are those of one legal order
-        path, children = [], []
-        position = {q.id: i for i, q in enumerate(s.sequence)}
-        for queries, terms, prefetches, spanned in runs:
-            if len(queries) == 1:
-                i = position[queries[0].id]
-                rank = next(r for r, t in enumerate(order_choices[i]) if t is terms[0])
-                path[i:] = [(legal_orders[i][rank], prefetches[0])]
-                children.append((tuple(o for o, _ in path), tuple(p for _, p in path)))
-            else:
-                assert len(queries) == n
-        expected = _uncut_children(s, outcome.total_ms)
-        assert sorted(children, key=repr) == sorted(expected, key=repr)
-        replayed = [(tuple(map(id, terms)), tuple(prefetches))
-                    for _, terms, prefetches, spanned in runs if spanned]
-        # no schedule is replayed twice, optimal's own leaf included
-        assert len(set(replayed)) == len(replayed)
-        replays = len(replayed)
-        query_runs = sum(len(queries) for queries, *_ in runs)
-        assert query_runs == len(children) + 2 * n + n * replays
-        alone = sum(len(_legal_orders(q)) for q in s.sequence)
-        assert len(builds) == alone
-        if len(s.library) == 3:
-            assert 2 * query_runs <= 246
-        else:
-            every_module = [None] + [m.id for m in s.library]
-            assert 10 * query_runs <= _tree_nodes(s, [every_module] * (n - 1) + [[None]])
-
-
 def test_cost_to_go_bounds_every_schedule(seq2, random_scenario, chained_scenario):
-    """For every schedule in the oracle's search tree and every prefix of it,
-    the prefix's closed-form cost plus the _cost_to_go entry of the state it
-    leaves is at most the schedule's emulated total, beyond a relative
-    rounding far inside the oracle's 1e-9 slack; the rounding is real.  The
-    entry at the empty region equals the least total of every schedule
-    within a relative 1e-9, so the bound is tight."""
+    """For every schedule that tries only the prefetches that can win and
+    every prefix of it, the prefix's closed-form cost plus the _cost_to_go
+    entry of the state it leaves is at most the schedule's emulated total,
+    beyond a relative rounding of 1e-12; the rounding is real.  The entry
+    at the empty region equals the least total of every schedule within a
+    relative 1e-9, so the bound is tight."""
     rng = random.Random(73)
     scenarios = [seq2, _orders_rank_before_prefetches(), _bound_rounds_up()]
     scenarios += [_at_the_guard(rng, 3), _zero_loads(_at_the_guard(rng, 2))]
@@ -697,9 +594,9 @@ def test_cost_to_go_bounds_every_schedule(seq2, random_scenario, chained_scenari
     scenarios += _float_edges(rng)
     checked = rounded_up = 0
     for s in scenarios:
-        if not _within_oracle_guard(s):
+        if not _within_reach(s):
             continue
-        states, _, _, table, _ = optimizer._cost_to_go(s, optimizer._order_choices(s)[1])
+        states, table, _ = optimizer._cost_to_go(s, optimizer._order_choices(s)[1])
         assert len(table) == len(s.sequence) + 1 and set(table[-1]) == {0.0}
         keyed = _keyed_schedules(s)
         least = min(total for (total, _), _ in keyed)
@@ -716,29 +613,17 @@ def test_cost_to_go_bounds_every_schedule(seq2, random_scenario, chained_scenari
     assert checked > 5000 and rounded_up > 0
 
 
-def test_oracle_leaves_no_reference_cycle(seq2):
-    """The search is a closure that refers to itself; the oracle empties
-    that reference, so the search state is freed on return, not at the next
-    garbage collection."""
-    gc.collect()
-    gc.disable()
-    try:
-        exhaustive_oracle(seq2)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
 def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
                                               chained_scenario):
-    """The oracle returns the first enumerated schedule with the least
+    """The brute force, which tries only the prefetches that can win,
+    returns the first schedule of the unpruned enumeration with the least
     (total, reconfigurations) key; zero-time loads make totals tie often.
     Chained instances, some spread over two modules, make the legal orders
-    a strict subset of the permutations.  Ten instances at the full guard,
-    half of them with zero-time loads, have the oracle benchmark's shape.
-    The float edges test the slack of the oracle's prune: tiny, subnormal
-    and huge totals, totals that tie exactly, and a bound that rounds above
-    the winner's total."""
+    a strict subset of the permutations.  Ten instances at the brute
+    force's largest shape, half of them with zero-time loads, have the
+    oracle benchmark's shape.  The float edges add tiny, subnormal and huge
+    totals, totals that tie exactly, and a bound that rounds above the
+    winner's total."""
     # Q0's two orders tie on the total exactly; only (1, 0) ends on Q1's module
     reuse_decides = _scenario(
         tables=[{"id": "t0", "volume": 16.0}, {"id": "t1", "volume": 8.0}],
@@ -751,17 +636,17 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
             {"id": "Q1", "table": "t1", "invocations": [
                 {"accelerator": "A", "predicate": "c > 1", "selectivity": 0.5, "reads": ["c"]}]},
         ])
-    assert exhaustive_oracle(reuse_decides).schedule == Schedule(((1, 0), (0,)), (None, None))
+    assert brute_force(reuse_decides)[1] == Schedule(((1, 0), (0,)), (None, None))
     scenarios = [seq2, seq2_small, reuse_decides]
     rng = random.Random(70_000)
     while len(scenarios) < 53:
         s = random_scenario(rng, 4)
-        if sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
+        if sum(len(q.invocations) for q in s.sequence) > MAX_INVOCATIONS:
             continue
         scenarios.append(_zero_loads(s) if len(scenarios) % 2 else s)
     while len(scenarios) < 73:
         s = chained_scenario(rng, rng.randint(1, 4))
-        if sum(len(q.invocations) for q in s.sequence) > ORACLE_MAX_INVOCATIONS:
+        if sum(len(q.invocations) for q in s.sequence) > MAX_INVOCATIONS:
             continue
         scenarios.append(spread_over_modules(s, rng, 2) if len(scenarios) % 2 else s)
     assert sum(1 for s in scenarios[53:] for q in s.sequence if q.dependencies) > 10
@@ -775,39 +660,36 @@ def test_oracle_tie_break_matches_brute_force(seq2, seq2_small, random_scenario,
         keyed = _keyed_schedules(s)
         best = min(key for key, _ in keyed)
         winner = next(schedule for key, schedule in keyed if key == best)
-        outcome = exhaustive_oracle(s)
-        assert (outcome.schedule, outcome.total_ms) == (winner, best[0])
+        assert brute_force(s) == (best[0], winner)
         first_least_total = next(schedule for key, schedule in keyed if key[0] == best[0])
         decided_by_reconfigs += first_least_total != winner
         decided_by_order += sum(key == best for key, _ in keyed) > 1
     assert decided_by_reconfigs > 0 and decided_by_order > 0
 
 
-def _within_oracle_guard(s):
-    return (len(s.sequence) <= ORACLE_MAX_QUERIES and len(s.library) <= ORACLE_MAX_MODULES
-            and sum(len(q.invocations) for q in s.sequence) <= ORACLE_MAX_INVOCATIONS)
+def _within_reach(s):
+    """Whether s is small enough for the brute force."""
+    return (len(s.sequence) <= MAX_QUERIES and len(s.library) <= MAX_MODULES
+            and sum(len(q.invocations) for q in s.sequence) <= MAX_INVOCATIONS)
 
 
 def test_candidate_schedules_are_legal_on_chains(corpus, random_scenario, chained_scenario):
-    """fixed_outcomes and the oracle emulate their schedules unchecked, so
+    """fixed_outcomes and optimal emulate their schedules unchecked, so
     every planner's output must pass validate_schedule: the four candidates
-    on bundled, random and chained scenarios, and the oracle's pick on each
-    of them within its guard."""
+    and optimal's pick on bundled, random and chained scenarios."""
     rng = random.Random(71)
     scenarios = [s for _, s in corpus]
     scenarios += [random_scenario(rng, rng.randint(1, 5)) for _ in range(40)]
     scenarios += [spread_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
                   for _ in range(80)]
-    reordered = searched = 0
+    reordered = 0
     for s in scenarios:
         schedules = candidate_schedules(s)
         for name, schedule in schedules.items():
             assert validate_schedule(s, schedule) == [], name
         reordered += schedules["reorder"] != schedules["baseline"]
-        if _within_oracle_guard(s):
-            assert validate_schedule(s, exhaustive_oracle(s).schedule) == []
-            searched += 1
-    assert reordered > 10 and searched > 50
+        assert validate_schedule(s, optimal(s).schedule) == []
+    assert reordered > 10
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -830,10 +712,11 @@ def test_candidate_schedules_are_the_same_at_every_sweep_point(seed, source, sca
 
 
 # sha256 over the schedule_to_doc JSON of the four candidates of the
-# scenarios below, and over the oracle's schedule and total wherever its
-# guard allows.  TIMING_DIGEST pins the timing models bit for bit; this pins
-# the planners, so a refactor that changes any planned order or prefetch,
-# or the oracle's pick or total, fails here.
+# scenarios below, and over the brute force's schedule and total wherever it
+# reaches.  TIMING_DIGEST pins the timing models bit for bit; this pins the
+# planners and the reference they are held to, so a refactor that changes
+# any planned order or prefetch, or the brute force's pick or total, fails
+# here.
 PLANNER_DIGEST = "a969c9ba537634d3ac5d0ef0927a1068293ed78ddd0d1ebc07823975bfcc58c5"
 
 
@@ -851,40 +734,20 @@ def test_planners_are_bit_stable(corpus):
     for s in scenarios:
         for name, schedule in candidate_schedules(s).items():
             digest.update(json.dumps([name, schedule_to_doc(s, schedule)]).encode())
-        if _within_oracle_guard(s):
-            outcome = exhaustive_oracle(s)
-            digest.update(json.dumps([schedule_to_doc(s, outcome.schedule),
-                                      outcome.total_ms]).encode())
+        if _within_reach(s):
+            total, schedule = brute_force(s)
+            digest.update(json.dumps([schedule_to_doc(s, schedule), total]).encode())
             searched += 1
     assert searched > 100
     assert digest.hexdigest() == PLANNER_DIGEST
 
 
-def test_oracle_guard_rejects_large_instances(random_scenario):
-    s = random_scenario(random.Random(3), 5)
-    with pytest.raises(InstanceTooLargeError, match="instance too large for exhaustive search"):
-        exhaustive_oracle(s)
-
-
-def test_oracle_guard_rejects_large_libraries():
-    """Each query before the last fans out over no prefetch and each
-    module that starts a legal order of the next query, so the search can
-    grow with the library even at four queries and eight invocations."""
-    rng = random.Random(5)
-    exhaustive_oracle(_at_the_guard(rng, ORACLE_MAX_MODULES))
-    s = _at_the_guard(rng, ORACLE_MAX_MODULES + 1)
-    with pytest.raises(InstanceTooLargeError) as excinfo:
-        exhaustive_oracle(s)
-    assert str(excinfo.value) == (
-        "instance too large for exhaustive search: 8 invocations over 4 queries, 9 modules "
-        "(limits: 8 invocations, 4 queries, 8 modules)")
-
-
 def test_optimal_matches_the_oracle(seq2, seq2_small, random_scenario, chained_scenario):
-    """Within the oracle's guard, optimal's total equals the exhaustive
-    oracle's within 1e-9, relative to totals above 1 ms, which the float
+    """Within the brute force's reach, optimal's total equals the brute
+    force's within 1e-9, relative to totals above 1 ms, which the float
     edges take to 1e307: on seeded random and chained instances, zero-time
-    loads with zero gaps, instances at the full guard and the float edges.
+    loads with zero gaps, instances of the largest shape and the float
+    edges.
     The schedule is legal, its total is the event loop's, and its
     improvement is measured against the baseline's emulated total."""
     rng = random.Random(75)
@@ -898,21 +761,35 @@ def test_optimal_matches_the_oracle(seq2, seq2_small, random_scenario, chained_s
         elif kind == 2:
             s = with_gaps(_zero_loads(random_scenario(rng, rng.randint(2, 4))), 0.0)
         else:
-            s = _at_the_guard(rng, rng.randint(2, ORACLE_MAX_MODULES))
-        if _within_oracle_guard(s):
+            s = _at_the_guard(rng, rng.randint(2, MAX_MODULES))
+        if _within_reach(s):
             scenarios.append(s)
     scenarios += _float_edges(rng)
     beats_auto = 0
     for s in scenarios:
-        outcome, oracle = optimize(s, "optimal"), exhaustive_oracle(s)
+        outcome, (best, _) = optimize(s, "optimal"), brute_force(s)
         assert outcome.strategy == "optimal"
-        assert abs(outcome.total_ms - oracle.total_ms) <= 1e-9 * max(1.0, oracle.total_ms)
+        assert abs(outcome.total_ms - best) <= 1e-9 * max(1.0, best)
         assert validate_schedule(s, outcome.schedule) == []
         assert execute_schedule(s, outcome.schedule).total_ms == outcome.total_ms
         assert outcome.improvement_pct == optimizer._improvement(
             optimize(s, "baseline").total_ms, outcome.total_ms)
         beats_auto += outcome.total_ms < optimize(s, "auto").total_ms * (1 - 1e-9)
     assert beats_auto > 5
+
+
+def test_oracle_is_optimal_under_its_own_name(corpus):
+    """"oracle" is a synonym of "optimal": on the bundled scenarios, on
+    instances of the brute force's largest shape and on a tie that optimal
+    breaks query by query, its outcome is optimal's but for the strategy
+    name."""
+    rng = random.Random(78)
+    scenarios = [s for _, s in corpus] + [_at_the_guard(rng, k) for k in (2, 3, 5, MAX_MODULES)]
+    scenarios.append(_orders_rank_before_prefetches())
+    for s in scenarios:
+        oracle = optimize(s, "oracle")
+        assert oracle.strategy == "oracle"
+        assert oracle == optimize(s, "optimal").replace(strategy="oracle")
 
 
 def _long_sequence(rng, n_queries, n_modules):
@@ -954,25 +831,36 @@ def test_optimal_is_never_above_any_schedule_on_a_long_sequence():
 def test_optimal_work_per_query_does_not_grow_with_the_length(monkeypatch):
     """Planning stays linear in the number of queries: on sequences of
     10**2, 10**3 and 10**4 queries that repeat one seeded block of ten,
-    optimal builds the same stage terms per query and calls the closed
-    form's step as often per query, up to the first query's single state.
-    Counted, not timed."""
+    optimal builds the same stage terms per query, calls the closed form's
+    step as often per query, up to the first query's single state, and runs
+    the event loop over each query twice, for its schedule and for the
+    baseline.  auto builds as many stage terms per query, up to the last
+    query, which has no successor to reorder for, and runs the loop over
+    each query once per candidate.  Counted, not timed."""
     rng = random.Random(77)
     block = _long_sequence(rng, 10, 4)
-    steps, builds = [], []
-    step, build = optimizer._closed_form_step, optimizer.stage_terms
+    steps, builds, runs = [], [], []
+    step, build, run = optimizer._closed_form_step, optimizer.stage_terms, optimizer._run_queries
     monkeypatch.setattr(optimizer, "_closed_form_step",
                         lambda *args: steps.append(None) or step(*args))
     monkeypatch.setattr(optimizer, "stage_terms", lambda *args: builds.append(None) or build(*args))
-    per_query = []
+    monkeypatch.setattr(optimizer, "_run_queries",
+                        lambda s, terms, *args: runs.append(len(terms)) or run(s, terms, *args))
+    per_query = {"optimal": [], "auto": []}
     for n in (10**2, 10**3, 10**4):
         sequence = tuple(q.replace(id=f"Q{k}") for k, q in zip(range(n), cycle(block.sequence)))
-        steps.clear()
-        builds.clear()
-        optimal(block.replace(sequence=sequence))
-        per_query.append((len(steps) / n, len(builds) / n))
-    assert per_query[0][1] == per_query[1][1] == per_query[2][1] > 1
-    assert max(calls for calls, _ in per_query) <= 1.01 * min(calls for calls, _ in per_query)
+        for strategy, counts in per_query.items():
+            steps.clear()
+            builds.clear()
+            runs.clear()
+            optimize(block.replace(sequence=sequence), strategy)
+            counts.append((len(steps) / n, len(builds) / n, sum(runs) / n))
+    exact, auto = per_query["optimal"], per_query["auto"]
+    assert exact[0][1] == exact[1][1] == exact[2][1] > 1
+    assert max(calls for calls, _, _ in exact) <= 1.01 * min(calls for calls, _, _ in exact)
+    assert {loop for _, _, loop in exact} == {2.0}
+    assert {(calls, loop) for calls, _, loop in auto} == {(0.0, 4.0)}
+    assert max(terms for _, terms, _ in auto) <= 1.01 * min(terms for _, terms, _ in auto)
 
 
 def test_optimal_guard_names_the_width_limit(seq2):

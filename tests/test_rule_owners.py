@@ -111,11 +111,10 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
     read only for the load of a prefetch, by the event loop and the closed
     form's step, and the terms only by the emulator's entries (_timeline
     runs the loop for execute_schedule), by candidate_terms for the four
-    candidates and by _order_choices for optimal and the oracle.  The closed
-    form's step, emulator._closed_form_step, is read only by analytic_total
-    and by the optimizer's exact table, _cost_to_go.  A second copy of the
-    loop's body, of the step or of a stage cost, say in a planner, fails
-    here."""
+    candidates and by _order_choices for optimal.  The closed form's step,
+    emulator._closed_form_step, is read only by analytic_total and by the
+    optimizer's exact table, _cost_to_go.  A second copy of the loop's
+    body, of the step or of a stage cost, say in a planner, fails here."""
     users: dict[str, set] = {}
     for name, tree in _package_trees():
         if name != "costmodel.py":
