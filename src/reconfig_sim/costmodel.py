@@ -7,10 +7,12 @@ Only this module reads rates and load times.
 
 stage_terms owns the cost of one query in one order: its scan, each
 scheduled invocation's module with its full load and accelerator time, and
-its transfer, as plain tuples built from the four stage functions and
-propagate_volumes.  The event loop, the closed form and the planners read
-those terms and call no stage function per invocation; only the load of a
-prefetch, which no query's terms hold, is asked of reconfig_time directly.
+its transfer, as plain tuples built from the four stage functions in one
+walk of the order, chaining the volume with propagate_volumes' expression.
+propagate_volumes is the plain chain, which the tests hold stage_terms to.
+The event loop, the closed form and the planners read those terms and call
+no stage function per invocation; only the load of a prefetch, which no
+query's terms hold, is asked of reconfig_time directly.
 first_unbounded_query bounds the total for the loader and the sweeps.
 """
 from __future__ import annotations
@@ -71,13 +73,16 @@ def stage_terms(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> StageTerms
     owns the region) and how the terms overlap.
     """
     rpu, modules = s.rpu, s.modules_by_id
-    input_volumes, output_volume = propagate_volumes(q, order, s.tables_by_id)
+    invocations = q.invocations
+    volume = s.tables_by_id[q.table_id].volume
+    scan_ms = scan_time(volume, rpu)
     stages = []
-    for idx, volume in zip(order, input_volumes):
-        module = modules[q.invocations[idx].accelerator_id]
+    for idx in order:
+        inv = invocations[idx]
+        module = modules[inv.accelerator_id]
         stages.append((module.id, reconfig_time(module, rpu), accel_runtime(volume, module)))
-    return (scan_time(s.tables_by_id[q.table_id].volume, rpu), tuple(stages),
-            transfer_time(output_volume, rpu))
+        volume = volume * inv.selectivity * inv.volume_multiplier
+    return scan_ms, tuple(stages), transfer_time(volume, rpu)
 
 
 def first_unbounded_query(s: Scenario) -> int | None:

@@ -1,12 +1,14 @@
 """Parameter sweeps over bundled or user scenarios, with CSV output.
 
 Sweeps vary either the data volume scale factor or the idle gap between
-queries.  The four candidate schedules read neither, so a sweep plans them
-once on the input scenario and emulates them at every point.  Their stage
-terms, one per (query, order) among the candidates, read the volumes but no
-gap, so a gap sweep builds them once and a scale sweep at every point.  Rows
-come out in axis-then-strategy order and numbers are formatted identically
-on every run, so repeated sweeps are byte-identical.
+queries.  The four candidate schedules read neither, nor does the layout of
+their distinct (query, order) pairs, so a sweep works both out once on the
+input scenario and emulates the schedules at every point.  Their stage
+terms, one per pair, read the volumes but no gap, so a gap sweep builds
+them once and a scale sweep at every point: a point costs only its term
+builds and its four event-loop runs.  Rows come out in axis-then-strategy
+order and numbers are formatted identically on every run, so repeated
+sweeps are byte-identical.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from importlib import resources
 from .costmodel import first_unbounded_query
 from .emulator import analytic_total
 from .model import Scenario, load_scenario
-from .optimizer import FIXED_STRATEGIES, candidate_schedules, candidate_terms, fixed_outcomes
+from .optimizer import (FIXED_STRATEGIES, _auto_choice, _improvement, _term_layout,
+                        candidate_schedules, candidate_terms, fixed_outcomes)
 from .record import Record, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
@@ -84,13 +87,13 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
 def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """Evaluate every (value, strategy) point and return the CSV text.
 
-    The candidate schedules are planned once, on s, and emulated at every
-    point.  Their stage terms read volumes but no gap, so they are built
-    once, on s, for every point of a gap sweep, and at every point of a
-    scale sweep.  improvement_pct in each row compares against the baseline
-    strategy at the same axis value.  An axis value at which the loader's
-    bound on the total (costmodel.first_unbounded_query) is not finite is a
-    ValueError.
+    The candidate schedules and the layout of their stage terms are worked
+    out once, on s, and emulated at every point.  The terms read volumes but
+    no gap, so they are built once, on s, for every point of a gap sweep,
+    and at every point of a scale sweep.  improvement_pct in each row
+    compares against the baseline strategy at the same axis value.  An axis
+    value at which the loader's bound on the total
+    (costmodel.first_unbounded_query) is not finite is a ValueError.
     """
     vary = with_scale_factor if spec.axis == "scale_factor" else with_gaps
     largest = spec.values[-1]
@@ -102,15 +105,16 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
         raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
                          "bound on the total is not finite by this query")
     schedules = candidate_schedules(s)
-    gap_terms = candidate_terms(s, schedules) if spec.axis == "gap_ms" else None
+    layout = _term_layout(schedules)
+    gap_terms = candidate_terms(s, layout) if spec.axis == "gap_ms" else None
     rows = [CSV_HEADER]
     for value in spec.values:
         varied = last if value == largest else vary(s, value)
-        terms = gap_terms if gap_terms is not None else candidate_terms(varied, schedules)
-        outcomes = fixed_outcomes(varied, schedules, terms)
-        rows += [",".join((spec.axis, format_ms(value), strategy,
-                           format_ms(outcomes[strategy].total_ms),
-                           format_ms(outcomes[strategy].improvement_pct)))
+        terms = gap_terms if gap_terms is not None else candidate_terms(varied, layout)
+        totals = fixed_outcomes(varied, schedules, terms)
+        totals["auto"] = totals[_auto_choice(totals)]
+        rows += [",".join((spec.axis, format_ms(value), strategy, format_ms(totals[strategy]),
+                           format_ms(_improvement(totals["baseline"], totals[strategy]))))
                  for strategy in STRATEGY_ORDER if strategy in spec.strategies]
     return "\n".join(rows) + "\n"
 
@@ -154,14 +158,14 @@ def verify_corpus() -> list[tuple[str, list[str]]]:
         try:
             s = load_bundled(name)
             schedules = candidate_schedules(s)
-            outcomes = fixed_outcomes(s, schedules, candidate_terms(s, schedules))
+            totals = fixed_outcomes(s, schedules, candidate_terms(s, _term_layout(schedules)))
             for strategy in FIXED_STRATEGIES:
-                emulated = outcomes[strategy].total_ms
-                closed = analytic_total(s, outcomes[strategy].schedule)
+                emulated = totals[strategy]
+                closed = analytic_total(s, schedules[strategy])
                 if abs(emulated - closed) > EQUIVALENCE_TOLERANCE_MS:
                     problems.append(
                         f"{strategy}: emulated {emulated!r} differs from closed form {closed!r}")
-            if outcomes["auto"].total_ms > outcomes["baseline"].total_ms:
+            if totals[_auto_choice(totals)] > totals["baseline"]:
                 problems.append("auto is worse than baseline")
         except Exception as exc:  # surface the failure against its scenario
             problems.append(f"{type(exc).__name__}: {exc}")

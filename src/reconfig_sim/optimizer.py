@@ -12,13 +12,15 @@ oracle        a synonym of optimal
 
 candidate_schedules plans the four fixed-strategy schedules; none of them
 reads a volume or a gap, so a sweep plans them once for all its points.
-candidate_terms builds their stage terms (costmodel.stage_terms) once per
-distinct (query, order) among them; the terms read volumes but no gap, so a
-gap sweep builds them once for all its points.  fixed_outcomes emulates each
-candidate once over those terms and derives every fixed outcome and the auto
-pick from the four totals.  It and optimal run the emulator's unchecked
-event loop, since every schedule they emulate is legal by construction;
-optimal builds its terms once per (query, legal order).
+_term_layout finds the distinct (query, order) pairs among them, which read
+no volume or gap either, and candidate_terms builds one stage term
+(costmodel.stage_terms) per pair; the terms read volumes but no gap, so a
+sweep lays them out once and a gap sweep also builds them once for all its
+points.  fixed_outcomes emulates each candidate once over those terms and
+returns the four totals, and _auto_choice picks auto's from them.
+fixed_outcomes and optimal run the emulator's unchecked event loop, since
+every schedule they emulate is legal by construction; optimal builds its
+terms once per (query, legal order).
 
 optimal walks one table, _cost_to_go.  Consecutive queries interact only
 through the region state a query leaves the next: the module owning the
@@ -50,8 +52,11 @@ STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle", "optimal")
 
 OPTIMAL_MAX_WIDTH = 8
 
-# the stage terms of each query, keyed by the orders of a candidate schedule
-CandidateTerms = dict[tuple[tuple[int, ...], ...], list[StageTerms]]
+# (distinct (query index, order) pairs, rows of positions among them, the row
+# of each schedule by name); see _term_layout
+TermLayout = tuple[list[tuple[int, tuple[int, ...]]], list[list[int]], dict[str, int]]
+# the stage terms of each query, by the name of a candidate schedule
+CandidateTerms = dict[str, list[StageTerms]]
 
 
 class InstanceTooLargeError(ValueError):
@@ -136,53 +141,63 @@ def _improvement(baseline_total: float, total: float) -> float:
     return 100.0 * (baseline_total - total) / baseline_total
 
 
-def candidate_terms(s: Scenario, schedules: dict[str, Schedule]) -> CandidateTerms:
-    """The stage terms of the schedules, keyed by their orders: for each
-    distinct orders among them, one entry per query.
+def _term_layout(schedules: dict[str, Schedule]) -> TermLayout:
+    """Where the stage terms of the schedules come from: the distinct
+    (query index, order) pairs among them, one row of positions among those
+    pairs per distinct orders object, and each schedule's row.
 
-    Each (query index, order) is built once, so the candidates that differ
-    only in prefetches share one list, and a query that reorder leaves in
+    The candidates that differ only in prefetches share their orders object
+    and so one row, and a query that reorder leaves in its baseline order
+    has one pair in both rows.  The layout reads no volume or gap, so a
+    sweep works it out once for all its points.
+    """
+    pairs: dict[tuple[int, tuple[int, ...]], int] = {}
+    rows: list[list[int]] = []
+    row_of_orders: dict[int, int] = {}  # keyed by the id of an orders object
+    row_of = {}
+    for name, sched in schedules.items():
+        row = row_of_orders.get(id(sched.orders))
+        if row is None:
+            row = row_of_orders[id(sched.orders)] = len(rows)
+            rows.append([pairs.setdefault(pair, len(pairs)) for pair in enumerate(sched.orders)])
+        row_of[name] = row
+    return list(pairs), rows, row_of
+
+
+def candidate_terms(s: Scenario, layout: TermLayout) -> CandidateTerms:
+    """The stage terms of the schedules that _term_layout laid out, on s:
+    for each schedule, by name, one entry per query.
+
+    Each (query index, order) pair is built once, so the candidates that
+    share their orders share one list, and a query that reorder leaves in
     its baseline order shares its terms across both lists.
     """
-    built: dict[tuple[int, tuple[int, ...]], StageTerms] = {}
-    terms = {}
-    for sched in schedules.values():
-        if sched.orders in terms:
-            continue
-        row = terms[sched.orders] = []
-        for i, (q, order) in enumerate(zip(s.sequence, sched.orders)):
-            term = built.get((i, order))
-            if term is None:
-                term = built[i, order] = stage_terms(q, order, s)
-            row.append(term)
-    return terms
+    pairs, rows, row_of = layout
+    sequence = s.sequence
+    built = [stage_terms(sequence[i], order, s) for i, order in pairs]
+    lists = [[built[k] for k in row] for row in rows]
+    return {name: lists[row] for name, row in row_of.items()}
 
 
 def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: CandidateTerms
-                   ) -> dict[str, StrategyOutcome]:
-    """The four fixed outcomes plus "auto", from one emulation of each
-    candidate schedule.
+                   ) -> dict[str, float]:
+    """The total of each candidate schedule, by name, from one emulation
+    each.
 
     schedules is candidate_schedules of s, or of a scenario that differs
     from s only in volumes or gaps, which gives the same schedules.  terms
     is candidate_terms of those schedules on s, or on a scenario that
-    differs from s only in gaps, which gives the same terms.  Auto is the
-    cheapest fixed outcome; ties go to the earliest strategy in baseline,
-    spec_reconfig, reorder, combined order.
+    differs from s only in gaps, which gives the same terms.
     """
-    totals = {name: _run_queries(s, terms[sched.orders], sched.prefetches)
-              for name, sched in schedules.items()}
-    outcomes = {
-        name: StrategyOutcome(
-            strategy=name,
-            schedule=schedules[name],
-            total_ms=totals[name],
-            improvement_pct=_improvement(totals["baseline"], totals[name]),
-        )
-        for name in FIXED_STRATEGIES
-    }
-    outcomes["auto"] = min(outcomes.values(), key=lambda o: o.total_ms)
-    return outcomes
+    return {name: _run_queries(s, terms[name], sched.prefetches)
+            for name, sched in schedules.items()}
+
+
+def _auto_choice(totals: dict[str, float]) -> str:
+    """The fixed strategy that "auto" picks from fixed_outcomes' totals: the
+    cheapest; ties go to the earliest in baseline, spec_reconfig, reorder,
+    combined order."""
+    return min(FIXED_STRATEGIES, key=totals.__getitem__)
 
 
 def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
@@ -191,7 +206,7 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
     synonym.
 
     The outcome names the strategy that produced the schedule; see
-    fixed_outcomes for the tie-break under "auto".
+    _auto_choice for the tie-break under "auto".
     """
     if strategy == "optimal":
         return optimal(s)
@@ -200,7 +215,10 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy!r}")
     schedules = candidate_schedules(s)
-    return fixed_outcomes(s, schedules, candidate_terms(s, schedules))[strategy]
+    totals = fixed_outcomes(s, schedules, candidate_terms(s, _term_layout(schedules)))
+    name = _auto_choice(totals) if strategy == "auto" else strategy
+    return StrategyOutcome(name, schedules[name], totals[name],
+                           _improvement(totals["baseline"], totals[name]))
 
 
 def _legal_orders(q) -> list[tuple[int, ...]]:
@@ -345,7 +363,8 @@ def optimal(s: Scenario) -> StrategyOutcome:
 
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:
     """optimal's outcome under the strategy name "oracle"."""
-    return optimal(s).replace(strategy="oracle")
+    outcome = optimal(s)
+    return StrategyOutcome("oracle", outcome.schedule, outcome.total_ms, outcome.improvement_pct)
 
 
 def outcome_document(s: Scenario, outcome: StrategyOutcome) -> dict:

@@ -112,17 +112,36 @@ def _terms_by_stage(q, order, s):
     return scan_time(tables[q.table_id].volume, s.rpu), tuple(stages), transfer_time(output, s.rpu)
 
 
+def _with_edge_stages(s, rng):
+    """s with each invocation's selectivity set at random to 0, 1 or kept,
+    and its volume_multiplier to 1 or a value above 1 that is no power of
+    two, so that the order of the two factors shows in the last bits."""
+    sequence = tuple(
+        q.replace(invocations=tuple(
+            inv.replace(selectivity=rng.choice((0.0, 1.0, inv.selectivity)),
+                        volume_multiplier=rng.choice((1.0, round(rng.uniform(1.01, 3.99), 3))))
+            for inv in q.invocations))
+        for q in s.sequence)
+    return s.replace(sequence=sequence)
+
+
 def test_stage_terms_equal_the_stage_functions_bit_for_bit(corpus, random_scenario,
                                                           chained_scenario):
-    """On every legal order.  When a load costs its load_ms and when nothing
-    is the timing models' rule, which test_emulator checks (a resident
-    module's load and a resident prefetch cost nothing)."""
+    """On every legal order, stage_terms equals the reference built from
+    propagate_volumes and the four stage functions, bit for bit: on the
+    corpus and on random and chained scenarios, as generated and with
+    selectivities of 0 and 1 and multipliers above 1 mixed in, over modules
+    with and without their own reconfig_ms.  When a load costs its load_ms
+    and when nothing is the timing models' rule, which test_emulator checks
+    (a resident module's load and a resident prefetch cost nothing)."""
     scenarios = [s for _, s in corpus]
     for seed in range(40):
         rng = random.Random(60_000 + seed)
-        scenarios.append(random_scenario(rng, rng.randint(1, 4)))
-        scenarios.append(chained_scenario(rng, rng.randint(1, 3)))
+        for s in (random_scenario(rng, rng.randint(1, 4)),
+                  chained_scenario(rng, rng.randint(1, 3))):
+            scenarios += [s, _with_edge_stages(s, rng)]
     checked = 0
+    seen = set()
     for s in scenarios:
         for q in s.sequence:
             for order in _legal_orders(q):
@@ -130,4 +149,13 @@ def test_stage_terms_equal_the_stage_functions_bit_for_bit(corpus, random_scenar
                 # repr tells -0.0 from 0.0 and prints each float exactly
                 assert repr(terms) == repr(_terms_by_stage(q, order, s))
                 checked += 1
-    assert checked > 1000
+            for inv in q.invocations:
+                seen.add(("selectivity", inv.selectivity if inv.selectivity in (0.0, 1.0)
+                          else "between"))
+                seen.add(("multiplier above 1", inv.volume_multiplier > 1))
+                seen.add(("own reconfig_ms",
+                          s.modules_by_id[inv.accelerator_id].reconfig_ms is not None))
+    assert checked > 2000
+    assert seen == {("selectivity", 0.0), ("selectivity", 1.0), ("selectivity", "between"),
+                    ("multiplier above 1", True), ("multiplier above 1", False),
+                    ("own reconfig_ms", True), ("own reconfig_ms", False)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -21,6 +22,8 @@ from reconfig_sim.harness import (
 )
 from reconfig_sim.model import schedule_to_doc
 from reconfig_sim.optimizer import candidate_schedules, optimize
+
+from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
 
 
 def test_format_ms_uses_nine_significant_digits():
@@ -144,6 +147,31 @@ def test_sweep_rows_match_one_optimize_per_row(corpus, random_scenario):
     rows = run_sweep(scenarios[0], SweepSpec("gap_ms", (0.0, 1.0), ("combined", "baseline")))
     assert [row.split(",")[2] for row in rows.splitlines()[1:]] == [
         "baseline", "combined", "baseline", "combined"]
+
+
+# sha256 over the run_sweep CSVs of the scenarios below on both axes.  The
+# test above compares sweeps with optimize, which shares their stage terms
+# and event loop; this pins the bytes, so a refactor of how a sweep builds
+# or finds its terms that changes any digit fails here.
+SWEEP_DIGEST = "19b83bc7fa5863be8e92a421c59041b4ded08206b9cc6c8ea871f06ce66bc891"
+
+
+def test_sweeps_are_bit_stable(corpus):
+    scenarios = [s for _, s in corpus]
+    for seed in range(30):
+        rng = random.Random(60_000 + seed)
+        if seed % 2:
+            scenarios.append(make_random_scenario(rng, rng.randint(1, 6)))
+        else:
+            scenarios.append(spread_over_modules(make_chained_scenario(rng, rng.randint(1, 5)),
+                                                 rng, 3))
+    specs = (SweepSpec("scale_factor", (0.1, 0.5, 1.0, 2.0, 7.5)),
+             SweepSpec("gap_ms", (0.0, 1.0, 5.0, 20.0, 80.0)))
+    digest = hashlib.sha256()
+    for s in scenarios:
+        for spec in specs:
+            digest.update(run_sweep(s, spec).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 @pytest.fixture

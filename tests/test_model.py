@@ -418,9 +418,8 @@ import test_model
 digest = hashlib.sha256()
 for name in harness.bundled_names():
     s = harness.load_bundled(name)
-    schedules = optimizer.candidate_schedules(s)
-    terms = optimizer.candidate_terms(s, schedules)
-    for outcome in optimizer.fixed_outcomes(s, schedules, terms).values():
+    for strategy in optimizer.FIXED_STRATEGIES + ("auto",):
+        outcome = optimizer.optimize(s, strategy)
         digest.update(json.dumps(optimizer.outcome_document(s, outcome)).encode())
     for schedule in optimizer.candidate_schedules(s).values():
         digest.update(emulator.emit_trace(emulator.execute_schedule(s, schedule)).encode())

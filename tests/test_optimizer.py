@@ -18,7 +18,9 @@ from reconfig_sim.optimizer import (
     STRATEGIES,
     InstanceTooLargeError,
     StrategyOutcome,
+    _auto_choice,
     _legal_orders,
+    _term_layout,
     candidate_schedules,
     candidate_terms,
     exhaustive_oracle,
@@ -251,14 +253,15 @@ def _outcomes_by_separate_emulation(s):
     return outcomes
 
 
-def _fixed_outcomes(s):
+def _fixed_totals(s):
     schedules = candidate_schedules(s)
-    return fixed_outcomes(s, schedules, candidate_terms(s, schedules))
+    return fixed_outcomes(s, schedules, candidate_terms(s, _term_layout(schedules)))
 
 
 def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, chained_scenario):
-    """candidate_terms holds stage_terms of every candidate's orders, and a
-    (query, order) two candidates share is one object in both lists."""
+    """candidate_terms holds stage_terms of every candidate's orders, by
+    name; candidates that share their orders share one list, and a (query,
+    order) two candidates share is one object in both lists."""
     rng = random.Random(17)
     scenarios = [s for _, s in corpus] + [random_scenario(rng, rng.randint(1, 5))
                                           for _ in range(20)]
@@ -267,11 +270,13 @@ def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, ch
     shared = 0
     for s in scenarios:
         schedules = candidate_schedules(s)
-        terms = candidate_terms(s, schedules)
-        assert terms == {sch.orders: [stage_terms(q, order, s)
-                                      for q, order in zip(s.sequence, sch.orders)]
-                         for sch in schedules.values()}
-        base, reordered = terms[schedules["baseline"].orders], terms[schedules["reorder"].orders]
+        terms = candidate_terms(s, _term_layout(schedules))
+        assert terms == {name: [stage_terms(q, order, s)
+                                for q, order in zip(s.sequence, sch.orders)]
+                         for name, sch in schedules.items()}
+        assert terms["spec_reconfig"] is terms["baseline"]
+        assert terms["combined"] is terms["reorder"]
+        base, reordered = terms["baseline"], terms["reorder"]
         for i, (b, r) in enumerate(zip(schedules["baseline"].orders, schedules["reorder"].orders)):
             assert (base[i] is reordered[i]) == (b == r)
             shared += b == r and base is not reordered
@@ -286,9 +291,10 @@ def test_fixed_outcomes_match_separate_emulation(seq2, seq2_small, corpus, rando
     tied_winners = 0
     for s in scenarios:
         expected = _outcomes_by_separate_emulation(s)
-        outcomes = _fixed_outcomes(s)
-        assert outcomes == expected
-        assert list(outcomes) == [*FIXED_STRATEGIES, "auto"]
+        totals = _fixed_totals(s)
+        assert totals == {name: expected[name].total_ms for name in FIXED_STRATEGIES}
+        assert list(totals) == list(FIXED_STRATEGIES)
+        assert _auto_choice(totals) == expected["auto"].strategy
         for strategy, outcome in expected.items():
             assert optimize(s, strategy) == outcome
         best = expected["auto"].total_ms
@@ -308,9 +314,10 @@ def test_auto_tie_goes_to_baseline():
                 {"accelerator": "m0", "predicate": "b > 2", "selectivity": 0.2,
                  "reads": ["b"]}]},
         ])
-    outcomes = _fixed_outcomes(s)
-    assert len({outcomes[name].total_ms for name in FIXED_STRATEGIES}) == 1
-    assert outcomes["auto"].strategy == "baseline"
+    totals = _fixed_totals(s)
+    assert len({totals[name] for name in FIXED_STRATEGIES}) == 1
+    assert _auto_choice(totals) == "baseline"
+    assert optimize(s, "auto").strategy == "baseline"
     assert optimize(s, "auto") == optimize(s, "baseline")
 
 
@@ -340,7 +347,7 @@ def test_planners_compare_totals_without_spans(seq2, seq2_small, monkeypatch):
 
     monkeypatch.setattr(Span, "__init__", counting)
     for s in (seq2, seq2_small):
-        _fixed_outcomes(s)
+        _fixed_totals(s)
         exhaustive_oracle(s)
     assert built == []
     execute_schedule(seq2, plan_baseline(seq2))
