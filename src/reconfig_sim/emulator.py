@@ -18,20 +18,24 @@ region, when the region frees up, and when the next query arrives.  The
 event loop, _run_queries, runs the whole sequence from an empty region at
 time 0.  It reads each query's costs from its stage terms
 (costmodel.stage_terms of the query in its order), which do not depend on
-the region state, so a caller builds them once and runs the loop over them
-as often as it likes; the loop itself only decides when a load costs
-nothing and how the stages overlap.  It records span tuples only when given
-a list to put them in, and execute_schedule reads the per-query latencies
-off them.  analytic_total adds up the same terms in closed form, one query
-at a time through _closed_form_step, which also owns the residual of a
-prefetch; the optimizer's exact table reads every cost through that step.
+the region state or on any gap, so a caller builds them once and runs the
+loop over them as often as it likes; the loop itself only decides when a
+load costs nothing and how the stages overlap.  It reads the gap after each
+query from the query, or takes one gap for every query as an argument, so
+a gap sweep runs every point on its input scenario.  It records span tuples
+only when given a list to put them in, and execute_schedule reads the
+per-query latencies off them.  analytic_total adds up the same terms in
+closed form, one query at a time through _closed_form_step, which also
+owns the residual of a prefetch; the optimizer's exact table reads every
+cost through that step.
 
 execute_schedule and analytic_total take schedules from outside and reject
 an illegal one with ScheduleError.  The event loop, which the planners
 compare totals with, checks nothing: their schedules are legal by
 construction, and the record constructors reject the negative and NaN rates,
 volumes, load times, selectivities, multipliers and gaps that could make a
-span end before it starts.
+span end before it starts; a gap passed to the loop is checked by its
+caller, as SweepSpec checks a sweep's gaps.
 """
 from __future__ import annotations
 
@@ -83,18 +87,23 @@ class TimelineReport(Record):
 
 
 def _run_queries(s: Scenario, terms: Sequence[StageTerms], prefetches: Sequence[str | None],
+                 gap: float | None = None,
                  spans: list[tuple[str, str, float, float, str]] | None = None) -> float:
     """The event loop.  Run the sequence through its stage terms (one
     costmodel.stage_terms per query, of its order), with its prefetches,
     unchecked, from an empty region at time 0, and return the last query's
-    transfer end.  Given a list, spans collects (lane, label, start_ms,
+    transfer end.  A gap, when given, replaces the gap after every query, so
+    the total and spans are those of harness.with_gaps(s, gap) without the
+    copy; the caller has checked that it is finite and at least 0, as
+    with_gaps does.  Given a list, spans collects (lane, label, start_ms,
     end_ms, query_id) tuples.  The region state is loaded, the module owning
     the region, possibly still loading; region_free, when its last load or
     invocation ends; arrival, when the next query arrives.
 
     A load costs its term's load_ms unless its module owns the region, and
     nothing then.  Each `b if b > a else a` is max(a, b), which keeps a on
-    ties, without the call.
+    ties, without the call.  The gap is chosen per query by one `is None`
+    test, which costs less than zipping in a stream of gaps.
     """
     modules, rpu = s.modules_by_id, s.rpu
     span = None if spans is None else spans.append
@@ -128,7 +137,7 @@ def _run_queries(s: Scenario, terms: Sequence[StageTerms], prefetches: Sequence[
                 span(("reconfig", prefetch, region_free, end, SPECULATIVE))
             loaded, region_free = prefetch, end
 
-        arrival = transfer_end + q.gap_after_ms
+        arrival = transfer_end + (q.gap_after_ms if gap is None else gap)
 
     return transfer_end
 
@@ -140,7 +149,7 @@ def _timeline(s: Scenario, sch: Schedule,
     tuples.
     """
     terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
-    return _run_queries(s, terms, sch.prefetches, spans)
+    return _run_queries(s, terms, sch.prefetches, spans=spans)
 
 
 def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:

@@ -4,11 +4,13 @@ Sweeps vary either the data volume scale factor or the idle gap between
 queries.  The four candidate schedules read neither, nor does the layout of
 their distinct (query, order) pairs, so a sweep works both out once on the
 input scenario and emulates the schedules at every point.  Their stage
-terms, one per pair, read the volumes but no gap, so a gap sweep builds
-them once and a scale sweep at every point: a point costs only its term
-builds and its four event-loop runs.  Rows come out in axis-then-strategy
-order and numbers are formatted identically on every run, so repeated
-sweeps are byte-identical.
+terms, one per pair, read the volumes but no gap, so a scale sweep builds
+them on a rescaled scenario at every point, and a gap sweep builds them
+once and runs every point on the input scenario, passing the event loop
+the point's gap: a point costs only its term builds and its four
+event-loop runs.  Rows come out in axis-then-strategy order and numbers
+are formatted identically on every run, so repeated sweeps are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -89,15 +91,16 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
 
     The candidate schedules and the layout of their stage terms are worked
     out once, on s, and emulated at every point.  The terms read volumes but
-    no gap, so they are built once, on s, for every point of a gap sweep,
-    and at every point of a scale sweep.  improvement_pct in each row
+    no gap, so a scale sweep builds them at every point, on s rescaled, and
+    a gap sweep builds them once and runs every point on s itself, with the
+    point's gap passed to the event loop.  improvement_pct in each row
     compares against the baseline strategy at the same axis value.  An axis
     value at which the loader's bound on the total
     (costmodel.first_unbounded_query) is not finite is a ValueError.
     """
-    vary = with_scale_factor if spec.axis == "scale_factor" else with_gaps
+    gap_axis = spec.axis == "gap_ms"
     largest = spec.values[-1]
-    last = vary(s, largest)
+    last = (with_gaps if gap_axis else with_scale_factor)(s, largest)
     # SweepSpec values strictly increase and the bound only grows with the
     # scale factor and with the gap, so the largest value bounds every point
     unbounded = first_unbounded_query(last)
@@ -106,12 +109,14 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
                          "bound on the total is not finite by this query")
     schedules = candidate_schedules(s)
     layout = _term_layout(schedules)
-    gap_terms = candidate_terms(s, layout) if spec.axis == "gap_ms" else None
+    gap_terms = candidate_terms(s, layout) if gap_axis else None
     rows = [CSV_HEADER]
     for value in spec.values:
-        varied = last if value == largest else vary(s, value)
-        terms = gap_terms if gap_terms is not None else candidate_terms(varied, layout)
-        totals = fixed_outcomes(varied, schedules, terms)
+        if gap_axis:
+            totals = fixed_outcomes(s, schedules, gap_terms, value)
+        else:
+            varied = last if value == largest else with_scale_factor(s, value)
+            totals = fixed_outcomes(varied, schedules, candidate_terms(varied, layout))
         totals["auto"] = totals[_auto_choice(totals)]
         rows += [",".join((spec.axis, format_ms(value), strategy, format_ms(totals[strategy]),
                            format_ms(_improvement(totals["baseline"], totals[strategy]))))

@@ -16,8 +16,9 @@ _term_layout finds the distinct (query, order) pairs among them, which read
 no volume or gap either, and candidate_terms builds one stage term
 (costmodel.stage_terms) per pair; the terms read volumes but no gap, so a
 sweep lays them out once and a gap sweep also builds them once for all its
-points.  fixed_outcomes emulates each candidate once over those terms and
-returns the four totals, and _auto_choice picks auto's from them.
+points.  fixed_outcomes emulates each candidate once over those terms,
+with the gap a gap sweep passes it, and returns the four totals, and
+_auto_choice picks auto's from them.
 fixed_outcomes and optimal run the emulator's unchecked event loop, since
 every schedule they emulate is legal by construction; optimal builds its
 terms once per (query, legal order).
@@ -179,17 +180,17 @@ def candidate_terms(s: Scenario, layout: TermLayout) -> CandidateTerms:
     return {name: lists[row] for name, row in row_of.items()}
 
 
-def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: CandidateTerms
-                   ) -> dict[str, float]:
+def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: CandidateTerms,
+                   gap: float | None = None) -> dict[str, float]:
     """The total of each candidate schedule, by name, from one emulation
-    each.
+    each, with gap, when given, after every query instead of the query's
+    own gap (as on harness.with_gaps(s, gap)).
 
     schedules is candidate_schedules of s, or of a scenario that differs
     from s only in volumes or gaps, which gives the same schedules.  terms
-    is candidate_terms of those schedules on s, or on a scenario that
-    differs from s only in gaps, which gives the same terms.
+    is candidate_terms of those schedules on s.
     """
-    return {name: _run_queries(s, terms[name], sched.prefetches)
+    return {name: _run_queries(s, terms[name], sched.prefetches, gap)
             for name, sched in schedules.items()}
 
 

@@ -11,17 +11,22 @@ import random
 
 import pytest
 
+from reconfig_sim.costmodel import stage_terms
 from reconfig_sim.emulator import (
     SPECULATIVE,
     Span,
     TimelineReport,
+    _run_queries,
     _timeline,
     analytic_total,
     emit_trace,
     execute_schedule,
 )
+from reconfig_sim.harness import with_gaps
 from reconfig_sim.model import Schedule, ScheduleError, load_scenario
 from reconfig_sim.optimizer import candidate_schedules, plan_baseline
+
+from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
 
 
 def _spans(report, lane, query_id=None):
@@ -346,3 +351,37 @@ def test_timeline_invariants_hold_everywhere(corpus):
             gaps = sum(q.gap_after_ms for q in s.sequence[:-1])
             assert report.total_ms == pytest.approx(
                 sum(report.per_query_ms) + gaps, abs=1e-9), context
+
+
+def test_a_passed_gap_runs_as_the_gapped_scenario():
+    """The event loop given a gap gives the total and the span tuples of the
+    same run on harness.with_gaps(s, gap), bit for bit, which a gap sweep
+    relies on to run every point on its input scenario.  The queries carry
+    gaps of their own that differ, and some scenarios hold one query."""
+    scenarios = []
+    for seed in range(60):
+        rng = random.Random(70_000 + seed)
+        if seed % 2:
+            s = make_random_scenario(rng, rng.randint(1, 5))
+        else:
+            s = spread_over_modules(make_chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+            s = s.replace(sequence=tuple(q.replace(gap_after_ms=round(rng.uniform(0.0, 40.0), 3))
+                                         for q in s.sequence))
+        candidates = list(candidate_schedules(s).values())
+        # correct, mistaken and trailing prefetches over the baseline orders
+        prefetches = tuple(rng.choice([None] + [m.id for m in s.library]) for _ in s.sequence)
+        scenarios.append((s, candidates + [Schedule(candidates[0].orders, prefetches)]))
+    assert any(len(s.sequence) == 1 for s, _ in scenarios)
+    assert sum(len({q.gap_after_ms for q in s.sequence[:-1]}) > 1 for s, _ in scenarios) > 20
+
+    for s, schedules in scenarios:
+        for gap in (0.0, 2.5, 1e300):
+            gapped = with_gaps(s, gap)
+            for schedule in schedules:
+                terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, schedule.orders)]
+                spans, gapped_spans = [], []
+                total = _run_queries(s, terms, schedule.prefetches, gap=gap)
+                assert total == _run_queries(gapped, terms, schedule.prefetches)
+                assert total == _run_queries(s, terms, schedule.prefetches, gap=gap, spans=spans)
+                assert total == _timeline(gapped, schedule, gapped_spans)
+                assert spans == gapped_spans, (s, schedule, gap)

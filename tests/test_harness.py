@@ -177,12 +177,14 @@ def test_sweeps_are_bit_stable(corpus):
 @pytest.fixture
 def work_counts(monkeypatch):
     """Count candidate builds, emulations (runs of the emulator's event loop
-    over the whole sequence) and stage-term builds (one per query and order)
-    in every module that binds them."""
-    counts = {"builds": 0, "emulations": 0, "terms": 0}
+    over the whole sequence), stage-term builds (one per query and order)
+    and scenario copies with other gaps (harness.with_gaps) in every module
+    that binds them."""
+    counts = {"builds": 0, "emulations": 0, "terms": 0, "gap_copies": 0}
     for key, fn in (("builds", optimizer.candidate_schedules),
                     ("emulations", optimizer._run_queries),
-                    ("terms", optimizer.stage_terms)):
+                    ("terms", optimizer.stage_terms),
+                    ("gap_copies", harness.with_gaps)):
         def counting(*args, key=key, fn=fn):
             counts[key] += 1
             return fn(*args)
@@ -206,15 +208,18 @@ def test_sweep_plans_once_and_emulates_each_point_once(seq2, work_counts, strate
     """Four emulations per point.  Stage terms are built once per distinct
     (query, order): seq2's candidates have three, since reorder moves Q0
     and leaves Q1.  A gap sweep builds them once for all its points, a
-    scale sweep at every point."""
+    scale sweep at every point.  A gap sweep copies the scenario once, at
+    its largest gap, for the bound on the total, and runs every point on
+    its input; a scale sweep makes no gap copy."""
     values = (0.25, 1.0, 2.0, 5.0)
     pairs = _distinct_query_orders(seq2)
     assert pairs == 3
-    for axis, terms in (("gap_ms", pairs), ("scale_factor", pairs * len(values))):
+    for axis, terms, copies in (("gap_ms", pairs, 1), ("scale_factor", pairs * len(values), 0)):
         for key in work_counts:
             work_counts[key] = 0
         run_sweep(seq2, SweepSpec(axis, values, strategies))
-        assert work_counts == {"builds": 1, "emulations": 4 * len(values), "terms": terms}, axis
+        assert work_counts == {"builds": 1, "emulations": 4 * len(values), "terms": terms,
+                               "gap_copies": copies}, axis
 
 
 def test_optimize_builds_each_candidate_query_order_once(work_counts, corpus, random_scenario):
@@ -228,7 +233,8 @@ def test_optimize_builds_each_candidate_query_order_once(work_counts, corpus, ra
         for key in work_counts:
             work_counts[key] = 0
         optimize(s, "auto")
-        assert work_counts == {"builds": 1, "emulations": 4, "terms": _distinct_query_orders(s)}
+        assert work_counts == {"builds": 1, "emulations": 4, "terms": _distinct_query_orders(s),
+                               "gap_copies": 0}
 
 
 def test_verify_corpus_emulates_each_candidate_once(work_counts, corpus):
@@ -237,7 +243,7 @@ def test_verify_corpus_emulates_each_candidate_once(work_counts, corpus):
     terms = sum(_distinct_query_orders(s) for _, s in corpus)
     n = len(verify_corpus())
     assert n == len(corpus) and terms < 2 * sum(len(s.sequence) for _, s in corpus)
-    assert work_counts == {"builds": n, "emulations": 4 * n, "terms": terms}
+    assert work_counts == {"builds": n, "emulations": 4 * n, "terms": terms, "gap_copies": 0}
 
 
 def test_stage_terms_read_no_gap(seq2, corpus, random_scenario):
