@@ -22,6 +22,15 @@ textual order, then types the literals, and returns the operator shapes
 and attribute names that the scenario loader checks.  It builds no syntax
 tree: timing depends on a predicate only through the module that
 evaluates it, so those two facts are all the parse returns.
+
+Most predicates are written as 3, 5 or 7 whitespace-separated ASCII
+chunks, one token each, with no sign, exponent or long literal.  Those are
+read chunk by chunk with string methods, without the tokenizer, and typed
+directly: an integer of at most 9 digits is int32.  Every other text, and
+every error, goes through the grammar, and the tests hold the two readings
+to the same results.  The shapes returned are the objects in _SHAPES,
+which the loader also puts in its modules, so checking a predicate's
+shapes against a module finds them by identity.
 """
 from __future__ import annotations
 
@@ -44,6 +53,9 @@ OPERAND_TYPES = frozenset({"int32", "int64", "float"})
 _INT32_MIN, _INT32_MAX = -(2 ** 31), 2 ** 31 - 1
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 _INT64_DIGITS = len(str(_INT64_MAX))
+# a digits.digits literal this long has at most 298 digits before its
+# point, and the largest float has 309: it is finite
+_FLOAT_CHARS = 300
 
 
 class PredicateError(ValueError):
@@ -81,7 +93,18 @@ class OperatorShape(Record):
 _SHAPES = {(kind, operand_type): OperatorShape(kind, operand_type)
            for kind in COMPARE_KINDS | ARITH_KINDS for operand_type in OPERAND_TYPES}
 
-_TOKEN_RE = re.compile(
+
+def _shape(kind: str, operand_type: str) -> OperatorShape:
+    """The shape of kind and operand_type as the parser returns it, the one
+    object in _SHAPES, so that a set of them finds a parsed shape by
+    identity; the constructor's FieldError when the vocabulary lacks it."""
+    return _SHAPES.get((kind, operand_type)) or OperatorShape(kind, operand_type)
+
+
+# compiled at the first _tokenize, through re's cache, not at import:
+# predicates in the common shape never need it, and compiling it costs a
+# process about 0.3 ms
+_TOKEN_PATTERN = (
     r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<param>\?[A-Za-z_]\w*)"
     r"|(?P<ident>[A-Za-z_]\w*)"
@@ -92,13 +115,14 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, column) per token, closed by an "end" token one column past the text."""
+    match = re.compile(_TOKEN_PATTERN).match
     tokens = []
     pos = 0
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
             continue
-        m = _TOKEN_RE.match(text, pos)
+        m = match(text, pos)
         if m is None:
             raise PredicateSyntaxError(pos + 1, "a token", repr(text[pos]))
         tokens.append((m.lastgroup, m.group(), pos + 1))
@@ -163,8 +187,60 @@ def parse_predicate(text: str) -> tuple[tuple[OperatorShape, ...], tuple[str, ..
 
     Errors carry the 1-based source column.  The literals are typed after
     the whole text has parsed, so that a syntax error comes before any type
-    error.
+    error.  A predicate in the common shape is read by _parse_common, any
+    other by _parse_grammar, which raises every error.
     """
+    return _parse_common(text) or _parse_grammar(text)
+
+
+def _parse_common(text: str) -> tuple[tuple[OperatorShape, ...], tuple[str, ...]] | None:
+    """parse_predicate's result for a predicate in the common shape, else
+    None.  The common shape is `term CMP term` written as 3, 5 or 7
+    whitespace-separated ASCII chunks, each a single token: an attribute, a
+    ?parameter, an integer of at most 9 digits (int32, since it is below
+    2**31) or a float `digits.digits` of at most _FLOAT_CHARS characters,
+    with operators between them and no two literal types.  Anything else,
+    a sign, an exponent, a longer literal, mixed types, is left to
+    _parse_grammar, and so are all errors."""
+    if not text.isascii():
+        return None
+    chunks = text.split()
+    n = len(chunks)
+    if n == 3 or n == 5 and chunks[1] in _CMP_KIND:
+        cmp_at = 0   # the comparison among the operators
+    elif n == 5 or n == 7:
+        cmp_at = 1
+    else:
+        return None
+    operators = chunks[1::2]
+    kinds = list(map(_ARITH_KIND.get, operators))
+    kinds[cmp_at] = _CMP_KIND.get(operators[cmp_at])
+    if None in kinds:
+        return None
+    attributes = []
+    operand_type = None
+    for chunk in chunks[::2]:
+        if chunk.isidentifier():
+            attributes.append(chunk)
+        elif chunk[0] == "?":
+            if not chunk[1:].isidentifier():
+                return None
+        elif len(chunk) < 10 and chunk.isdigit():
+            if operand_type == "float":
+                return None
+            operand_type = "int32"
+        else:
+            whole, _, fraction = chunk.partition(".")
+            if not (whole.isdigit() and fraction.isdigit() and len(chunk) <= _FLOAT_CHARS
+                    and operand_type != "int32"):
+                return None
+            operand_type = "float"
+    operand_type = operand_type or "int32"
+    return tuple([_SHAPES[k, operand_type] for k in kinds]), tuple(attributes)
+
+
+def _parse_grammar(text: str) -> tuple[tuple[OperatorShape, ...], tuple[str, ...]]:
+    """parse_predicate by the grammar, token by token, for any text."""
     tokens = _tokenize(text)
     kinds: list[str] = []
     attributes: list[str] = []

@@ -24,10 +24,11 @@ load costs nothing and how the stages overlap.  It reads the gap after each
 query from the query, or takes one gap for every query as an argument, so
 a gap sweep runs every point on its input scenario.  It records span tuples
 only when given a list to put them in, and execute_schedule reads the
-per-query latencies off them.  analytic_total adds up the same terms in
-closed form, one query at a time through _closed_form_step, which also
-owns the residual of a prefetch; the optimizer's exact table reads every
-cost through that step.
+per-query latencies off them and makes each a Span, a record that is a
+tuple of its fields, with tuple.__new__ rather than the constructor.
+analytic_total adds up the same terms in closed form, one query at a time
+through _closed_form_step, which also owns the residual of a prefetch; the
+optimizer's exact table reads every cost through that step.
 
 execute_schedule and analytic_total take schedules from outside and reject
 an illegal one with ScheduleError.  The event loop, which the planners
@@ -42,7 +43,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
+from functools import partial
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .costmodel import StageTerms, reconfig_time, stage_terms
 from .model import Scenario, Schedule, ScheduleError, validate_schedule
@@ -53,19 +56,44 @@ LANES = ("scan", "reconfig", "accel", "transfer")
 SPECULATIVE = "speculative"
 
 
-class Span(Record):
-    __slots__ = ("lane", "label", "start_ms", "end_ms", "query_id")
+class Span(Record, tuple):
+    """One interval of one lane, labelled with the table, module or "result"
+    it concerns and with its query id (SPECULATIVE for a prefetch).
 
-    def __init__(self, lane: str, label: str, start_ms: float, end_ms: float, query_id: str):
-        set_field(self, "lane", lane)
-        set_field(self, "label", label)
-        set_field(self, "start_ms", start_ms)
-        set_field(self, "end_ms", end_ms)
-        set_field(self, "query_id", query_id)
+    A tuple of its fields underneath, which the fields read by index, so
+    that execute_schedule makes each span from the event loop's tuple with
+    tuple.__new__, past the constructor: the loop's spans are on known lanes
+    and end no earlier than they start by construction.  Equality and hash
+    hold only between spans, as between other records.
+    """
+
+    __slots__ = ()
+    _fields = ("lane", "label", "start_ms", "end_ms", "query_id")
+    lane, label, start_ms, end_ms, query_id = (property(itemgetter(i)) for i in range(5))
+
+    def __new__(cls, lane: str, label: str, start_ms: float, end_ms: float, query_id: str):
         if lane not in LANES:
             raise ValueError(f"unknown lane: {lane!r}")
+        self = tuple.__new__(cls, (lane, label, start_ms, end_ms, query_id))
         if end_ms < start_ms:
             raise ValueError(f"span ends before it starts: {self}")
+        return self
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    # copy and pickle call the constructor with the fields
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+# the Span of a span tuple from the event loop, past the constructor's checks
+_new_span = partial(tuple.__new__, Span)
 
 
 class TimelineReport(Record):
@@ -170,7 +198,7 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
             arrival = start
         elif lane == "transfer":
             per_query.append(end - arrival)
-    return TimelineReport(tuple([Span(*sp) for sp in spans]), tuple(per_query), total)
+    return TimelineReport(tuple(map(_new_span, spans)), tuple(per_query), total)
 
 
 def _closed_form_step(s: Scenario, terms: StageTerms, loaded: str | None, residual: float,
@@ -244,9 +272,10 @@ def emit_trace(report: TimelineReport) -> str:
     indenting encoder runs in pure Python.
     """
     records = [
-        _TRACE_RECORD % (encode_basestring_ascii(sp.lane), encode_basestring_ascii(sp.label),
-                         encode_basestring_ascii(sp.query_id),
-                         _json_number(sp.start_ms), _json_number(sp.end_ms))
-        for sp in sorted(report.spans, key=lambda sp: (sp.start_ms, sp.lane))
+        _TRACE_RECORD % (encode_basestring_ascii(lane), encode_basestring_ascii(label),
+                         encode_basestring_ascii(query_id),
+                         _json_number(start_ms), _json_number(end_ms))
+        for lane, label, start_ms, end_ms, query_id in sorted(report.spans,
+                                                              key=itemgetter(2, 0))
     ]
     return "[\n" + ",\n".join(records) + "\n]\n"

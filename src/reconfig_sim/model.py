@@ -328,7 +328,7 @@ def _module_from_doc(obj, path: str) -> AcceleratorModule:
         shape_path = f"{path}.supported_ops[{i}]"
         shape_obj = _object(shape_obj, shape_path)
         _check_keys(shape_obj, ("kind", "operand_type"), (), shape_path)
-        shapes.add(_record(OperatorShape, shape_path, _string(shape_obj, "kind", shape_path),
+        shapes.add(_record(analyzer._shape, shape_path, _string(shape_obj, "kind", shape_path),
                            _string(shape_obj, "operand_type", shape_path)))
     reconfig_ms = _number(obj, "reconfig_ms", path) if "reconfig_ms" in obj else None
     return _record(AcceleratorModule, path, _string(obj, "id", path), frozenset(shapes),

@@ -7,7 +7,10 @@ fields named in _fields (all of __slots__ unless the class names fewer)
 and hold only between records of the same class; repr shows the same
 fields as Name(field=value, ...).  replace() returns a copy with some
 fields changed, passing the constructor _fields, so the copy derives its
-other slots again.
+other slots again.  A record may instead subclass tuple as well, with
+empty __slots__, its field names in _fields and properties that read
+them; emulator.Span does, so that thousands can be made without running a
+constructor.
 
 The records are plain classes rather than dataclasses: importing
 dataclasses and generating its methods cost about as much as the rest of

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from reconfig_sim import analyzer, harness
 from reconfig_sim.analyzer import (
     OperatorShape,
+    PredicateError,
     PredicateSyntaxError,
     PredicateTypeError,
     baseline_order,
@@ -236,6 +238,107 @@ def test_operator_shape_rejects_unknown_values():
         OperatorShape("bogus", "int32")
     with pytest.raises(ValueError):
         OperatorShape("compare_gt", "int8")
+
+
+# ---------------------------------------------------------------------------
+# the common-shape parse against the grammar
+
+def _outcome(parse, text):
+    """parse(text), or the type, message and column of its PredicateError."""
+    try:
+        return parse(text)
+    except PredicateError as exc:
+        return type(exc), str(exc), exc.column
+
+
+def _assert_common_parse_agrees(texts):
+    """parse_predicate gives what _parse_grammar gives, result or error, and
+    _parse_common, where it answers, gives the grammar's result; returns how
+    many texts _parse_common answered."""
+    answered = 0
+    for text in texts:
+        expected = _outcome(analyzer._parse_grammar, text)
+        assert _outcome(parse_predicate, text) == expected, text
+        common = analyzer._parse_common(text)
+        if common is not None:
+            answered += 1
+            assert common == expected, text
+    return answered
+
+
+def _generator_predicates(rng):
+    """Predicates in the shapes perfbench/gen.py writes: a column against an
+    integer, a one-decimal float or a parameter, a product against a
+    parameter, a sum against a column, and a derived column's definition."""
+    cmp = rng.choice(("<", "<=", "=", "!=", ">=", ">"))
+    a, b = rng.sample([f"c{i}" for i in range(8)], 2)
+    return rng.choice((
+        f"{a} {cmp} {rng.randrange(1000)}",
+        f"{a} {cmp} {rng.randrange(1000)}.{rng.randrange(10)}",
+        f"{a} {cmp} ?p{rng.randrange(4)}",
+        f"{a} * {b} {cmp} ?limit",
+        f"{a} + {rng.randrange(1, 50)} {cmp} {b}",
+        f"d{rng.randrange(4)} = {a} * {b}",
+        f"d{rng.randrange(4)} > {rng.randrange(1000)}",
+    ))
+
+
+def test_generator_and_corpus_predicates_take_the_common_parse():
+    rng = random.Random(2500)
+    generated = [_generator_predicates(rng) for _ in range(3000)]
+    assert _assert_common_parse_agrees(generated) == len(generated)
+    corpus = [inv["predicate"] for name in harness.bundled_names()
+              for q in json.loads(harness.bundled_text(name))["sequence"]
+              for inv in q["invocations"]]
+    # all but the corpus's int64 literals, which are left to the grammar
+    assert len(corpus) - 3 == _assert_common_parse_agrees(corpus) > 50
+
+
+_FUZZ_OPERANDS = (
+    "a", "col", "_x1", "e5", "E", "é", "aé", "ß", "x٣", "?p", "?lim_1", "?", "?é", "?1", "??p",
+    "0", "7", "42", "123456789", "999999999", "1234567890", "9999999999", "0000000001",
+    "0" * 30 + "7", "2147483647", "2147483648", "-2147483648", "-2147483649",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "1.5", "36.6", "0.0", "-2.5", "1e5", "1E-3", "2.5e+3", "3e2",
+    "1e999", "1e-999", "9" * 298 + ".5", "9" * 299 + ".5", "9" * 309 + ".5", "9" * 400 + ".0",
+    "1.", ".5", "1.2.3", "1_000", "0x10", "٣", "²", "٣.٥", "1.٥",
+)
+# operands of the common shape, 10-digit integers among them
+_FUZZ_COMMON = ("a", "col", "_x1", "e5", "?p", "?lim_1", "0", "7", "42", "999999999",
+                "2147483648", "9999999999", "1.5", "36.6", "0.0", "9" * 298 + ".5")
+_FUZZ_CMP = ("<", "<=", "=", "!=", ">=", ">")
+_FUZZ_ARITH = ("+", "-", "*")
+_FUZZ_OPERATORS = _FUZZ_CMP + _FUZZ_ARITH + ("==", "=>", "<>", "/", "#")
+_FUZZ_SEPARATORS = (" ", " ", " ", "  ", "", "\t", "\n", "\r\n", "\xa0", "\u3000")
+
+
+def _fuzz_predicate(rng):
+    """A text of operands and operators: half of them near the common shape
+    (3, 5 or 7 chunks alternating operand and operator, one in five drawn
+    from anything), the rest any sequence of 1 to 8 of them; tokens are
+    mostly one space apart."""
+    if rng.random() < 0.5:
+        n = rng.choice((3, 5, 7))
+        cmp_at = 1 if n == 3 or n == 5 and rng.random() < 0.5 else 3
+        tokens = [rng.choice(_FUZZ_OPERANDS + _FUZZ_OPERATORS if rng.random() < 0.2
+                             else _FUZZ_COMMON if i % 2 == 0
+                             else _FUZZ_CMP if i == cmp_at else _FUZZ_ARITH)
+                  for i in range(n)]
+    else:
+        tokens = [rng.choice(rng.choice((_FUZZ_OPERANDS, _FUZZ_OPERATORS)))
+                  for _ in range(rng.randint(1, 8))]
+    text = rng.choice(_FUZZ_SEPARATORS) if rng.random() < 0.1 else ""
+    for token in tokens:
+        text += token + (" " if rng.random() < 0.8 else rng.choice(_FUZZ_SEPARATORS))
+    return text.rstrip(" ") if rng.random() < 0.5 else text
+
+
+def test_common_parse_agrees_with_the_grammar_on_fuzzed_text():
+    rng = random.Random(25)
+    texts = [_fuzz_predicate(rng) for _ in range(100_000)]
+    answered = _assert_common_parse_agrees(texts)
+    # both answers and deferrals are exercised
+    assert 5_000 < answered < 95_000
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,21 @@ def test_trace_matches_json_indent_encoding(corpus, random_scenario):
         assert emit_trace(report) == _reference_trace(report)
 
 
+def test_spans_are_tuples_of_their_fields_equal_only_to_spans(corpus):
+    """execute_schedule makes its spans past the constructor; each is still
+    the Span the constructor makes of its fields, and a span equals no
+    plain tuple, as a record equals only records of its own type."""
+    fields = ("scan", "t", 0.0, 1.5, "Q0")
+    span = Span(*fields)
+    assert tuple(span) == fields and span[2] == span.start_ms == 0.0
+    assert span != fields and fields != span and not span == fields
+    assert hash(span) == hash(fields) and {span, Span(*fields)} == {span}
+    for name, s in corpus:
+        for schedule in candidate_schedules(s).values():
+            for sp in execute_schedule(s, schedule).spans:
+                assert type(sp) is Span and sp == Span(*sp), (name, sp)
+
+
 def test_span_and_report_validation():
     with pytest.raises(ValueError, match="unknown lane"):
         Span("conveyor", "x", 0.0, 1.0, "Q0")

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from reconfig_sim.model import (
     schedule_to_doc,
     validate_schedule,
 )
+from reconfig_sim.record import Record
 
 
 def _load(doc):
@@ -407,6 +409,128 @@ def test_extreme_documents_are_rejected_or_give_finite_totals():
             assert all(math.isfinite(x) for x in (*report.per_query_ms, report.total_ms)), doc
             assert math.isfinite(emulator.analytic_total(s, schedule)), doc
     assert loaded > 100 and rejected > 100
+
+
+# Predicate literals of each operand type, written as the loader reads them:
+# signed, spaced or not, with and without an exponent.
+_DIGEST_LITERALS = {
+    "int32": ("0", "7", "100", "-5", "- 3", "2147483647", "-2147483648", "0000000001"),
+    "int64": ("2147483648", "-2147483649", "9223372036854775807", "- 9223372036854775808"),
+    "float": ("0.5", "36.6", "-2.5", "3e2", "1E-3", "999.9", "1.0e+10"),
+}
+
+
+def _digest_predicate(rng, operand_type, names):
+    """A predicate over names whose literals, if any, are of operand_type,
+    the attributes it reads and its operand type: int32 without literals."""
+    attributes, typed = [], []
+
+    def operand():
+        form = rng.choice(("attribute", "parameter", "literal"))
+        if form == "literal":
+            typed.append(operand_type)
+            return rng.choice(_DIGEST_LITERALS[operand_type])
+        name = rng.choice(names)
+        if form == "parameter":
+            return f"?{name}"
+        attributes.append(name)
+        return name
+
+    def term():
+        first = operand()
+        if rng.random() < 0.5:
+            return first
+        return f"{first}{rng.choice(('', ' '))}{rng.choice('+-*')} {operand()}"
+
+    space = rng.choice(("", " ", "  ", "\t"))
+    cmp = rng.choice(("<", "<=", "=", "!=", ">=", ">"))
+    text = f"{term()}{space}{cmp}{space}{term()}"
+    return text, attributes, typed[0] if typed else "int32"
+
+
+def _digest_document(rng):
+    """A valid scenario document that uses every optional key and every
+    operand type; each module supports every operator kind for one or more
+    operand types, and each invocation runs on a module that supports its
+    predicate's shapes."""
+    types = ("int32", "int64", "float")
+    kinds = ("compare_lt", "compare_le", "compare_eq", "compare_ne", "compare_ge",
+             "compare_gt", "arith_add", "arith_sub", "arith_mul")
+    library = []
+    for j in range(rng.randint(1, 4)):
+        supported = types if j == 0 else rng.sample(types, rng.randint(1, 3))
+        entry = {"id": f"m{j}", "proc_rate": round(rng.uniform(0.5, 4.0), 3),
+                 "supported_ops": [{"kind": kind, "operand_type": t}
+                                   for t in supported for kind in kinds]}
+        if rng.random() < 0.4:
+            entry["reconfig_ms"] = round(rng.uniform(0.0, 25.0), 3)
+        library.append(entry)
+    tables = [{"id": f"t{i}", "volume": round(rng.uniform(0.0, 100.0), 3)}
+              for i in range(rng.randint(1, 3))]
+    sequence = []
+    for i in range(rng.randint(1, 6)):
+        invocations, derived = [], []
+        for k in range(rng.randint(1, 4)):
+            names = ["a", "b", "col"] + derived
+            predicate, attributes, operand_type = _digest_predicate(rng, rng.choice(types),
+                                                                    names)
+            module = rng.choice([m["id"] for m in library
+                                 if {"kind": "compare_gt", "operand_type": operand_type}
+                                 in m["supported_ops"]])
+            inv = {"accelerator": module, "predicate": predicate,
+                   "selectivity": round(rng.uniform(0.0, 1.0), 4),
+                   "reads": sorted(set(attributes) | set(rng.sample(names, 1)))}
+            if rng.random() < 0.3:
+                inv["produces"] = [f"d{k}"]
+                derived.append(f"d{k}")
+            if rng.random() < 0.3:
+                inv["volume_multiplier"] = round(rng.uniform(0.5, 2.0), 3)
+            invocations.append(inv)
+        q = {"id": f"Q{i}", "table": rng.choice(tables)["id"], "invocations": invocations}
+        if rng.random() < 0.7:
+            q["gap_after_ms"] = round(rng.uniform(0.0, 40.0), 3)
+        sequence.append(q)
+    doc = {"rpu": {"storage_rate": round(rng.uniform(0.5, 3.0), 3),
+                   "network_rate": round(rng.uniform(0.1, 1.0), 3),
+                   "default_reconfig_ms": round(rng.uniform(0.0, 30.0), 3),
+                   "pr_region_count": 1},
+           "tables": tables, "library": library, "sequence": sequence}
+    if rng.random() < 0.5:
+        doc["scale_factor"] = round(rng.uniform(0.25, 4.0), 3)
+    return doc
+
+
+def _canonical_repr(value):
+    """repr of a loaded value with every frozenset's items sorted, so that it
+    does not depend on the hash seed: a record as Name(field=..., ...) over
+    its _fields, a tuple item by item."""
+    if isinstance(value, Record):
+        fields = ", ".join(f"{name}={_canonical_repr(getattr(value, name))}"
+                           for name in value._fields)
+        return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_canonical_repr, value)) + ",)"
+    if isinstance(value, frozenset):
+        return "frozenset({" + ", ".join(sorted(map(_canonical_repr, value))) + "})"
+    return repr(value)
+
+
+# sha256 over _canonical_repr of the bundled corpus and of 30 seeded
+# documents from _digest_document, as load_scenario returns them.  It pins
+# every loaded field, the modules' operator shapes and the invocations'
+# attribute sets included, so a faster loader or parser that changes any of
+# them fails here.
+LOADER_DIGEST = "f62ed6be05c8155c5493d3a87ad63ed4d76953af176097dbec560f1ec02ad96f"
+
+
+def test_loaded_scenarios_are_bit_stable():
+    texts = [harness.bundled_text(name) for name in harness.bundled_names()]
+    rng = random.Random(25_000)
+    texts += [json.dumps(_digest_document(rng)) for _ in range(30)]
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(_canonical_repr(load_scenario(text)).encode())
+    assert digest.hexdigest() == LOADER_DIGEST
 
 
 _HASH_SEED_PROBE = """

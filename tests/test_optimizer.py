@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reconfig_sim import emulator, optimizer
 from reconfig_sim.costmodel import first_unbounded_query, propagate_volumes, stage_terms
-from reconfig_sim.emulator import SPECULATIVE, Span, execute_schedule
+from reconfig_sim.emulator import SPECULATIVE, execute_schedule
 from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
 from reconfig_sim.model import Schedule, load_scenario, schedule_to_doc, validate_schedule
 from reconfig_sim.optimizer import (
@@ -339,13 +339,14 @@ def test_oracle_never_above_any_strategy(seq2, seq2_small, corpus):
 
 def test_planners_compare_totals_without_spans(seq2, seq2_small, monkeypatch):
     built = []
-    original = Span.__init__
+    original = emulator._new_span
 
-    def counting(sp, *fields):
-        built.append(sp)
-        original(sp, *fields)
+    def counting(fields):
+        built.append(fields)
+        return original(fields)
 
-    monkeypatch.setattr(Span, "__init__", counting)
+    # execute_schedule makes every Span from the event loop's tuples here
+    monkeypatch.setattr(emulator, "_new_span", counting)
     for s in (seq2, seq2_small):
         _fixed_totals(s)
         exhaustive_oracle(s)
