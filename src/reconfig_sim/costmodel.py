@@ -85,9 +85,11 @@ def stage_terms(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> StageTerms
     return scan_ms, tuple(stages), transfer_time(volume, rpu)
 
 
-def first_unbounded_query(s: Scenario) -> int | None:
+def first_unbounded_query(s: Scenario, gap: float | None = None) -> int | None:
     """The index of the first query at which an upper bound on the total of
     every legal schedule, in both timing models, is not finite, or None.
+    A gap, when given, replaces the gap after every query, as in the event
+    loop, so the bound is that of harness.with_gaps(s, gap) without the copy.
 
     Per query the bound adds the scan, the worst-case volume (the table
     volume times the product of max(1, selectivity * volume_multiplier))
@@ -107,7 +109,7 @@ def first_unbounded_query(s: Scenario) -> int | None:
         for inv in q.invocations:
             bound += longest_load + accel_runtime(worst, s.modules_by_id[inv.accelerator_id])
         if i < len(s.sequence) - 1:
-            bound += q.gap_after_ms
+            bound += q.gap_after_ms if gap is None else gap
         if not math.isfinite(2.0 * bound):
             return i
     return None

@@ -26,9 +26,10 @@ a gap sweep runs every point on its input scenario.  It records span tuples
 only when given a list to put them in, and execute_schedule reads the
 per-query latencies off them and makes each a Span, a record that is a
 tuple of its fields, with tuple.__new__ rather than the constructor.
-analytic_total adds up the same terms in closed form, one query at a time
-through _closed_form_step, which also owns the residual of a prefetch; the
-optimizer's exact table reads every cost through that step.
+_closed_form_table steps one query in closed form, in each of its orders,
+each read once into a summary, from each region state at its arrival, and
+owns the residual of a prefetch; analytic_total calls it with one order
+and one state per query, the optimizer's exact table with all of them.
 
 execute_schedule and analytic_total take schedules from outside and reject
 an illegal one with ScheduleError.  The event loop, which the planners
@@ -201,57 +202,78 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
     return TimelineReport(tuple(map(_new_span, spans)), tuple(per_query), total)
 
 
-def _closed_form_step(s: Scenario, terms: StageTerms, loaded: str | None, residual: float,
-                      prefetch: str | None, gap: float) -> tuple[float, str | None, float]:
-    """One query of the closed form, from its stage terms (those of its
-    order), arriving at a region that loaded owns with residual ms of a
-    prefetch's load still to run, and followed by a gap of gap ms.  Returns
-    the query's duration, from its arrival to its transfer end, then the
-    module owning the region and the residual when the next query arrives.
+# (loaded, residual): the module owning the region, a prefetched one included,
+# and the part of a prefetch's load still to run
+State = tuple[str | None, float]
 
-    The duration is max(scan, effective first reconfiguration) + the
-    invocation runtimes + the remaining reconfigurations + the transfer.
-    The effective first reconfiguration is the load of the first module over
-    whatever owns the region (zero when it already does, prefetched or not)
-    plus the residual.  A prefetch of a module other than the last one the
-    query ran leaves as residual the part of its load that the transfer plus
-    the gap did not hide; otherwise the residual is 0.  Each `b if b > a
-    else a` is max(a, b), as in the event loop.
+
+def _closed_form_table(s: Scenario, choices: Sequence[StageTerms], states: Sequence[State],
+                       prefetches: Sequence[tuple[int, str]], gap: float
+                       ) -> tuple[list[list[float]], list[list[tuple[int, int]]], list[State]]:
+    """One query of the closed form in each of its orders, given their stage
+    terms, from each state at its arrival, followed by a gap of gap ms.
+    Each order is read once into a summary: its scan, first module and that
+    module's load, body, last module and transfer, where the body adds the
+    accelerator times, the loads inside the order and the transfer; only
+    the first load depends on the state.
+
+    Returns (rows, moves, after).  rows[k][j] is order j's duration from
+    states[k], arrival to transfer end, plus the gap: max(scan, residual +
+    (0 if first == loaded else first load)) + body + gap.  after lists the
+    distinct states the query can leave, in the order met, and moves[j]
+    order j's (tag, index in after) pairs: tag 0 for no prefetch, leaving
+    (last, 0), then the tag of each (tag, module) in prefetches but the
+    order's last module, leaving (module, max(0, its load - (transfer +
+    gap))), the part of the load the transfer and gap did not hide.  A
+    prefetch of the last module leaves the state of no prefetch, as in the
+    event loop.  Each `b if b > a else a` is max(a, b), as there.
     """
-    scan_ms, stages, transfer_ms = terms
-    first, first_load, _ = stages[0]
-    effective = residual + (0.0 if first == loaded else first_load)
-    duration = effective if effective > scan_ms else scan_ms
-    for _, _, accel_ms in stages:
-        duration += accel_ms
-    previous = first
-    for module_id, load_ms, _ in stages[1:]:
-        if module_id != previous:
-            duration += load_ms
-        previous = module_id
-    duration += transfer_ms
-    if prefetch is None or prefetch == previous:
-        return duration, previous, 0.0
-    unhidden = reconfig_time(s.modules_by_id[prefetch], s.rpu) - (transfer_ms + gap)
-    return duration, prefetch, unhidden if unhidden > 0.0 else 0.0
+    modules, rpu, loads = s.modules_by_id, s.rpu, []
+    for tag, module in prefetches:
+        loads.append((tag, module, reconfig_time(modules[module], rpu)))
+    summaries, index, moves = [], {}, []  # index: the position of each state in after
+    for scan_ms, stages, transfer_ms in choices:
+        first, first_load, body = stages[0]
+        last = first
+        for module_id, load_ms, accel_ms in stages[1:]:
+            if module_id != last:
+                body += load_ms
+            body += accel_ms
+            last = module_id
+        summaries.append((scan_ms, first, first_load, body + transfer_ms))
+        order_moves = [(0, index.setdefault((last, 0.0), len(index)))]
+        hidden = transfer_ms + gap
+        for tag, module, load_ms in loads:
+            if module != last:
+                unhidden = load_ms - hidden
+                state = (module, unhidden if unhidden > 0.0 else 0.0)
+                order_moves.append((tag, index.setdefault(state, len(index))))
+        moves.append(order_moves)
+    rows = []
+    for loaded, residual in states:
+        row = []
+        for scan_ms, first, first_load, body in summaries:
+            entry = residual if first == loaded else residual + first_load
+            row.append((entry if entry > scan_ms else scan_ms) + body + gap)
+        rows.append(row)
+    return rows, moves, list(index)
 
 
 def analytic_total(s: Scenario, sch: Schedule) -> float:
     """Closed-form total for the same schedule, computed without events: the
-    sum of each query's _closed_form_step duration and the gap after it.  An
-    illegal schedule is a ScheduleError.
+    sum of each query's _closed_form_table row for its order, the state it
+    meets and its prefetch.  An illegal schedule is a ScheduleError.
     """
     violations = validate_schedule(s, sch)
     if violations:
         raise ScheduleError(violations)
-    total = 0.0
-    loaded: str | None = None   # module owning the region, a prefetched one included
-    residual = 0.0              # unhidden load time of that prefetch, else 0.0
+    total, state = 0.0, (None, 0.0)
     for i, (q, order, prefetch) in enumerate(zip(s.sequence, sch.orders, sch.prefetches)):
         gap = q.gap_after_ms if i < len(s.sequence) - 1 else 0.0
-        duration, loaded, residual = _closed_form_step(s, stage_terms(q, order, s), loaded,
-                                                       residual, prefetch, gap)
-        total += duration + gap
+        rows, moves, after = _closed_form_table(s, [stage_terms(q, order, s)], [state],
+                                                () if prefetch is None else [(1, prefetch)], gap)
+        total += rows[0][0]
+        state = after[moves[0][-1][1]]  # the prefetch's move, else no prefetch's
     return total
 
 

@@ -100,10 +100,13 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """
     gap_axis = spec.axis == "gap_ms"
     largest = spec.values[-1]
-    last = (with_gaps if gap_axis else with_scale_factor)(s, largest)
     # SweepSpec values strictly increase and the bound only grows with the
     # scale factor and with the gap, so the largest value bounds every point
-    unbounded = first_unbounded_query(last)
+    if gap_axis:
+        unbounded = first_unbounded_query(s, largest)
+    else:
+        last = with_scale_factor(s, largest)
+        unbounded = first_unbounded_query(last)
     if unbounded is not None:
         raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
                          "bound on the total is not finite by this query")

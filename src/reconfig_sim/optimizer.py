@@ -23,13 +23,9 @@ fixed_outcomes and optimal run the emulator's unchecked event loop, since
 every schedule they emulate is legal by construction; optimal builds its
 terms once per (query, legal order).
 
-optimal walks one table, _cost_to_go.  Consecutive queries interact only
-through the region state a query leaves the next: the module owning the
-region and the part of a prefetch's load still running.  So for each query
-and each such state the least closed-form cost of the rest of the sequence
-is a dynamic program over the queries, linear in their number;
-emulator._closed_form_step, the closed form's step for one query, gives
-every cost in it.  optimal walks the table forward from the empty region.
+optimal walks one table, _cost_to_go, of the least closed-form cost of the
+rest of the sequence from each region state a query can meet, filled with
+one emulator._closed_form_table call per query.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -40,11 +36,11 @@ query itself.
 from __future__ import annotations
 
 from itertools import permutations
-from operator import add
+from operator import add, getitem
 
 from .analyzer import baseline_order, generate_hints
 from .costmodel import StageTerms, stage_terms
-from .emulator import _closed_form_step, _run_queries
+from .emulator import _closed_form_table, _run_queries
 from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
 from .record import Record, set_field
 
@@ -242,22 +238,18 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
     attains it from the empty region; order_choices[i] holds query i's
     stage terms, one per legal order in rank order.
 
-    A state is what emulator._closed_form_step passes to the next query:
-    the module owning the region and the residual of a prefetch's load.
-    After query i the choices are no prefetch and each module that starts a
-    legal order of query i+1.  A prefetch of any other module cannot win:
-    query i+1's first load evicts it and starts no earlier than with no
-    prefetch, since both timing models only take maxes and add nonnegative
-    times, and query i+1 leaves the same state either way.  A prefetch of
-    the module the order ends on leaves the state of no prefetch (the loop
-    ignores it), so it is left out too.  The residual a prefetch leaves
-    depends on the query's transfer and the gap after it, not on the state
-    the query met, so each order's moves are found from one state.  The
-    states of each query are found forward from the empty region, the
-    entries are filled backward, and the schedule is walked forward again:
-    each query takes the order whose step plus next entry gives its entry,
-    and that order's least next entry.  Ties go to the least order rank,
-    then the least prefetch rank.
+    A state is the module owning the region and the residual of a
+    prefetch's load.  One emulator._closed_form_table call per query gives
+    its steps from each state it can meet and the states each order can
+    leave, found forward from the empty region.  After query i the choices
+    are no prefetch and each module that starts a legal order of query i+1.
+    A prefetch of any other module cannot win: query i+1's first load
+    evicts it and starts no earlier than with no prefetch, since both timing
+    models only take maxes and add nonnegative times, and query i+1 leaves
+    the same state either way.  The entries are filled backward, and the
+    schedule is walked forward again: each query takes the order whose step
+    plus next entry gives its entry, and that order's least next entry.
+    Ties go to the least order rank, then the least prefetch rank.
 
     Returns (states, table, (order ranks, prefetch ranks)), where a state is
     named by its index in states[i], the states query i can meet, and
@@ -270,75 +262,51 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
     library = list(enumerate((m.id for m in s.library), 1))
     states = [[(None, 0.0)]]
     steps, moves = [], []
-    for i, (q, choices) in enumerate(zip(s.sequence, order_choices)):
+    for i, q in enumerate(s.sequence):
         if i < n - 1:
-            gap = q.gap_after_ms
-            starts = {terms[1][0][0] for terms in order_choices[i + 1]}
+            starts = {stages[0][0] for _, stages, _ in order_choices[i + 1]}
             prefetches = [(rank, module) for rank, module in library if module in starts]
+            gap = q.gap_after_ms
         else:
-            gap, prefetches = 0.0, ()
-        module, residual = states[i][0]
-        index: dict = {}  # the next states, in the order they are met
-        head, query_moves = [], []
-        for terms in choices:
-            duration, owner, unhidden = _closed_form_step(s, terms, module, residual, None, gap)
-            head.append(duration + gap)
-            plain = index.setdefault((owner, unhidden), len(index))
-            order_moves = [(0, plain)]  # (prefetch rank, next state)
-            for rank, prefetch in prefetches:
-                after = index.setdefault(
-                    _closed_form_step(s, terms, module, residual, prefetch, gap)[1:], len(index))
-                if after != plain:
-                    order_moves.append((rank, after))
-            query_moves.append(order_moves)
-        query_steps = [head]
-        for module, residual in states[i][1:]:
-            row = []
-            for terms in choices:
-                row.append(_closed_form_step(s, terms, module, residual, None, gap)[0] + gap)
-            query_steps.append(row)
-        steps.append(query_steps)
+            prefetches, gap = (), 0.0
+        rows, query_moves, after = _closed_form_table(s, order_choices[i], states[i],
+                                                      prefetches, gap)
+        steps.append(rows)
         moves.append(query_moves)
-        states.append(list(index))
+        states.append(after)
 
     table = [None] * n + [[0.0] * len(states[n])]
-    best = [None] * n  # per query and order, (least next entry, its move)
+    best, tails = [None] * n, [None] * n  # per query and order, its move and next entry
     for i in reversed(range(n)):
         rest = table[i + 1]
-        best[i] = query_best = []
-        tails = []
+        best[i], tails[i] = query_best, query_tails = [], []
         for order_moves in moves[i]:
             move = order_moves[0]
             tail = rest[move[1]]
-            for other in order_moves[1:]:
+            for other in order_moves:  # the first again, which is not less
                 if rest[other[1]] < tail:
                     move, tail = other, rest[other[1]]
-            query_best.append((tail, move))
-            tails.append(tail)
-        table[i] = [min(map(add, row, tails)) for row in steps[i]]
+            query_best.append(move)
+            query_tails.append(tail)
+        table[i] = [min(map(add, row, query_tails)) for row in steps[i]]
 
-    state, order_ranks, prefetch_ranks = 0, (), ()
+    state, order_ranks, prefetch_ranks = 0, [], []
     for i, query_best in enumerate(best):
-        costs = [step + tail for step, (tail, _) in zip(steps[i][state], query_best)]
-        order_rank = costs.index(table[i][state])
-        prefetch_rank, state = query_best[order_rank][1]
-        order_ranks += (order_rank,)
-        prefetch_ranks += (prefetch_rank,)
-    return states, table, (order_ranks, prefetch_ranks)
+        order_rank = list(map(add, steps[i][state], tails[i])).index(table[i][state])
+        prefetch_rank, state = query_best[order_rank]
+        order_ranks.append(order_rank)
+        prefetch_ranks.append(prefetch_rank)
+    return states, table, (tuple(order_ranks), tuple(prefetch_ranks))
 
 
 def optimal(s: Scenario) -> StrategyOutcome:
     """The exact optimum over every legal order and prefetch choice, in time
     linear in the number of queries: the forward walk of _cost_to_go's
-    table.  Consecutive queries interact only through the region state, so
-    the least cost of the rest of the sequence from each state settles each
-    query's choice.  Ties go to the least order rank, then the least
-    prefetch rank, query by query.  The table adds the closed form's terms
-    in another order than the event loop, so it only chooses; the total is
-    the event loop's, as for every strategy, and so is the baseline total,
-    over the terms already built, since the baseline order of each query is
-    one of its legal orders.  Each query's legal orders are enumerated, so a
-    query may hold at most OPTIMAL_MAX_WIDTH invocations.
+    table, which breaks ties query by query.  The table only chooses: the
+    total is the event loop's, as for every strategy, and so is the baseline
+    total, over the terms already built, since the baseline order of each
+    query is one of its legal orders.  Each query's legal orders are
+    enumerated, so a query may hold at most OPTIMAL_MAX_WIDTH invocations.
     """
     for q in s.sequence:
         if len(q.invocations) > OPTIMAL_MAX_WIDTH:
@@ -348,18 +316,13 @@ def optimal(s: Scenario) -> StrategyOutcome:
     legal_orders, order_choices = _order_choices(s)
     order_ranks, prefetch_ranks = _cost_to_go(s, order_choices)[2]
     prefetch_choices = [None] + [m.id for m in s.library]
-    prefetches = tuple(prefetch_choices[rank] for rank in prefetch_ranks)
-    total = _run_queries(s, [choices[rank] for choices, rank in zip(order_choices, order_ranks)],
-                         prefetches)
+    prefetches = tuple(map(prefetch_choices.__getitem__, prefetch_ranks))
+    total = _run_queries(s, list(map(getitem, order_choices, order_ranks)), prefetches)
     base = [choices[orders.index(baseline_order(q))]
             for q, orders, choices in zip(s.sequence, legal_orders, order_choices)]
-    return StrategyOutcome(
-        strategy="optimal",
-        schedule=Schedule(tuple(orders[rank] for orders, rank in zip(legal_orders, order_ranks)),
-                          prefetches),
-        total_ms=total,
-        improvement_pct=_improvement(_run_queries(s, base, (None,) * len(base)), total),
-    )
+    return StrategyOutcome("optimal", Schedule(tuple(map(getitem, legal_orders, order_ranks)),
+                                               prefetches),
+                           total, _improvement(_run_queries(s, base, (None,) * len(base)), total))
 
 
 def exhaustive_oracle(s: Scenario) -> StrategyOutcome:

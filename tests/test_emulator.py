@@ -200,8 +200,9 @@ def test_prefetch_still_loading_and_zero_time_loads(seq2_doc):
 # sha256 over every span, the per-query latencies and both totals of the
 # cases below.  The equivalence tests above allow 1e-9 ms; this pins the
 # outputs bit for bit, so a refactor of either timing model that reorders
-# its float operations fails here.
-TIMING_DIGEST = "5fdd981efbdcf80c96d6d64c4bf824dc85874a77cca01e036c9ea7cefa7a58d8"
+# its float operations fails here.  The closed form adds each query's
+# duration as max(scan, entry) + body, its order's summary.
+TIMING_DIGEST = "3cad1f7aa5cba3ffc7ae5c5863582918934571d39d740dfa4e992622002dd337"
 
 
 def test_timing_models_are_bit_stable(corpus, random_scenario):

@@ -7,7 +7,7 @@ import pytest
 
 from reconfig_sim import harness, optimizer
 from reconfig_sim.cli import cli_dispatch
-from reconfig_sim.costmodel import stage_terms
+from reconfig_sim.costmodel import first_unbounded_query, stage_terms
 from reconfig_sim.harness import (
     CSV_HEADER,
     STRATEGY_ORDER,
@@ -116,6 +116,37 @@ def test_sweep_rejects_axis_values_past_the_total_bound(seq2):
     assert rows[-1] == "gap_ms,1e+300,auto,1e+300,0"
 
 
+def test_a_passed_gap_bounds_as_the_gapped_scenario(corpus):
+    """costmodel.first_unbounded_query given a gap answers as on
+    with_gaps(s, gap), which a gap sweep relies on to bound its points
+    without a copy: on the bundled and seeded scenarios, at gaps up to ones
+    that overflow the bound after the first, second or later query.  A gap
+    sweep whose largest gap overflows names that value and query, as the
+    message read off the gapped copy does."""
+    scenarios = [s for _, s in corpus]
+    for seed in range(40):
+        rng = random.Random(60_000 + seed)
+        if seed % 2:
+            scenarios.append(make_random_scenario(rng, rng.randint(1, 6)))
+        else:
+            scenarios.append(spread_over_modules(make_chained_scenario(rng, rng.randint(1, 4)),
+                                                 rng, 3))
+    where = set()
+    for s in scenarios:
+        for gap in (0.0, 2.5, 1e300, 3e307, 6e307, 1.7e308):
+            unbounded = first_unbounded_query(with_gaps(s, gap))
+            assert first_unbounded_query(s, gap) == unbounded, (s, gap)
+            where.add(unbounded)
+            if unbounded is None:
+                continue
+            message = (f"gap_ms {format_ms(gap)}: sequence[{unbounded}]: an upper bound on the "
+                       "total is not finite by this query")
+            with pytest.raises(ValueError) as excinfo:
+                run_sweep(s, SweepSpec("gap_ms", (0.0, gap)))
+            assert str(excinfo.value) == message
+    assert {None, 0, 1, 2} <= where
+
+
 def _sweep_one_optimize_per_row(s, spec):
     """The CSV as it was defined before sweeps shared one plan per point:
     one optimize call per (value, strategy) row, strategies in STRATEGY_ORDER."""
@@ -208,18 +239,18 @@ def test_sweep_plans_once_and_emulates_each_point_once(seq2, work_counts, strate
     """Four emulations per point.  Stage terms are built once per distinct
     (query, order): seq2's candidates have three, since reorder moves Q0
     and leaves Q1.  A gap sweep builds them once for all its points, a
-    scale sweep at every point.  A gap sweep copies the scenario once, at
-    its largest gap, for the bound on the total, and runs every point on
-    its input; a scale sweep makes no gap copy."""
+    scale sweep at every point.  A gap sweep bounds the total and runs
+    every point on its input, with no copy of the scenario at another gap;
+    a scale sweep makes none either."""
     values = (0.25, 1.0, 2.0, 5.0)
     pairs = _distinct_query_orders(seq2)
     assert pairs == 3
-    for axis, terms, copies in (("gap_ms", pairs, 1), ("scale_factor", pairs * len(values), 0)):
+    for axis, terms in (("gap_ms", pairs), ("scale_factor", pairs * len(values))):
         for key in work_counts:
             work_counts[key] = 0
         run_sweep(seq2, SweepSpec(axis, values, strategies))
         assert work_counts == {"builds": 1, "emulations": 4 * len(values), "terms": terms,
-                               "gap_copies": copies}, axis
+                               "gap_copies": 0}, axis
 
 
 def test_optimize_builds_each_candidate_query_order_once(work_counts, corpus, random_scenario):

@@ -6,7 +6,7 @@ derives QuerySpec.dependencies from them).  Schedules are
 validated where they enter from outside, in the emulator's two public
 entries, and nowhere else.  The stage costs of a query in an order are
 built in costmodel.stage_terms, and combined into a timeline in one event
-loop, and into the closed form's per-query step, and nowhere else; those
+loop, and into the closed form's per-query table, and nowhere else; those
 two alone decide when a load costs nothing because its module is resident.  The operator
 vocabulary is read only in the analyzer."""
 import ast
@@ -109,31 +109,33 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
     """The cost of one query in one order is worked out in
     costmodel.stage_terms alone: outside costmodel, the stage functions are
     read only for the load of a prefetch, by the event loop and the closed
-    form's step, and the terms only by the emulator's entries (_timeline
+    form's table, and the terms only by the emulator's entries (_timeline
     runs the loop for execute_schedule), by candidate_terms for the four
-    candidates and by _order_choices for optimal.  The closed form's step,
-    emulator._closed_form_step, is read only by analytic_total and by the
-    optimizer's exact table, _cost_to_go.  A second copy of the loop's
-    body, of the step or of a stage cost, say in a planner, fails here."""
+    candidates and by _order_choices for optimal.  The closed form reads
+    each order once, into a summary, in one table of a query over its
+    orders and arriving states, emulator._closed_form_table, which only
+    analytic_total and the optimizer's exact table, _cost_to_go, read; the
+    optimizer reads no load.  A second copy of the loop's body, of the
+    table or of a stage cost, say in a planner, fails here."""
     users: dict[str, set] = {}
     for name, tree in _package_trees():
         if name != "costmodel.py":
             for scope, read in _scoped_reads(tree):
-                if read in STAGE_COSTS | {"stage_terms", "_closed_form_step"}:
+                if read in STAGE_COSTS | {"stage_terms", "_closed_form_table"}:
                     users.setdefault(read, set()).add((name, scope))
     assert users == {
-        "reconfig_time": {("emulator.py", "_run_queries"), ("emulator.py", "_closed_form_step")},
+        "reconfig_time": {("emulator.py", "_run_queries"), ("emulator.py", "_closed_form_table")},
         "stage_terms": {("emulator.py", "_timeline"), ("emulator.py", "analytic_total"),
                         ("optimizer.py", "candidate_terms"),
                         ("optimizer.py", "_order_choices")},
-        "_closed_form_step": {("emulator.py", "analytic_total"),
-                              ("optimizer.py", "_cost_to_go")},
+        "_closed_form_table": {("emulator.py", "analytic_total"),
+                               ("optimizer.py", "_cost_to_go")},
     }
 
 
 def test_residency_is_decided_only_by_the_timing_models():
     """A load costs nothing when its module already owns the region, and only
-    the event loop and the closed form's step decide that: reconfig_time is
+    the event loop and the closed form's table decide that: reconfig_time is
     the load time alone, and nothing else compares anything with the loaded
     module.  A second copy of the rule, say back in reconfig_time or in a
     planner, fails here."""
@@ -145,4 +147,4 @@ def test_residency_is_decided_only_by_the_timing_models():
              for scope, node in _scoped_nodes(tree)
              if isinstance(node, ast.Compare)
              and any(names_loaded(operand) for operand in (node.left, *node.comparators))}
-    assert users == {("emulator.py", "_run_queries"), ("emulator.py", "_closed_form_step")}
+    assert users == {("emulator.py", "_run_queries"), ("emulator.py", "_closed_form_table")}
