@@ -13,6 +13,13 @@ propagate_volumes is the plain chain, which the tests hold stage_terms to.
 The event loop, the closed form and the planners read those terms and call
 no stage function per invocation; only the load of a prefetch, which no
 query's terms hold, is asked of reconfig_time directly.
+
+A scale sweep reads the terms of one pair at many scale factors, and of
+everything stage_terms looks up, only the table volume changes with the
+factor: term_lookup reads the rest once per pair, and scaled_stage_terms
+chains the rescaled volume through it at each point, with stage_terms'
+expressions written out, to the same bits as stage_terms on the rescaled
+scenario.
 first_unbounded_query bounds the total for the loader and the sweeps.
 """
 from __future__ import annotations
@@ -26,6 +33,9 @@ if TYPE_CHECKING:
 
 # (scan_ms, ((module_id, load_ms, accel_ms), ...), transfer_ms); see stage_terms
 StageTerms = tuple[float, tuple[tuple[str, float, float], ...], float]
+# (table_volume, ((module_id, load_ms, proc_rate, selectivity,
+# volume_multiplier), ...)); see term_lookup
+TermLookup = tuple[float, tuple[tuple[str, float, float, float, float], ...]]
 
 
 def scan_time(table_volume: float, rpu: RpuConfig) -> float:
@@ -83,6 +93,45 @@ def stage_terms(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> StageTerms
         stages.append((module.id, reconfig_time(module, rpu), accel_runtime(volume, module)))
         volume = volume * inv.selectivity * inv.volume_multiplier
     return scan_ms, tuple(stages), transfer_time(volume, rpu)
+
+
+def term_lookup(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> TermLookup:
+    """What stage_terms reads of s for q in the given order, but for the
+    device's storage and network rates: (table volume, ((module_id, load_ms,
+    proc_rate, selectivity, volume_multiplier), ...)), one entry per
+    scheduled invocation.  None of it changes with the scale factor but the
+    volume, so a scale sweep looks each pair up once and scaled_stage_terms
+    builds its terms at every point.
+    """
+    rpu, modules = s.rpu, s.modules_by_id
+    invocations = q.invocations
+    stages = []
+    for idx in order:
+        inv = invocations[idx]
+        module = modules[inv.accelerator_id]
+        stages.append((module.id, reconfig_time(module, rpu), module.proc_rate,
+                       inv.selectivity, inv.volume_multiplier))
+    return s.tables_by_id[q.table_id].volume, tuple(stages)
+
+
+def scaled_stage_terms(lookup: TermLookup, s: Scenario, scale_factor: float) -> StageTerms:
+    """stage_terms(q, order, harness.with_scale_factor(s, scale_factor)),
+    bit for bit, from term_lookup(q, order, s) and without the copy: the
+    table volume rebased as with_scale_factor does, then stage_terms' own
+    expressions in the same order, written out in place of the stage
+    functions, which would cost a call per stage at every point.  The
+    caller has checked that the rebased volume is finite, as
+    with_scale_factor does.
+    """
+    rpu = s.rpu
+    volume, looked_up = lookup
+    volume = volume / s.scale_factor * scale_factor
+    scan_ms = volume / rpu.storage_rate
+    stages = []
+    for module_id, load_ms, proc_rate, selectivity, volume_multiplier in looked_up:
+        stages.append((module_id, load_ms, volume / proc_rate))
+        volume = volume * selectivity * volume_multiplier
+    return scan_ms, tuple(stages), volume / rpu.network_rate
 
 
 def first_unbounded_query(s: Scenario, gap: float | None = None) -> int | None:

@@ -3,25 +3,26 @@
 Sweeps vary either the data volume scale factor or the idle gap between
 queries.  The four candidate schedules read neither, nor does the layout of
 their distinct (query, order) pairs, so a sweep works both out once on the
-input scenario and emulates the schedules at every point.  Their stage
-terms, one per pair, read the volumes but no gap, so a scale sweep builds
-them on a rescaled scenario at every point, and a gap sweep builds them
-once and runs every point on the input scenario, passing the event loop
-the point's gap: a point costs only its term builds and its four
-event-loop runs.  Rows come out in axis-then-strategy order and numbers
-are formatted identically on every run, so repeated sweeps are
-byte-identical.
+input scenario and emulates the schedules at every point, on the input
+scenario too.  Their stage terms, one per pair, read the volumes but no
+gap, so a gap sweep builds them once and passes the event loop the point's
+gap, and a scale sweep looks up once per pair what the terms read besides
+the device's rates (costmodel.term_lookup) and at every point chains only
+the rescaled table volume through it (costmodel.scaled_stage_terms): a
+point costs its four event-loop runs, and on the scale axis its term
+builds.  Rows come out in axis-then-strategy order and numbers are
+formatted identically on every run, so repeated sweeps are byte-identical.
 """
 from __future__ import annotations
 
 import math
 from importlib import resources
 
-from .costmodel import first_unbounded_query
+from .costmodel import first_unbounded_query, scaled_stage_terms, term_lookup
 from .emulator import analytic_total
 from .model import Scenario, load_scenario
 from .optimizer import (FIXED_STRATEGIES, _auto_choice, _improvement, _term_layout,
-                        candidate_schedules, candidate_terms, fixed_outcomes)
+                        _terms_by_name, candidate_schedules, candidate_terms, fixed_outcomes)
 from .record import Record, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
@@ -90,13 +91,16 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """Evaluate every (value, strategy) point and return the CSV text.
 
     The candidate schedules and the layout of their stage terms are worked
-    out once, on s, and emulated at every point.  The terms read volumes but
-    no gap, so a scale sweep builds them at every point, on s rescaled, and
-    a gap sweep builds them once and runs every point on s itself, with the
-    point's gap passed to the event loop.  improvement_pct in each row
-    compares against the baseline strategy at the same axis value.  An axis
-    value at which the loader's bound on the total
-    (costmodel.first_unbounded_query) is not finite is a ValueError.
+    out once, on s, and emulated at every point on s itself.  The terms
+    read volumes but no gap, so a gap sweep builds them once and passes the
+    point's gap to the event loop, and a scale sweep looks each (query,
+    order) pair up once and builds its terms at every point from the
+    look-up, as on with_scale_factor(s, value) without the copy.
+    improvement_pct in each row compares against the baseline strategy at
+    the same axis value.  An axis value at which the loader's bound on the
+    total (costmodel.first_unbounded_query) is not finite is a ValueError;
+    the scale axis reads that bound, and the volumes' own finiteness, off
+    its one copy, at the largest value.
     """
     gap_axis = spec.axis == "gap_ms"
     largest = spec.values[-1]
@@ -105,21 +109,24 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     if gap_axis:
         unbounded = first_unbounded_query(s, largest)
     else:
-        last = with_scale_factor(s, largest)
-        unbounded = first_unbounded_query(last)
+        unbounded = first_unbounded_query(with_scale_factor(s, largest))
     if unbounded is not None:
         raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
                          "bound on the total is not finite by this query")
     schedules = candidate_schedules(s)
     layout = _term_layout(schedules)
-    gap_terms = candidate_terms(s, layout) if gap_axis else None
+    if gap_axis:
+        gap_terms = candidate_terms(s, layout)
+    else:
+        lookups = [term_lookup(s.sequence[i], order, s) for i, order in layout[0]]
     rows = [CSV_HEADER]
     for value in spec.values:
         if gap_axis:
             totals = fixed_outcomes(s, schedules, gap_terms, value)
         else:
-            varied = last if value == largest else with_scale_factor(s, value)
-            totals = fixed_outcomes(varied, schedules, candidate_terms(varied, layout))
+            terms = _terms_by_name(layout, [scaled_stage_terms(lookup, s, value)
+                                            for lookup in lookups])
+            totals = fixed_outcomes(s, schedules, terms)
         totals["auto"] = totals[_auto_choice(totals)]
         rows += [",".join((spec.axis, format_ms(value), strategy, format_ms(totals[strategy]),
                            format_ms(_improvement(totals["baseline"], totals[strategy]))))

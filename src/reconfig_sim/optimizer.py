@@ -14,11 +14,12 @@ candidate_schedules plans the four fixed-strategy schedules; none of them
 reads a volume or a gap, so a sweep plans them once for all its points.
 _term_layout finds the distinct (query, order) pairs among them, which read
 no volume or gap either, and candidate_terms builds one stage term
-(costmodel.stage_terms) per pair; the terms read volumes but no gap, so a
-sweep lays them out once and a gap sweep also builds them once for all its
-points.  fixed_outcomes emulates each candidate once over those terms,
-with the gap a gap sweep passes it, and returns the four totals, and
-_auto_choice picks auto's from them.
+(costmodel.stage_terms) per pair and hands them to the candidates by name
+(_terms_by_name, which a scale sweep's points share); the terms read
+volumes but no gap, so a sweep lays them out once and a gap sweep also
+builds them once for all its points.  fixed_outcomes emulates each
+candidate once over those terms, with the gap a gap sweep passes it, and
+returns the four totals, and _auto_choice picks auto's from them.
 fixed_outcomes and optimal run the emulator's unchecked event loop, since
 every schedule they emulate is legal by construction; optimal builds its
 terms once per (query, legal order).
@@ -169,9 +170,15 @@ def candidate_terms(s: Scenario, layout: TermLayout) -> CandidateTerms:
     share their orders share one list, and a query that reorder leaves in
     its baseline order shares its terms across both lists.
     """
-    pairs, rows, row_of = layout
     sequence = s.sequence
-    built = [stage_terms(sequence[i], order, s) for i, order in pairs]
+    return _terms_by_name(layout, [stage_terms(sequence[i], order, s) for i, order in layout[0]])
+
+
+def _terms_by_name(layout: TermLayout, built: list[StageTerms]) -> CandidateTerms:
+    """The candidates' terms by name, from built, the terms of the layout's
+    pairs in pair order: each row's list is made once and shared by the
+    schedules that share the row."""
+    _, rows, row_of = layout
     lists = [[built[k] for k in row] for row in rows]
     return {name: lists[row] for name, row in row_of.items()}
 
@@ -184,7 +191,8 @@ def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: Candidate
 
     schedules is candidate_schedules of s, or of a scenario that differs
     from s only in volumes or gaps, which gives the same schedules.  terms
-    is candidate_terms of those schedules on s.
+    is candidate_terms of those schedules on s, or on s at another scale
+    factor (a scale sweep's points), since the loop reads no volume.
     """
     return {name: _run_queries(s, terms[name], sched.prefetches, gap)
             for name, sched in schedules.items()}

@@ -1,19 +1,28 @@
 import math
 import random
+import struct
+import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from reconfig_sim.costmodel import (
     accel_runtime,
+    first_unbounded_query,
     propagate_volumes,
     reconfig_time,
+    scaled_stage_terms,
     scan_time,
     stage_terms,
+    term_lookup,
     transfer_time,
 )
+from reconfig_sim.harness import SweepSpec, run_sweep, with_scale_factor
 from reconfig_sim.model import AcceleratorModule, Invocation, QuerySpec, RpuConfig, TableDef
-from reconfig_sim.optimizer import _legal_orders
+from reconfig_sim.optimizer import _legal_orders, _term_layout, candidate_schedules
+
+from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
 
 _RPU = RpuConfig(storage_rate=1.0, network_rate=0.2, default_reconfig_ms=15.0)
 _MODULE = AcceleratorModule("m", frozenset(), proc_rate=2.0)
@@ -159,3 +168,71 @@ def test_stage_terms_equal_the_stage_functions_bit_for_bit(corpus, random_scenar
     assert seen == {("selectivity", 0.0), ("selectivity", 1.0), ("selectivity", "between"),
                     ("multiplier above 1", True), ("multiplier above 1", False),
                     ("own reconfig_ms", True), ("own reconfig_ms", False)}
+
+
+def _largest_bounded_scale_factor(s):
+    """The largest scale factor a sweep of s accepts: the last at which
+    with_scale_factor keeps every volume finite and the loader's bound
+    holds.  Both only grow with the factor, so this bisects over the bit
+    patterns of the positive doubles, which order as the doubles do."""
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    def bounded(bits):
+        try:
+            return first_unbounded_query(with_scale_factor(s, as_float(bits))) is None
+        except ValueError:
+            return False
+
+    low, high = (struct.unpack("<q", struct.pack("<d", f))[0]
+                 for f in (1.0, sys.float_info.max))
+    if bounded(high):
+        return sys.float_info.max
+    assert bounded(low)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if bounded(middle):
+            low = middle
+        else:
+            high = middle
+    return as_float(low)
+
+
+def test_scaled_stage_terms_equal_stage_terms_on_the_rescaled_scenario(corpus):
+    """A scale sweep builds each point's terms from one term_lookup per
+    (query, order) pair of the candidates, on its input scenario; they must
+    equal stage_terms on the with_scale_factor copy bit for bit: on the
+    corpus (seq2_small among it, at scale factor 0.25), on 40 seeded random
+    and chained scenarios, as generated and with _with_edge_stages' factors
+    mixed in, and on some of those rebased to a scale factor of 0.3 first,
+    at factors from the least positive double up to the largest the sweep's
+    bound allows."""
+    scenarios = [s for _, s in corpus]
+    for seed in range(40):
+        rng = random.Random(70_000 + seed)
+        if seed % 2:
+            s = make_random_scenario(rng, rng.randint(1, 6))
+        else:
+            s = spread_over_modules(make_chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+        edge = _with_edge_stages(s, rng)
+        scenarios += [s, edge]
+        if seed % 4 < 2:
+            scenarios += [with_scale_factor(s, 0.3), with_scale_factor(edge, 0.3)]
+    assert {s.scale_factor for s in scenarios} == {1.0, 0.25, 0.3}
+    checked = 0
+    for s in scenarios:
+        largest = _largest_bounded_scale_factor(s)
+        run_sweep(s, SweepSpec("scale_factor", (largest,)))
+        if largest < sys.float_info.max:
+            with pytest.raises(ValueError, match="^scale_factor "):
+                run_sweep(s, SweepSpec("scale_factor", (math.nextafter(largest, math.inf),)))
+        pairs = _term_layout(candidate_schedules(s))[0]
+        lookups = [term_lookup(s.sequence[i], order, s) for i, order in pairs]
+        for factor in (5e-324, 1e-300, 0.1, 7.5, largest):
+            rescaled = with_scale_factor(s, factor)
+            for (i, order), lookup in zip(pairs, lookups):
+                # repr tells -0.0 from 0.0 and prints each float exactly
+                assert repr(scaled_stage_terms(lookup, s, factor)) == repr(
+                    stage_terms(rescaled.sequence[i], order, rescaled)), (s, factor, i, order)
+                checked += 1
+    assert checked > 1000

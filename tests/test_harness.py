@@ -208,14 +208,21 @@ def test_sweeps_are_bit_stable(corpus):
 @pytest.fixture
 def work_counts(monkeypatch):
     """Count candidate builds, emulations (runs of the emulator's event loop
-    over the whole sequence), stage-term builds (one per query and order)
-    and scenario copies with other gaps (harness.with_gaps) in every module
-    that binds them."""
-    counts = {"builds": 0, "emulations": 0, "terms": 0, "gap_copies": 0}
+    over the whole sequence), stage-term builds (one per query and order),
+    scenario copies with other gaps (harness.with_gaps) and scale factors
+    (harness.with_scale_factor), and a scale sweep's look-ups
+    (costmodel.term_lookup) and per-point term builds
+    (costmodel.scaled_stage_terms), one per query and order each, in every
+    module that binds them."""
+    counts = {"builds": 0, "emulations": 0, "terms": 0, "gap_copies": 0, "scale_copies": 0,
+              "lookups": 0, "scaled": 0}
     for key, fn in (("builds", optimizer.candidate_schedules),
                     ("emulations", optimizer._run_queries),
                     ("terms", optimizer.stage_terms),
-                    ("gap_copies", harness.with_gaps)):
+                    ("gap_copies", harness.with_gaps),
+                    ("scale_copies", harness.with_scale_factor),
+                    ("lookups", harness.term_lookup),
+                    ("scaled", harness.scaled_stage_terms)):
         def counting(*args, key=key, fn=fn):
             counts[key] += 1
             return fn(*args)
@@ -236,21 +243,24 @@ def _distinct_query_orders(s):
 
 @pytest.mark.parametrize("strategies", [STRATEGY_ORDER, ("auto",), ("combined", "baseline")])
 def test_sweep_plans_once_and_emulates_each_point_once(seq2, work_counts, strategies):
-    """Four emulations per point.  Stage terms are built once per distinct
-    (query, order): seq2's candidates have three, since reorder moves Q0
-    and leaves Q1.  A gap sweep builds them once for all its points, a
-    scale sweep at every point.  A gap sweep bounds the total and runs
-    every point on its input, with no copy of the scenario at another gap;
-    a scale sweep makes none either."""
+    """Four emulations per point, every one on the input scenario.  seq2's
+    candidates have three distinct (query, order) pairs, since reorder moves
+    Q0 and leaves Q1.  A gap sweep builds their stage terms once for all its
+    points and copies nothing.  A scale sweep builds none with stage_terms:
+    it looks each pair up once and builds its terms from the look-up at
+    every point, and its one copy, at the largest scale factor, is the
+    bound's."""
     values = (0.25, 1.0, 2.0, 5.0)
     pairs = _distinct_query_orders(seq2)
     assert pairs == 3
-    for axis, terms in (("gap_ms", pairs), ("scale_factor", pairs * len(values))):
+    none = {"gap_copies": 0, "scale_copies": 0, "lookups": 0, "scaled": 0}
+    for axis, work in (("gap_ms", {"terms": pairs}),
+                       ("scale_factor", {"terms": 0, "scale_copies": 1, "lookups": pairs,
+                                         "scaled": pairs * len(values)})):
         for key in work_counts:
             work_counts[key] = 0
         run_sweep(seq2, SweepSpec(axis, values, strategies))
-        assert work_counts == {"builds": 1, "emulations": 4 * len(values), "terms": terms,
-                               "gap_copies": 0}, axis
+        assert work_counts == {"builds": 1, "emulations": 4 * len(values), **none, **work}, axis
 
 
 def test_optimize_builds_each_candidate_query_order_once(work_counts, corpus, random_scenario):
@@ -265,7 +275,7 @@ def test_optimize_builds_each_candidate_query_order_once(work_counts, corpus, ra
             work_counts[key] = 0
         optimize(s, "auto")
         assert work_counts == {"builds": 1, "emulations": 4, "terms": _distinct_query_orders(s),
-                               "gap_copies": 0}
+                               "gap_copies": 0, "scale_copies": 0, "lookups": 0, "scaled": 0}
 
 
 def test_verify_corpus_emulates_each_candidate_once(work_counts, corpus):
@@ -274,7 +284,8 @@ def test_verify_corpus_emulates_each_candidate_once(work_counts, corpus):
     terms = sum(_distinct_query_orders(s) for _, s in corpus)
     n = len(verify_corpus())
     assert n == len(corpus) and terms < 2 * sum(len(s.sequence) for _, s in corpus)
-    assert work_counts == {"builds": n, "emulations": 4 * n, "terms": terms, "gap_copies": 0}
+    assert work_counts == {"builds": n, "emulations": 4 * n, "terms": terms, "gap_copies": 0,
+                           "scale_copies": 0, "lookups": 0, "scaled": 0}
 
 
 def test_stage_terms_read_no_gap(seq2, corpus, random_scenario):

@@ -5,8 +5,9 @@ QuerySpec's constructor reads those of its invocations (it checks them and
 derives QuerySpec.dependencies from them).  Schedules are
 validated where they enter from outside, in the emulator's two public
 entries, and nowhere else.  The stage costs of a query in an order are
-built in costmodel.stage_terms, and combined into a timeline in one event
-loop, and into the closed form's per-query table, and nowhere else; those
+built in costmodel.stage_terms (and, for a scale sweep's points, in
+costmodel.scaled_stage_terms, held to it bit for bit), and combined into a
+timeline in one event loop, and into the closed form's per-query table, and nowhere else; those
 two alone decide when a load costs nothing because its module is resident.  The operator
 vocabulary is read only in the analyzer."""
 import ast
@@ -107,27 +108,34 @@ def test_only_the_emulator_entries_validate_schedules():
 
 def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
     """The cost of one query in one order is worked out in
-    costmodel.stage_terms alone: outside costmodel, the stage functions are
-    read only for the load of a prefetch, by the event loop and the closed
-    form's table, and the terms only by the emulator's entries (_timeline
-    runs the loop for execute_schedule), by candidate_terms for the four
-    candidates and by _order_choices for optimal.  The closed form reads
-    each order once, into a summary, in one table of a query over its
-    orders and arriving states, emulator._closed_form_table, which only
-    analytic_total and the optimizer's exact table, _cost_to_go, read; the
-    optimizer reads no load.  A second copy of the loop's body, of the
-    table or of a stage cost, say in a planner, fails here."""
+    costmodel.stage_terms, and for a scale sweep's points in
+    costmodel.scaled_stage_terms from costmodel.term_lookup, which
+    test_costmodel holds to stage_terms bit for bit: outside costmodel, the
+    stage functions are read only for the load of a prefetch, by the event
+    loop and the closed form's table, and the terms only by the emulator's
+    entries (_timeline runs the loop for execute_schedule), by
+    candidate_terms for the four candidates and by _order_choices for
+    optimal; the look-up and the per-point build only by run_sweep's scale
+    axis.  The closed form reads each order once, into a summary, in one
+    table of a query over its orders and arriving states,
+    emulator._closed_form_table, which only analytic_total and the
+    optimizer's exact table, _cost_to_go, read; the optimizer reads no
+    load.  A second copy of the loop's body, of the table or of a stage
+    cost, say in a planner, fails here."""
     users: dict[str, set] = {}
     for name, tree in _package_trees():
         if name != "costmodel.py":
             for scope, read in _scoped_reads(tree):
-                if read in STAGE_COSTS | {"stage_terms", "_closed_form_table"}:
+                if read in STAGE_COSTS | {"stage_terms", "term_lookup", "scaled_stage_terms",
+                                          "_closed_form_table"}:
                     users.setdefault(read, set()).add((name, scope))
     assert users == {
         "reconfig_time": {("emulator.py", "_run_queries"), ("emulator.py", "_closed_form_table")},
         "stage_terms": {("emulator.py", "_timeline"), ("emulator.py", "analytic_total"),
                         ("optimizer.py", "candidate_terms"),
                         ("optimizer.py", "_order_choices")},
+        "term_lookup": {("harness.py", "run_sweep")},
+        "scaled_stage_terms": {("harness.py", "run_sweep")},
         "_closed_form_table": {("emulator.py", "analytic_total"),
                                ("optimizer.py", "_cost_to_go")},
     }
