@@ -14,12 +14,12 @@ The event loop, the closed form and the planners read those terms and call
 no stage function per invocation; only the load of a prefetch, which no
 query's terms hold, is asked of reconfig_time directly.
 
-A scale sweep reads the terms of one pair at many scale factors, and of
-everything stage_terms looks up, only the table volume changes with the
+A scale sweep reads the terms of the same pairs at many scale factors, and
+of everything stage_terms looks up, only the table volume changes with the
 factor: term_lookup reads the rest once per pair, and scaled_stage_terms
-chains the rescaled volume through it at each point, with stage_terms'
-expressions written out, to the same bits as stage_terms on the rescaled
-scenario.
+builds a whole point in one call, chaining each pair's rescaled volume
+through its look-up with stage_terms' expressions written out, to the same
+bits as stage_terms on the rescaled scenario.
 first_unbounded_query bounds the total for the loader and the sweeps.
 """
 from __future__ import annotations
@@ -101,7 +101,7 @@ def term_lookup(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> TermLookup
     proc_rate, selectivity, volume_multiplier), ...)), one entry per
     scheduled invocation.  None of it changes with the scale factor but the
     volume, so a scale sweep looks each pair up once and scaled_stage_terms
-    builds its terms at every point.
+    builds the terms of all its pairs at a point in one call.
     """
     rpu, modules = s.rpu, s.modules_by_id
     invocations = q.invocations
@@ -114,24 +114,28 @@ def term_lookup(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> TermLookup
     return s.tables_by_id[q.table_id].volume, tuple(stages)
 
 
-def scaled_stage_terms(lookup: TermLookup, s: Scenario, scale_factor: float) -> StageTerms:
-    """stage_terms(q, order, harness.with_scale_factor(s, scale_factor)),
-    bit for bit, from term_lookup(q, order, s) and without the copy: the
-    table volume rebased as with_scale_factor does, then stage_terms' own
-    expressions in the same order, written out in place of the stage
-    functions, which would cost a call per stage at every point.  The
-    caller has checked that the rebased volume is finite, as
-    with_scale_factor does.
+def scaled_stage_terms(lookups: list[TermLookup], s: Scenario, scale_factor: float
+                       ) -> list[StageTerms]:
+    """stage_terms(q, order, harness.with_scale_factor(s, scale_factor)) of
+    each pair, bit for bit, from the pairs' term_lookup(q, order, s) and
+    without the copy, in one call that reads the rates and the old scale
+    factor once: each volume rebased as with_scale_factor does, then run
+    through stage_terms' own expressions in the same order, written out in
+    place of the stage functions.  The caller has checked that the rebased
+    volumes are finite, as with_scale_factor does.
     """
-    rpu = s.rpu
-    volume, looked_up = lookup
-    volume = volume / s.scale_factor * scale_factor
-    scan_ms = volume / rpu.storage_rate
-    stages = []
-    for module_id, load_ms, proc_rate, selectivity, volume_multiplier in looked_up:
-        stages.append((module_id, load_ms, volume / proc_rate))
-        volume = volume * selectivity * volume_multiplier
-    return scan_ms, tuple(stages), volume / rpu.network_rate
+    storage_rate, network_rate = s.rpu.storage_rate, s.rpu.network_rate
+    old_factor = s.scale_factor
+    built = []
+    for volume, looked_up in lookups:
+        volume = volume / old_factor * scale_factor
+        scan_ms = volume / storage_rate
+        stages = []
+        for module_id, load_ms, proc_rate, selectivity, volume_multiplier in looked_up:
+            stages.append((module_id, load_ms, volume / proc_rate))
+            volume = volume * selectivity * volume_multiplier
+        built.append((scan_ms, tuple(stages), volume / network_rate))
+    return built
 
 
 def first_unbounded_query(s: Scenario, gap: float | None = None) -> int | None:

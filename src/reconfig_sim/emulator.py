@@ -29,7 +29,8 @@ tuple of its fields, with tuple.__new__ rather than the constructor.
 _closed_form_table steps one query in closed form, in each of its orders,
 each read once into a summary, from each region state at its arrival, and
 owns the residual of a prefetch; analytic_total calls it with one order
-and one state per query, the optimizer's exact table with all of them.
+and one state per query, the optimizer's exact table with all of them.  It
+names a prefetch by its module id, as a Schedule does, in and out.
 
 execute_schedule and analytic_total take schedules from outside and reject
 an illegal one with ScheduleError.  The event loop, which the planners
@@ -208,8 +209,9 @@ State = tuple[str | None, float]
 
 
 def _closed_form_table(s: Scenario, choices: Sequence[StageTerms], states: Sequence[State],
-                       prefetches: Sequence[tuple[int, str]], gap: float
-                       ) -> tuple[list[list[float]], list[list[tuple[int, int]]], list[State]]:
+                       prefetches: Sequence[str], gap: float
+                       ) -> tuple[list[list[float]], list[list[tuple[str | None, int]]],
+                                  list[State]]:
     """One query of the closed form in each of its orders, given their stage
     terms, from each state at its arrival, followed by a gap of gap ms.
     Each order is read once into a summary: its scan, first module and that
@@ -221,16 +223,16 @@ def _closed_form_table(s: Scenario, choices: Sequence[StageTerms], states: Seque
     states[k], arrival to transfer end, plus the gap: max(scan, residual +
     (0 if first == loaded else first load)) + body + gap.  after lists the
     distinct states the query can leave, in the order met, and moves[j]
-    order j's (tag, index in after) pairs: tag 0 for no prefetch, leaving
-    (last, 0), then the tag of each (tag, module) in prefetches but the
-    order's last module, leaving (module, max(0, its load - (transfer +
-    gap))), the part of the load the transfer and gap did not hide.  A
-    prefetch of the last module leaves the state of no prefetch, as in the
-    event loop.  Each `b if b > a else a` is max(a, b), as there.
+    order j's (prefetch, index in after) pairs, where the prefetch is what
+    Schedule.prefetches holds: None, leaving (last, 0), then each module id
+    of prefetches but the order's last module, leaving (module, max(0, its
+    load - (transfer + gap))), the part of the load the transfer and gap
+    did not hide.  A prefetch of the last module leaves the state of no
+    prefetch, as in the event loop.  Each `b if b > a else a` is max(a, b),
+    as there.
     """
-    modules, rpu, loads = s.modules_by_id, s.rpu, []
-    for tag, module in prefetches:
-        loads.append((tag, module, reconfig_time(modules[module], rpu)))
+    modules, rpu = s.modules_by_id, s.rpu
+    loads = [(module, reconfig_time(modules[module], rpu)) for module in prefetches]
     summaries, index, moves = [], {}, []  # index: the position of each state in after
     for scan_ms, stages, transfer_ms in choices:
         first, first_load, body = stages[0]
@@ -241,13 +243,13 @@ def _closed_form_table(s: Scenario, choices: Sequence[StageTerms], states: Seque
             body += accel_ms
             last = module_id
         summaries.append((scan_ms, first, first_load, body + transfer_ms))
-        order_moves = [(0, index.setdefault((last, 0.0), len(index)))]
+        order_moves = [(None, index.setdefault((last, 0.0), len(index)))]
         hidden = transfer_ms + gap
-        for tag, module, load_ms in loads:
+        for module, load_ms in loads:
             if module != last:
                 unhidden = load_ms - hidden
                 state = (module, unhidden if unhidden > 0.0 else 0.0)
-                order_moves.append((tag, index.setdefault(state, len(index))))
+                order_moves.append((module, index.setdefault(state, len(index))))
         moves.append(order_moves)
     rows = []
     for loaded, residual in states:
@@ -271,7 +273,7 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
     for i, (q, order, prefetch) in enumerate(zip(s.sequence, sch.orders, sch.prefetches)):
         gap = q.gap_after_ms if i < len(s.sequence) - 1 else 0.0
         rows, moves, after = _closed_form_table(s, [stage_terms(q, order, s)], [state],
-                                                () if prefetch is None else [(1, prefetch)], gap)
+                                                () if prefetch is None else (prefetch,), gap)
         total += rows[0][0]
         state = after[moves[0][-1][1]]  # the prefetch's move, else no prefetch's
     return total

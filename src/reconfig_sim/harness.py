@@ -7,11 +7,11 @@ input scenario and emulates the schedules at every point, on the input
 scenario too.  Their stage terms, one per pair, read the volumes but no
 gap, so a gap sweep builds them once and passes the event loop the point's
 gap, and a scale sweep looks up once per pair what the terms read besides
-the device's rates (costmodel.term_lookup) and at every point chains only
-the rescaled table volume through it (costmodel.scaled_stage_terms): a
-point costs its four event-loop runs, and on the scale axis its term
-builds.  Rows come out in axis-then-strategy order and numbers are
-formatted identically on every run, so repeated sweeps are byte-identical.
+the device's rates (costmodel.term_lookup) and builds each point's terms
+from those in one call (costmodel.scaled_stage_terms): a point costs its
+four event-loop runs, and on the scale axis that call.  Rows come out in
+axis-then-strategy order and numbers are formatted identically on every
+run, so repeated sweeps are byte-identical.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .costmodel import first_unbounded_query, scaled_stage_terms, term_lookup
 from .emulator import analytic_total
 from .model import Scenario, load_scenario
 from .optimizer import (FIXED_STRATEGIES, _auto_choice, _improvement, _term_layout,
-                        _terms_by_name, candidate_schedules, candidate_terms, fixed_outcomes)
+                        candidate_schedules, candidate_terms, fixed_outcomes)
 from .record import Record, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
@@ -94,8 +94,8 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     out once, on s, and emulated at every point on s itself.  The terms
     read volumes but no gap, so a gap sweep builds them once and passes the
     point's gap to the event loop, and a scale sweep looks each (query,
-    order) pair up once and builds its terms at every point from the
-    look-up, as on with_scale_factor(s, value) without the copy.
+    order) pair up once and builds each point's terms from the look-ups in
+    one call, as on with_scale_factor(s, value) without the copy.
     improvement_pct in each row compares against the baseline strategy at
     the same axis value.  An axis value at which the loader's bound on the
     total (costmodel.first_unbounded_query) is not finite is a ValueError;
@@ -116,17 +116,15 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     schedules = candidate_schedules(s)
     layout = _term_layout(schedules)
     if gap_axis:
-        gap_terms = candidate_terms(s, layout)
+        built = candidate_terms(s, layout)
     else:
         lookups = [term_lookup(s.sequence[i], order, s) for i, order in layout[0]]
     rows = [CSV_HEADER]
     for value in spec.values:
         if gap_axis:
-            totals = fixed_outcomes(s, schedules, gap_terms, value)
+            totals = fixed_outcomes(s, schedules, layout, built, value)
         else:
-            terms = _terms_by_name(layout, [scaled_stage_terms(lookup, s, value)
-                                            for lookup in lookups])
-            totals = fixed_outcomes(s, schedules, terms)
+            totals = fixed_outcomes(s, schedules, layout, scaled_stage_terms(lookups, s, value))
         totals["auto"] = totals[_auto_choice(totals)]
         rows += [",".join((spec.axis, format_ms(value), strategy, format_ms(totals[strategy]),
                            format_ms(_improvement(totals["baseline"], totals[strategy]))))
@@ -173,7 +171,8 @@ def verify_corpus() -> list[tuple[str, list[str]]]:
         try:
             s = load_bundled(name)
             schedules = candidate_schedules(s)
-            totals = fixed_outcomes(s, schedules, candidate_terms(s, _term_layout(schedules)))
+            layout = _term_layout(schedules)
+            totals = fixed_outcomes(s, schedules, layout, candidate_terms(s, layout))
             for strategy in FIXED_STRATEGIES:
                 emulated = totals[strategy]
                 closed = analytic_total(s, schedules[strategy])

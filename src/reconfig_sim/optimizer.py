@@ -14,19 +14,19 @@ candidate_schedules plans the four fixed-strategy schedules; none of them
 reads a volume or a gap, so a sweep plans them once for all its points.
 _term_layout finds the distinct (query, order) pairs among them, which read
 no volume or gap either, and candidate_terms builds one stage term
-(costmodel.stage_terms) per pair and hands them to the candidates by name
-(_terms_by_name, which a scale sweep's points share); the terms read
-volumes but no gap, so a sweep lays them out once and a gap sweep also
-builds them once for all its points.  fixed_outcomes emulates each
-candidate once over those terms, with the gap a gap sweep passes it, and
-returns the four totals, and _auto_choice picks auto's from them.
+(costmodel.stage_terms) per pair, in pair order; the terms read volumes but
+no gap, so a sweep lays them out once and a gap sweep also builds them once
+for all its points.  fixed_outcomes hands each candidate the terms of its
+row of the layout, emulates each once, with the gap a gap sweep passes it,
+and returns the four totals, and _auto_choice picks auto's from them.
 fixed_outcomes and optimal run the emulator's unchecked event loop, since
 every schedule they emulate is legal by construction; optimal builds its
 terms once per (query, legal order).
 
 optimal walks one table, _cost_to_go, of the least closed-form cost of the
 rest of the sequence from each region state a query can meet, filled with
-one emulator._closed_form_table call per query.
+one emulator._closed_form_table call per query, whose moves carry each
+prefetch as the module id the schedule holds.
 
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
@@ -53,8 +53,6 @@ OPTIMAL_MAX_WIDTH = 8
 # (distinct (query index, order) pairs, rows of positions among them, the row
 # of each schedule by name); see _term_layout
 TermLayout = tuple[list[tuple[int, tuple[int, ...]]], list[list[int]], dict[str, int]]
-# the stage terms of each query, by the name of a candidate schedule
-CandidateTerms = dict[str, list[StageTerms]]
 
 
 class InstanceTooLargeError(ValueError):
@@ -162,39 +160,29 @@ def _term_layout(schedules: dict[str, Schedule]) -> TermLayout:
     return list(pairs), rows, row_of
 
 
-def candidate_terms(s: Scenario, layout: TermLayout) -> CandidateTerms:
-    """The stage terms of the schedules that _term_layout laid out, on s:
-    for each schedule, by name, one entry per query.
-
-    Each (query index, order) pair is built once, so the candidates that
-    share their orders share one list, and a query that reorder leaves in
-    its baseline order shares its terms across both lists.
-    """
+def candidate_terms(s: Scenario, layout: TermLayout) -> list[StageTerms]:
+    """The stage terms of the (query index, order) pairs that _term_layout
+    laid out, on s, in pair order: each pair is built once, however many
+    candidates share it."""
     sequence = s.sequence
-    return _terms_by_name(layout, [stage_terms(sequence[i], order, s) for i, order in layout[0]])
+    return [stage_terms(sequence[i], order, s) for i, order in layout[0]]
 
 
-def _terms_by_name(layout: TermLayout, built: list[StageTerms]) -> CandidateTerms:
-    """The candidates' terms by name, from built, the terms of the layout's
-    pairs in pair order: each row's list is made once and shared by the
-    schedules that share the row."""
-    _, rows, row_of = layout
-    lists = [[built[k] for k in row] for row in rows]
-    return {name: lists[row] for name, row in row_of.items()}
-
-
-def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], terms: CandidateTerms,
-                   gap: float | None = None) -> dict[str, float]:
+def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], layout: TermLayout,
+                   built: list[StageTerms], gap: float | None = None) -> dict[str, float]:
     """The total of each candidate schedule, by name, from one emulation
     each, with gap, when given, after every query instead of the query's
     own gap (as on harness.with_gaps(s, gap)).
 
     schedules is candidate_schedules of s, or of a scenario that differs
-    from s only in volumes or gaps, which gives the same schedules.  terms
-    is candidate_terms of those schedules on s, or on s at another scale
-    factor (a scale sweep's points), since the loop reads no volume.
+    from s only in volumes or gaps, which gives the same schedules, and
+    layout is their _term_layout.  built is candidate_terms(s, layout), or
+    the same pairs' terms at another scale factor (a scale sweep's points),
+    since the loop reads no volume; each row's list is made once.
     """
-    return {name: _run_queries(s, terms[name], sched.prefetches, gap)
+    _, rows, row_of = layout
+    lists = [[built[k] for k in row] for row in rows]
+    return {name: _run_queries(s, lists[row_of[name]], sched.prefetches, gap)
             for name, sched in schedules.items()}
 
 
@@ -220,7 +208,8 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy!r}")
     schedules = candidate_schedules(s)
-    totals = fixed_outcomes(s, schedules, candidate_terms(s, _term_layout(schedules)))
+    layout = _term_layout(schedules)
+    totals = fixed_outcomes(s, schedules, layout, candidate_terms(s, layout))
     name = _auto_choice(totals) if strategy == "auto" else strategy
     return StrategyOutcome(name, schedules[name], totals[name],
                            _improvement(totals["baseline"], totals[name]))
@@ -246,34 +235,36 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
     attains it from the empty region; order_choices[i] holds query i's
     stage terms, one per legal order in rank order.
 
-    A state is the module owning the region and the residual of a
-    prefetch's load.  One emulator._closed_form_table call per query gives
-    its steps from each state it can meet and the states each order can
+    A state is the module owning the region and the residual of a prefetch's
+    load.  One emulator._closed_form_table call per query gives its steps
+    from each state it can meet and each order's moves to the states it can
     leave, found forward from the empty region.  After query i the choices
     are no prefetch and each module that starts a legal order of query i+1.
-    A prefetch of any other module cannot win: query i+1's first load
-    evicts it and starts no earlier than with no prefetch, since both timing
-    models only take maxes and add nonnegative times, and query i+1 leaves
-    the same state either way.  The entries are filled backward, and the
-    schedule is walked forward again: each query takes the order whose step
-    plus next entry gives its entry, and that order's least next entry.
-    Ties go to the least order rank, then the least prefetch rank.
+    A prefetch of any other module cannot win: query i+1's first load evicts
+    it and starts no earlier than with no prefetch, since both timing models
+    only take maxes and add nonnegative times, and query i+1 leaves the same
+    state either way.  The entries are filled backward, and the schedule is
+    walked forward again: each query takes the order whose step plus next
+    entry gives its entry, and that order's move with the least next entry.
+    Ties go to the least order rank, then to the first move in the moves'
+    order: no prefetch, then the modules in library order.
 
-    Returns (states, table, (order ranks, prefetch ranks)), where a state is
+    Returns (states, table, (order ranks, prefetches)), where a state is
     named by its index in states[i], the states query i can meet, and
     states[n] holds those after the last query; ranks index the legal
-    orders and None followed by the library.  table[i][k] is the least
-    closed-form duration of query i from state k, plus the gap after it and
-    the next entry, over its orders and prefetches, and table[n] is 0.
+    orders, and the prefetches are module ids or None, as a Schedule holds.
+    table[i][k] is the least closed-form duration of query i from state k,
+    plus the gap after it and the next entry, over its orders and
+    prefetches, and table[n] is 0.
     """
     n = len(s.sequence)
-    library = list(enumerate((m.id for m in s.library), 1))
+    library = [m.id for m in s.library]
     states = [[(None, 0.0)]]
     steps, moves = [], []
     for i, q in enumerate(s.sequence):
         if i < n - 1:
             starts = {stages[0][0] for _, stages, _ in order_choices[i + 1]}
-            prefetches = [(rank, module) for rank, module in library if module in starts]
+            prefetches = [module for module in library if module in starts]
             gap = q.gap_after_ms
         else:
             prefetches, gap = (), 0.0
@@ -298,13 +289,13 @@ def _cost_to_go(s: Scenario, order_choices: list[list[StageTerms]]):
             query_tails.append(tail)
         table[i] = [min(map(add, row, query_tails)) for row in steps[i]]
 
-    state, order_ranks, prefetch_ranks = 0, [], []
+    state, order_ranks, prefetches = 0, [], []
     for i, query_best in enumerate(best):
         order_rank = list(map(add, steps[i][state], tails[i])).index(table[i][state])
-        prefetch_rank, state = query_best[order_rank]
+        prefetch, state = query_best[order_rank]
         order_ranks.append(order_rank)
-        prefetch_ranks.append(prefetch_rank)
-    return states, table, (tuple(order_ranks), tuple(prefetch_ranks))
+        prefetches.append(prefetch)
+    return states, table, (tuple(order_ranks), tuple(prefetches))
 
 
 def optimal(s: Scenario) -> StrategyOutcome:
@@ -322,9 +313,7 @@ def optimal(s: Scenario) -> StrategyOutcome:
                 f"query {q.id} too wide for the optimal strategy: {len(q.invocations)} "
                 f"invocations (limit: {OPTIMAL_MAX_WIDTH} invocations per query)")
     legal_orders, order_choices = _order_choices(s)
-    order_ranks, prefetch_ranks = _cost_to_go(s, order_choices)[2]
-    prefetch_choices = [None] + [m.id for m in s.library]
-    prefetches = tuple(map(prefetch_choices.__getitem__, prefetch_ranks))
+    order_ranks, prefetches = _cost_to_go(s, order_choices)[2]
     total = _run_queries(s, list(map(getitem, order_choices, order_ranks)), prefetches)
     base = [choices[orders.index(baseline_order(q))]
             for q, orders, choices in zip(s.sequence, legal_orders, order_choices)]

@@ -199,9 +199,10 @@ def _largest_bounded_scale_factor(s):
 
 
 def test_scaled_stage_terms_equal_stage_terms_on_the_rescaled_scenario(corpus):
-    """A scale sweep builds each point's terms from one term_lookup per
-    (query, order) pair of the candidates, on its input scenario; they must
-    equal stage_terms on the with_scale_factor copy bit for bit: on the
+    """A scale sweep builds each point's terms in one scaled_stage_terms
+    call, from one term_lookup per (query, order) pair of the candidates,
+    on its input scenario; each pair's terms must equal stage_terms on the
+    with_scale_factor copy bit for bit: on the
     corpus (seq2_small among it, at scale factor 0.25), on 40 seeded random
     and chained scenarios, as generated and with _with_edge_stages' factors
     mixed in, and on some of those rebased to a scale factor of 0.3 first,
@@ -230,9 +231,11 @@ def test_scaled_stage_terms_equal_stage_terms_on_the_rescaled_scenario(corpus):
         lookups = [term_lookup(s.sequence[i], order, s) for i, order in pairs]
         for factor in (5e-324, 1e-300, 0.1, 7.5, largest):
             rescaled = with_scale_factor(s, factor)
-            for (i, order), lookup in zip(pairs, lookups):
+            built = scaled_stage_terms(lookups, s, factor)
+            assert len(built) == len(pairs)
+            for (i, order), terms in zip(pairs, built):
                 # repr tells -0.0 from 0.0 and prints each float exactly
-                assert repr(scaled_stage_terms(lookup, s, factor)) == repr(
+                assert repr(terms) == repr(
                     stage_terms(rescaled.sequence[i], order, rescaled)), (s, factor, i, order)
                 checked += 1
     assert checked > 1000

@@ -211,9 +211,9 @@ def work_counts(monkeypatch):
     over the whole sequence), stage-term builds (one per query and order),
     scenario copies with other gaps (harness.with_gaps) and scale factors
     (harness.with_scale_factor), and a scale sweep's look-ups
-    (costmodel.term_lookup) and per-point term builds
-    (costmodel.scaled_stage_terms), one per query and order each, in every
-    module that binds them."""
+    (costmodel.term_lookup, one per query and order) and per-point term
+    builds (costmodel.scaled_stage_terms, one per point for all its query
+    and order pairs), in every module that binds them."""
     counts = {"builds": 0, "emulations": 0, "terms": 0, "gap_copies": 0, "scale_copies": 0,
               "lookups": 0, "scaled": 0}
     for key, fn in (("builds", optimizer.candidate_schedules),
@@ -247,16 +247,16 @@ def test_sweep_plans_once_and_emulates_each_point_once(seq2, work_counts, strate
     candidates have three distinct (query, order) pairs, since reorder moves
     Q0 and leaves Q1.  A gap sweep builds their stage terms once for all its
     points and copies nothing.  A scale sweep builds none with stage_terms:
-    it looks each pair up once and builds its terms from the look-up at
-    every point, and its one copy, at the largest scale factor, is the
-    bound's."""
+    it looks each pair up once and builds every pair's terms from the
+    look-ups in one call per point, and its one copy, at the largest scale
+    factor, is the bound's."""
     values = (0.25, 1.0, 2.0, 5.0)
     pairs = _distinct_query_orders(seq2)
     assert pairs == 3
     none = {"gap_copies": 0, "scale_copies": 0, "lookups": 0, "scaled": 0}
     for axis, work in (("gap_ms", {"terms": pairs}),
                        ("scale_factor", {"terms": 0, "scale_copies": 1, "lookups": pairs,
-                                         "scaled": pairs * len(values)})):
+                                         "scaled": len(values)})):
         for key in work_counts:
             work_counts[key] = 0
         run_sweep(seq2, SweepSpec(axis, values, strategies))

@@ -255,13 +255,17 @@ def _outcomes_by_separate_emulation(s):
 
 def _fixed_totals(s):
     schedules = candidate_schedules(s)
-    return fixed_outcomes(s, schedules, candidate_terms(s, _term_layout(schedules)))
+    layout = _term_layout(schedules)
+    return fixed_outcomes(s, schedules, layout, candidate_terms(s, layout))
 
 
 def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, chained_scenario):
-    """candidate_terms holds stage_terms of every candidate's orders, by
-    name; candidates that share their orders share one list, and a (query,
-    order) two candidates share is one object in both lists."""
+    """candidate_terms holds stage_terms of each distinct (query, order)
+    pair of the layout, once, in pair order; the layout's row of each
+    candidate picks those of its orders, candidates that share their orders
+    share one row, and a (query, order) two candidates share is one
+    position in both rows, so one object in the lists fixed_outcomes
+    emulates."""
     rng = random.Random(17)
     scenarios = [s for _, s in corpus] + [random_scenario(rng, rng.randint(1, 5))
                                           for _ in range(20)]
@@ -270,15 +274,18 @@ def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, ch
     shared = 0
     for s in scenarios:
         schedules = candidate_schedules(s)
-        terms = candidate_terms(s, _term_layout(schedules))
-        assert terms == {name: [stage_terms(q, order, s)
-                                for q, order in zip(s.sequence, sch.orders)]
-                         for name, sch in schedules.items()}
-        assert terms["spec_reconfig"] is terms["baseline"]
-        assert terms["combined"] is terms["reorder"]
-        base, reordered = terms["baseline"], terms["reorder"]
+        layout = pairs, rows, row_of = _term_layout(schedules)
+        built = candidate_terms(s, layout)
+        assert len(set(pairs)) == len(pairs)
+        assert built == [stage_terms(s.sequence[i], order, s) for i, order in pairs]
+        assert {name: [built[k] for k in rows[row_of[name]]] for name in schedules} == {
+            name: [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
+            for name, sch in schedules.items()}
+        assert row_of["spec_reconfig"] == row_of["baseline"]
+        assert row_of["combined"] == row_of["reorder"]
+        base, reordered = rows[row_of["baseline"]], rows[row_of["reorder"]]
         for i, (b, r) in enumerate(zip(schedules["baseline"].orders, schedules["reorder"].orders)):
-            assert (base[i] is reordered[i]) == (b == r)
+            assert (base[i] == reordered[i]) == (b == r)
             shared += b == r and base is not reordered
     assert shared > 0
 
@@ -581,8 +588,7 @@ def _closed_form_prefixes(s, orders, prefetches):
     for i, (q, order, prefetch) in enumerate(zip(s.sequence, orders, prefetches)):
         gap = q.gap_after_ms if i < len(s.sequence) - 1 else 0.0
         rows, moves, after = emulator._closed_form_table(
-            s, [stage_terms(q, order, s)], [state], () if prefetch is None else [(1, prefetch)],
-            gap)
+            s, [stage_terms(q, order, s)], [state], () if prefetch is None else (prefetch,), gap)
         cost, state = cost + rows[0][0], after[moves[0][-1][1]]
         prefixes.append((cost, state))
     return prefixes

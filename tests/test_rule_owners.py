@@ -115,8 +115,9 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
     loop and the closed form's table, and the terms only by the emulator's
     entries (_timeline runs the loop for execute_schedule), by
     candidate_terms for the four candidates and by _order_choices for
-    optimal; the look-up and the per-point build only by run_sweep's scale
-    axis.  The closed form reads each order once, into a summary, in one
+    optimal; the look-up, once per pair, and the build of a scale point,
+    one scaled_stage_terms call for all its pairs, only by run_sweep's
+    scale axis.  The closed form reads each order once, into a summary, in one
     table of a query over its orders and arriving states,
     emulator._closed_form_table, which only analytic_total and the
     optimizer's exact table, _cost_to_go, read; the optimizer reads no

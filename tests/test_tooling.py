@@ -2,17 +2,22 @@
 tracer (perfbench/tracer.py) wraps package functions by name from outside
 the package, so a name it lists that the package no longer has breaks every
 traced run; the tracer is read, not imported.  README's command-line
-transcripts show what the commands print, so they are run and compared."""
+transcripts show what the commands print, so they are run and compared.
+Those names, __all__ and the entry point are also all that may hold up a
+definition the package itself never reads."""
 import ast
 import importlib
 import shlex
+import tomllib
 from pathlib import Path
 
+import reconfig_sim
 from reconfig_sim.cli import cli_dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 README = ROOT / "README.md"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -31,6 +36,38 @@ def test_every_traced_function_resolves_in_the_package():
                                        name, None))]
     assert missing == []
     assert "propagate_volumes" in layers["costmodel"]
+
+
+def _reads(node) -> set[str]:
+    """Every bare name and attribute read below node."""
+    return {child.id if isinstance(child, ast.Name) else child.attr for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)}
+
+
+def test_every_package_definition_is_read_in_the_package():
+    """Helpers that only tests call are deleted: every module-level function
+    and class of the package is read somewhere in the package outside its
+    own definition, by name or as an attribute, unless __all__, the
+    tracer's LAYERS or the reconfig-sim entry point names it.  Read from
+    the syntax trees, so a test's import or call does not count."""
+    entry = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = entry["reconfig-sim"].partition(":")
+    exempt = {(module.removeprefix("reconfig_sim."), name)}
+    exempt |= {(module, name) for module, names in _layers().items() for name in names}
+    definitions, reads = [], set()
+    for path in sorted(Path(reconfig_sim.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            # a definition's own body, a recursive call say, does not hold it up
+            read = _reads(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path.stem, node.name))
+                read.discard(node.name)
+            reads |= read
+    unread = [f"{module}.{name}" for module, name in definitions
+              if name not in reads and name not in reconfig_sim.__all__
+              and (module, name) not in exempt]
+    assert unread == []
+    assert len(definitions) > 100
 
 
 def _transcripts() -> list[tuple[list[str], list[str]]]:
