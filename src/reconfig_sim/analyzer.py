@@ -271,11 +271,10 @@ def find_common_accelerators(s: Scenario) -> tuple[frozenset[str], ...]:
     one set per pair in sequence order.
 
     Reuse is keyed on module identity; parameter and literal values play no
-    role.
+    role.  Each query's set of module ids is intersected with the next one's.
     """
-    return tuple(frozenset({inv.accelerator_id for inv in left.invocations}
-                           & {inv.accelerator_id for inv in right.invocations})
-                 for left, right in zip(s.sequence, s.sequence[1:]))
+    used = [{inv.accelerator_id for inv in q.invocations} for q in s.sequence]
+    return tuple([frozenset(left & right) for left, right in zip(used, used[1:])])
 
 
 def baseline_order(q: QuerySpec) -> tuple[int, ...]:
@@ -303,11 +302,12 @@ def generate_hints(s: Scenario, schedule: Schedule) -> list[dict]:
     may prepare for the next query, as an outcome document entry.
 
     next_first_module follows the schedule's order for the successor query.
+    The pairs, those orders and find_common_accelerators' sets are zipped.
     """
-    reuse = find_common_accelerators(s)
     return [{"after_query": left.id,
              "next_query": right.id,
-             "next_first_module": right.invocations[schedule.orders[i + 1][0]].accelerator_id,
-             "reusable_modules": sorted(reuse[i]),
+             "next_first_module": right.invocations[order[0]].accelerator_id,
+             "reusable_modules": sorted(common),
              "expected_gap_ms": left.gap_after_ms}
-            for i, (left, right) in enumerate(zip(s.sequence, s.sequence[1:]))]
+            for left, right, order, common in zip(s.sequence, s.sequence[1:], schedule.orders[1:],
+                                                  find_common_accelerators(s))]

@@ -144,24 +144,28 @@ def first_unbounded_query(s: Scenario, gap: float | None = None) -> int | None:
     A gap, when given, replaces the gap after every query, as in the event
     loop, so the bound is that of harness.with_gaps(s, gap) without the copy.
 
-    Per query the bound adds the scan, the worst-case volume (the table
-    volume times the product of max(1, selectivity * volume_multiplier))
-    transferred and run through each invocation's module, the longest
-    module load once per invocation and once for a prefetch still running,
-    and the gap to the next query.  Twice the bound must be finite, so that
-    the models' own sums, in another order, are too.
+    Per query the bound adds the scan, the worst-case volume (the table volume
+    times the product of max(1, selectivity * volume_multiplier)) transferred
+    and run through each invocation's module, the longest module load once
+    per invocation and once for a prefetch still running, and the gap to the
+    next query.  Twice the bound must be finite, so that the models' own
+    sums, in another order, are too.  Rates and volumes are read once per
+    call, and the stage functions written out as in scaled_stage_terms.
     """
-    rpu = s.rpu
+    rpu, last, bound = s.rpu, len(s.sequence) - 1, 0.0
+    storage_rate, network_rate = rpu.storage_rate, rpu.network_rate
     longest_load = max(reconfig_time(m, rpu) for m in s.library)
-    bound = 0.0
+    proc_rates = {m.id: m.proc_rate for m in s.library}
+    volumes = {t.id: t.volume for t in s.tables}
     for i, q in enumerate(s.sequence):
-        volume = worst = s.tables_by_id[q.table_id].volume
+        volume = worst = volumes[q.table_id]
         for inv in q.invocations:
-            worst *= max(1.0, inv.selectivity * inv.volume_multiplier)
-        bound += scan_time(volume, rpu) + transfer_time(worst, rpu) + longest_load
+            factor = inv.selectivity * inv.volume_multiplier
+            worst *= factor if factor > 1.0 else 1.0
+        bound += volume / storage_rate + worst / network_rate + longest_load
         for inv in q.invocations:
-            bound += longest_load + accel_runtime(worst, s.modules_by_id[inv.accelerator_id])
-        if i < len(s.sequence) - 1:
+            bound += longest_load + worst / proc_rates[inv.accelerator_id]
+        if i < last:
             bound += q.gap_after_ms if gap is None else gap
         if not math.isfinite(2.0 * bound):
             return i

@@ -279,10 +279,6 @@ def analytic_total(s: Scenario, sch: Schedule) -> float:
     return total
 
 
-_TRACE_RECORD = ('  {\n    "lane": %s,\n    "label": %s,\n    "query": %s,\n'
-                 '    "start_ms": %s,\n    "end_ms": %s\n  }')
-
-
 def _json_number(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
@@ -292,14 +288,14 @@ def emit_trace(report: TimelineReport) -> str:
 
     The text matches json.dumps(records, indent=2) + "\n" byte for byte, where
     records holds one dict per span (lane, label, query, start_ms, end_ms),
-    sorted by start time, then lane.  It is written directly because json's
-    indenting encoder runs in pure Python.
+    sorted by start time, then lane.  It is written directly, one f-string per
+    span, because json's indenting encoder runs in pure Python.
     """
     records = [
-        _TRACE_RECORD % (encode_basestring_ascii(lane), encode_basestring_ascii(label),
-                         encode_basestring_ascii(query_id),
-                         _json_number(start_ms), _json_number(end_ms))
-        for lane, label, start_ms, end_ms, query_id in sorted(report.spans,
-                                                              key=itemgetter(2, 0))
+        f'  {{\n    "lane": {encode_basestring_ascii(lane)},\n'
+        f'    "label": {encode_basestring_ascii(label)},\n'
+        f'    "query": {encode_basestring_ascii(query_id)},\n'
+        f'    "start_ms": {_json_number(start_ms)},\n    "end_ms": {_json_number(end_ms)}\n  }}'
+        for lane, label, start_ms, end_ms, query_id in sorted(report.spans, key=itemgetter(2, 0))
     ]
     return "[\n" + ",\n".join(records) + "\n]\n"

@@ -351,8 +351,8 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
     except PredicateError as exc:
         raise ScenarioError(f"invalid predicate: {exc}", f"{path}.predicate") from exc
     supported = modules[accelerator_id].supported_ops
-    missing = [sh for sh in shapes if sh not in supported]
-    if missing:
+    if not supported.issuperset(shapes):
+        missing = [sh for sh in shapes if sh not in supported]
         names = ", ".join(sorted({f"{sh.kind}/{sh.operand_type}" for sh in missing}))
         raise ScenarioError(
             f"accelerator '{accelerator_id}' does not support: {names}", f"{path}.predicate")

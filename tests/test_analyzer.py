@@ -17,7 +17,7 @@ from reconfig_sim.analyzer import (
     parse_predicate,
 )
 from reconfig_sim.model import Invocation, QuerySpec, Schedule, identity_schedule
-from reconfig_sim.optimizer import apply_reorder, plan_baseline
+from reconfig_sim.optimizer import apply_reorder, candidate_schedules, plan_baseline
 
 from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
 
@@ -352,6 +352,50 @@ def test_generate_hints_from_baseline(seq2):
     assert generate_hints(seq2, plan_baseline(seq2)) == [
         {"after_query": "Q0", "next_query": "Q1", "next_first_module": "accA",
          "reusable_modules": ["accA"], "expected_gap_ms": 2.0}]
+
+
+def _common_accelerators_by_pair(s):
+    """find_common_accelerators' former definition, pair by pair."""
+    return tuple(frozenset({inv.accelerator_id for inv in left.invocations}
+                           & {inv.accelerator_id for inv in right.invocations})
+                 for left, right in zip(s.sequence, s.sequence[1:]))
+
+
+def _hints_by_pair(s, schedule):
+    """generate_hints' former definition, indexing each pair's order and set."""
+    reuse = _common_accelerators_by_pair(s)
+    return [{"after_query": left.id,
+             "next_query": right.id,
+             "next_first_module": right.invocations[schedule.orders[i + 1][0]].accelerator_id,
+             "reusable_modules": sorted(reuse[i]),
+             "expected_gap_ms": left.gap_after_ms}
+            for i, (left, right) in enumerate(zip(s.sequence, s.sequence[1:]))]
+
+
+def test_hints_and_common_accelerators_equal_the_pair_by_pair_reference(corpus):
+    """find_common_accelerators intersects each query's module ids with the
+    next one's, and generate_hints zips the pairs with the successors'
+    orders and those sets; both must equal the pair-by-pair reference on the
+    corpus and on 60 seeded random and chained scenarios, one-query ones
+    (no pairs) among them, under every candidate schedule."""
+    scenarios = [s for _, s in corpus]
+    for seed in range(60):
+        rng = random.Random(90_000 + seed)
+        n = 1 if seed % 5 == 0 else rng.randint(2, 6)
+        if seed % 2:
+            scenarios.append(make_random_scenario(rng, n))
+        else:
+            scenarios.append(spread_over_modules(make_chained_scenario(rng, n), rng, 3))
+    lengths, reused = set(), 0
+    for s in scenarios:
+        common = find_common_accelerators(s)
+        assert common == _common_accelerators_by_pair(s)
+        assert all(type(modules) is frozenset for modules in common)
+        lengths.add(len(s.sequence))
+        reused += sum(map(bool, common))
+        for name, schedule in candidate_schedules(s).items():
+            assert generate_hints(s, schedule) == _hints_by_pair(s, schedule), (s, name)
+    assert {1, 2, 6} <= lengths and reused > 50
 
 
 def test_generate_hints_follows_given_schedule():

@@ -170,17 +170,18 @@ def test_stage_terms_equal_the_stage_functions_bit_for_bit(corpus, random_scenar
                     ("own reconfig_ms", True), ("own reconfig_ms", False)}
 
 
-def _largest_bounded_scale_factor(s):
+def _largest_bounded_scale_factor(s, unbounded=first_unbounded_query):
     """The largest scale factor a sweep of s accepts: the last at which
     with_scale_factor keeps every volume finite and the loader's bound
-    holds.  Both only grow with the factor, so this bisects over the bit
-    patterns of the positive doubles, which order as the doubles do."""
+    (or the given stand-in for it) holds.  Both only grow with the factor,
+    so this bisects over the bit patterns of the positive doubles, which
+    order as the doubles do."""
     def as_float(bits):
         return struct.unpack("<d", struct.pack("<q", bits))[0]
 
     def bounded(bits):
         try:
-            return first_unbounded_query(with_scale_factor(s, as_float(bits))) is None
+            return unbounded(with_scale_factor(s, as_float(bits))) is None
         except ValueError:
             return False
 
@@ -239,3 +240,58 @@ def test_scaled_stage_terms_equal_stage_terms_on_the_rescaled_scenario(corpus):
                     stage_terms(rescaled.sequence[i], order, rescaled)), (s, factor, i, order)
                 checked += 1
     assert checked > 1000
+
+
+def _first_unbounded_query_by_stage(s, gap=None):
+    """first_unbounded_query's former definition, through the stage
+    functions and max."""
+    rpu = s.rpu
+    longest_load = max(reconfig_time(m, rpu) for m in s.library)
+    bound = 0.0
+    for i, q in enumerate(s.sequence):
+        volume = worst = s.tables_by_id[q.table_id].volume
+        for inv in q.invocations:
+            worst *= max(1.0, inv.selectivity * inv.volume_multiplier)
+        bound += scan_time(volume, rpu) + transfer_time(worst, rpu) + longest_load
+        for inv in q.invocations:
+            bound += longest_load + accel_runtime(worst, s.modules_by_id[inv.accelerator_id])
+        if i < len(s.sequence) - 1:
+            bound += q.gap_after_ms if gap is None else gap
+        if not math.isfinite(2.0 * bound):
+            return i
+    return None
+
+
+def test_first_unbounded_query_equals_the_stage_function_reference(corpus):
+    """first_unbounded_query reads the rates and volumes once and writes the
+    stage functions out; it must return the index that the reference built
+    from the stage functions returns: on the corpus and on 40 seeded random
+    and chained scenarios, as generated and with _with_edge_stages' factors
+    mixed in, without a gap and with gaps up to ones that overflow, and at
+    the scale factors on both sides of the reference's overflow edge, found
+    by bisection, where one rounding more or less moves the answer."""
+    scenarios = [s for _, s in corpus]
+    for seed in range(40):
+        rng = random.Random(80_000 + seed)
+        if seed % 2:
+            s = make_random_scenario(rng, rng.randint(1, 6))
+        else:
+            s = spread_over_modules(make_chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+        scenarios += [s, _with_edge_stages(s, rng)]
+    where = {}
+    for s in scenarios:
+        largest = _largest_bounded_scale_factor(s, _first_unbounded_query_by_stage)
+        factors = [largest, math.nextafter(largest, math.inf), math.nextafter(largest, 0.0)]
+        points = [("as given", s)]
+        for factor in factors:
+            try:
+                points.append(("edge", with_scale_factor(s, factor)))
+            except ValueError:  # a volume overflows before the bound does
+                pass
+        for kind, point in points:
+            for gap in (None, 0.0, 2.5, 1e300, 6e307, 1.7e308):
+                expected = _first_unbounded_query_by_stage(point, gap)
+                assert first_unbounded_query(point, gap) == expected, (point, gap)
+                where.setdefault((kind, gap is None), set()).add(expected)
+    assert where["edge", True] == where["edge", False] == {None, 0, 1, 2, 3, 4, 5}
+    assert where["as given", False] == {None, 0, 1}

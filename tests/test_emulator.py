@@ -13,6 +13,7 @@ import pytest
 
 from reconfig_sim.costmodel import stage_terms
 from reconfig_sim.emulator import (
+    LANES,
     SPECULATIVE,
     Span,
     TimelineReport,
@@ -275,6 +276,13 @@ def _reference_trace(report):
 
 
 def test_trace_matches_json_indent_encoding(corpus, random_scenario):
+    """emit_trace equals the json.dumps reference byte for byte on the
+    corpus, on seeded random scenarios and on hand-built reports: odd
+    strings, -0.0 beside 0.0 (which a memo of each time's text keyed by the
+    float would merge), infinities, and equal starts on all four lanes with
+    and without a NaN start among them, each in both orders (a sort by lane
+    and then by start orders NaN starts differently from the (start, lane)
+    key)."""
     reports = [execute_schedule(s, schedule)
                for _, s in corpus for schedule in candidate_schedules(s).values()]
     for seed in range(100):
@@ -288,6 +296,12 @@ def test_trace_matches_json_indent_encoding(corpus, random_scenario):
         Span("accel", "\x00", float("-inf"), 5e-324, "Q1"),
         Span("transfer", "result", 0.1 + 0.2, float("nan"), "Q1"),
     ), (1.0,), float("inf")))
+    ties = [Span(lane, "tie", 2.0, 3.0, "Q2") for lane in LANES]
+    mixed = (ties[:2] + [Span("accel", "nan", float("nan"), 4.0, "Q3")] + ties[2:]
+             + [Span("scan", "t", 1.0, float("nan"), "Q3"),
+                Span("transfer", "result", 0.0, 2.0, "Q2")])
+    for spans in (ties, ties[::-1], mixed, mixed[::-1]):
+        reports.append(TimelineReport(tuple(spans), (1.0,), 4.0))
     for report in reports:
         assert emit_trace(report) == _reference_trace(report)
 

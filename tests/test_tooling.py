@@ -4,12 +4,18 @@ the package, so a name it lists that the package no longer has breaks every
 traced run; the tracer is read, not imported.  README's command-line
 transcripts show what the commands print, so they are run and compared.
 Those names, __all__ and the entry point are also all that may hold up a
-definition the package itself never reads."""
+definition the package itself never reads.  tools/bench_pairs.py, which
+runs the benchmark in pairs, is loaded from its file and fed canned result
+lines."""
 import ast
 import importlib
+import importlib.util
+import json
 import shlex
 import tomllib
 from pathlib import Path
+
+import pytest
 
 import reconfig_sim
 from reconfig_sim.cli import cli_dispatch
@@ -18,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 README = ROOT / "README.md"
 PYPROJECT = ROOT / "pyproject.toml"
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -105,3 +112,58 @@ def test_readme_transcripts_match_the_cli(capsys):
         assert printed == shown, argv
         compared += 1
     assert compared >= 3
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(wall, setup, rss, sim, failed=0):
+    """A perfbench/run.py --trace 0 result line of one workload."""
+    metrics = {"wall_ref_p50": (wall, "ref"), "setup_s": (setup, "s"),
+               "peak_rss_mb": (rss, "MiB"), "sim_total_ms": (sim, "ms")}
+    return json.dumps({"correct": failed == 0, "attempted": 40, "failed": failed,
+                       "metrics": {name: {"value": value, "unit": unit}
+                                   for name, (value, unit) in metrics.items()}})
+
+
+def test_bench_pairs_summary_reads_result_lines():
+    """The summary gives each side's median [Q1, Q3], the pairs in which the
+    change read lower and the median's change per end-to-end metric, counts
+    failed operations, and says whether sim_total_ms was bit-identical in
+    every pair."""
+    bench_pairs = _bench_pairs()
+    walls = [(350.0, 335.0), (348.0, 330.0), (352.0, 353.0), (346.0, 334.0), (354.0, 336.0)]
+    pairs = [(_result_line(p, 0.037, 36.5, 179520.00464326778),
+              _result_line(c, 0.037, 36.6, 179520.00464326778)) for p, c in walls]
+    lines = bench_pairs.summary(pairs).splitlines()
+    assert lines[0] == "5 pairs"
+    rows = {line.split()[0]: line for line in lines[2:6]}
+    assert rows["wall_ref_p50"].split() == [
+        "wall_ref_p50", "350", "[348,", "352]", "335", "[334,", "336]", "4/5", "-4.3%"]
+    assert rows["setup_s"].split()[-2:] == ["0/5", "+0.0%"]
+    assert rows["peak_rss_mb"].split()[-2:] == ["0/5", "+0.3%"]
+    assert lines[-3:] == ["parent: 0/200 operations failed, 0 of 5 runs not correct",
+                          "change: 0/200 operations failed, 0 of 5 runs not correct",
+                          "sim_total_ms bit-identical in every pair: yes"]
+    pairs[2] = (pairs[2][0], _result_line(353.0, 0.037, 36.6, 179520.0046432678, failed=1))
+    lines = bench_pairs.summary(pairs).splitlines()
+    assert lines[-2:] == ["change: 1/200 operations failed, 1 of 5 runs not correct",
+                          "sim_total_ms bit-identical in every pair: no"]
+
+
+def test_bench_pairs_refuses_paths_of_different_length(tmp_path):
+    bench_pairs = _bench_pairs()
+    for name in ("pa", "ch", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("", encoding="utf-8")
+    bench_pairs.check_checkouts(tmp_path / "pa", tmp_path / "ch")
+    with pytest.raises(SystemExit, match="differ in length"):
+        bench_pairs.check_checkouts(tmp_path / "pa", tmp_path / "change")
+    with pytest.raises(SystemExit, match="no perfbench/run.py"):
+        bench_pairs.check_checkouts(tmp_path / "pa", tmp_path / "xy")
+    assert bench_pairs.seed_range("2971-2980") == range(2971, 2981)
+    assert bench_pairs.seed_range("7") == range(7, 8)
