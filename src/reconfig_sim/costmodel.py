@@ -1,26 +1,8 @@
 """Closed-form stage costs, volume propagation and the bound on a total.
 
 All durations are real-valued milliseconds; volumes and rates use one
-consistent unit (volume per millisecond).  Nothing here rounds.
-propagate_volumes returns a plain (input volumes, output volume) pair.
-Only this module reads rates and load times.
-
-stage_terms owns the cost of one query in one order: its scan, each
-scheduled invocation's module with its full load and accelerator time, and
-its transfer, as plain tuples built from the four stage functions in one
-walk of the order, chaining the volume with propagate_volumes' expression.
-propagate_volumes is the plain chain, which the tests hold stage_terms to.
-The event loop, the closed form and the planners read those terms and call
-no stage function per invocation; only the load of a prefetch, which no
-query's terms hold, is asked of reconfig_time directly.
-
-A scale sweep reads the terms of the same pairs at many scale factors, and
-of everything stage_terms looks up, only the table volume changes with the
-factor: term_lookup reads the rest once per pair, and scaled_stage_terms
-builds a whole point in one call, chaining each pair's rescaled volume
-through its look-up with stage_terms' expressions written out, to the same
-bits as stage_terms on the rescaled scenario.
-first_unbounded_query bounds the total for the loader and the sweeps.
+consistent unit (volume per millisecond).  Nothing here rounds.  Only this
+module reads rates and load times.
 """
 from __future__ import annotations
 
@@ -79,8 +61,9 @@ def stage_terms(q: QuerySpec, order: tuple[int, ...], s: Scenario) -> StageTerms
     """The stage costs of running q in the given order, whatever the region
     holds: (scan_ms, ((module_id, load_ms, accel_ms), ...), transfer_ms),
     one triple per scheduled invocation, where load_ms is the module's full
-    load.  A timing model decides when a load costs 0 (its module already
-    owns the region) and how the terms overlap.
+    load.  The volume chains as in propagate_volumes.  A timing model
+    decides when a load costs 0 (its module already owns the region) and
+    how the terms overlap.
     """
     rpu, modules = s.rpu, s.modules_by_id
     invocations = q.invocations

@@ -13,32 +13,13 @@ query's last invocation and runs under the transfer and the idle gap.
 A speculative load of the wrong module does not break anything: the next
 query's regular reconfiguration simply queues behind it on the region.
 
-One query passes only the region state to the next: the module owning the
-region, when the region frees up, and when the next query arrives.  The
-event loop, _run_queries, runs the whole sequence from an empty region at
-time 0.  It reads each query's costs from its stage terms
-(costmodel.stage_terms of the query in its order), which do not depend on
-the region state or on any gap, so a caller builds them once and runs the
-loop over them as often as it likes; the loop itself only decides when a
-load costs nothing and how the stages overlap.  It reads the gap after each
-query from the query, or takes one gap for every query as an argument, so
-a gap sweep runs every point on its input scenario.  It records span tuples
-only when given a list to put them in, and execute_schedule reads the
-per-query latencies off them and makes each a Span, a record that is a
-tuple of its fields, with tuple.__new__ rather than the constructor.
-_closed_form_table steps one query in closed form, in each of its orders,
-each read once into a summary, from each region state at its arrival, and
-owns the residual of a prefetch; analytic_total calls it with one order
-and one state per query, the optimizer's exact table with all of them.  It
-names a prefetch by its module id, as a Schedule does, in and out.
-
-execute_schedule and analytic_total take schedules from outside and reject
-an illegal one with ScheduleError.  The event loop, which the planners
-compare totals with, checks nothing: their schedules are legal by
-construction, and the record constructors reject the negative and NaN rates,
-volumes, load times, selectivities, multipliers and gaps that could make a
-span end before it starts; a gap passed to the loop is checked by its
-caller, as SweepSpec checks a sweep's gaps.
+execute_schedule (the event loop) and analytic_total (the closed form) take
+schedules from outside and reject an illegal one with ScheduleError.  The
+event loop, which the planners compare totals with, checks nothing: their
+schedules are legal by construction, and the record constructors reject
+the negative and NaN rates, volumes, load times, selectivities, multipliers
+and gaps that could make a span end before it starts; a gap passed to the
+loop is checked by its caller, as SweepSpec checks a sweep's gaps.
 """
 from __future__ import annotations
 
@@ -172,16 +153,6 @@ def _run_queries(s: Scenario, terms: Sequence[StageTerms], prefetches: Sequence[
     return transfer_end
 
 
-def _timeline(s: Scenario, sch: Schedule,
-              spans: list[tuple[str, str, float, float, str]] | None = None) -> float:
-    """Run a legal schedule event by event, unchecked, from an empty region
-    at time 0, and return the total; spans, when given, collects the span
-    tuples.
-    """
-    terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
-    return _run_queries(s, terms, sch.prefetches, spans=spans)
-
-
 def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
     """Run the schedule event by event and report the resulting timeline.
 
@@ -190,8 +161,9 @@ def execute_schedule(s: Scenario, sch: Schedule) -> TimelineReport:
     violations = validate_schedule(s, sch)
     if violations:
         raise ScheduleError(violations)
+    terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
     spans: list[tuple[str, str, float, float, str]] = []
-    total = _timeline(s, sch, spans)
+    total = _run_queries(s, terms, sch.prefetches, spans=spans)
     # a query's latency runs from its arrival, where its scan starts, to its
     # transfer end; the loop records both spans of a query in that order
     per_query, arrival = [], 0.0

@@ -1,17 +1,10 @@
 """Parameter sweeps over bundled or user scenarios, with CSV output.
 
-Sweeps vary either the data volume scale factor or the idle gap between
-queries.  The four candidate schedules read neither, nor does the layout of
-their distinct (query, order) pairs, so a sweep works both out once on the
-input scenario and emulates the schedules at every point, on the input
-scenario too.  Their stage terms, one per pair, read the volumes but no
-gap, so a gap sweep builds them once and passes the event loop the point's
-gap, and a scale sweep looks up once per pair what the terms read besides
-the device's rates (costmodel.term_lookup) and builds each point's terms
-from those in one call (costmodel.scaled_stage_terms): a point costs its
-four event-loop runs, and on the scale axis that call.  Rows come out in
-axis-then-strategy order and numbers are formatted identically on every
-run, so repeated sweeps are byte-identical.
+A scale_factor sweep rebases every table volume to each value, as
+with_scale_factor does.  A gap_ms sweep sets every inter-query gap to each
+value, as with_gaps does.  Rows come out in axis-then-strategy order
+and numbers are formatted identically on every run, so repeated sweeps are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -84,7 +77,7 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
     if gap_ms < 0:
         raise ValueError("gap cannot be negative")
     *queries, last = s.sequence
-    return s.replace(sequence=(*[q._with_gap(gap_ms) for q in queries], last))
+    return s.replace(sequence=(*[q.replace(gap_after_ms=gap_ms) for q in queries], last))
 
 
 def run_sweep(s: Scenario, spec: SweepSpec) -> str:

@@ -162,16 +162,6 @@ class QuerySpec(Record):
                                                   if a in producers}))
         set_field(self, "dependencies", pairs)
 
-    def _with_gap(self, gap_after_ms: float) -> QuerySpec:
-        """This query with another gap, which the caller has checked."""
-        copy = object.__new__(QuerySpec)
-        set_field(copy, "id", self.id)
-        set_field(copy, "table_id", self.table_id)
-        set_field(copy, "invocations", self.invocations)
-        set_field(copy, "gap_after_ms", gap_after_ms)
-        set_field(copy, "dependencies", self.dependencies)
-        return copy
-
 
 class Scenario(Record):
     """A device, its tables and module library, and a sequence of at least

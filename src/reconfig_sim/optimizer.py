@@ -10,24 +10,6 @@ auto          the cheapest of the four
 optimal       the exact optimum over every legal order and prefetch choice
 oracle        a synonym of optimal
 
-candidate_schedules plans the four fixed-strategy schedules; none of them
-reads a volume or a gap, so a sweep plans them once for all its points.
-_term_layout finds the distinct (query, order) pairs among them, which read
-no volume or gap either, and candidate_terms builds one stage term
-(costmodel.stage_terms) per pair, in pair order; the terms read volumes but
-no gap, so a sweep lays them out once and a gap sweep also builds them once
-for all its points.  fixed_outcomes hands each candidate the terms of its
-row of the layout, emulates each once, with the gap a gap sweep passes it,
-and returns the four totals, and _auto_choice picks auto's from them.
-fixed_outcomes and optimal run the emulator's unchecked event loop, since
-every schedule they emulate is legal by construction; optimal builds its
-terms once per (query, legal order).
-
-optimal walks one table, _cost_to_go, of the least closed-form cost of the
-rest of the sequence from each region state a query can meet, filled with
-one emulator._closed_form_table call per query, whose moves carry each
-prefetch as the module id the schedule holds.
-
 The two optimizations trade off: prefetching hides a reconfiguration behind
 the previous transfer and gap but leaves a residual when that window is
 short, while reordering avoids the reconfiguration outright at the price of
@@ -120,7 +102,8 @@ def apply_reorder(s: Scenario, base: Schedule) -> Schedule:
 
 
 def candidate_schedules(s: Scenario) -> dict[str, Schedule]:
-    """The four fixed-strategy schedules for this scenario."""
+    """The four fixed-strategy schedules for this scenario.  None of them
+    reads a volume or a gap, so a sweep plans them once for all its points."""
     base = plan_baseline(s)
     reordered = apply_reorder(s, base)
     return {

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from reconfig_sim import emulator, harness, model
+from reconfig_sim.costmodel import stage_terms
 from reconfig_sim.optimizer import _legal_orders
 
 
@@ -120,6 +121,14 @@ def spread_over_modules(s: model.Scenario, rng: random.Random, n_modules: int) -
     return s.replace(library=library, sequence=sequence)
 
 
+def event_loop_total(s: model.Scenario, schedule: model.Schedule, spans: list | None = None
+                     ) -> float:
+    """The event loop's total for schedule, over its stage terms, without
+    validating it; spans, when given, collects the span tuples."""
+    terms = [stage_terms(q, order, s) for q, order in zip(s.sequence, schedule.orders)]
+    return emulator._run_queries(s, terms, schedule.prefetches, spans=spans)
+
+
 def brute_force(s: model.Scenario) -> tuple[float, model.Schedule]:
     """The reference optimum, by enumeration: the least (total,
     reconfiguration spans, order ranks, prefetch ranks) over every legal
@@ -141,7 +150,7 @@ def brute_force(s: model.Scenario) -> tuple[float, model.Schedule]:
         for ranks in product(*prefetch_ranks):
             schedule = model.Schedule(orders, tuple(modules[rank] for rank in ranks))
             spans: list = []
-            total = emulator._timeline(s, schedule, spans)
+            total = event_loop_total(s, schedule, spans)
             key = (total, sum(sp[0] == "reconfig" for sp in spans), order_ranks, ranks)
             if best is None or key < best[0]:
                 best = key, schedule

@@ -18,7 +18,6 @@ from reconfig_sim.emulator import (
     Span,
     TimelineReport,
     _run_queries,
-    _timeline,
     analytic_total,
     emit_trace,
     execute_schedule,
@@ -27,7 +26,8 @@ from reconfig_sim.harness import with_gaps
 from reconfig_sim.model import Schedule, ScheduleError, load_scenario
 from reconfig_sim.optimizer import candidate_schedules, plan_baseline
 
-from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
+from conftest import (event_loop_total, make_chained_scenario, make_random_scenario,
+                      spread_over_modules)
 
 
 def _spans(report, lane, query_id=None):
@@ -112,7 +112,8 @@ def _emulated_total(s, schedule):
     reconfiguration count when it records them."""
     report = execute_schedule(s, schedule)
     spans = []
-    assert _timeline(s, schedule) == _timeline(s, schedule, spans) == report.total_ms
+    total = event_loop_total(s, schedule)
+    assert total == event_loop_total(s, schedule, spans) == report.total_ms
     assert sum(sp[0] == "reconfig" for sp in spans) == len(_spans(report, "reconfig"))
     return report.total_ms
 
@@ -413,5 +414,5 @@ def test_a_passed_gap_runs_as_the_gapped_scenario():
                 total = _run_queries(s, terms, schedule.prefetches, gap=gap)
                 assert total == _run_queries(gapped, terms, schedule.prefetches)
                 assert total == _run_queries(s, terms, schedule.prefetches, gap=gap, spans=spans)
-                assert total == _timeline(gapped, schedule, gapped_spans)
+                assert total == event_loop_total(gapped, schedule, gapped_spans)
                 assert spans == gapped_spans, (s, schedule, gap)

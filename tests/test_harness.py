@@ -62,15 +62,6 @@ def test_with_gaps_rejects_non_finite_gaps(seq2, gap):
         with_gaps(seq2, gap)
 
 
-def test_with_gaps_keeps_the_stored_dependency_pairs(corpus):
-    scenarios = [s for _, s in corpus]
-    assert any(q.dependencies for s in scenarios for q in s.sequence)
-    for s in scenarios:
-        gapped = with_gaps(s, 7.5)
-        for gapped_q, q in zip(gapped.sequence, s.sequence):
-            assert gapped_q.dependencies is q.dependencies
-
-
 def test_scale_sweep_csv_is_exact(seq2):
     spec = SweepSpec("scale_factor", (0.25, 1.0), ("spec_reconfig", "reorder"))
     assert run_sweep(seq2, spec) == (

@@ -30,6 +30,8 @@ from reconfig_sim.model import (
 )
 from reconfig_sim.record import Record
 
+from conftest import event_loop_total
+
 
 def _load(doc):
     return load_scenario(json.dumps(doc))
@@ -878,7 +880,7 @@ def test_emulation_uses_the_scenario_own_maps(seq2):
     object.__setattr__(stale, "tables_by_id", rebuilt.tables_by_id)
     object.__setattr__(stale, "modules_by_id", rebuilt.modules_by_id)
     schedule = identity_schedule(seq2)
-    for total in (lambda s: emulator._timeline(s, schedule),
+    for total in (lambda s: event_loop_total(s, schedule),
                   lambda s: emulator.execute_schedule(s, schedule).total_ms,
                   lambda s: emulator.analytic_total(s, schedule)):
         assert total(stale) == total(rebuilt) != total(seq2)

@@ -31,7 +31,8 @@ from reconfig_sim.optimizer import (
     plan_baseline,
 )
 
-from conftest import brute_force, make_chained_scenario, make_random_scenario, spread_over_modules
+from conftest import (brute_force, event_loop_total, make_chained_scenario, make_random_scenario,
+                      spread_over_modules)
 
 _GT = {"kind": "compare_gt", "operand_type": "int32"}
 _LT = {"kind": "compare_lt", "operand_type": "int32"}
@@ -871,7 +872,7 @@ def test_optimal_is_never_above_any_schedule_on_a_long_sequence():
     for _ in range(50):
         schedule = Schedule(tuple(rng.choice(legal) for legal in orders),
                             tuple(rng.choice(modules) for _ in s.sequence[:-1]) + (None,))
-        assert best <= emulator._timeline(s, schedule) * (1 + 1e-9)
+        assert best <= event_loop_total(s, schedule) * (1 + 1e-9)
     assert best < optimize(s, "auto").total_ms * (1 - 1e-3)
 
 

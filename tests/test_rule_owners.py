@@ -113,11 +113,10 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
     test_costmodel holds to stage_terms bit for bit: outside costmodel, the
     stage functions are read only for the load of a prefetch, by the event
     loop and the closed form's table, and the terms only by the emulator's
-    entries (_timeline runs the loop for execute_schedule), by
-    candidate_terms for the four candidates and by _order_choices for
-    optimal; the look-up, once per pair, and the build of a scale point,
-    one scaled_stage_terms call for all its pairs, only by run_sweep's
-    scale axis.  The closed form reads each order once, into a summary, in one
+    entries, by candidate_terms for the four candidates and by
+    _order_choices for optimal; the look-up, once per pair, and the build
+    of a scale point, one scaled_stage_terms call for all its pairs, only by
+    run_sweep's scale axis.  The closed form reads each order once, into a summary, in one
     table of a query over its orders and arriving states,
     emulator._closed_form_table, which only analytic_total and the
     optimizer's exact table, _cost_to_go, read; the optimizer reads no
@@ -132,7 +131,7 @@ def test_stage_costs_are_read_only_by_the_event_loop_and_the_closed_form():
                     users.setdefault(read, set()).add((name, scope))
     assert users == {
         "reconfig_time": {("emulator.py", "_run_queries"), ("emulator.py", "_closed_form_table")},
-        "stage_terms": {("emulator.py", "_timeline"), ("emulator.py", "analytic_total"),
+        "stage_terms": {("emulator.py", "execute_schedule"), ("emulator.py", "analytic_total"),
                         ("optimizer.py", "candidate_terms"),
                         ("optimizer.py", "_order_choices")},
         "term_lookup": {("harness.py", "run_sweep")},

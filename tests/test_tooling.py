@@ -4,14 +4,19 @@ the package, so a name it lists that the package no longer has breaks every
 traced run; the tracer is read, not imported.  README's command-line
 transcripts show what the commands print, so they are run and compared.
 Those names, __all__ and the entry point are also all that may hold up a
-definition the package itself never reads.  tools/bench_pairs.py, which
+definition the package itself never reads.  The dotted package names in
+README and in the package's docstrings and comments must exist, and README
+names only public ones.  tools/bench_pairs.py, which
 runs the benchmark in pairs, is loaded from its file and fed canned result
 lines."""
 import ast
 import importlib
 import importlib.util
+import io
 import json
+import re
 import shlex
+import tokenize
 import tomllib
 from pathlib import Path
 
@@ -25,6 +30,10 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 README = ROOT / "README.md"
 PYPROJECT = ROOT / "pyproject.toml"
 BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+# module.name of a package module, as docs write it
+DOTTED = re.compile(r"\b(analyzer|cli|costmodel|emulator|harness|model|optimizer|record)"
+                    r"\.([A-Za-z_]\w*)")
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -114,6 +123,45 @@ def test_readme_transcripts_match_the_cli(capsys):
     assert compared >= 3
 
 
+def _package_prose() -> list[tuple[str, str]]:
+    """(file name, text) of every docstring and comment in the package."""
+    prose = []
+    for path in sorted(Path(reconfig_sim.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source, str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and ast.get_docstring(node):
+                prose.append((path.name, ast.get_docstring(node, clean=False)))
+        prose += [(path.name, token.string)
+                  for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if token.type == tokenize.COMMENT]
+    return prose
+
+
+def test_docs_name_only_real_package_names():
+    """Each module.name that README or a docstring or comment of the package
+    writes is an attribute of that module, so a rename or a deletion
+    leaves no stale name in the docs."""
+    texts = [("README.md", README.read_text(encoding="utf-8"))] + _package_prose()
+    named = [(where, module, name) for where, text in texts
+             for module, name in DOTTED.findall(text)]
+    missing = [f"{where}: {module}.{name}" for where, module, name in named
+               if not hasattr(importlib.import_module(f"reconfig_sim.{module}"), name)]
+    assert missing == []
+    assert len({where for where, _, _ in named}) > 5
+
+
+def test_readme_names_only_public_package_names():
+    """README documents the public names, those in __all__, and FieldError,
+    the error the record constructors raise; helpers that the package's
+    own docstrings describe stay out of it."""
+    named = DOTTED.findall(README.read_text(encoding="utf-8"))
+    private = sorted({f"{module}.{name}" for module, name in named
+                      if name not in reconfig_sim.__all__ and name != "FieldError"})
+    assert private == []
+    assert named
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)
@@ -132,27 +180,71 @@ def _result_line(wall, setup, rss, sim, failed=0):
 
 def test_bench_pairs_summary_reads_result_lines():
     """The summary gives each side's median [Q1, Q3], the pairs in which the
-    change read lower and the median's change per end-to-end metric, counts
-    failed operations, and says whether sim_total_ms was bit-identical in
-    every pair."""
+    change read better, the median's change and a verdict per end-to-end
+    metric, counts failed operations, and says whether sim_total_ms was
+    bit-identical in every pair."""
     bench_pairs = _bench_pairs()
     walls = [(350.0, 335.0), (348.0, 330.0), (352.0, 353.0), (346.0, 334.0), (354.0, 336.0)]
     pairs = [(_result_line(p, 0.037, 36.5, 179520.00464326778),
               _result_line(c, 0.037, 36.6, 179520.00464326778)) for p, c in walls]
-    lines = bench_pairs.summary(pairs).splitlines()
+    lines = bench_pairs.summary(pairs, END_TO_END).splitlines()
     assert lines[0] == "5 pairs"
     rows = {line.split()[0]: line for line in lines[2:6]}
     assert rows["wall_ref_p50"].split() == [
-        "wall_ref_p50", "350", "[348,", "352]", "335", "[334,", "336]", "4/5", "-4.3%"]
-    assert rows["setup_s"].split()[-2:] == ["0/5", "+0.0%"]
-    assert rows["peak_rss_mb"].split()[-2:] == ["0/5", "+0.3%"]
+        "wall_ref_p50", "350", "[348,", "352]", "335", "[334,", "336]", "4/5", "-4.3%",
+        "no", "change"]
+    assert rows["setup_s"].split()[-4:-2] == ["0/5", "+0.0%"]
+    assert rows["peak_rss_mb"].split()[-4:-2] == ["0/5", "+0.3%"]
     assert lines[-3:] == ["parent: 0/200 operations failed, 0 of 5 runs not correct",
                           "change: 0/200 operations failed, 0 of 5 runs not correct",
                           "sim_total_ms bit-identical in every pair: yes"]
     pairs[2] = (pairs[2][0], _result_line(353.0, 0.037, 36.6, 179520.0046432678, failed=1))
-    lines = bench_pairs.summary(pairs).splitlines()
+    lines = bench_pairs.summary(pairs, END_TO_END).splitlines()
     assert lines[-2:] == ["change: 1/200 operations failed, 1 of 5 runs not correct",
                           "sim_total_ms bit-identical in every pair: no"]
+
+
+def _verdicts(rss_pairs, walls=None):
+    """Each end-to-end metric's verdict on pairs of peak_rss_mb readings and,
+    when given, of wall_ref_p50 readings; the other metrics do not move."""
+    walls = walls or [(350.0, 350.0)] * len(rss_pairs)
+    pairs = [(_result_line(pw, 0.037, pr, 179520.0), _result_line(cw, 0.037, cr, 179520.0))
+             for (pw, cw), (pr, cr) in zip(walls, rss_pairs)]
+    rows = _bench_pairs().summary(pairs, END_TO_END).splitlines()[2:6]
+    return {row.split()[0]: row.rsplit("  ", 1)[1] for row in rows}
+
+
+def test_bench_pairs_calls_a_gain_only_on_nine_in_ten_pairs_beyond_the_spread():
+    walls = [(350.0 + k % 3, 340.0) for k in range(10)]
+    verdicts = _verdicts([(36.5, 36.5)] * 10, walls)
+    assert verdicts == {"wall_ref_p50": "gain", "setup_s": "no change",
+                        "peak_rss_mb": "no change", "sim_total_ms": "no change"}
+    walls[0] = (350.0, 351.0)  # 9 of 10 pairs still win
+    assert _verdicts([(36.5, 36.5)] * 10, walls)["wall_ref_p50"] == "gain"
+    walls[1] = (351.0, 352.0)
+    assert _verdicts([(36.5, 36.5)] * 10, walls)["wall_ref_p50"] == "no change"
+
+
+def test_bench_pairs_calls_a_median_past_the_bound_worse():
+    # +2.7% on a 2% bound; +1.6% stays within it
+    assert _verdicts([(36.5, 37.5)] * 5)["peak_rss_mb"] == "worse"
+    assert _verdicts([(36.5, 37.1)] * 5)["peak_rss_mb"] == "no change"
+
+
+def test_bench_pairs_calls_a_spread_wider_than_the_bound_unresolved():
+    """The parent's Q3 - Q1 is 2 MiB on a median of 37 MiB, wider than the
+    2% bound, and the change reads the same values in another order."""
+    parent = [35.0, 36.0, 37.0, 38.0, 39.0]
+    verdicts = _verdicts(list(zip(parent, [37.0, 39.0, 35.0, 36.0, 38.0])))
+    assert verdicts["peak_rss_mb"] == "unresolved"
+    assert verdicts["wall_ref_p50"] == "no change"
+
+
+def test_bench_pairs_calls_a_wide_spread_no_change_when_every_change_run_is_better():
+    """Every change run beats every parent run, but by less than the
+    parent's Q3 - Q1, so that it is no gain either."""
+    parent = [35.0, 35.0, 35.1, 40.0, 40.0]
+    assert _verdicts([(p, 34.9) for p in parent])["peak_rss_mb"] == "no change"
 
 
 def test_bench_pairs_refuses_paths_of_different_length(tmp_path):

@@ -10,9 +10,21 @@ of equal length: plan_large's peak_rss_mb moves with the length of the
 checkout path, so runs from paths of different lengths do not compare.
 
 Prints each pair as it finishes, then for each end-to-end metric each
-side's median [Q1, Q3], the number of pairs in which the change read lower
-and the change of the median, and whether sim_total_ms was bit-identical
-in every pair.  Uses the standard library only.
+side's median [Q1, Q3], the number of pairs in which the change read
+better, the change of the median and a verdict, and whether sim_total_ms
+was bit-identical in every pair.  Which way is better, and each metric's
+bound, come from the change checkout's BENCHMARK.json.  The verdicts, first
+match wins:
+
+    gain        better in at least 9 of 10 pairs, and the medians differ,
+                the right way, by more than the parent's Q3 - Q1
+    worse       the change's median is worse than the parent's by more than
+                the bound, a fraction of the parent's median
+    unresolved  the parent's Q3 - Q1 exceeds the bound times its median,
+                unless every change run beats every parent run
+    no change   anything else
+
+Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -64,23 +76,44 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
-def summary(pairs: list[tuple[str, str]]) -> str:
+def judge(parent: list[float], change: list[float], better: str, bound: float
+          ) -> tuple[int, str]:
+    """The number of pairs in which the change read better, and the verdict
+    on one end-to-end metric (see the module docstring); better is "lower"
+    or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * (p - c) > 0: c is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    (pm, p1, p3), (cm, _, _) = _quartiles(parent), _quartiles(change)
+    if 10 * wins >= 9 * len(parent) and sign * (pm - cm) > p3 - p1:
+        return wins, "gain"
+    if sign * (cm - pm) > bound * abs(pm):
+        return wins, "worse"
+    if p3 - p1 > bound * abs(pm) and not all(sign * (p - c) > 0
+                                             for p in parent for c in change):
+        return wins, "unresolved"
+    return wins, "no change"
+
+
+def summary(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> str:
     """The report on (parent result line, change result line) pairs, each a
-    perfbench/run.py --trace 0 result line of one workload."""
+    perfbench/run.py --trace 0 result line of one workload; end_to_end is
+    BENCHMARK.json's list of end-to-end metrics, with their better and
+    bound."""
+    rules = {metric["name"]: (metric["better"], metric["bound"]) for metric in end_to_end}
     results = [(json.loads(parent), json.loads(change)) for parent, change in pairs]
     names = list(results[0][0]["metrics"])
     lines = [f"{len(results)} pairs",
              f"{'metric':<14} {'parent median [Q1, Q3]':>34} {'change median [Q1, Q3]':>34}"
-             f" {'lower':>7} {'median':>8}"]
+             f" {'better':>7} {'median':>8}  verdict"]
     for name in names:
         parent = [p["metrics"][name]["value"] for p, _ in results]
         change = [c["metrics"][name]["value"] for _, c in results]
-        lower = sum(c < p for p, c in zip(parent, change))
+        wins, verdict = judge(parent, change, *rules[name])
         (pm, p1, p3), (cm, c1, c3) = _quartiles(parent), _quartiles(change)
         shift = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         lines.append(f"{name:<14} {f'{pm:.6g} [{p1:.6g}, {p3:.6g}]':>34}"
-                     f" {f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>34} {f'{lower}/{len(results)}':>7}"
-                     f" {shift:>8}")
+                     f" {f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>34} {f'{wins}/{len(results)}':>7}"
+                     f" {shift:>8}  {verdict}")
     for side, index in (("parent", 0), ("change", 1)):
         failed = sum(pair[index]["failed"] for pair in results)
         attempted = sum(pair[index]["attempted"] for pair in results)
@@ -104,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     check_checkouts(parent, change)
+    end_to_end = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
     pairs = []
     for k, seed in enumerate(args.seeds):
@@ -118,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"seed {seed} ({'parent' if parent_first else 'change'} first): "
               + ", ".join(f"{name} {values[0][name]:.6g} -> {values[1][name]:.6g}"
                           for name in values[0]), flush=True)
-    print(summary(pairs))
+    print(summary(pairs, end_to_end))
     return 0
 
 
