@@ -122,10 +122,7 @@ def _parse_values(raw: str) -> tuple[float, ...]:
 def _cmd_sweep(args) -> int:
     s = _load_scenario_arg(args.scenario)
     strategies = tuple(part for part in args.strategies.split(",") if part)
-    try:
-        spec = SweepSpec(axis=args.axis, values=_parse_values(args.values), strategies=strategies)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    spec = SweepSpec(axis=args.axis, values=_parse_values(args.values), strategies=strategies)
     _write(args.out, run_sweep(s, spec))
     return 0
 

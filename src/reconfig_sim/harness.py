@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from importlib import resources
 
-from .costmodel import first_unbounded_query, scaled_stage_terms, term_lookup
+from .costmodel import first_unbounded_query
 from .emulator import analytic_total
 from .model import Scenario, load_scenario
-from .optimizer import (FIXED_STRATEGIES, _auto_choice, _improvement, _term_layout,
-                        candidate_schedules, candidate_terms, fixed_outcomes)
+from .optimizer import FIXED_STRATEGIES, _auto_choice, _improvement, candidate_evaluator, optimize
 from .record import Record, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
@@ -83,41 +82,28 @@ def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
 def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     """Evaluate every (value, strategy) point and return the CSV text.
 
-    The candidate schedules and the layout of their stage terms are worked
-    out once, on s, and emulated at every point on s itself.  The terms
-    read volumes but no gap, so a gap sweep builds them once and passes the
-    point's gap to the event loop, and a scale sweep looks each (query,
-    order) pair up once and builds each point's terms from the look-ups in
-    one call, as on with_scale_factor(s, value) without the copy.
+    One optimizer.candidate_evaluator on s, on the sweep's axis, plans the
+    candidates once and emulates them at every point on s itself.
     improvement_pct in each row compares against the baseline strategy at
     the same axis value.  An axis value at which the loader's bound on the
     total (costmodel.first_unbounded_query) is not finite is a ValueError;
     the scale axis reads that bound, and the volumes' own finiteness, off
     its one copy, at the largest value.
     """
-    gap_axis = spec.axis == "gap_ms"
     largest = spec.values[-1]
     # SweepSpec values strictly increase and the bound only grows with the
     # scale factor and with the gap, so the largest value bounds every point
-    if gap_axis:
+    if spec.axis == "gap_ms":
         unbounded = first_unbounded_query(s, largest)
     else:
         unbounded = first_unbounded_query(with_scale_factor(s, largest))
     if unbounded is not None:
         raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
                          "bound on the total is not finite by this query")
-    schedules = candidate_schedules(s)
-    layout = _term_layout(schedules)
-    if gap_axis:
-        built = candidate_terms(s, layout)
-    else:
-        lookups = [term_lookup(s.sequence[i], order, s) for i, order in layout[0]]
+    evaluate = candidate_evaluator(s, spec.axis)[1]
     rows = [CSV_HEADER]
     for value in spec.values:
-        if gap_axis:
-            totals = fixed_outcomes(s, schedules, layout, built, value)
-        else:
-            totals = fixed_outcomes(s, schedules, layout, scaled_stage_terms(lookups, s, value))
+        totals = evaluate(value)
         totals["auto"] = totals[_auto_choice(totals)]
         rows += [",".join((spec.axis, format_ms(value), strategy, format_ms(totals[strategy]),
                            format_ms(_improvement(totals["baseline"], totals[strategy]))))
@@ -155,25 +141,26 @@ def load_bundled(name: str) -> Scenario:
 
 def verify_corpus() -> list[tuple[str, list[str]]]:
     """Check every bundled scenario: it loads cleanly, the closed form
-    matches the event emulation for all four strategies, and auto never
-    loses to baseline.
+    matches the event emulation for all four strategies and for optimal's
+    schedule, which must be legal, and optimal is not above auto.
     """
     results = []
     for name in bundled_names():
         problems = []
         try:
             s = load_bundled(name)
-            schedules = candidate_schedules(s)
-            layout = _term_layout(schedules)
-            totals = fixed_outcomes(s, schedules, layout, candidate_terms(s, layout))
-            for strategy in FIXED_STRATEGIES:
-                emulated = totals[strategy]
-                closed = analytic_total(s, schedules[strategy])
+            schedules, evaluate = candidate_evaluator(s)
+            totals = evaluate()
+            auto = totals[_auto_choice(totals)]
+            best = optimize(s, "optimal")
+            totals["optimal"] = best.total_ms
+            for strategy, schedule in (*schedules.items(), ("optimal", best.schedule)):
+                emulated, closed = totals[strategy], analytic_total(s, schedule)
                 if abs(emulated - closed) > EQUIVALENCE_TOLERANCE_MS:
                     problems.append(
                         f"{strategy}: emulated {emulated!r} differs from closed form {closed!r}")
-            if totals[_auto_choice(totals)] > totals["baseline"]:
-                problems.append("auto is worse than baseline")
+            if best.total_ms - auto > EQUIVALENCE_TOLERANCE_MS:
+                problems.append(f"optimal: total {best.total_ms!r} is above auto's {auto!r}")
         except Exception as exc:  # surface the failure against its scenario
             problems.append(f"{type(exc).__name__}: {exc}")
         results.append((name, problems))

@@ -22,7 +22,7 @@ from itertools import permutations
 from operator import add, getitem
 
 from .analyzer import baseline_order, generate_hints
-from .costmodel import StageTerms, stage_terms
+from .costmodel import StageTerms, scaled_stage_terms, stage_terms, term_lookup
 from .emulator import _closed_form_table, _run_queries
 from .model import Scenario, Schedule, reader_first_pairs, schedule_to_doc
 from .record import Record, set_field
@@ -31,11 +31,6 @@ FIXED_STRATEGIES = ("baseline", "spec_reconfig", "reorder", "combined")
 STRATEGIES = FIXED_STRATEGIES + ("auto", "oracle", "optimal")
 
 OPTIMAL_MAX_WIDTH = 8
-
-# (distinct (query index, order) pairs, rows of positions among them, the row
-# of each schedule by name); see _term_layout
-TermLayout = tuple[list[tuple[int, tuple[int, ...]]], list[list[int]], dict[str, int]]
-
 
 class InstanceTooLargeError(ValueError):
     pass
@@ -120,57 +115,46 @@ def _improvement(baseline_total: float, total: float) -> float:
     return 100.0 * (baseline_total - total) / baseline_total
 
 
-def _term_layout(schedules: dict[str, Schedule]) -> TermLayout:
-    """Where the stage terms of the schedules come from: the distinct
-    (query index, order) pairs among them, one row of positions among those
-    pairs per distinct orders object, and each schedule's row.
+def candidate_evaluator(s: Scenario, axis: str | None = None):
+    """The four candidate schedules of s, by name, and evaluate(value=None),
+    which gives their totals by name, in FIXED_STRATEGIES order, from one
+    emulation each.  evaluate() runs s as it is.  On a harness.SWEEP_AXES
+    axis, evaluate(value) runs s as harness.with_scale_factor(s, value) or
+    harness.with_gaps(s, value) would, without the copy; the caller has
+    checked the value.
 
-    The candidates that differ only in prefetches share their orders object
-    and so one row, and a query that reorder leaves in its baseline order
-    has one pair in both rows.  The layout reads no volume or gap, so a
-    sweep works it out once for all its points.
+    Each distinct (query index, order) pair among the candidates is built
+    once: the candidates that differ only in prefetches share their orders
+    object and so one term list, and a query that reorder leaves in its
+    baseline order has one term object in both lists.  The terms read no
+    gap, so a gap axis builds them once; a scale axis looks each pair up
+    once and builds a point's terms in one scaled_stage_terms call.
     """
+    schedules = candidate_schedules(s)
     pairs: dict[tuple[int, tuple[int, ...]], int] = {}
-    rows: list[list[int]] = []
-    row_of_orders: dict[int, int] = {}  # keyed by the id of an orders object
-    row_of = {}
-    for name, sched in schedules.items():
-        row = row_of_orders.get(id(sched.orders))
-        if row is None:
-            row = row_of_orders[id(sched.orders)] = len(rows)
-            rows.append([pairs.setdefault(pair, len(pairs)) for pair in enumerate(sched.orders)])
-        row_of[name] = row
-    return list(pairs), rows, row_of
-
-
-def candidate_terms(s: Scenario, layout: TermLayout) -> list[StageTerms]:
-    """The stage terms of the (query index, order) pairs that _term_layout
-    laid out, on s, in pair order: each pair is built once, however many
-    candidates share it."""
+    rows = {}  # positions among pairs of each orders object, by its id
+    for sched in schedules.values():
+        if id(sched.orders) not in rows:
+            rows[id(sched.orders)] = [pairs.setdefault(pair, len(pairs))
+                                      for pair in enumerate(sched.orders)]
     sequence = s.sequence
-    return [stage_terms(sequence[i], order, s) for i, order in layout[0]]
+    if axis == "scale_factor":
+        lookups = [term_lookup(sequence[i], order, s) for i, order in pairs]
+    else:
+        built = [stage_terms(sequence[i], order, s) for i, order in pairs]
 
+    def evaluate(value: float | None = None) -> dict[str, float]:
+        terms = scaled_stage_terms(lookups, s, value) if axis == "scale_factor" else built
+        gap = value if axis == "gap_ms" else None
+        lists = {key: [terms[k] for k in row] for key, row in rows.items()}
+        return {name: _run_queries(s, lists[id(sched.orders)], sched.prefetches, gap)
+                for name, sched in schedules.items()}
 
-def fixed_outcomes(s: Scenario, schedules: dict[str, Schedule], layout: TermLayout,
-                   built: list[StageTerms], gap: float | None = None) -> dict[str, float]:
-    """The total of each candidate schedule, by name, from one emulation
-    each, with gap, when given, after every query instead of the query's
-    own gap (as on harness.with_gaps(s, gap)).
-
-    schedules is candidate_schedules of s, or of a scenario that differs
-    from s only in volumes or gaps, which gives the same schedules, and
-    layout is their _term_layout.  built is candidate_terms(s, layout), or
-    the same pairs' terms at another scale factor (a scale sweep's points),
-    since the loop reads no volume; each row's list is made once.
-    """
-    _, rows, row_of = layout
-    lists = [[built[k] for k in row] for row in rows]
-    return {name: _run_queries(s, lists[row_of[name]], sched.prefetches, gap)
-            for name, sched in schedules.items()}
+    return schedules, evaluate
 
 
 def _auto_choice(totals: dict[str, float]) -> str:
-    """The fixed strategy that "auto" picks from fixed_outcomes' totals: the
+    """The fixed strategy that "auto" picks from the candidates' totals: the
     cheapest; ties go to the earliest in baseline, spec_reconfig, reorder,
     combined order."""
     return min(FIXED_STRATEGIES, key=totals.__getitem__)
@@ -190,9 +174,8 @@ def optimize(s: Scenario, strategy: str = "auto") -> StrategyOutcome:
         return exhaustive_oracle(s)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy!r}")
-    schedules = candidate_schedules(s)
-    layout = _term_layout(schedules)
-    totals = fixed_outcomes(s, schedules, layout, candidate_terms(s, layout))
+    schedules, evaluate = candidate_evaluator(s)
+    totals = evaluate()
     name = _auto_choice(totals) if strategy == "auto" else strategy
     return StrategyOutcome(name, schedules[name], totals[name],
                            _improvement(totals["baseline"], totals[name]))

@@ -1,11 +1,13 @@
 import json
 import random
+import struct
+import sys
 from itertools import product
 
 import pytest
 
 from reconfig_sim import emulator, harness, model
-from reconfig_sim.costmodel import stage_terms
+from reconfig_sim.costmodel import first_unbounded_query, stage_terms
 from reconfig_sim.optimizer import _legal_orders
 
 
@@ -155,3 +157,32 @@ def brute_force(s: model.Scenario) -> tuple[float, model.Schedule]:
             if best is None or key < best[0]:
                 best = key, schedule
     return best[0][0], best[1]
+
+
+def largest_bounded_scale_factor(s, unbounded=first_unbounded_query):
+    """The largest scale factor a sweep of s accepts: the last at which
+    harness.with_scale_factor keeps every volume finite and the loader's bound
+    (or the given stand-in for it) holds.  Both only grow with the factor,
+    so this bisects over the bit patterns of the positive doubles, which
+    order as the doubles do."""
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    def bounded(bits):
+        try:
+            return unbounded(harness.with_scale_factor(s, as_float(bits))) is None
+        except ValueError:
+            return False
+
+    low, high = (struct.unpack("<q", struct.pack("<d", f))[0]
+                 for f in (1.0, sys.float_info.max))
+    if bounded(high):
+        return sys.float_info.max
+    assert bounded(low)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if bounded(middle):
+            low = middle
+        else:
+            high = middle
+    return as_float(low)

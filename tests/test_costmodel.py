@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 import sys
 
 import pytest
@@ -20,9 +19,10 @@ from reconfig_sim.costmodel import (
 )
 from reconfig_sim.harness import SweepSpec, run_sweep, with_scale_factor
 from reconfig_sim.model import AcceleratorModule, Invocation, QuerySpec, RpuConfig, TableDef
-from reconfig_sim.optimizer import _legal_orders, _term_layout, candidate_schedules
+from reconfig_sim.optimizer import _legal_orders, candidate_schedules
 
-from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
+from conftest import (largest_bounded_scale_factor, make_chained_scenario, make_random_scenario,
+                      spread_over_modules)
 
 _RPU = RpuConfig(storage_rate=1.0, network_rate=0.2, default_reconfig_ms=15.0)
 _MODULE = AcceleratorModule("m", frozenset(), proc_rate=2.0)
@@ -170,35 +170,6 @@ def test_stage_terms_equal_the_stage_functions_bit_for_bit(corpus, random_scenar
                     ("own reconfig_ms", True), ("own reconfig_ms", False)}
 
 
-def _largest_bounded_scale_factor(s, unbounded=first_unbounded_query):
-    """The largest scale factor a sweep of s accepts: the last at which
-    with_scale_factor keeps every volume finite and the loader's bound
-    (or the given stand-in for it) holds.  Both only grow with the factor,
-    so this bisects over the bit patterns of the positive doubles, which
-    order as the doubles do."""
-    def as_float(bits):
-        return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-    def bounded(bits):
-        try:
-            return unbounded(with_scale_factor(s, as_float(bits))) is None
-        except ValueError:
-            return False
-
-    low, high = (struct.unpack("<q", struct.pack("<d", f))[0]
-                 for f in (1.0, sys.float_info.max))
-    if bounded(high):
-        return sys.float_info.max
-    assert bounded(low)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if bounded(middle):
-            low = middle
-        else:
-            high = middle
-    return as_float(low)
-
-
 def test_scaled_stage_terms_equal_stage_terms_on_the_rescaled_scenario(corpus):
     """A scale sweep builds each point's terms in one scaled_stage_terms
     call, from one term_lookup per (query, order) pair of the candidates,
@@ -223,12 +194,13 @@ def test_scaled_stage_terms_equal_stage_terms_on_the_rescaled_scenario(corpus):
     assert {s.scale_factor for s in scenarios} == {1.0, 0.25, 0.3}
     checked = 0
     for s in scenarios:
-        largest = _largest_bounded_scale_factor(s)
+        largest = largest_bounded_scale_factor(s)
         run_sweep(s, SweepSpec("scale_factor", (largest,)))
         if largest < sys.float_info.max:
             with pytest.raises(ValueError, match="^scale_factor "):
                 run_sweep(s, SweepSpec("scale_factor", (math.nextafter(largest, math.inf),)))
-        pairs = _term_layout(candidate_schedules(s))[0]
+        pairs = list({pair for sched in candidate_schedules(s).values()
+                      for pair in enumerate(sched.orders)})
         lookups = [term_lookup(s.sequence[i], order, s) for i, order in pairs]
         for factor in (5e-324, 1e-300, 0.1, 7.5, largest):
             rescaled = with_scale_factor(s, factor)
@@ -280,7 +252,7 @@ def test_first_unbounded_query_equals_the_stage_function_reference(corpus):
         scenarios += [s, _with_edge_stages(s, rng)]
     where = {}
     for s in scenarios:
-        largest = _largest_bounded_scale_factor(s, _first_unbounded_query_by_stage)
+        largest = largest_bounded_scale_factor(s, _first_unbounded_query_by_stage)
         factors = [largest, math.nextafter(largest, math.inf), math.nextafter(largest, 0.0)]
         points = [("as given", s)]
         for factor in factors:

@@ -212,8 +212,8 @@ def work_counts(monkeypatch):
                     ("terms", optimizer.stage_terms),
                     ("gap_copies", harness.with_gaps),
                     ("scale_copies", harness.with_scale_factor),
-                    ("lookups", harness.term_lookup),
-                    ("scaled", harness.scaled_stage_terms)):
+                    ("lookups", optimizer.term_lookup),
+                    ("scaled", optimizer.scaled_stage_terms)):
         def counting(*args, key=key, fn=fn):
             counts[key] += 1
             return fn(*args)
@@ -270,13 +270,48 @@ def test_optimize_builds_each_candidate_query_order_once(work_counts, corpus, ra
 
 
 def test_verify_corpus_emulates_each_candidate_once(work_counts, corpus):
-    """Stage terms are built once per distinct (query, order): twice for a
-    query that reorder moves, once for every other."""
-    terms = sum(_distinct_query_orders(s) for _, s in corpus)
+    """Six emulations per scenario: the four candidates, then optimal's
+    schedule and its baseline.  Stage terms are built once per distinct
+    (query, order) among the candidates, twice for a query that reorder
+    moves and once for every other, and once per legal order of each query
+    for optimal."""
+    candidate_terms = sum(_distinct_query_orders(s) for _, s in corpus)
+    legal_orders = sum(len(optimizer._legal_orders(q)) for _, s in corpus for q in s.sequence)
     n = len(verify_corpus())
-    assert n == len(corpus) and terms < 2 * sum(len(s.sequence) for _, s in corpus)
-    assert work_counts == {"builds": n, "emulations": 4 * n, "terms": terms, "gap_copies": 0,
+    assert n == len(corpus) and candidate_terms < 2 * sum(len(s.sequence) for _, s in corpus)
+    assert work_counts == {"builds": n, "emulations": 6 * n,
+                           "terms": candidate_terms + legal_orders, "gap_copies": 0,
                            "scale_copies": 0, "lookups": 0, "scaled": 0}
+
+
+def test_verify_corpus_flags_an_optimal_above_auto(monkeypatch):
+    """A planner that returns the worst candidate under the name optimal,
+    with its true total, passes the closed-form check and fails the check
+    against auto on every scenario whose candidates differ."""
+    def worst_candidate(s):
+        return max((optimize(s, name) for name in optimizer.FIXED_STRATEGIES),
+                   key=lambda outcome: outcome.total_ms)
+
+    monkeypatch.setattr(optimizer, "optimal", worst_candidate)
+    problems = [problem for _, found in verify_corpus() for problem in found]
+    assert problems and all(re.fullmatch(r"optimal: total \S+ is above auto's \S+", problem)
+                            for problem in problems), problems
+
+
+def test_verify_corpus_flags_an_optimal_total_off_its_schedule(monkeypatch):
+    """A planner whose total is not its schedule's fails the closed-form
+    check on every scenario, and only that check."""
+    optimal = optimizer.optimal
+
+    def understated(s):
+        outcome = optimal(s)
+        return outcome.replace(total_ms=outcome.total_ms - 1.0)
+
+    monkeypatch.setattr(optimizer, "optimal", understated)
+    results = verify_corpus()
+    assert all(len(found) == 1 and re.fullmatch(r"optimal: emulated \S+ differs from closed "
+                                                r"form \S+", found[0])
+               for _, found in results), results
 
 
 def test_stage_terms_read_no_gap(seq2, corpus, random_scenario):
@@ -475,7 +510,7 @@ def test_cli_rejects_bad_sweep_values(tmp_path, capsys):
     code = cli_dispatch(["sweep", "seq2", "--axis", "gap_ms",
                          "--values", "nan,1", "--out", "ignored.csv"])
     assert code == 1
-    assert "must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: sweep values must be finite, got (nan, 1.0)\n"
 
     out_path = tmp_path / "f.csv"
     code = cli_dispatch(["sweep", "seq2", "--axis", "scale_factor", "--values", "1e307",

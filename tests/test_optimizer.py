@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from reconfig_sim import emulator, optimizer
 from reconfig_sim.costmodel import first_unbounded_query, propagate_volumes, stage_terms
 from reconfig_sim.emulator import SPECULATIVE, execute_schedule
-from reconfig_sim.harness import bundled_names, load_bundled, with_gaps, with_scale_factor
+from reconfig_sim.harness import (SWEEP_AXES, bundled_names, load_bundled, with_gaps,
+                                  with_scale_factor)
 from reconfig_sim.model import Schedule, load_scenario, schedule_to_doc, validate_schedule
 from reconfig_sim.optimizer import (
     FIXED_STRATEGIES,
@@ -20,19 +21,17 @@ from reconfig_sim.optimizer import (
     StrategyOutcome,
     _auto_choice,
     _legal_orders,
-    _term_layout,
+    candidate_evaluator,
     candidate_schedules,
-    candidate_terms,
     exhaustive_oracle,
-    fixed_outcomes,
     optimal,
     optimize,
     outcome_document,
     plan_baseline,
 )
 
-from conftest import (brute_force, event_loop_total, make_chained_scenario, make_random_scenario,
-                      spread_over_modules)
+from conftest import (brute_force, event_loop_total, largest_bounded_scale_factor,
+                      make_chained_scenario, make_random_scenario, spread_over_modules)
 
 _GT = {"kind": "compare_gt", "operand_type": "int32"}
 _LT = {"kind": "compare_lt", "operand_type": "int32"}
@@ -255,18 +254,28 @@ def _outcomes_by_separate_emulation(s):
 
 
 def _fixed_totals(s):
-    schedules = candidate_schedules(s)
-    layout = _term_layout(schedules)
-    return fixed_outcomes(s, schedules, layout, candidate_terms(s, layout))
+    return candidate_evaluator(s)[1]()
 
 
-def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, chained_scenario):
-    """candidate_terms holds stage_terms of each distinct (query, order)
-    pair of the layout, once, in pair order; the layout's row of each
-    candidate picks those of its orders, candidates that share their orders
-    share one row, and a (query, order) two candidates share is one
-    position in both rows, so one object in the lists fixed_outcomes
-    emulates."""
+def test_candidate_evaluator_builds_each_query_order_once(monkeypatch, corpus, random_scenario,
+                                                          chained_scenario):
+    """candidate_evaluator runs stage_terms once per distinct (query, order)
+    pair among the candidates; baseline and spec_reconfig, which share their
+    orders, are emulated over one term list, reorder and combined over
+    another, and a query that reorder leaves in its baseline order has one
+    term object in both lists."""
+    built, emulated = [], []
+
+    def counting_terms(q, order, s):
+        built.append((q.id, order))
+        return stage_terms(q, order, s)
+
+    def recording_run(s, terms, *args):
+        emulated.append(terms)
+        return emulator._run_queries(s, terms, *args)
+
+    monkeypatch.setattr(optimizer, "stage_terms", counting_terms)
+    monkeypatch.setattr(optimizer, "_run_queries", recording_run)
     rng = random.Random(17)
     scenarios = [s for _, s in corpus] + [random_scenario(rng, rng.randint(1, 5))
                                           for _ in range(20)]
@@ -274,21 +283,50 @@ def test_candidate_terms_build_each_query_order_once(corpus, random_scenario, ch
                   for _ in range(20)]
     shared = 0
     for s in scenarios:
-        schedules = candidate_schedules(s)
-        layout = pairs, rows, row_of = _term_layout(schedules)
-        built = candidate_terms(s, layout)
-        assert len(set(pairs)) == len(pairs)
-        assert built == [stage_terms(s.sequence[i], order, s) for i, order in pairs]
-        assert {name: [built[k] for k in rows[row_of[name]]] for name in schedules} == {
-            name: [stage_terms(q, order, s) for q, order in zip(s.sequence, sch.orders)]
-            for name, sch in schedules.items()}
-        assert row_of["spec_reconfig"] == row_of["baseline"]
-        assert row_of["combined"] == row_of["reorder"]
-        base, reordered = rows[row_of["baseline"]], rows[row_of["reorder"]]
+        built.clear()
+        emulated.clear()
+        schedules, evaluate = candidate_evaluator(s)
+        evaluate()
+        assert len(built) == len(set(built)) == len(
+            {(q.id, order) for sch in schedules.values() for q, order in zip(s.sequence, sch.orders)})
+        base, spec, reordered, combined = emulated
+        assert base is spec and reordered is combined and base is not reordered
+        for name, terms in (("baseline", base), ("reorder", reordered)):
+            assert terms == [stage_terms(q, order, s)
+                             for q, order in zip(s.sequence, schedules[name].orders)]
         for i, (b, r) in enumerate(zip(schedules["baseline"].orders, schedules["reorder"].orders)):
-            assert (base[i] == reordered[i]) == (b == r)
-            shared += b == r and base is not reordered
+            assert (base[i] is reordered[i]) == (b == r)
+            shared += b == r
     assert shared > 0
+
+
+def test_each_sweep_axis_point_equals_the_copy_bit_for_bit(corpus, random_scenario,
+                                                           chained_scenario):
+    """evaluate(value) on each of harness.SWEEP_AXES gives, bit for bit, the
+    totals of the with_scale_factor or with_gaps copy evaluated as it is, at
+    gap 0 and at the largest scale factor a sweep accepts among others; an
+    axis named differently in harness and optimizer reads the value nowhere,
+    and so fails here."""
+    copies = {"scale_factor": with_scale_factor, "gap_ms": with_gaps}
+    assert tuple(copies) == SWEEP_AXES
+    rng = random.Random(29)
+    scenarios = [s for _, s in corpus] + [random_scenario(rng, rng.randint(1, 5))
+                                          for _ in range(15)]
+    scenarios += [spread_over_modules(chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+                  for _ in range(15)]
+    moved = dict.fromkeys(SWEEP_AXES, 0)
+    for s in scenarios:
+        values = {"scale_factor": (1e-3, 0.3, 1.0, 7.5, largest_bounded_scale_factor(s)),
+                  "gap_ms": (0.0, 0.5, 4.0, 60.0)}
+        as_is = candidate_evaluator(s)[1]()
+        for axis, copy in copies.items():
+            evaluate = candidate_evaluator(s, axis)[1]
+            for value in values[axis]:
+                totals = evaluate(value)
+                # repr tells -0.0 from 0.0 and prints each float exactly
+                assert repr(totals) == repr(candidate_evaluator(copy(s, value))[1]()), (axis, value)
+                moved[axis] += totals != as_is
+    assert all(moved.values()), moved
 
 
 def test_fixed_outcomes_match_separate_emulation(seq2, seq2_small, corpus, random_scenario):
@@ -691,7 +729,7 @@ def _within_reach(s):
 
 
 def test_candidate_schedules_are_legal_on_chains(corpus, random_scenario, chained_scenario):
-    """fixed_outcomes and optimal emulate their schedules unchecked, so
+    """candidate_evaluator and optimal emulate their schedules unchecked, so
     every planner's output must pass validate_schedule: the four candidates
     and optimal's pick on bundled, random and chained scenarios."""
     rng = random.Random(71)
