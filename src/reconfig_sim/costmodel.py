@@ -104,8 +104,9 @@ def scaled_stage_terms(lookups: list[TermLookup], s: Scenario, scale_factor: flo
     without the copy, in one call that reads the rates and the old scale
     factor once: each volume rebased as with_scale_factor does, then run
     through stage_terms' own expressions in the same order, written out in
-    place of the stage functions.  The caller has checked that the rebased
-    volumes are finite, as with_scale_factor does.
+    place of the stage functions.  The caller has checked the factor with
+    record.finite_number and the rebased volumes' finiteness, as
+    with_scale_factor does.
     """
     storage_rate, network_rate = s.rpu.storage_rate, s.rpu.network_rate
     old_factor = s.scale_factor

@@ -17,9 +17,10 @@ execute_schedule (the event loop) and analytic_total (the closed form) take
 schedules from outside and reject an illegal one with ScheduleError.  The
 event loop, which the planners compare totals with, checks nothing: their
 schedules are legal by construction, and the record constructors reject
-the negative and NaN rates, volumes, load times, selectivities, multipliers
-and gaps that could make a span end before it starts; a gap passed to the
-loop is checked by its caller, as SweepSpec checks a sweep's gaps.
+the negative, NaN and infinite rates, volumes, load times, selectivities,
+multipliers and gaps that could make a span end before it starts or never
+end; a gap passed to the loop is checked by its caller with
+record.finite_number, as SweepSpec checks a sweep's gaps.
 """
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ def _run_queries(s: Scenario, terms: Sequence[StageTerms], prefetches: Sequence[
     unchecked, from an empty region at time 0, and return the last query's
     transfer end.  A gap, when given, replaces the gap after every query, so
     the total and spans are those of harness.with_gaps(s, gap) without the
-    copy; the caller has checked that it is finite and at least 0, as
+    copy; the caller has checked it with record.finite_number, as
     with_gaps does.  Given a list, spans collects (lane, label, start_ms,
     end_ms, query_id) tuples.  The region state is loaded, the module owning
     the region, possibly still loading; region_free, when its last load or

@@ -15,7 +15,7 @@ from .costmodel import first_unbounded_query
 from .emulator import analytic_total
 from .model import Scenario, load_scenario
 from .optimizer import FIXED_STRATEGIES, _auto_choice, _improvement, candidate_evaluator, optimize
-from .record import Record, set_field
+from .record import Record, finite_number, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
 STRATEGY_ORDER = FIXED_STRATEGIES + ("auto",)
@@ -38,15 +38,10 @@ class SweepSpec(Record):
             raise ValueError(f"unknown sweep axis: {axis!r}")
         if not values:
             raise ValueError("sweep needs at least one value")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"sweep values must be finite, got {values}")
+        for value in values:
+            finite_number(axis, value, positive=axis == "scale_factor")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        # a gap of zero is meaningful; a scale factor of zero is not
-        if axis == "scale_factor" and values[0] <= 0:
-            raise ValueError("scale factors must be positive")
-        if axis == "gap_ms" and values[0] < 0:
-            raise ValueError("gaps cannot be negative")
         if not strategies:
             raise ValueError("sweep needs at least one strategy")
         unknown = [st for st in strategies if st not in STRATEGY_ORDER]
@@ -59,22 +54,19 @@ class SweepSpec(Record):
 
 def with_scale_factor(s: Scenario, scale_factor: float) -> Scenario:
     """The same scenario with its volumes rebased to a new scale factor."""
-    if not scale_factor > 0:
-        raise ValueError("scale factor must be positive")
-    tables = tuple(t.replace(volume=t.volume / s.scale_factor * scale_factor)
-                   for t in s.tables)
-    for i, t in enumerate(tables):
-        if not math.isfinite(t.volume):
+    finite_number("scale_factor", scale_factor, positive=True)
+    volumes = [t.volume / s.scale_factor * scale_factor for t in s.tables]
+    for i, volume in enumerate(volumes):
+        if not math.isfinite(volume):
             raise ValueError(f"tables[{i}].volume: not finite at scale factor {scale_factor}")
-    return s.replace(tables=tables, scale_factor=scale_factor)
+    return s.replace(tables=tuple(t.replace(volume=v) for t, v in zip(s.tables, volumes)),
+                     scale_factor=scale_factor)
 
 
 def with_gaps(s: Scenario, gap_ms: float) -> Scenario:
     """The same scenario with every inter-query gap set to gap_ms."""
-    if not math.isfinite(gap_ms):
-        raise ValueError(f"gap_ms must be finite, got {gap_ms}")
-    if gap_ms < 0:
-        raise ValueError("gap cannot be negative")
+    # QuerySpec checks each new gap too, but a one-query scenario replaces none
+    finite_number("gap_ms", gap_ms)
     *queries, last = s.sequence
     return s.replace(sequence=(*[q.replace(gap_after_ms=gap_ms) for q in queries], last))
 

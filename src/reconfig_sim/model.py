@@ -6,11 +6,13 @@ record.Record): assigning to a field raises AttributeError, and
 transformations return new values, such as the copies that replace()
 makes.  The constructors own every rule about a record's own fields and
 raise FieldError, so a scenario built in code meets the rules a loaded one
-does: no negative or NaN rates, volumes, load times, selectivities,
-multipliers or gaps, which could run an emulated span backwards, no scale
-factor that is not greater than 0, each attribute produced once, by an
-invocation written before its readers that does not read it too, and no
-two tables, modules or queries of one id.  The loader checks what JSON can
+does: no negative, NaN or infinite rates, volumes, load times,
+selectivities, multipliers or gaps, which could run an emulated span
+backwards or overflow it, no scale factor that is not greater than 0
+(record.finite_number states these rules but the selectivity's range),
+each attribute produced once, by an invocation written before its readers
+that does not read it too, and no two tables, modules or queries of one
+id.  The loader checks what JSON can
 get wrong and what needs other records, and names the document path of
 every error, a constructor's included.  Table volumes are stored already
 multiplied by the scenario's scale_factor.  An invocation keeps its
@@ -29,7 +31,7 @@ from typing import Mapping
 from . import analyzer
 from .analyzer import OperatorShape, PredicateError
 from .costmodel import first_unbounded_query
-from .record import FieldError, Record, set_field
+from .record import FieldError, Record, finite_number, set_field
 
 PREFETCH_TRIGGER = "pr-region-free-after-this-query"
 # shared by every invocation without "produces": each frozenset() call makes
@@ -59,15 +61,10 @@ class RpuConfig(Record):
     __slots__ = ("storage_rate", "network_rate", "default_reconfig_ms")
 
     def __init__(self, storage_rate: float, network_rate: float, default_reconfig_ms: float):
-        if not storage_rate > 0:
-            raise FieldError("storage_rate", f"must be greater than 0, got {storage_rate}")
-        if not network_rate > 0:
-            raise FieldError("network_rate", f"must be greater than 0, got {network_rate}")
-        if not default_reconfig_ms >= 0:
-            raise FieldError("default_reconfig_ms", f"must be at least 0, got {default_reconfig_ms}")
-        set_field(self, "storage_rate", storage_rate)
-        set_field(self, "network_rate", network_rate)
-        set_field(self, "default_reconfig_ms", default_reconfig_ms)
+        set_field(self, "storage_rate", finite_number("storage_rate", storage_rate, positive=True))
+        set_field(self, "network_rate", finite_number("network_rate", network_rate, positive=True))
+        set_field(self, "default_reconfig_ms",
+                  finite_number("default_reconfig_ms", default_reconfig_ms))
 
 
 class AcceleratorModule(Record):
@@ -75,24 +72,19 @@ class AcceleratorModule(Record):
 
     def __init__(self, id: str, supported_ops: frozenset[OperatorShape], proc_rate: float,
                  reconfig_ms: float | None = None):
-        if not proc_rate > 0:
-            raise FieldError("proc_rate", f"must be greater than 0, got {proc_rate}")
-        if reconfig_ms is not None and not reconfig_ms >= 0:
-            raise FieldError("reconfig_ms", f"must be at least 0, got {reconfig_ms}")
         set_field(self, "id", id)
         set_field(self, "supported_ops", supported_ops)
-        set_field(self, "proc_rate", proc_rate)
-        set_field(self, "reconfig_ms", reconfig_ms)
+        set_field(self, "proc_rate", finite_number("proc_rate", proc_rate, positive=True))
+        set_field(self, "reconfig_ms",
+                  None if reconfig_ms is None else finite_number("reconfig_ms", reconfig_ms))
 
 
 class TableDef(Record):
     __slots__ = ("id", "volume")
 
     def __init__(self, id: str, volume: float):
-        if not volume >= 0:
-            raise FieldError("volume", f"must be at least 0, got {volume}")
         set_field(self, "id", id)
-        set_field(self, "volume", volume)
+        set_field(self, "volume", finite_number("volume", volume))
 
 
 class Invocation(Record):
@@ -104,8 +96,8 @@ class Invocation(Record):
                  volume_multiplier: float = 1.0):
         if not 0 <= selectivity <= 1:
             raise FieldError("selectivity", f"must be within [0, 1], got {selectivity}")
-        if not volume_multiplier > 0:
-            raise FieldError("volume_multiplier", f"must be greater than 0, got {volume_multiplier}")
+        set_field(self, "volume_multiplier",
+                  finite_number("volume_multiplier", volume_multiplier, positive=True))
         if produces and not reads.isdisjoint(produces):
             raise FieldError(None, f"attributes both read and produced: {sorted(reads & produces)}")
         set_field(self, "accelerator_id", accelerator_id)
@@ -113,7 +105,6 @@ class Invocation(Record):
         set_field(self, "selectivity", selectivity)
         set_field(self, "reads", reads)
         set_field(self, "produces", produces)
-        set_field(self, "volume_multiplier", volume_multiplier)
 
 
 class QuerySpec(Record):
@@ -135,12 +126,10 @@ class QuerySpec(Record):
                  gap_after_ms: float = 0.0):
         if not invocations:
             raise FieldError("invocations", f"must be non-empty, got {invocations!r}")
-        if not gap_after_ms >= 0:
-            raise FieldError("gap_after_ms", f"must be at least 0, got {gap_after_ms}")
         set_field(self, "id", id)
         set_field(self, "table_id", table_id)
         set_field(self, "invocations", invocations)
-        set_field(self, "gap_after_ms", gap_after_ms)
+        set_field(self, "gap_after_ms", finite_number("gap_after_ms", gap_after_ms))
         pairs = ()
         if any(inv.produces for inv in invocations):
             # sorted, so that an error names the same attribute under every hash seed
@@ -178,13 +167,11 @@ class Scenario(Record):
                  scale_factor: float = 1.0):
         if not sequence:
             raise FieldError("sequence", f"must be non-empty, got {sequence!r}")
-        if not scale_factor > 0:
-            raise FieldError("scale_factor", f"must be greater than 0, got {scale_factor}")
         set_field(self, "rpu", rpu)
         set_field(self, "tables", tables)
         set_field(self, "library", library)
         set_field(self, "sequence", sequence)
-        set_field(self, "scale_factor", scale_factor)
+        set_field(self, "scale_factor", finite_number("scale_factor", scale_factor, positive=True))
         set_field(self, "tables_by_id", _by_id(tables, "tables", "table"))
         set_field(self, "modules_by_id", _by_id(library, "library", "module"))
         _by_id(sequence, "sequence", "query")
@@ -262,8 +249,6 @@ def _number(obj: dict, key: str, path: str) -> float:
     except OverflowError:  # an integer literal beyond the float range
         raise ScenarioError("must be finite, got an integer beyond the float range",
                             f"{path}.{key}") from None
-    if not math.isfinite(value):
-        raise ScenarioError(f"must be finite, got {value}", f"{path}.{key}")
     return value
 
 
@@ -399,11 +384,9 @@ def load_scenario(text: str) -> Scenario:
     module_map = _record(_by_id, "", library, "library", "module")
 
     scale = _number(doc, "scale_factor", "document") if "scale_factor" in doc else 1.0
-    # Scenario owns this rule, but the tables are scaled before it is built,
-    # and a factor that is not positive would first fail there as a table's
-    # volume
-    if not scale > 0:
-        raise ScenarioError(f"must be greater than 0, got {scale}", "document.scale_factor")
+    # Scenario checks the factor too, but the tables are scaled before it is
+    # built, and a bad factor would first fail there as a table's volume
+    _record(finite_number, "document", "scale_factor", scale, True)
 
     sequence_doc = doc["sequence"]
     if not isinstance(sequence_doc, list) or not sequence_doc:
@@ -414,12 +397,13 @@ def load_scenario(text: str) -> Scenario:
     sequence = tuple(_query_from_doc(obj, f"sequence[{i}]", table_map, module_map, sets)
                      for i, obj in enumerate(sequence_doc))
 
-    # the loader has checked every other rule of Scenario: this reports a repeated query id
-    s = _record(Scenario, "", rpu, tuple(TableDef(t.id, t.volume * scale) for t in tables),
-                library, sequence, scale)
-    for i, t in enumerate(s.tables):
-        if not math.isfinite(t.volume):
+    volumes = [t.volume * scale for t in tables]
+    for i, volume in enumerate(volumes):
+        if not math.isfinite(volume):
             raise ScenarioError(f"not finite at scale_factor {scale}", f"tables[{i}].volume")
+    # the loader has checked every other rule of Scenario: this reports a repeated query id
+    s = _record(Scenario, "", rpu, tuple(TableDef(t.id, v) for t, v in zip(tables, volumes)),
+                library, sequence, scale)
     unbounded = first_unbounded_query(s)
     if unbounded is not None:
         raise ScenarioError("an upper bound on the total is not finite by this query: "

@@ -121,7 +121,7 @@ def candidate_evaluator(s: Scenario, axis: str | None = None):
     emulation each.  evaluate() runs s as it is.  On a harness.SWEEP_AXES
     axis, evaluate(value) runs s as harness.with_scale_factor(s, value) or
     harness.with_gaps(s, value) would, without the copy; the caller has
-    checked the value.
+    checked the value with record.finite_number, as SweepSpec does.
 
     Each distinct (query index, order) pair among the candidates is built
     once: the candidates that differ only in prefetches share their orders

@@ -2,7 +2,8 @@
 
 A record lists its fields in __slots__ and sets them in its own __init__
 through set_field, since assignment raises AttributeError; it rejects a
-field that breaks its rules with FieldError.  Equality and hash use the
+field that breaks its rules with FieldError, a number field's range and
+finiteness through finite_number.  Equality and hash use the
 fields named in _fields (all of __slots__ unless the class names fewer)
 and hold only between records of the same class; repr shows the same
 fields as Name(field=value, ...).  replace() returns a copy with some
@@ -18,6 +19,7 @@ the package's import, which every CLI command pays.
 """
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 
 set_field = object.__setattr__
@@ -32,6 +34,20 @@ class FieldError(ValueError):
         self.field = field
         self.problem = problem
         super().__init__(f"{field} {problem}" if field else problem)
+
+
+def finite_number(field: str, value: float, positive: bool = False) -> float:
+    """value, when it is finite and at least 0, or greater than 0 when
+    positive is set; otherwise a FieldError of field that names the first
+    rule it breaks, finiteness first.  Every such rule of a rate, volume,
+    load time, multiplier, gap or scale factor is stated here alone."""
+    if not math.isfinite(value):
+        raise FieldError(field, f"must be finite, got {value}")
+    if positive and value <= 0:
+        raise FieldError(field, f"must be greater than 0, got {value}")
+    if value < 0:
+        raise FieldError(field, f"must be at least 0, got {value}")
+    return value
 
 
 class Record:

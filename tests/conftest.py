@@ -131,6 +131,51 @@ def event_loop_total(s: model.Scenario, schedule: model.Schedule, spans: list | 
     return emulator._run_queries(s, terms, schedule.prefetches, spans=spans)
 
 
+def reference_total(s: model.Scenario, schedule: model.Schedule) -> float:
+    """The total of a legal schedule in closed form, from the records' fields
+    alone: it calls nothing in costmodel, emulator or optimizer, so a fault
+    in their shared stage costs shows against it.
+
+    Per query: max(scan, residual + first load) plus each invocation's
+    accelerator time and each further load, then the transfer and the gap
+    after every query but the last.  A load costs nothing when its module
+    owns the region, a prefetched one included; a prefetch starts with the
+    transfer, when the region frees up, so its residual is what the
+    transfer plus gap leave of its load.
+    """
+    rpu, last = s.rpu, len(s.sequence) - 1
+    volumes = {t.id: t.volume for t in s.tables}
+    modules = {m.id: m for m in s.library}
+
+    def load_ms(module_id):
+        reconfig_ms = modules[module_id].reconfig_ms
+        return rpu.default_reconfig_ms if reconfig_ms is None else reconfig_ms
+
+    total, loaded, residual = 0.0, None, 0.0
+    for i, (q, order, prefetch) in enumerate(zip(s.sequence, schedule.orders,
+                                                 schedule.prefetches)):
+        invocations = [q.invocations[k] for k in order]
+        volume = volumes[q.table_id]
+        first = invocations[0].accelerator_id
+        duration = max(volume / rpu.storage_rate,
+                       residual + (0.0 if first == loaded else load_ms(first)))
+        loaded = first
+        for inv in invocations:
+            if inv.accelerator_id != loaded:
+                loaded = inv.accelerator_id
+                duration += load_ms(loaded)
+            duration += volume / modules[loaded].proc_rate
+            volume *= inv.selectivity * inv.volume_multiplier
+        transfer = volume / rpu.network_rate
+        gap = q.gap_after_ms if i < last else 0.0
+        total += duration + transfer + gap
+        residual = 0.0
+        if prefetch is not None and prefetch != loaded:
+            residual = max(0.0, load_ms(prefetch) - transfer - gap)
+            loaded = prefetch
+    return total
+
+
 def brute_force(s: model.Scenario) -> tuple[float, model.Schedule]:
     """The reference optimum, by enumeration: the least (total,
     reconfiguration spans, order ranks, prefetch ranks) over every legal

@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from reconfig_sim import harness
+from reconfig_sim import harness, optimizer
 from reconfig_sim.costmodel import (
     propagate_volumes,
     reconfig_time,
@@ -27,7 +27,7 @@ from reconfig_sim.optimizer import (
     plan_baseline,
 )
 
-from conftest import brute_force, make_random_scenario
+from conftest import brute_force, make_random_scenario, reference_total
 
 TOTAL_TOL_MS = 1e-9
 PCT_TOL = 1e-7
@@ -134,16 +134,31 @@ def test_criterion_3_strategy_crossover_with_volume():
              "crossover on the 0.1-4.0 grid", failures)
 
 
-def test_criterion_4_optimized_schedules_never_lose():
+def _auto_against_baseline(seeds) -> list[str]:
+    """Criterion 4's random half: on each seed's scenario, the reference total
+    of auto's schedule above that of plan_baseline's, and auto's total off
+    the reference of its own schedule.  conftest.reference_total reads the
+    records alone, so both checks can fail; two totals from one evaluator
+    could not, since auto takes their least."""
     failures = []
-    started = time.perf_counter()
-    for seed in range(1000):
+    for seed in seeds:
         rng = random.Random(seed)
         s = make_random_scenario(rng, rng.randint(2, 4))
-        auto = optimize(s, "auto").total_ms
-        base = optimize(s, "baseline").total_ms
-        if auto > base + TOTAL_TOL_MS:
-            failures.append(f"seed {seed}: auto {auto!r} above baseline {base!r}")
+        auto = optimize(s, "auto")
+        auto_ref = reference_total(s, auto.schedule)
+        base_ref = reference_total(s, plan_baseline(s))
+        if auto_ref > base_ref + TOTAL_TOL_MS:
+            failures.append(f"seed {seed}: auto's schedule {auto_ref!r} above baseline's "
+                            f"{base_ref!r}")
+        if abs(auto.total_ms - auto_ref) > TOTAL_TOL_MS:
+            failures.append(f"seed {seed}: auto total {auto.total_ms!r} differs from its "
+                            f"schedule's reference {auto_ref!r}")
+    return failures
+
+
+def test_criterion_4_optimized_schedules_never_lose():
+    started = time.perf_counter()
+    failures = _auto_against_baseline(range(1000))
 
     gaps = []
     for name in harness.bundled_names():
@@ -164,6 +179,15 @@ def test_criterion_4_optimized_schedules_never_lose():
         failures.append(f"sampling took {elapsed:.1f}s, budget 30s")
     _verdict("criterion 4: auto never above baseline on 1000 random scenarios, "
              "never below the brute-force optimum on bundled ones", failures)
+
+
+def test_criterion_4_sees_auto_pick_the_costliest(monkeypatch):
+    """The mutation witness of criterion 4: an auto that picks the costliest
+    candidate lands above baseline, and only that check fires."""
+    monkeypatch.setattr(optimizer, "_auto_choice",
+                        lambda totals: max(FIXED_STRATEGIES, key=totals.__getitem__))
+    failures = _auto_against_baseline(range(100))
+    assert failures and all("above baseline's" in failure for failure in failures)
 
 
 def test_criterion_5_result_volumes_are_strategy_independent():

@@ -341,8 +341,8 @@ def test_totals_loop_checks_span_invariants(seq2):
     gap, must still fail, where the record is built."""
     with pytest.raises(ValueError, match="reconfig_ms must be at least 0, got -1.0"):
         seq2.library[0].replace(reconfig_ms=-1.0)
-    for gap in (float("nan"), -1.0):
-        with pytest.raises(ValueError, match=f"gap_after_ms must be at least 0, got {gap}"):
+    for gap, problem in ((float("nan"), "must be finite"), (-1.0, "must be at least 0")):
+        with pytest.raises(ValueError, match=f"gap_after_ms {problem}, got {gap}"):
             seq2.sequence[0].replace(gap_after_ms=gap)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from itertools import cycle, permutations, product
 
@@ -31,7 +32,8 @@ from reconfig_sim.optimizer import (
 )
 
 from conftest import (brute_force, event_loop_total, largest_bounded_scale_factor,
-                      make_chained_scenario, make_random_scenario, spread_over_modules)
+                      make_chained_scenario, make_random_scenario, reference_total,
+                      spread_over_modules)
 
 _GT = {"kind": "compare_gt", "operand_type": "int32"}
 _LT = {"kind": "compare_lt", "operand_type": "int32"}
@@ -327,6 +329,52 @@ def test_each_sweep_axis_point_equals_the_copy_bit_for_bit(corpus, random_scenar
                 assert repr(totals) == repr(candidate_evaluator(copy(s, value))[1]()), (axis, value)
                 moved[axis] += totals != as_is
     assert all(moved.values()), moved
+
+
+def _reference_mismatches(scenarios) -> list[tuple[str, int, float, float]]:
+    """(strategy, scenario index, total_ms, reference) of every outcome, under
+    each strategy of STRATEGIES, whose total is not within relative 1e-9 of
+    conftest.reference_total of its schedule."""
+    mismatches = []
+    for k, s in enumerate(scenarios):
+        for strategy in STRATEGIES:
+            outcome = optimize(s, strategy)
+            reference = reference_total(s, outcome.schedule)
+            if not math.isclose(outcome.total_ms, reference, rel_tol=1e-9, abs_tol=0.0):
+                mismatches.append((strategy, k, outcome.total_ms, reference))
+    return mismatches
+
+
+def _reference_sample(corpus):
+    rng = random.Random(32)
+    scenarios = [s for _, s in corpus]
+    scenarios += [make_random_scenario(rng, rng.randint(1, 6)) for _ in range(15)]
+    scenarios += [spread_over_modules(make_chained_scenario(rng, rng.randint(1, 4)), rng, 3)
+                  for _ in range(15)]
+    return scenarios
+
+
+def test_every_strategy_total_equals_the_reference_total(corpus):
+    """Every strategy's total is its schedule's total in a closed form written
+    from the records' fields alone, which shares no code with the stage
+    costs, the event loop or the closed form's table that the planners and
+    the emulator share, so a fault in those shows here."""
+    assert _reference_mismatches(_reference_sample(corpus)) == []
+
+
+def test_the_reference_total_sees_a_shared_stage_cost_fault(monkeypatch, corpus):
+    """The mutation witness of the test above: 1e-3 ms more on every
+    transfer, in the stage terms the planners and the emulator both read,
+    moves every strategy's total off the reference on every scenario."""
+    def slower_transfers(q, order, s):
+        scan_ms, stages, transfer_ms = stage_terms(q, order, s)
+        return scan_ms, stages, transfer_ms + 1e-3
+
+    monkeypatch.setattr(optimizer, "stage_terms", slower_transfers)
+    monkeypatch.setattr(emulator, "stage_terms", slower_transfers)
+    scenarios = _reference_sample(corpus)
+    flagged = {(strategy, k) for strategy, k, _, _ in _reference_mismatches(scenarios)}
+    assert flagged == set(product(STRATEGIES, range(len(scenarios))))
 
 
 def test_fixed_outcomes_match_separate_emulation(seq2, seq2_small, corpus, random_scenario):

@@ -3,7 +3,6 @@ hash that hold only within one class, the Name(field=value, ...) repr, and
 copies with changed fields."""
 import copy
 import json
-import math
 import os
 import pickle
 import re
@@ -130,35 +129,57 @@ def test_replace_runs_the_constructor_checks():
         Span("scan", "t", 0.0, 1.0, "Q0").replace(lane="disk")
 
 
-_NAN = float("nan")
+_NAN, _INF = float("nan"), float("inf")
 _INVOCATION = Invocation("m", "a > 1", 0.5, frozenset({"a"}))
 
 # record, the path of such a record in the seq2 document, field, values its
 # constructor rejects, the message, values it accepts
 SIGN_CHECKS = [
-    (RpuConfig(1.0, 0.2, 15.0), "rpu", "storage_rate", (0.0, -1.0, _NAN),
+    (RpuConfig(1.0, 0.2, 15.0), "rpu", "storage_rate", (0.0, -1.0),
      "must be greater than 0", (1e-300,)),
-    (RpuConfig(1.0, 0.2, 15.0), "rpu", "network_rate", (0.0, -1.0, _NAN),
+    (RpuConfig(1.0, 0.2, 15.0), "rpu", "network_rate", (0.0, -1.0),
      "must be greater than 0", (1e-300,)),
-    (RpuConfig(1.0, 0.2, 15.0), "rpu", "default_reconfig_ms", (-1.0, _NAN),
+    (RpuConfig(1.0, 0.2, 15.0), "rpu", "default_reconfig_ms", (-1.0,),
      "must be at least 0", (0.0,)),
-    (AcceleratorModule("m", frozenset(), 2.0), "library[0]", "proc_rate", (0.0, -2.0, _NAN),
+    (AcceleratorModule("m", frozenset(), 2.0), "library[0]", "proc_rate", (0.0, -2.0),
      "must be greater than 0", (1e-300,)),
-    (AcceleratorModule("m", frozenset(), 2.0), "library[0]", "reconfig_ms", (-1.0, _NAN),
+    (AcceleratorModule("m", frozenset(), 2.0), "library[0]", "reconfig_ms", (-1.0,),
      "must be at least 0", (None, 0.0)),
-    (TableDef("t", 16.0), "tables[0]", "volume", (-1.0, -float("inf"), _NAN),
+    (TableDef("t", 16.0), "tables[0]", "volume", (-1.0,),
      "must be at least 0", (0.0,)),
-    (_INVOCATION, "sequence[0].invocations[0]", "selectivity", (-0.1, 1.5, _NAN),
+    (_INVOCATION, "sequence[0].invocations[0]", "selectivity", (-0.1, 1.5, _NAN, _INF),
      "must be within [0, 1]", (0.0, 1.0)),
-    (_INVOCATION, "sequence[0].invocations[0]", "volume_multiplier", (0.0, -2.0, _NAN),
+    (_INVOCATION, "sequence[0].invocations[0]", "volume_multiplier", (0.0, -2.0),
      "must be greater than 0", (1e-300,)),
-    (QuerySpec("Q0", "t", (_INVOCATION,), 2.0), "sequence[0]", "gap_after_ms", (-1.0, _NAN),
+    (QuerySpec("Q0", "t", (_INVOCATION,), 2.0), "sequence[0]", "gap_after_ms", (-1.0,),
      "must be at least 0", (0.0,)),
     (Scenario(RpuConfig(1.0, 0.2, 15.0), (TableDef("t", 16.0),),
               (AcceleratorModule("m", frozenset(), 2.0),), (QuerySpec("Q0", "t", (_INVOCATION,)),)),
-     "document", "scale_factor", (0.0, -1.0, _NAN), "must be greater than 0", (1e-300,)),
+     "document", "scale_factor", (0.0, -1.0), "must be greater than 0", (1e-300,)),
 ]
 _SIGN_CHECK_IDS = [f"{type(c[0]).__name__}.{c[2]}" for c in SIGN_CHECKS]
+# the nine fields that record.finite_number checks: every one but selectivity,
+# whose own range check rejects NaN and the infinities as out of [0, 1]
+FINITE_CHECKS = [c[:3] for c in SIGN_CHECKS if c[2] != "selectivity"]
+
+
+def _builds(record, field, value):
+    """Two ways to build record with field set to value: replace, and the
+    constructor itself."""
+    fields = {name: getattr(record, name) for name in type(record)._fields}
+    return (lambda: record.replace(**{field: value}),
+            lambda: type(record)(**{**fields, field: value}))
+
+
+def _load_with(seq2_doc, path, field, value):
+    """load_scenario of the seq2 document with field of the record at path set
+    to value."""
+    doc = copy.deepcopy(seq2_doc)
+    target = doc
+    for key, index in re.findall(r"(\w+)(?:\[(\d+)\])?", path.removeprefix("document")):
+        target = target[key] if not index else target[key][int(index)]
+    target[field] = value
+    return load_scenario(json.dumps(doc))
 
 
 @pytest.mark.parametrize("record, path, field, rejected, message, accepted", SIGN_CHECKS,
@@ -167,12 +188,11 @@ def test_constructors_reject_negative_and_nan_values(record, path, field, reject
                                                       accepted):
     """These are the values that could run an emulated span backwards (the
     scale factor divides and rebases every table volume), and the
-    emulator's event loop no longer checks its spans."""
-    fields = {name: getattr(record, name) for name in type(record)._fields}
+    emulator's event loop no longer checks its spans.  NaN and the
+    infinities are test_constructors_reject_non_finite_values' cases, but
+    for the selectivity's."""
     for value in rejected:
-        # replace, and the constructor itself
-        for build in (lambda: record.replace(**{field: value}),
-                      lambda: type(record)(**{**fields, field: value})):
+        for build in _builds(record, field, value):
             with pytest.raises(ValueError) as excinfo:
                 build()
             assert str(excinfo.value) == f"{field} {message}, got {value}"
@@ -180,26 +200,54 @@ def test_constructors_reject_negative_and_nan_values(record, path, field, reject
         assert getattr(record.replace(**{field: value}), field) == value
 
 
+@pytest.mark.parametrize("record, path, field", FINITE_CHECKS,
+                         ids=[f"{type(c[0]).__name__}.{c[2]}" for c in FINITE_CHECKS])
+def test_constructors_reject_non_finite_values(seq2_doc, record, path, field):
+    """record.finite_number checks finiteness before the sign, so NaN and
+    both infinities read "must be finite", built in code or loaded from a
+    document, where the loader names the field's path in front of the
+    constructor's message."""
+    for value in (_NAN, _INF, -_INF):
+        for build in _builds(record, field, value):
+            with pytest.raises(FieldError) as excinfo:
+                build()
+            assert str(excinfo.value) == f"{field} must be finite, got {value}"
+        with pytest.raises(ScenarioError) as excinfo:
+            _load_with(seq2_doc, path, field, value)
+        assert str(excinfo.value) == f"{path}.{field}: must be finite, got {value}"
+
+
 @pytest.mark.parametrize("record, path, field, rejected, message, accepted", SIGN_CHECKS,
                          ids=_SIGN_CHECK_IDS)
 def test_the_loader_reports_the_constructor_message(seq2_doc, record, path, field, rejected,
                                                     message, accepted):
-    """The loader checks no value range of its own but the scale factor's,
-    which it applies before Scenario is built: the constructor rejects the
-    value, and the loader names its document path in front of the
-    constructor's message, so the two cannot drift apart.  JSON's NaN and
-    infinities are the loader's to reject, as not finite."""
-    finite = [value for value in rejected if math.isfinite(value)]
-    assert finite
-    for value in finite:
-        doc = copy.deepcopy(seq2_doc)
-        target = doc
-        for key, index in re.findall(r"(\w+)(?:\[(\d+)\])?", path.removeprefix("document")):
-            target = target[key] if not index else target[key][int(index)]
-        target[field] = value
+    """The loader checks no value range of its own: the constructor rejects
+    the value (the scale factor's through record.finite_number, which the
+    loader calls before Scenario is built, as it scales the tables first),
+    and the loader names its document path in front of the constructor's
+    message, so the two cannot drift apart."""
+    for value in rejected:
         with pytest.raises(ScenarioError) as excinfo:
-            load_scenario(json.dumps(doc))
+            _load_with(seq2_doc, path, field, value)
         assert str(excinfo.value) == f"{path}.{field}: {message}, got {value}"
+
+
+def test_infinite_fields_are_rejected_where_replace_builds_them(seq2):
+    """A scenario copied with an infinite table volume, default load time or
+    gap would plan to total_ms=inf and improvement_pct=nan under auto and
+    optimal; each is a FieldError at replace, so optimize never sees it."""
+    builds = {
+        "volume": lambda: seq2.replace(tables=(seq2.tables[0].replace(volume=_INF),
+                                               *seq2.tables[1:])),
+        "default_reconfig_ms": lambda: seq2.replace(
+            rpu=seq2.rpu.replace(default_reconfig_ms=_INF)),
+        "gap_after_ms": lambda: seq2.replace(sequence=(
+            seq2.sequence[0].replace(gap_after_ms=_INF), *seq2.sequence[1:])),
+    }
+    for field, build in builds.items():
+        with pytest.raises(FieldError) as excinfo:
+            build()
+        assert (excinfo.value.field, excinfo.value.problem) == (field, "must be finite, got inf")
 
 
 def test_constructors_reject_empty_sequences(seq2):

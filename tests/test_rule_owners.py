@@ -9,7 +9,8 @@ built in costmodel.stage_terms (and, for a scale sweep's points, in
 costmodel.scaled_stage_terms, held to it bit for bit), and combined into a
 timeline in one event loop, and into the closed form's per-query table, and nowhere else; those
 two alone decide when a load costs nothing because its module is resident.  The operator
-vocabulary is read only in the analyzer."""
+vocabulary is read only in the analyzer, and the range and finiteness of a
+number field are stated only in record.finite_number."""
 import ast
 from pathlib import Path
 
@@ -27,6 +28,8 @@ VOCABULARY = {"COMPARE_KINDS", "ARITH_KINDS", "OPERAND_TYPES"}
 
 STAGE_COSTS = {"scan_time", "accel_runtime", "reconfig_time", "transfer_time",
                "propagate_volumes"}
+
+RANGE_MESSAGES = ("must be finite, got", "must be at least 0", "must be greater than 0")
 
 
 def _package_trees():
@@ -158,3 +161,19 @@ def test_residency_is_decided_only_by_the_timing_models():
              if isinstance(node, ast.Compare)
              and any(names_loaded(operand) for operand in (node.left, *node.comparators))}
     assert users == {("emulator.py", "_run_queries"), ("emulator.py", "_closed_form_table")}
+
+
+def test_number_ranges_are_stated_only_by_finite_number():
+    """Every constructor, the loader's scale factor and the sweeps check a
+    number's finiteness and sign through record.finite_number, so no other
+    string, an f-string's parts and docstrings included, holds one of its
+    messages.  The loader's _number alone says "must be finite" of an
+    integer beyond the float range, which no float can hold.  A second
+    copy of the rule, say back in a constructor or in SweepSpec, fails
+    here."""
+    users = {(name, scope, fragment) for name, tree in _package_trees()
+             for scope, node in _scoped_nodes(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for fragment in RANGE_MESSAGES if fragment in node.value}
+    assert users == {("record.py", "finite_number", fragment) for fragment in RANGE_MESSAGES
+                     } | {("model.py", "_number", "must be finite, got")}
