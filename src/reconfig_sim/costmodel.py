@@ -18,6 +18,9 @@ StageTerms = tuple[float, tuple[tuple[str, float, float], ...], float]
 # (table_volume, ((module_id, load_ms, proc_rate, selectivity,
 # volume_multiplier), ...)); see term_lookup
 TermLookup = tuple[float, tuple[tuple[str, float, float, float, float], ...]]
+# the problem of a FieldError at sequence[first_unbounded_query(s)]
+UNBOUNDED_TOTAL = ("an upper bound on the total is not finite by this query: volumes, rates or "
+                   "gaps overflow")
 
 
 def scan_time(table_volume: float, rpu: RpuConfig) -> float:
@@ -135,6 +138,8 @@ def first_unbounded_query(s: Scenario, gap: float | None = None) -> int | None:
     next query.  Twice the bound must be finite, so that the models' own
     sums, in another order, are too.  Rates and volumes are read once per
     call, and the stage functions written out as in scaled_stage_terms.
+    Scenario's constructor rejects a scenario for which this is not None,
+    and harness.run_sweep a gap sweep's largest gap.
     """
     rpu, last, bound = s.rpu, len(s.sequence) - 1, 0.0
     storage_rate, network_rate = rpu.storage_rate, rpu.network_rate

@@ -8,14 +8,13 @@ byte-identical.
 """
 from __future__ import annotations
 
-import math
 from importlib import resources
 
-from .costmodel import first_unbounded_query
+from .costmodel import UNBOUNDED_TOTAL, first_unbounded_query
 from .emulator import analytic_total
-from .model import Scenario, load_scenario
+from .model import Scenario, load_scenario, rescaled_tables
 from .optimizer import FIXED_STRATEGIES, _auto_choice, _improvement, candidate_evaluator, optimize
-from .record import Record, finite_number, set_field
+from .record import FieldError, Record, finite_number, set_field
 
 SWEEP_AXES = ("scale_factor", "gap_ms")
 STRATEGY_ORDER = FIXED_STRATEGIES + ("auto",)
@@ -55,11 +54,7 @@ class SweepSpec(Record):
 def with_scale_factor(s: Scenario, scale_factor: float) -> Scenario:
     """The same scenario with its volumes rebased to a new scale factor."""
     finite_number("scale_factor", scale_factor, positive=True)
-    volumes = [t.volume / s.scale_factor * scale_factor for t in s.tables]
-    for i, volume in enumerate(volumes):
-        if not math.isfinite(volume):
-            raise ValueError(f"tables[{i}].volume: not finite at scale factor {scale_factor}")
-    return s.replace(tables=tuple(t.replace(volume=v) for t, v in zip(s.tables, volumes)),
+    return s.replace(tables=rescaled_tables(s.tables, s.scale_factor, scale_factor),
                      scale_factor=scale_factor)
 
 
@@ -77,21 +72,22 @@ def run_sweep(s: Scenario, spec: SweepSpec) -> str:
     One optimizer.candidate_evaluator on s, on the sweep's axis, plans the
     candidates once and emulates them at every point on s itself.
     improvement_pct in each row compares against the baseline strategy at
-    the same axis value.  An axis value at which the loader's bound on the
-    total (costmodel.first_unbounded_query) is not finite is a ValueError;
-    the scale axis reads that bound, and the volumes' own finiteness, off
-    its one copy, at the largest value.
+    the same axis value.  An axis value at which Scenario's bound on the
+    total (costmodel.first_unbounded_query) is not finite is a ValueError
+    that names the value, the query and the bound's problem.  The scale axis
+    builds one copy, at the largest value, whose constructor checks that
+    bound; a volume that overflows there is rescaled_tables' ScenarioError.
     """
     largest = spec.values[-1]
     # SweepSpec values strictly increase and the bound only grows with the
     # scale factor and with the gap, so the largest value bounds every point
-    if spec.axis == "gap_ms":
-        unbounded = first_unbounded_query(s, largest)
-    else:
-        unbounded = first_unbounded_query(with_scale_factor(s, largest))
-    if unbounded is not None:
-        raise ValueError(f"{spec.axis} {format_ms(largest)}: sequence[{unbounded}]: an upper "
-                         "bound on the total is not finite by this query")
+    try:
+        if spec.axis == "scale_factor":
+            with_scale_factor(s, largest)
+        elif (unbounded := first_unbounded_query(s, largest)) is not None:
+            raise FieldError(f"sequence[{unbounded}]", UNBOUNDED_TOTAL)
+    except FieldError as exc:
+        raise ValueError(f"{spec.axis} {format_ms(largest)}: {exc.field}: {exc.problem}") from None
     evaluate = candidate_evaluator(s, spec.axis)[1]
     rows = [CSV_HEADER]
     for value in spec.values:

@@ -12,15 +12,17 @@ backwards or overflow it, no scale factor that is not greater than 0
 (record.finite_number states these rules but the selectivity's range),
 each attribute produced once, by an invocation written before its readers
 that does not read it too, and no two tables, modules or queries of one
-id.  The loader checks what JSON can
-get wrong and what needs other records, and names the document path of
-every error, a constructor's included.  Table volumes are stored already
-multiplied by the scenario's scale_factor.  An invocation keeps its
-predicate as written; the loader parses it once to check its operator
-shapes and attributes.  Each QuerySpec derives its (producer, reader)
-invocation pairs, the one form of the precedence rule (see
-reader_first_pairs), and each Scenario its tables and modules keyed by id,
-once when built.
+id.  Scenario's constructor owns the rules that span its records too: each
+query's table and each invocation's module exists, and the total is
+bounded (costmodel.first_unbounded_query).  The loader checks what JSON
+can get wrong and operator support, and names the document path of every
+error, a constructor's included.  Table volumes are stored already
+multiplied by the scenario's scale_factor; rescaled_tables rebases them.
+An invocation keeps its predicate as written; the loader parses it once to
+check its operator shapes and attributes.  Each QuerySpec derives its
+(producer, reader) invocation pairs, the one form of the precedence rule
+(see reader_first_pairs), and each Scenario its tables and modules keyed by
+id, once when built.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from typing import Mapping
 
 from . import analyzer
 from .analyzer import OperatorShape, PredicateError
-from .costmodel import first_unbounded_query
+from .costmodel import UNBOUNDED_TOTAL, first_unbounded_query
 from .record import FieldError, Record, finite_number, set_field
 
 PREFETCH_TRIGGER = "pr-region-free-after-this-query"
@@ -154,9 +156,11 @@ class QuerySpec(Record):
 
 class Scenario(Record):
     """A device, its tables and module library, and a sequence of at least
-    one query; no two tables, modules or queries share an id.  tables_by_id
-    and modules_by_id are derived, not given: the tables and modules keyed
-    by id.  Equality, hash and repr ignore them."""
+    one query; no two tables, modules or queries share an id, each query's
+    table and each invocation's module is among them, and the total is
+    bounded (costmodel.first_unbounded_query).  tables_by_id and
+    modules_by_id are derived, not given: the tables and modules keyed by
+    id.  Equality, hash and repr ignore them."""
 
     __slots__ = ("rpu", "tables", "library", "sequence", "scale_factor",
                  "tables_by_id", "modules_by_id")
@@ -172,9 +176,18 @@ class Scenario(Record):
         set_field(self, "library", library)
         set_field(self, "sequence", sequence)
         set_field(self, "scale_factor", finite_number("scale_factor", scale_factor, positive=True))
-        set_field(self, "tables_by_id", _by_id(tables, "tables", "table"))
-        set_field(self, "modules_by_id", _by_id(library, "library", "module"))
+        set_field(self, "tables_by_id", tables_by_id := _by_id(tables, "tables", "table"))
+        set_field(self, "modules_by_id", modules_by_id := _by_id(library, "library", "module"))
         _by_id(sequence, "sequence", "query")
+        for i, q in enumerate(sequence):
+            if q.table_id not in tables_by_id:
+                raise FieldError(f"sequence[{i}].table", f"unknown table '{q.table_id}'")
+            for j, inv in enumerate(q.invocations):
+                if inv.accelerator_id not in modules_by_id:
+                    raise FieldError(f"sequence[{i}].invocations[{j}].accelerator",
+                                     f"unknown accelerator '{inv.accelerator_id}'")
+        if (unbounded := first_unbounded_query(self)) is not None:
+            raise FieldError(f"sequence[{unbounded}]", UNBOUNDED_TOTAL)
 
 
 def _by_id(items, field: str, what: str) -> dict:
@@ -188,6 +201,17 @@ def _by_id(items, field: str, what: str) -> dict:
                 raise FieldError(field, f"duplicate {what} id '{item.id}'")
             seen.add(item.id)
     return by_id
+
+
+def rescaled_tables(tables: tuple[TableDef, ...], old: float, new: float) -> tuple[TableDef, ...]:
+    """tables with each volume rebased from scale factor old to new, as
+    volume / old * new; a volume that overflows is a ScenarioError at its
+    path."""
+    volumes = [t.volume / old * new for t in tables]
+    for i, volume in enumerate(volumes):
+        if not math.isfinite(volume):
+            raise ScenarioError(f"not finite at scale_factor {new}", f"tables[{i}].volume")
+    return tuple(TableDef(t.id, volume) for t, volume in zip(tables, volumes))
 
 
 class Schedule(Record):
@@ -316,8 +340,6 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
     _check_keys(obj, ("accelerator", "predicate", "selectivity", "reads"),
                 ("volume_multiplier", "produces"), path)
     accelerator_id = _string(obj, "accelerator", path)
-    if accelerator_id not in modules:
-        raise ScenarioError(f"unknown accelerator '{accelerator_id}'", f"{path}.accelerator")
     predicate = obj["predicate"]
     if not isinstance(predicate, str):
         raise ScenarioError("expected a string", f"{path}.predicate")
@@ -325,9 +347,10 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
         shapes, attributes = analyzer.parse_predicate(predicate)
     except PredicateError as exc:
         raise ScenarioError(f"invalid predicate: {exc}", f"{path}.predicate") from exc
-    supported = modules[accelerator_id].supported_ops
-    if not supported.issuperset(shapes):
-        missing = [sh for sh in shapes if sh not in supported]
+    # an unknown module is Scenario's to report
+    module = modules.get(accelerator_id)
+    if module is not None and not module.supported_ops.issuperset(shapes):
+        missing = [sh for sh in shapes if sh not in module.supported_ops]
         names = ", ".join(sorted({f"{sh.kind}/{sh.operand_type}" for sh in missing}))
         raise ScenarioError(
             f"accelerator '{accelerator_id}' does not support: {names}", f"{path}.predicate")
@@ -344,14 +367,11 @@ def _invocation_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule
                    multiplier)
 
 
-def _query_from_doc(obj, path: str, tables: Mapping[str, TableDef],
-                    modules: Mapping[str, AcceleratorModule],
+def _query_from_doc(obj, path: str, modules: Mapping[str, AcceleratorModule],
                     sets: dict[frozenset[str], frozenset[str]]) -> QuerySpec:
     obj = _object(obj, path)
     _check_keys(obj, ("id", "table", "invocations"), ("gap_after_ms",), path)
     table_id = _string(obj, "table", path)
-    if table_id not in tables:
-        raise ScenarioError(f"unknown table '{table_id}'", f"{path}.table")
     invocations = tuple(
         _invocation_from_doc(inv_obj, f"{path}.invocations[{i}]", modules, sets)
         for i, inv_obj in enumerate(_array(obj, "invocations", path)))
@@ -363,8 +383,7 @@ def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
     Table volumes in the returned scenario are already multiplied by
-    scale_factor.  Unknown keys anywhere in the document are an error, and
-    so is a scenario whose total can overflow (costmodel.first_unbounded_query).
+    scale_factor.  Unknown keys anywhere in the document are an error.
     """
     try:
         doc = json.loads(text)
@@ -377,10 +396,9 @@ def load_scenario(text: str) -> Scenario:
     rpu = _rpu_from_doc(doc["rpu"], "rpu")
     tables = tuple(_table_from_doc(obj, f"tables[{i}]")
                    for i, obj in enumerate(_array(doc, "tables", "document")))
-    # Scenario owns the unique-id rule, but the queries need these maps first
-    table_map = _record(_by_id, "", tables, "tables", "table")
     library = tuple(_module_from_doc(obj, f"library[{i}]")
                     for i, obj in enumerate(_array(doc, "library", "document")))
+    # Scenario owns the unique-id rule, but the operator check needs this map first
     module_map = _record(_by_id, "", library, "library", "module")
 
     scale = _number(doc, "scale_factor", "document") if "scale_factor" in doc else 1.0
@@ -394,21 +412,10 @@ def load_scenario(text: str) -> Scenario:
     # one frozenset per distinct reads or produces set: thousands of
     # invocations name a few dozen sets
     sets: dict[frozenset[str], frozenset[str]] = {}
-    sequence = tuple(_query_from_doc(obj, f"sequence[{i}]", table_map, module_map, sets)
+    sequence = tuple(_query_from_doc(obj, f"sequence[{i}]", module_map, sets)
                      for i, obj in enumerate(sequence_doc))
-
-    volumes = [t.volume * scale for t in tables]
-    for i, volume in enumerate(volumes):
-        if not math.isfinite(volume):
-            raise ScenarioError(f"not finite at scale_factor {scale}", f"tables[{i}].volume")
-    # the loader has checked every other rule of Scenario: this reports a repeated query id
-    s = _record(Scenario, "", rpu, tuple(TableDef(t.id, v) for t, v in zip(tables, volumes)),
-                library, sequence, scale)
-    unbounded = first_unbounded_query(s)
-    if unbounded is not None:
-        raise ScenarioError("an upper bound on the total is not finite by this query: "
-                            "volumes, rates or gaps overflow", f"sequence[{unbounded}]")
-    return s
+    return _record(Scenario, "", rpu, rescaled_tables(tables, 1.0, scale), library, sequence,
+                   scale)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,14 @@ class FieldError(ValueError):
 def finite_number(field: str, value: float, positive: bool = False) -> float:
     """value, when it is finite and at least 0, or greater than 0 when
     positive is set; otherwise a FieldError of field that names the first
-    rule it breaks, finiteness first.  Every such rule of a rate, volume,
-    load time, multiplier, gap or scale factor is stated here alone."""
-    if not math.isfinite(value):
-        raise FieldError(field, f"must be finite, got {value}")
+    rule it breaks, finiteness first (an int beyond the float range is not
+    finite).  Every such rule of a rate, volume, load time, multiplier, gap
+    or scale factor is stated here alone."""
+    try:
+        if not math.isfinite(value):
+            raise FieldError(field, f"must be finite, got {value}")
+    except OverflowError:  # an int beyond the float range
+        raise FieldError(field, "must be finite, got an integer beyond the float range") from None
     if positive and value <= 0:
         raise FieldError(field, f"must be greater than 0, got {value}")
     if value < 0:

@@ -3,6 +3,7 @@ import random
 import struct
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -204,18 +205,31 @@ def brute_force(s: model.Scenario) -> tuple[float, model.Schedule]:
     return best[0][0], best[1]
 
 
+def rebased(s, scale_factor):
+    """A stand-in for harness.with_scale_factor(s, scale_factor) that skips
+    Scenario's constructor, so it exists where that copy's total is
+    unbounded too: the rebased tables, keyed by id as well, and the other
+    fields of s that first_unbounded_query and its reference read.  A volume
+    that overflows is the ScenarioError of model.rescaled_tables."""
+    tables = model.rescaled_tables(s.tables, s.scale_factor, scale_factor)
+    return SimpleNamespace(rpu=s.rpu, tables=tables, library=s.library, sequence=s.sequence,
+                           tables_by_id={t.id: t for t in tables},
+                           modules_by_id=s.modules_by_id)
+
+
 def largest_bounded_scale_factor(s, unbounded=first_unbounded_query):
     """The largest scale factor a sweep of s accepts: the last at which
-    harness.with_scale_factor keeps every volume finite and the loader's bound
-    (or the given stand-in for it) holds.  Both only grow with the factor,
-    so this bisects over the bit patterns of the positive doubles, which
-    order as the doubles do."""
+    rebasing keeps every volume finite and Scenario's bound (or the given
+    stand-in for it) holds on rebased(s, factor), so that a stand-in's edge
+    does not depend on the package's.  Both only grow with the factor, so
+    this bisects over the bit patterns of the positive doubles, which order
+    as the doubles do."""
     def as_float(bits):
         return struct.unpack("<d", struct.pack("<q", bits))[0]
 
     def bounded(bits):
         try:
-            return unbounded(harness.with_scale_factor(s, as_float(bits))) is None
+            return unbounded(rebased(s, as_float(bits))) is None
         except ValueError:
             return False
 

@@ -20,9 +20,10 @@ from reconfig_sim.costmodel import (
 from reconfig_sim.harness import SweepSpec, run_sweep, with_scale_factor
 from reconfig_sim.model import AcceleratorModule, Invocation, QuerySpec, RpuConfig, TableDef
 from reconfig_sim.optimizer import _legal_orders, candidate_schedules
+from reconfig_sim.record import FieldError
 
 from conftest import (largest_bounded_scale_factor, make_chained_scenario, make_random_scenario,
-                      spread_over_modules)
+                      rebased, spread_over_modules)
 
 _RPU = RpuConfig(storage_rate=1.0, network_rate=0.2, default_reconfig_ms=15.0)
 _MODULE = AcceleratorModule("m", frozenset(), proc_rate=2.0)
@@ -241,7 +242,9 @@ def test_first_unbounded_query_equals_the_stage_function_reference(corpus):
     and chained scenarios, as generated and with _with_edge_stages' factors
     mixed in, without a gap and with gaps up to ones that overflow, and at
     the scale factors on both sides of the reference's overflow edge, found
-    by bisection, where one rounding more or less moves the answer."""
+    by bisection, where one rounding more or less moves the answer.  Past
+    that edge no Scenario can be built, so the points there are rebased
+    stand-ins, and with_scale_factor must raise at the index both find."""
     scenarios = [s for _, s in corpus]
     for seed in range(40):
         rng = random.Random(80_000 + seed)
@@ -257,9 +260,17 @@ def test_first_unbounded_query_equals_the_stage_function_reference(corpus):
         points = [("as given", s)]
         for factor in factors:
             try:
-                points.append(("edge", with_scale_factor(s, factor)))
+                point = rebased(s, factor)
             except ValueError:  # a volume overflows before the bound does
-                pass
+                continue
+            points.append(("edge", point))
+            unbounded = _first_unbounded_query_by_stage(point)
+            if unbounded is None:
+                with_scale_factor(s, factor)
+            else:
+                with pytest.raises(FieldError) as excinfo:
+                    with_scale_factor(s, factor)
+                assert excinfo.value.field == f"sequence[{unbounded}]", (s, factor)
         for kind, point in points:
             for gap in (None, 0.0, 2.5, 1e300, 6e307, 1.7e308):
                 expected = _first_unbounded_query_by_stage(point, gap)

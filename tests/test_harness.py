@@ -22,6 +22,7 @@ from reconfig_sim.harness import (
 )
 from reconfig_sim.model import schedule_to_doc
 from reconfig_sim.optimizer import candidate_schedules, optimize
+from reconfig_sim.record import FieldError
 
 from conftest import make_chained_scenario, make_random_scenario, spread_over_modules
 
@@ -101,7 +102,8 @@ def test_sweep_rejects_axis_values_past_the_total_bound(seq2):
     # both gave inf or nan totals and improvements before sweeps checked the bound
     for axis, value in (("scale_factor", 1e307), ("gap_ms", 1.7e308)):
         message = f"{axis} {value:.9g}: sequence[0]: an upper bound on the total is not finite"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)} by this query$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} by this query: "
+                                             "volumes, rates or gaps overflow$"):
             run_sweep(seq2, SweepSpec(axis, (1.0, value)))
     rows = run_sweep(seq2, SweepSpec("gap_ms", (1.0, 1e300))).splitlines()
     assert rows[-1] == "gap_ms,1e+300,auto,1e+300,0"
@@ -111,9 +113,10 @@ def test_a_passed_gap_bounds_as_the_gapped_scenario(corpus):
     """costmodel.first_unbounded_query given a gap answers as on
     with_gaps(s, gap), which a gap sweep relies on to bound its points
     without a copy: on the bundled and seeded scenarios, at gaps up to ones
-    that overflow the bound after the first, second or later query.  A gap
-    sweep whose largest gap overflows names that value and query, as the
-    message read off the gapped copy does."""
+    that overflow the bound after the first, second or later query, where
+    the gapped copy's constructor names that query.  A gap sweep whose
+    largest gap overflows names that value and query, and the problem the
+    constructor raises."""
     scenarios = [s for _, s in corpus]
     for seed in range(40):
         rng = random.Random(60_000 + seed)
@@ -125,13 +128,19 @@ def test_a_passed_gap_bounds_as_the_gapped_scenario(corpus):
     where = set()
     for s in scenarios:
         for gap in (0.0, 2.5, 1e300, 3e307, 6e307, 1.7e308):
-            unbounded = first_unbounded_query(with_gaps(s, gap))
+            try:
+                with_gaps(s, gap)
+                unbounded = None
+            except FieldError as exc:
+                unbounded = int(re.fullmatch(r"sequence\[(\d+)\]", exc.field)[1])
+                problem = exc.problem
             assert first_unbounded_query(s, gap) == unbounded, (s, gap)
             where.add(unbounded)
             if unbounded is None:
                 continue
-            message = (f"gap_ms {format_ms(gap)}: sequence[{unbounded}]: an upper bound on the "
-                       "total is not finite by this query")
+            assert problem == ("an upper bound on the total is not finite by this query: "
+                               "volumes, rates or gaps overflow")
+            message = f"gap_ms {format_ms(gap)}: sequence[{unbounded}]: {problem}"
             with pytest.raises(ValueError) as excinfo:
                 run_sweep(s, SweepSpec("gap_ms", (0.0, gap)))
             assert str(excinfo.value) == message
@@ -392,6 +401,13 @@ def test_verify_corpus_is_clean():
         assert problems == [], name
 
 
+def test_verify_corpus_reports_an_exception_against_its_scenario(monkeypatch):
+    monkeypatch.setattr(harness, "bundled_names", lambda: ["seq2", "no_such_scenario"])
+    assert verify_corpus() == [
+        ("seq2", []),
+        ("no_such_scenario", ["FileNotFoundError: no bundled scenario named 'no_such_scenario'"])]
+
+
 def test_bundled_text_unknown_name():
     with pytest.raises(FileNotFoundError):
         bundled_text("does_not_exist")
@@ -468,6 +484,21 @@ def test_cli_optimize_offers_the_exact_optimum(tmp_path, capsys):
     assert cli_dispatch(["optimize", str(path), "--strategy", "optimal"]) == 1
     assert capsys.readouterr().err == ("error: query Q0 too wide for the optimal strategy: "
                                        "10 invocations (limit: 8 invocations per query)\n")
+
+
+def test_cli_reports_a_file_it_cannot_write(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "outcome.json"
+    assert cli_dispatch(["optimize", "seq2", "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
+    assert not out_path.parent.exists()
+
+
+def test_cli_corpus_verify_prints_each_failure_and_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "verify_corpus",
+                        lambda: [("seq2", []), ("corpus/q13", ["first problem", "second"])])
+    assert cli_dispatch(["corpus", "verify"]) == 1
+    assert capsys.readouterr().out == (
+        "seq2: ok\ncorpus/q13: FAIL\n  first problem\n  second\n")
 
 
 def test_cli_sweep_writes_csv(tmp_path, seq2):

@@ -322,6 +322,24 @@ def test_document_errors_name_their_path(seq2_doc, mutate, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("tables", 0, "id"), "", "tables[0].id: expected a non-empty string"),
+    (("tables",), {}, "document.tables: expected an array"),
+    (("tables",), [], "document.tables: must be non-empty"),
+    (("sequence", 0, "invocations", 0, "predicate"), 5,
+     "sequence[0].invocations[0].predicate: expected a string"),
+], ids=["empty-table-id", "tables-object", "no-tables", "number-predicate"])
+def test_the_loader_rejects_wrong_json_types(seq2_doc, path, value, message):
+    *parents, key = path
+    target = seq2_doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(ScenarioError) as excinfo:
+        _load(seq2_doc)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("path, value, fragment", [
     (("tables", 0, "volume"), float("nan"), "tables[0].volume: must be finite"),
     (("tables", 0, "volume"), 10 ** 400, "tables[0].volume: must be finite"),
@@ -851,7 +869,7 @@ def test_lookup_maps_follow_every_way_a_scenario_is_built(seq2, corpus):
     built = Scenario(seq2.rpu, seq2.tables, seq2.library, seq2.sequence, seq2.scale_factor)
     scaled = harness.with_scale_factor(seq2, 3.0)
     retabled = seq2.replace(tables=tuple(t.replace(volume=1.0) for t in seq2.tables))
-    variants = [built, scaled, retabled, seq2.replace(library=seq2.library[:1]),
+    variants = [built, scaled, retabled, seq2.replace(library=seq2.library[::-1]),
                 harness.with_gaps(seq2, 4.0), copy.copy(seq2), copy.deepcopy(seq2),
                 pickle.loads(pickle.dumps(seq2))]
     for s in [loaded for _, loaded in corpus] + variants:
@@ -859,7 +877,8 @@ def test_lookup_maps_follow_every_way_a_scenario_is_built(seq2, corpus):
     assert [t.volume for t in scaled.tables_by_id.values()] == [
         3.0 * t.volume for t in seq2.tables]
     assert [t.volume for t in retabled.tables_by_id.values()] == [1.0] * len(seq2.tables)
-    assert list(seq2.replace(library=seq2.library[:1]).modules_by_id) == [seq2.library[0].id]
+    assert list(seq2.replace(library=seq2.library[::-1]).modules_by_id) == [
+        m.id for m in reversed(seq2.library)]
 
 
 def test_lookup_maps_are_ignored_by_equality_hash_and_repr(seq2):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconfig_sim import emulator, optimizer
-from reconfig_sim.costmodel import first_unbounded_query, propagate_volumes, stage_terms
+from reconfig_sim.costmodel import propagate_volumes, stage_terms
 from reconfig_sim.emulator import SPECULATIVE, execute_schedule
 from reconfig_sim.harness import (SWEEP_AXES, bundled_names, load_bundled, with_gaps,
                                   with_scale_factor)
@@ -30,6 +30,7 @@ from reconfig_sim.optimizer import (
     outcome_document,
     plan_baseline,
 )
+from reconfig_sim.record import FieldError
 
 from conftest import (brute_force, event_loop_total, largest_bounded_scale_factor,
                       make_chained_scenario, make_random_scenario, reference_total,
@@ -192,6 +193,16 @@ def test_improvement_is_relative_to_baseline(seq2):
         outcome = optimize(seq2, strategy)
         assert outcome.improvement_pct == pytest.approx(
             100.0 * (base - outcome.total_ms) / base, abs=1e-9)
+
+
+def test_a_zero_baseline_total_gives_zero_improvement(seq2):
+    """With no volume, load or gap every total is 0: each strategy then
+    improves on baseline by 0.0 percent, not by 0 / 0."""
+    idle = with_gaps(_zero_loads(seq2), 0.0).replace(
+        tables=tuple(t.replace(volume=0.0) for t in seq2.tables))
+    for strategy in STRATEGIES:
+        outcome = optimize(idle, strategy)
+        assert (outcome.total_ms, outcome.improvement_pct) == (0.0, 0.0), strategy
 
 
 def test_prefetch_saving_follows_the_hiding_formula(seq2):
@@ -499,16 +510,20 @@ def _scaled(s, volumes, rates):
 
 def _near_unbounded(s):
     """s scaled by the largest power of four of its times at which
-    first_unbounded_query still finds the total bounded."""
+    Scenario's constructor still finds the total bounded
+    (costmodel.first_unbounded_query)."""
     e = 0
-    while first_unbounded_query(_scaled(s, 2.0 ** (e + 1), 2.0 ** -(e + 1))) is None:
+    while True:
+        try:
+            _scaled(s, 2.0 ** (e + 1), 2.0 ** -(e + 1))
+        except FieldError:
+            return _scaled(s, 2.0 ** e, 2.0 ** -e)
         e += 1
-    return _scaled(s, 2.0 ** e, 2.0 ** -e)
 
 
 def _float_edges(rng):
     """Instances at the edges of float arithmetic: every time scaled toward
-    1e-300, and into the subnormals, and toward the loader's bound on the
+    1e-300, and into the subnormals, and toward Scenario's bound on the
     total; zero loads with zero gaps; and modules that are copies of one
     another, so that totals tie exactly."""
     def instance():

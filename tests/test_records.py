@@ -296,6 +296,48 @@ def test_scenario_rejects_repeated_ids(seq2, field, what):
     assert excinfo.value.problem == f"duplicate {what} id '{rest[0].id}'"
 
 
+def test_scenario_rejects_missing_references_and_an_unbounded_total(seq2):
+    """A copy whose total overflows, whose library lacks a module an
+    invocation names, or whose query names a table it lacks is a FieldError
+    where it is built, at the loader's path and with its problem, so
+    optimize never plans to an infinite total or looks up a missing
+    module."""
+    bound = ("an upper bound on the total is not finite by this query: volumes, rates or "
+             "gaps overflow")
+    accelerator = next((f"sequence[{i}].invocations[{j}].accelerator", inv.accelerator_id)
+                       for i, q in enumerate(seq2.sequence)
+                       for j, inv in enumerate(q.invocations)
+                       if inv.accelerator_id != seq2.library[0].id)
+    builds = [
+        (lambda: seq2.replace(tables=tuple(t.replace(volume=1e308) for t in seq2.tables)),
+         "sequence[0]", bound),
+        (lambda: seq2.replace(library=seq2.library[:1]),
+         accelerator[0], f"unknown accelerator '{accelerator[1]}'"),
+        (lambda: seq2.replace(sequence=(seq2.sequence[0],
+                                        seq2.sequence[1].replace(table_id="nope"))),
+         "sequence[1].table", "unknown table 'nope'"),
+        (lambda: Scenario(seq2.rpu, (), seq2.library, seq2.sequence),
+         "sequence[0].table", f"unknown table '{seq2.sequence[0].table_id}'"),
+    ]
+    for build, field, problem in builds:
+        with pytest.raises(FieldError) as excinfo:
+            build()
+        assert (excinfo.value.field, excinfo.value.problem) == (field, problem)
+
+
+def test_integers_beyond_the_float_range_are_a_field_error():
+    """An int that no float can hold is infinite to every timing model;
+    finite_number rejects it in every record, as the loader does a JSON
+    integer literal, rather than raise the OverflowError of its conversion."""
+    for build, field in ((lambda: TableDef("t", 10 ** 400), "volume"),
+                         (lambda: SweepSpec("gap_ms", (10 ** 400,)), "gap_ms"),
+                         (lambda: RpuConfig(1.0, -10 ** 400, 1.0), "network_rate")):
+        with pytest.raises(FieldError) as excinfo:
+            build()
+        assert (excinfo.value.field, excinfo.value.problem) == (
+            field, "must be finite, got an integer beyond the float range")
+
+
 def _repr_parts(value):
     """What repr shows of a value, as a tree: a record's class name and its
     fields, a tuple's items, the repr of anything else, and a set as the

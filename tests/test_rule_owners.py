@@ -10,7 +10,9 @@ costmodel.scaled_stage_terms, held to it bit for bit), and combined into a
 timeline in one event loop, and into the closed form's per-query table, and nowhere else; those
 two alone decide when a load costs nothing because its module is resident.  The operator
 vocabulary is read only in the analyzer, and the range and finiteness of a
-number field are stated only in record.finite_number."""
+number field are stated only in record.finite_number.  The rules that span a
+scenario's records, its references and the bound on its total, are
+Scenario's constructor's, and volumes are rebased in one function."""
 import ast
 from pathlib import Path
 
@@ -30,6 +32,14 @@ STAGE_COSTS = {"scan_time", "accel_runtime", "reconfig_time", "transfer_time",
                "propagate_volumes"}
 
 RANGE_MESSAGES = ("must be finite, got", "must be at least 0", "must be greater than 0")
+
+# each message of a scenario-wide rule, where it is written
+SCENARIO_MESSAGES = {
+    "is not finite by this query": ("costmodel.py", ""),
+    "unknown table": ("model.py", "Scenario.__init__"),
+    "unknown accelerator": ("model.py", "Scenario.__init__"),
+    "not finite at scale_factor": ("model.py", "rescaled_tables"),
+}
 
 
 def _package_trees():
@@ -177,3 +187,26 @@ def test_number_ranges_are_stated_only_by_finite_number():
              for fragment in RANGE_MESSAGES if fragment in node.value}
     assert users == {("record.py", "finite_number", fragment) for fragment in RANGE_MESSAGES
                      } | {("model.py", "_number", "must be finite, got")}
+
+
+def test_the_total_bound_is_checked_only_where_scenarios_and_gap_sweeps_are_built():
+    """Scenario's constructor checks the bound on the total, so a loaded
+    scenario, a copy through replace and a sweep's scaled copy all meet it;
+    only a gap sweep, which makes no copy, reads it besides.  A second
+    call, say back in the loader, fails here."""
+    users = {(name, scope) for name, tree in _package_trees()
+             for scope, read in _scoped_reads(tree) if read == "first_unbounded_query"}
+    assert users == {("model.py", "Scenario.__init__"), ("harness.py", "run_sweep")}
+
+
+def test_scenario_wide_messages_are_written_once():
+    """The references, the bound and the rebase of the volumes each raise
+    their message in one place, an f-string's parts and docstrings
+    included, so the loader and the sweeps report the owner's error rather
+    than a copy of it.  A second copy, say back in the loader's query step,
+    fails here."""
+    users = sorted((fragment, name, scope) for name, tree in _package_trees()
+                   for scope, node in _scoped_nodes(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   for fragment in SCENARIO_MESSAGES if fragment in node.value)
+    assert users == sorted((fragment, *owner) for fragment, owner in SCENARIO_MESSAGES.items())
